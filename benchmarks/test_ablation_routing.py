@@ -7,10 +7,10 @@ Two tracked claims:
   the first ablation compares its routed accuracy against a round-robin
   (capacity-proportional) router on the same allocation plan and demand.
 * **Dispatch throughput** -- the control-plane overhaul compiled routing
-  tables into bisect/alias samplers; the throughput ablation replays the seed
+  tables into bisect samplers; the throughput ablation replays the seed
   implementation (one ``np.searchsorted`` call per query against a cached
   cumulative array) and asserts the compiled scalar path dispatches >= 3x
-  faster, with the batched paths reported alongside.
+  faster.
 """
 
 import time
@@ -132,7 +132,7 @@ def test_compiled_dispatch_rate(benchmark):
 
 @pytest.mark.slow
 def test_compiled_dispatch_speedup_over_seed_table():
-    """Compiled scalar dispatch >= 3x the seed path; batched paths reported.
+    """Compiled scalar dispatch >= 3x the seed path.
 
     Timing ratios are noisy on shared CI runners, so like the engine-dispatch
     ablation this is slow-marked out of tier-1 and run as an advisory CI job.
@@ -145,23 +145,17 @@ def test_compiled_dispatch_speedup_over_seed_table():
     seed_rate = _rate(lambda: [seed_table.choose("t", rng) for _ in range(draws)], draws)
     rng = np.random.default_rng(0)
     compiled_rate = _rate(lambda: [table.choose(root, rng) for _ in range(draws)], draws)
-    batch_rate = _rate(lambda: [table.choose_batch(root, rng, 10_000) for _ in range(draws // 10_000)], draws)
-    alias_rate = _rate(
-        lambda: [table.choose_batch(root, rng, 10_000, method="alias") for _ in range(draws // 10_000)], draws
-    )
 
     speedup = compiled_rate / seed_rate
     print(
         f"\nrouting dispatch: seed {seed_rate / 1e6:.2f}M/s, compiled {compiled_rate / 1e6:.2f}M/s "
-        f"({speedup:.1f}x), batched {batch_rate / 1e6:.2f}M/s, alias {alias_rate / 1e6:.2f}M/s"
+        f"({speedup:.1f}x)"
     )
     perf_record.update(
         "routing_dispatch",
         {
             "seed_draws_per_s": seed_rate,
             "compiled_draws_per_s": compiled_rate,
-            "batched_draws_per_s": batch_rate,
-            "alias_draws_per_s": alias_rate,
             "scalar_speedup": speedup,
         },
     )

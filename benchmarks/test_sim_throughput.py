@@ -2,9 +2,8 @@
 
 Tracks the simulator the way ``test_ablation_solver_backends.py`` tracks the
 solver: one dispatch ablation against a faithful replica of the seed engine,
-the batched-vs-scalar frontend dispatch ablation on an arrival-dominated
-reference scenario, plus the absolute events/sec and wall clock of a
-registered reference scenario (so future PRs can see regressions in the full
+plus the absolute events/sec and wall clock of a registered reference
+scenario (so future PRs can see regressions in the full
 pipeline, not just the raw event loop).  Every tracked number is also merged
 into the machine-readable perf record (``BENCH_throughput.json``, see
 ``benchmarks/perf_record.py``) which CI uploads as an artifact.
@@ -19,7 +18,6 @@ scheduling path -- the ablation asserts the >= 3x dispatch speedup the
 scenario substrate was built for.
 """
 
-import gc
 import heapq
 import itertools
 import time
@@ -31,7 +29,7 @@ import numpy as np
 import pytest
 
 from benchmarks import perf_record
-from repro.scenarios import ScenarioSpec, get_scenario
+from repro.scenarios import get_scenario
 from repro.simulator.engine import SimulationEngine
 from repro.simulator.events import ArrivalEvent, BatchCompleteEvent, DeliveryEvent
 
@@ -292,325 +290,6 @@ def test_reference_scenario_throughput(benchmark):
 
 
 # --------------------------------------------------------------------------- #
-# Dispatch-mode ablation: batched arrival bursts vs scalar per-query dispatch
-# --------------------------------------------------------------------------- #
-
-
-def _dispatch_reference_scenario():
-    """Arrival-dominated reference: the smoke single-task pipeline overloaded
-    to ~3000 arrivals/s against a 6-worker cluster.
-
-    At this operating point arrivals and their network deliveries dominate
-    the calendar (full batches amortise the batch-complete events to ~1/28
-    per query), which is exactly the regime the batched dispatch mode
-    restructures: one vectorized routing draw, delay draw, metrics binning
-    and telemetry increment per arrival chunk instead of per query.
-    """
-    return get_scenario("smoke").with_overrides(
-        name="dispatch_mode_reference",
-        trace_params={"qps": 3000.0, "duration_s": 15},
-    )
-
-
-def _run_dispatch_mode(spec, mode, clock=time.perf_counter, pause_gc=False):
-    simulation = spec.with_overrides(dispatch_mode=mode).build(seed=0)
-    if pause_gc:
-        gc.collect()
-        gc.disable()
-    try:
-        start = clock()
-        summary = simulation.run()
-        elapsed = clock() - start
-    finally:
-        if pause_gc:
-            gc.enable()
-    return summary, simulation.engine.events_processed, elapsed
-
-
-_DISPATCH_ROUNDS = 7
-
-
-@pytest.mark.slow
-def test_batched_dispatch_speedup_over_scalar():
-    """Batched dispatch must deliver >= 2x end-to-end events/s over scalar.
-
-    Methodology mirrors the engine-dispatch ablation: both modes run back to
-    back within each round on CPU time, per-round ratios are medianed so
-    scheduler noise hits both sides of a ratio and outlier rounds are
-    discarded; a warmup round is discarded entirely, and the collector is
-    paused around each timed region (identical workload either way — GC adds
-    a per-allocation cost that would just dilute the dispatch ratio).
-    Events/s is reported in scalar-equivalent events (the workload's calendar
-    size under per-query dispatch; batched mode collapses N arrivals into one
-    burst event, so its own calendar count is smaller for the same simulated
-    work).
-    """
-    spec = _dispatch_reference_scenario()
-    ratios = []
-    scalar_best = batched_best = float("inf")
-    scalar_events = None
-    scalar_summary = batched_summary = None
-    for round_index in range(_DISPATCH_ROUNDS + 1):
-        scalar_summary, scalar_events, scalar_elapsed = _run_dispatch_mode(
-            spec, "scalar", clock=time.process_time, pause_gc=True
-        )
-        batched_summary, _, batched_elapsed = _run_dispatch_mode(
-            spec, "batched", clock=time.process_time, pause_gc=True
-        )
-        if round_index == 0:
-            continue  # warmup: first round pays allocator/cache cold starts
-        ratios.append(scalar_elapsed / batched_elapsed)
-        scalar_best = min(scalar_best, scalar_elapsed)
-        batched_best = min(batched_best, batched_elapsed)
-    # Same workload either way: identical arrival streams and statistically
-    # matching outcomes (the equivalence suite pins the tolerances).
-    assert scalar_summary.total_requests == batched_summary.total_requests
-    ratio = float(np.median(ratios))
-    print(
-        f"\nscalar dispatch:  {scalar_events / scalar_best:>10,.0f} events/s (best round)"
-        f"\nbatched dispatch: {scalar_events / batched_best:>10,.0f} events/s (best round)"
-        f"\nspeedup:          {ratio:.2f}x (median of {_DISPATCH_ROUNDS} rounds)"
-    )
-    perf_record.update(
-        "dispatch_modes",
-        {
-            "scenario": spec.name,
-            "total_requests": scalar_summary.total_requests,
-            "scalar_events_per_s": scalar_events / scalar_best,
-            "batched_events_per_s": scalar_events / batched_best,
-            "speedup": ratio,
-        },
-    )
-    assert ratio >= 2.0, f"batched dispatch only {ratio:.2f}x over scalar (target >= 2x)"
-
-
-def test_batched_dispatch_throughput_record(benchmark):
-    """Absolute batched-dispatch throughput (tier-1 perf record, no ratio
-    assertion — the >= 2x bar lives in the slow-marked ablation)."""
-    spec = _dispatch_reference_scenario()
-
-    def run_once():
-        return _run_dispatch_mode(spec, "batched")
-
-    summary, _, elapsed = benchmark.pedantic(run_once, rounds=1, iterations=1)
-    assert summary.total_requests > 10_000
-    perf_record.update(
-        "dispatch_modes",
-        {"batched_requests_per_s_wall": summary.total_requests / elapsed},
-    )
-
-
-def _fanout_reference_scenario():
-    """Multi-task fan-out reference: the fig6 social-media pipeline driven
-    hard enough that worker-side fan-out dominates the calendar.
-
-    Unlike the single-task dispatch reference (where only frontend arrivals
-    are batchable), roughly half of this workload's calendar is *internal*
-    fan-out: each completed batch at the classification stage spawns caption
-    children downstream.  That is the path ``SimWorker._dispatch_batch``
-    vectorizes — per-edge child-count sampling, routing draws, network-delay
-    draws, per-parent grouped drop decisions and the calendar insert all
-    happen once per completed batch instead of once per child — so this spec
-    isolates the worker-side win the way ``_dispatch_reference_scenario``
-    isolates the arrival-side one.  The fig5/fig6 scenarios proper normalise
-    demand to hardware via ``peak_over_hardware``, which keeps batches too
-    small to vectorize; a fixed 8-worker fleet under ~2500 arrivals/s keeps
-    worker batches full the same way the arrival reference keeps bursts full.
-    """
-    return ScenarioSpec(
-        name="fanout_reference",
-        pipeline="social_media",
-        num_workers=8,
-        slo_ms=400.0,
-        trace="constant",
-        trace_params={"qps": 2500.0, "duration_s": 15},
-    )
-
-
-@pytest.mark.slow
-def test_batched_fanout_speedup_over_scalar():
-    """Batched worker-side fan-out must deliver >= 1.5x events/s over scalar
-    on the multi-task reference (same methodology as the dispatch ablation)."""
-    spec = _fanout_reference_scenario()
-    ratios = []
-    scalar_best = batched_best = float("inf")
-    scalar_events = None
-    scalar_summary = batched_summary = None
-    for round_index in range(_DISPATCH_ROUNDS + 1):
-        scalar_summary, scalar_events, scalar_elapsed = _run_dispatch_mode(
-            spec, "scalar", clock=time.process_time, pause_gc=True
-        )
-        batched_summary, _, batched_elapsed = _run_dispatch_mode(
-            spec, "batched", clock=time.process_time, pause_gc=True
-        )
-        if round_index == 0:
-            continue  # warmup
-        ratios.append(scalar_elapsed / batched_elapsed)
-        scalar_best = min(scalar_best, scalar_elapsed)
-        batched_best = min(batched_best, batched_elapsed)
-    assert scalar_summary.total_requests == batched_summary.total_requests
-    ratio = float(np.median(ratios))
-    print(
-        f"\nscalar fan-out:  {scalar_events / scalar_best:>10,.0f} events/s (best round)"
-        f"\nbatched fan-out: {scalar_events / batched_best:>10,.0f} events/s (best round)"
-        f"\nspeedup:         {ratio:.2f}x (median of {_DISPATCH_ROUNDS} rounds)"
-    )
-    perf_record.update(
-        "dispatch_modes",
-        {
-            "multitask_scenario": spec.name,
-            "multitask_total_requests": scalar_summary.total_requests,
-            "multitask_scalar_events_per_s": scalar_events / scalar_best,
-            "multitask_batched_events_per_s": scalar_events / batched_best,
-            "multitask_speedup": ratio,
-        },
-    )
-    assert ratio >= 1.5, f"batched fan-out only {ratio:.2f}x over scalar (target >= 1.5x)"
-
-
-# --------------------------------------------------------------------------- #
-# Calendar-engine ablation: columnar macro-dispatch vs heap, end to end
-# --------------------------------------------------------------------------- #
-
-
-def _calendar_reference_scenario():
-    """Event-core-bound reference: the smoke pipeline at ~24000 arrivals/s.
-
-    The batched-dispatch reference (3000 qps) is the wrong operating point
-    for an *event-core* ablation: there, shared per-batch costs — telemetry
-    observes, metrics binning, query construction, the per-second control
-    loop — are ~2/3 of the wall clock, so by Amdahl's law even an infinitely
-    fast core could not show a 1.5x end-to-end win.  At 24000 arrivals/s the
-    bursts are deep enough that those shared costs amortise to a sliver per
-    event and homogeneous delivery runs grow long, which is precisely the
-    regime the columnar calendar targets (and the regime where the heap's
-    per-event dispatch is the bottleneck).
-    """
-    return get_scenario("smoke").with_overrides(
-        name="calendar_engine_reference",
-        trace_params={"qps": 24000.0, "duration_s": 15},
-    )
-
-
-def _calendarized(spec):
-    # with_overrides *replaces* sim_overrides, so merge to keep existing keys.
-    return spec.with_overrides(sim_overrides={**spec.sim_overrides, "engine": "calendar"})
-
-
-@pytest.mark.slow
-def test_calendar_engine_end_to_end_speedup():
-    """Batched+calendar must beat batched+heap end to end on the
-    event-core-bound reference (same methodology as the dispatch ablations:
-    back-to-back CPU-time rounds, warmup discarded, per-round ratios
-    medianed, GC paused).  Events/s is reported in scalar-equivalent events
-    so the number is comparable with the ``dispatch_modes`` section."""
-    spec = _calendar_reference_scenario()
-    _, scalar_events, _ = _run_dispatch_mode(spec, "scalar", clock=time.process_time)
-    ratios = []
-    heap_best = calendar_best = float("inf")
-    heap_summary = calendar_summary = None
-    for round_index in range(_DISPATCH_ROUNDS + 1):
-        heap_summary, _, heap_elapsed = _run_dispatch_mode(
-            spec, "batched", clock=time.process_time, pause_gc=True
-        )
-        calendar_summary, _, calendar_elapsed = _run_dispatch_mode(
-            _calendarized(spec), "batched", clock=time.process_time, pause_gc=True
-        )
-        if round_index == 0:
-            continue  # warmup
-        ratios.append(heap_elapsed / calendar_elapsed)
-        heap_best = min(heap_best, heap_elapsed)
-        calendar_best = min(calendar_best, calendar_elapsed)
-    # The calendar engine executes the identical (time, seq) event order, so
-    # the run summaries are equal, not just statistically close (the
-    # equivalence suite pins this bit-exactly on multiple scenarios).
-    assert heap_summary.total_requests == calendar_summary.total_requests
-    ratio = float(np.median(ratios))
-    print(
-        f"\nbatched heap:     {scalar_events / heap_best:>10,.0f} events/s (best round)"
-        f"\nbatched calendar: {scalar_events / calendar_best:>10,.0f} events/s (best round)"
-        f"\nspeedup:          {ratio:.2f}x (median of {_DISPATCH_ROUNDS} rounds)"
-    )
-    perf_record.update(
-        "engine_calendar",
-        {
-            "scenario": spec.name,
-            "end_to_end_scalar_events": scalar_events,
-            "heap_batched_events_per_s": scalar_events / heap_best,
-            "batched_calendar_events_per_s": scalar_events / calendar_best,
-            "end_to_end_speedup_vs_heap": ratio,
-        },
-    )
-    assert ratio >= 1.05, f"calendar engine only {ratio:.2f}x over batched heap end to end"
-
-
-def _columnarized(spec):
-    return _calendarized(spec).with_overrides(request_path="columnar")
-
-
-@pytest.mark.slow
-def test_columnar_request_table_speedup():
-    """``request_path="columnar"`` must beat the object-based batched
-    calendar path by >= 1.25x end to end on the event-core-bound reference.
-
-    Same methodology as the other ablations (back-to-back CPU-time rounds,
-    warmup discarded, per-round ratios medianed, GC paused).  The columnar
-    path kills the remaining per-query object work: no ``Request`` /
-    ``IntermediateQuery`` allocation, bulk handlers consume claimed calendar
-    entry tuples directly, and completions land in the metrics collector one
-    vectorized batch at a time.  The two paths draw different RNG-stream
-    positions only at the ``BATCHED_COMPLETION_MIN`` gate (the equivalence
-    suite pins exact equality with the gate patched out), so the summaries
-    here are compared statistically, not bit for bit.
-
-    The same-session bar is 1.25x, not the headline 1.5x, on purpose: the
-    object baseline measured here already carries this PR's shared-path wins
-    (the telemetry list fast path, spill-run gathering), so the honest
-    object-vs-columnar delta is the request-lifecycle work alone.  Against
-    the pre-PR recorded ``batched_calendar_events_per_s`` the columnar
-    path's recorded ``request_table_events_per_s`` clears the 1.5x headline
-    target — compare the two keys in ``BENCH_throughput.json``.
-    """
-    spec = _calendar_reference_scenario()
-    _, scalar_events, _ = _run_dispatch_mode(spec, "scalar", clock=time.process_time)
-    ratios = []
-    object_best = columnar_best = float("inf")
-    object_summary = columnar_summary = None
-    for round_index in range(_DISPATCH_ROUNDS + 1):
-        object_summary, _, object_elapsed = _run_dispatch_mode(
-            _calendarized(spec), "batched", clock=time.process_time, pause_gc=True
-        )
-        columnar_summary, _, columnar_elapsed = _run_dispatch_mode(
-            _columnarized(spec), "batched", clock=time.process_time, pause_gc=True
-        )
-        if round_index == 0:
-            continue  # warmup
-        ratios.append(object_elapsed / columnar_elapsed)
-        object_best = min(object_best, object_elapsed)
-        columnar_best = min(columnar_best, columnar_elapsed)
-    assert object_summary.total_requests == columnar_summary.total_requests
-    assert columnar_summary.slo_violation_ratio == pytest.approx(
-        object_summary.slo_violation_ratio, abs=0.05
-    )
-    ratio = float(np.median(ratios))
-    print(
-        f"\nobject batched calendar:   {scalar_events / object_best:>10,.0f} events/s (best round)"
-        f"\ncolumnar request table:    {scalar_events / columnar_best:>10,.0f} events/s (best round)"
-        f"\nspeedup:                   {ratio:.2f}x (median of {_DISPATCH_ROUNDS} rounds)"
-    )
-    perf_record.update(
-        "engine_calendar",
-        {
-            "request_table_total_requests": object_summary.total_requests,
-            "request_table_object_events_per_s": scalar_events / object_best,
-            "request_table_events_per_s": scalar_events / columnar_best,
-            "request_table_speedup_vs_object": ratio,
-        },
-    )
-    assert ratio >= 1.25, f"columnar request path only {ratio:.2f}x over object (target >= 1.25x)"
-
-
-# --------------------------------------------------------------------------- #
 # Profiling driver: python benchmarks/test_sim_throughput.py --profile ...
 # --------------------------------------------------------------------------- #
 
@@ -620,8 +299,7 @@ def _profile_main(argv=None):
 
     Keeps hot-path work evidence-driven: before optimising, run e.g.::
 
-        PYTHONPATH=src:. python benchmarks/test_sim_throughput.py \
-            --engine calendar --qps 24000
+        PYTHONPATH=src:. python benchmarks/test_sim_throughput.py --qps 24000
 
     and read where the time actually goes.
     """
@@ -630,9 +308,6 @@ def _profile_main(argv=None):
     import pstats
 
     parser = argparse.ArgumentParser(description=_profile_main.__doc__)
-    parser.add_argument("--mode", choices=("scalar", "batched"), default="batched")
-    parser.add_argument("--engine", choices=("heap", "calendar"), default="heap")
-    parser.add_argument("--request-path", choices=("object", "columnar"), default="object")
     parser.add_argument("--qps", type=float, default=3000.0)
     parser.add_argument("--duration-s", type=int, default=15)
     parser.add_argument("--top", type=int, default=20, help="rows of the profile table")
@@ -641,12 +316,7 @@ def _profile_main(argv=None):
     spec = get_scenario("smoke").with_overrides(
         name="profile_target",
         trace_params={"qps": args.qps, "duration_s": args.duration_s},
-        dispatch_mode=args.mode,
     )
-    if args.engine == "calendar":
-        spec = _calendarized(spec)
-    if args.request_path == "columnar":
-        spec = spec.with_overrides(request_path="columnar")
     simulation = spec.build(seed=0)
     profiler = cProfile.Profile()
     start = time.perf_counter()
@@ -656,7 +326,7 @@ def _profile_main(argv=None):
     elapsed = time.perf_counter() - start
     events = simulation.engine.events_processed
     print(
-        f"{spec.name}: engine={args.engine} mode={args.mode} qps={args.qps:g} "
+        f"{spec.name}: qps={args.qps:g} "
         f"-> {events} events in {elapsed:.3f}s ({events / elapsed:,.0f} events/s)"
     )
     stats = pstats.Stats(profiler)

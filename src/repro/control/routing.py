@@ -33,12 +33,6 @@ from the cluster (``queue_snapshot``).  Two queue-aware policies ship on it:
   candidates are sampled per draw and compared on cached queue state that is
   re-probed every ``stale_draws`` draws, trading probe cost for boundedly
   stale information (the classic d=2 load-balancing result).
-
-In batched dispatch mode choosers re-draw in bounded chunks
-(``SimulationConfig.batch_route_chunk``): the probe is refreshed at every
-chunk boundary and the chooser's own virtual placements (one expected-wait
-increment per routed query) spread load within a chunk, so staleness is
-bounded by the chunk size instead of a whole arrival burst.
 """
 
 from __future__ import annotations
@@ -354,13 +348,12 @@ class DynamicChooser:
 
     Subclasses implement :meth:`_pick`: given refreshed per-entry expected
     waits, select one entry index (consuming RNG only if the policy's draw is
-    randomised).  ``refresh_every`` bounds staleness in scalar dispatch; in
-    batched dispatch the probe refreshes at every chunk boundary instead.
+    randomised).  ``refresh_every`` bounds staleness, in draws.
     """
 
     name = "dynamic"
 
-    #: scalar-mode probe cadence, in draws (1 = probe live state every draw)
+    #: probe cadence, in draws (1 = probe live state every draw)
     refresh_every = 1
 
     def __init__(self):
@@ -425,44 +418,6 @@ class DynamicChooser:
         index = self._pick(state, rng)
         self._place(state, index)
         return index
-
-    def choose_chunk_series(
-        self, entries: Tuple[RoutingEntry, ...], rng, size: int, chunk: Optional[int]
-    ) -> Optional[np.ndarray]:
-        """Batched draws in bounded chunks; ``None`` defers to the static sampler.
-
-        The probe is refreshed at every chunk boundary and the chooser's own
-        virtual placements spread load inside a chunk, bounding staleness by
-        the chunk size instead of the whole burst.
-        """
-        if self._probe is None:
-            return None
-        state = self._state(entries)
-        if not self._refresh(state):
-            return None
-        out = np.empty(size, dtype=np.intp)
-        step = int(chunk) if chunk else size
-        if step < 1:
-            step = 1
-        pick = self._pick
-        place = self._place
-        position = 0
-        while position < size:
-            if position:
-                held = (state.waits, state.rates)
-                if not self._refresh(state):
-                    # The probe turned unserviceable mid-burst (possible with
-                    # third-party providers): keep drawing from the previous
-                    # chunk's serviceable snapshot instead of crashing.
-                    state.waits, state.rates = held
-            stop = size if size - position < step else position + step
-            for slot in range(position, stop):
-                index = pick(state, rng)
-                out[slot] = index
-                place(state, index)
-            position = stop
-        return out
-
 
 class JSQChooser(DynamicChooser):
     """True join-shortest-queue: argmin of live expected wait, every draw.

@@ -26,7 +26,6 @@ simulator, the unit tests and the ablation benchmark of Figure 7.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -82,12 +81,6 @@ class DropDecision:
 PROCESS_DECISION = DropDecision(DropAction.PROCESS)
 FORWARD_DECISION = DropDecision(DropAction.FORWARD)
 
-#: frozen drop verdicts shared by the batched ``on_forward_batch`` hooks (one
-#: overrun parent can doom dozens of children; the reasons match the scalar
-#: on_forward paths so drop accounting is identical either way)
-_PER_TASK_BUDGET_DROP = DropDecision(DropAction.DROP, reason="per-task latency budget exceeded")
-_NO_BACKUP_DROP = DropDecision(DropAction.DROP, reason="no backup worker can recover the overrun")
-
 
 class DropPolicy:
     """Base class: keep every request on its planned route."""
@@ -118,81 +111,11 @@ class DropPolicy:
         """Decision made when a request finishes a task and is about to be forwarded."""
         return FORWARD_DECISION
 
-    def needs_forward_decision(self, time_in_task_ms: float, budget_ms: float) -> bool:
-        """Whether :meth:`on_forward` must be consulted for this (time, budget).
-
-        The batched worker fan-out asks this once per *parent* query (all its
-        children share the time-in-task) and bulk-forwards the children of
-        every parent for which the answer is ``False`` — no per-child policy
-        call, no RNG.  A ``False`` answer therefore promises that
-        :meth:`on_forward` would return a plain FORWARD for these scalars
-        regardless of its other arguments and without consuming RNG.  The
-        default is conservatively ``True`` (always consult), so third-party
-        policies that only override :meth:`on_forward` stay correct; a
-        subclass that overrides ``on_forward`` must also override this hook
-        if it inherits a less conservative answer from its parent.
-        """
-        return True
-
-    def arrival_process_floor(self, is_last_task: bool, expected_processing_ms: float) -> float:
-        """Remaining-SLO floor above which :meth:`on_arrival` is a sure PROCESS.
-
-        The calendar engine's bulk delivery handler compares each query's
-        remaining SLO budget against this floor and skips the per-query
-        :meth:`on_arrival` call when ``remaining_slo_ms >= floor`` — the
-        policy has promised a plain PROCESS with no RNG and no side effects
-        for any such query (``is_last_task`` and ``expected_processing_ms``
-        are per-worker constants, so the floor is computed once per run).
-        ``-inf`` means on_arrival never drops here; ``+inf`` — the
-        conservative default — means "always consult", keeping third-party
-        policies that only override :meth:`on_arrival` correct.  As with
-        :meth:`needs_forward_decision`, a subclass overriding ``on_arrival``
-        must also override this hook if it inherits a less conservative
-        answer from its parent.
-        """
-        return math.inf
-
-    def on_forward_batch(
-        self,
-        time_in_task_ms: float,
-        budget_ms: float,
-        planned_entries: Sequence[RoutingEntry],
-        backups: Sequence[BackupEntry],
-        remaining_slo_ms: float,
-        rng: np.random.Generator,
-    ) -> Optional[List[DropDecision]]:
-        """Decide the forward fate of one parent's children in a single call.
-
-        All of a parent's children share ``time_in_task_ms``, ``budget_ms``
-        and ``remaining_slo_ms``; only the planned routing entry differs per
-        child.  The batched fan-out calls this once per consulting parent so
-        a policy can hoist the per-parent work (overrun test, backup-candidate
-        scan) out of the per-child loop.  Returning ``None`` means "every
-        child forwards to its planned entry" and lets the caller keep the
-        allocation-free bulk path; otherwise the returned list must hold one
-        decision per planned entry, in order.
-
-        The default delegates to :meth:`on_forward` per child, so subclasses
-        that only override the scalar hook stay correct.
-        """
-        on_forward = self.on_forward
-        return [
-            on_forward(time_in_task_ms, budget_ms, entry, backups, remaining_slo_ms, rng)
-            for entry in planned_entries
-        ]
-
 
 class NoEarlyDropping(DropPolicy):
     """Never drop a request before it misses its SLO (ablation baseline 1)."""
 
     name = "no_early_dropping"
-
-    def needs_forward_decision(self, time_in_task_ms: float, budget_ms: float) -> bool:
-        return False
-
-    def arrival_process_floor(self, is_last_task: bool, expected_processing_ms: float) -> float:
-        # on_arrival is the base PROCESS-always: no floor at all.
-        return -math.inf
 
 
 class LastTaskDropping(DropPolicy):
@@ -204,10 +127,6 @@ class LastTaskDropping(DropPolicy):
         if is_last_task and remaining_slo_ms < expected_processing_ms:
             return DropDecision(DropAction.DROP, reason="leftover budget below last-task processing time")
         return PROCESS_DECISION
-
-    def arrival_process_floor(self, is_last_task: bool, expected_processing_ms: float) -> float:
-        # Drops only at the last task, and only when remaining < expected.
-        return expected_processing_ms if is_last_task else -math.inf
 
 
 class PerTaskDropping(DropPolicy):
@@ -228,35 +147,12 @@ class PerTaskDropping(DropPolicy):
             return DropDecision(DropAction.DROP, reason="per-task latency budget exceeded")
         return FORWARD_DECISION
 
-    def needs_forward_decision(self, time_in_task_ms: float, budget_ms: float) -> bool:
-        return time_in_task_ms > budget_ms
-
-    def on_forward_batch(
-        self,
-        time_in_task_ms: float,
-        budget_ms: float,
-        planned_entries: Sequence[RoutingEntry],
-        backups: Sequence[BackupEntry],
-        remaining_slo_ms: float,
-        rng: np.random.Generator,
-    ) -> Optional[List[DropDecision]]:
-        # The verdict is uniform across the parent's children: one overrun
-        # test instead of len(planned_entries) scalar on_forward calls.
-        if time_in_task_ms <= budget_ms:
-            return None
-        return [_PER_TASK_BUDGET_DROP] * len(planned_entries)
-
     def on_arrival(self, is_last_task: bool, remaining_slo_ms: float, expected_processing_ms: float) -> DropDecision:
         # A request whose remaining budget is already negative can never meet
         # its SLO; dropping it on arrival frees the queue slot.
         if remaining_slo_ms <= 0:
             return DropDecision(DropAction.DROP, reason="remaining SLO budget exhausted")
         return PROCESS_DECISION
-
-    def arrival_process_floor(self, is_last_task: bool, expected_processing_ms: float) -> float:
-        # Drops exactly when remaining <= 0: any positive remaining budget
-        # is a sure PROCESS.
-        return math.nextafter(0.0, math.inf)
 
 
 class OpportunisticRerouting(DropPolicy):
@@ -312,72 +208,10 @@ class OpportunisticRerouting(DropPolicy):
         chosen = best[int(rng.integers(len(best)))] if len(best) > 1 else best[0]
         return DropDecision(DropAction.REROUTE, target=chosen, reason="rerouted to faster spare worker")
 
-    def needs_forward_decision(self, time_in_task_ms: float, budget_ms: float) -> bool:
-        # No overrun -> on_forward returns FORWARD unconditionally (first
-        # branch above); only overrun parents need the per-child reroute scan.
-        return time_in_task_ms > budget_ms
-
-    def on_forward_batch(
-        self,
-        time_in_task_ms: float,
-        budget_ms: float,
-        planned_entries: Sequence[RoutingEntry],
-        backups: Sequence[BackupEntry],
-        remaining_slo_ms: float,
-        rng: np.random.Generator,
-    ) -> Optional[List[DropDecision]]:
-        # Hoist everything that only depends on the parent — the overrun test
-        # and the backup-candidate scan — out of the per-child loop; per child
-        # only the planned-worker deadline check (and the rare reroute
-        # tie-break draw) remains.
-        if time_in_task_ms - budget_ms <= 0:
-            return None
-        slack = self.queue_slack
-        candidates: List[BackupEntry] = [
-            b
-            for b in backups
-            if b.leftover_capacity_qps > 0 and b.latency_ms * slack <= remaining_slo_ms
-        ]
-        fallback: DropDecision = FORWARD_DECISION  # overwritten unless pool > 1
-        reroute_pool: List[BackupEntry] = []
-        if not candidates:
-            fallback = _NO_BACKUP_DROP
-        else:
-            best_accuracy = max(c.accuracy for c in candidates)
-            reroute_pool = [c for c in candidates if abs(c.accuracy - best_accuracy) <= 1e-12]
-            if len(reroute_pool) == 1:
-                # Deterministic target: one frozen decision serves the group.
-                fallback = DropDecision(
-                    DropAction.REROUTE,
-                    target=reroute_pool[0],
-                    reason="rerouted to faster spare worker",
-                )
-        decisions: List[DropDecision] = []
-        for entry in planned_entries:
-            if entry is None or entry.latency_ms * slack <= remaining_slo_ms:
-                # Last task, or the planned worker still makes the deadline.
-                decisions.append(FORWARD_DECISION)
-            elif len(reroute_pool) > 1:
-                decisions.append(
-                    DropDecision(
-                        DropAction.REROUTE,
-                        target=reroute_pool[int(rng.integers(len(reroute_pool)))],
-                        reason="rerouted to faster spare worker",
-                    )
-                )
-            else:
-                decisions.append(fallback)
-        return decisions
-
     def on_arrival(self, is_last_task: bool, remaining_slo_ms: float, expected_processing_ms: float) -> DropDecision:
         if is_last_task and remaining_slo_ms < expected_processing_ms:
             return DropDecision(DropAction.DROP, reason="cannot finish within SLO even if executed immediately")
         return PROCESS_DECISION
-
-    def arrival_process_floor(self, is_last_task: bool, expected_processing_ms: float) -> float:
-        # Same arrival rule as LastTaskDropping: only last-task arrivals with
-        # remaining < expected are dropped.
-        return expected_processing_ms if is_last_task else -math.inf
 
 
 #: Policy registry used by the configuration surface and Figure 7's ablation.

@@ -85,9 +85,8 @@ class RoutingTable:
     Sampling happens on the per-query hot path of the simulator, so each
     destination's probability vector is compiled once (lazily, on first use)
     into a :class:`~repro.core.sampling.CompiledSampler`: the scalar ``choose``
-    is a dict lookup plus a ``bisect`` over the cumulative-probability list,
-    and ``choose_batch`` exposes the sampler's vectorized draws for bulk
-    consumers.  The compiled inverse-CDF draw consumes one uniform per query
+    is a dict lookup plus a ``bisect`` over the cumulative-probability list.
+    The compiled inverse-CDF draw consumes one uniform per query
     and performs the same float comparisons as the previous
     ``np.searchsorted`` implementation, so sampled routes are bit-identical.
 
@@ -106,8 +105,8 @@ class RoutingTable:
         self._entries: Dict[str, List[RoutingEntry]] = {}
         #: task -> (cumulative list, entries tuple, last index, CompiledSampler)
         self._compiled: Dict[str, Tuple[List[float], Tuple[RoutingEntry, ...], int, CompiledSampler]] = {}
-        #: optional dispatch-time chooser consulted per draw (and per chunk in
-        #: batched mode); ``None`` means purely static table sampling
+        #: optional dispatch-time chooser consulted per draw; ``None`` means
+        #: purely static table sampling
         self.dynamic = None
 
     def add(self, destination_task: str, entry: RoutingEntry) -> None:
@@ -166,56 +165,6 @@ class RoutingTable:
         # this runs once per simulated query and the method call is measurable.
         index = bisect_right(cumulative, rng.random())
         return entries[index if index < last else last]
-
-    def choose_batch(
-        self, destination_task: str, rng: np.random.Generator, size: int, method: str = "searchsorted"
-    ) -> List[RoutingEntry]:
-        """Vectorized sampling of ``size`` destinations in one call.
-
-        Draws uniforms in bulk (``method="searchsorted"``) or through the
-        alias table (``method="alias"``); either way the per-draw cost is
-        O(1).  Note bulk draws consume the RNG stream differently from
-        repeated :meth:`choose` calls.
-        """
-        compiled = self._compiled.get(destination_task) or self._compile(destination_task)
-        if compiled is None:
-            return []
-        _, entries, _, sampler = compiled
-        return [entries[i] for i in sampler.sample_indices(rng, size, method=method)]
-
-    def choose_batch_indices(
-        self,
-        destination_task: str,
-        rng: np.random.Generator,
-        size: int,
-        method: str = "alias",
-        chunk: Optional[int] = None,
-    ) -> Optional[Tuple[Tuple[RoutingEntry, ...], np.ndarray]]:
-        """Batched draw returning ``(entries, indices)`` instead of entry objects.
-
-        This is the batched-dispatch hot path: the caller resolves each
-        *distinct* entry once (e.g. the physical worker behind each routing
-        row) and then walks the index array, instead of materialising one
-        entry object reference per query.  Returns ``None`` when the table
-        has no (positive-probability) rows for the task.
-
-        With a dynamic chooser attached, the draw is delegated to it in
-        bounded chunks of ``chunk`` queries: the chooser re-probes live queue
-        state at each chunk boundary, so staleness within a burst is bounded
-        by the chunk size instead of a whole control interval.  Static tables
-        (no chooser) ignore ``chunk`` entirely and take the historical
-        single vectorized draw, so the knob cannot perturb their results.
-        """
-        compiled = self._compiled.get(destination_task) or self._compile(destination_task)
-        if compiled is None:
-            return None
-        _, entries, _, sampler = compiled
-        dynamic = self.dynamic
-        if dynamic is not None:
-            indices = dynamic.choose_chunk_series(entries, rng, size, chunk)
-            if indices is not None:
-                return entries, indices
-        return entries, sampler.sample_indices(rng, size, method=method)
 
     def is_empty(self) -> bool:
         return not self._entries

@@ -2,27 +2,22 @@
 
 A :class:`RoutingTable` is rebuilt at most once a second (the routing refresh
 interval) but sampled once per query — millions of times per simulated day.
-:class:`CompiledSampler` therefore compiles a probability vector once into
+:class:`CompiledSampler` therefore compiles a probability vector once into a
+cumulative-probability list for scalar inverse-CDF draws.  ``bisect`` on a
+plain Python float list beats ``np.searchsorted`` on scalar draws by ~5x
+because it avoids the NumPy scalar-dispatch overhead, while performing the
+*same* float comparisons (the list holds the exact ``float64`` cumsum values),
+so sampled indices are bit-identical to the NumPy path.
 
-* a cumulative-probability list for scalar inverse-CDF draws.  ``bisect`` on a
-  plain Python float list beats ``np.searchsorted`` on scalar draws by ~5x
-  because it avoids the NumPy scalar-dispatch overhead, while performing the
-  *same* float comparisons (the list holds the exact ``float64`` cumsum
-  values), so sampled indices are bit-identical to the NumPy path; and
-* an optional Walker/Vose alias table for O(1)-per-draw batched sampling,
-  built lazily on the first batched draw.
-
-Scalar :meth:`choose_index` consumes exactly one ``rng.random()`` per call --
-the same RNG stream as the pre-compiled implementation, which keeps
-simulations byte-identical across the refactor.  Batched draws consume the
-stream differently and are meant for bulk consumers (benchmarks, vectorized
-replay) rather than the discrete-event loop.
+:meth:`CompiledSampler.choose_index` consumes exactly one ``rng.random()`` per
+call -- the same RNG stream as the pre-compiled implementation, which keeps
+simulations byte-identical across the refactor.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +27,7 @@ __all__ = ["CompiledSampler"]
 class CompiledSampler:
     """One normalized categorical distribution, compiled for fast sampling."""
 
-    __slots__ = ("cumulative", "cumulative_list", "size", "_alias_index", "_alias_threshold")
+    __slots__ = ("cumulative", "cumulative_list", "size")
 
     def __init__(self, weights: Sequence[float]):
         weights = np.asarray(weights, dtype=float)
@@ -47,8 +42,6 @@ class CompiledSampler:
         #: RoutingTable.choose) can inline the bisect without a method call
         self.cumulative_list = self.cumulative.tolist()
         self.size = int(weights.size)
-        self._alias_index: Optional[np.ndarray] = None
-        self._alias_threshold: Optional[np.ndarray] = None
 
     # -- scalar hot path -------------------------------------------------------
     def choose_index(self, rng: np.random.Generator) -> int:
@@ -61,38 +54,6 @@ class CompiledSampler:
         index = bisect_right(self.cumulative_list, rng.random())
         last = self.size - 1
         return index if index < last else last
-
-    # -- batched path ----------------------------------------------------------
-    def sample_indices(self, rng: np.random.Generator, size: int, method: str = "searchsorted") -> np.ndarray:
-        """Vectorized draws: ``searchsorted`` (inverse CDF) or ``alias`` (O(1)/draw)."""
-        if method == "searchsorted":
-            indices = np.searchsorted(self.cumulative, rng.random(size), side="right")
-            return np.minimum(indices, self.size - 1)
-        if method == "alias":
-            if self._alias_index is None:
-                self._build_alias()
-            columns = rng.integers(0, self.size, size=size)
-            accept = rng.random(size) < self._alias_threshold[columns]
-            return np.where(accept, columns, self._alias_index[columns])
-        raise ValueError(f"unknown sampling method {method!r}")
-
-    def _build_alias(self) -> None:
-        """Walker/Vose alias-table construction (O(n))."""
-        probabilities = np.diff(self.cumulative, prepend=0.0) * self.size
-        threshold = probabilities.copy()
-        alias = np.arange(self.size)
-        small = [i for i, p in enumerate(probabilities) if p < 1.0]
-        large = [i for i, p in enumerate(probabilities) if p >= 1.0]
-        while small and large:
-            lo = small.pop()
-            hi = large.pop()
-            alias[lo] = hi
-            threshold[hi] = threshold[hi] - (1.0 - threshold[lo])
-            (small if threshold[hi] < 1.0 else large).append(hi)
-        for i in small + large:  # numerical leftovers always accept
-            threshold[i] = 1.0
-        self._alias_index = alias
-        self._alias_threshold = threshold
 
     def probabilities(self) -> np.ndarray:
         return np.diff(self.cumulative, prepend=0.0)

@@ -1,10 +1,10 @@
-"""repro.lint — determinism & hot-path static analysis for this repository.
+"""repro.lint — determinism & contract static analysis for this repository.
 
 The repo's headline guarantees — bit-identical ``(scenario, seed)`` replays,
-hash-order-independent plans, machine-independent solver budgets, object-free
-columnar hot paths, immutable control contexts — were historically enforced
-only by after-the-fact golden tests.  This package enforces them *at the
-source level* with an AST analyzer and seven repo-specific rules:
+hash-order-independent plans, machine-independent solver budgets, immutable
+control contexts — were historically enforced only by after-the-fact golden
+tests.  This package enforces them *at the source level* with an AST analyzer
+and five repo-specific rules:
 
 ========  =======================  ====================================================
  id        name                     invariant (see each rule's docstring for history)
@@ -12,11 +12,11 @@ source level* with an AST analyzer and seven repo-specific rules:
  R001      unkeyed-rng              every RNG stream derives from the run seed
  R002      wall-clock               simulated code never reads the host clock
  R003      hash-order               no set-order leakage into plan/constraint emission
- R004      hot-path-alloc           marked hot paths stay object-free
  R005      frozen-view-mutation     control contexts are immutable values
  R006      legacy-policy-signature  new policies use the context-aware API
- R007      rng-draw-in-branch       no RNG draws under dispatch/engine-mode branches
 ========  =======================  ====================================================
+
+R004 and R007 were retired with the execution paths they guarded.
 
 Usage::
 

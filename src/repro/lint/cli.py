@@ -24,7 +24,7 @@ DEFAULT_BASELINE = ".reprolint-baseline.json"
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Determinism & hot-path static analyzer for this repository.",
+        description="Determinism & contract static analyzer for this repository.",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],

@@ -132,7 +132,7 @@ class LintEngine:
             return [finding], []
 
         directives = scan_directives(text)
-        parsed = ParsedFile(path=rel, text=text, tree=tree, hot_markers=directives.hot_markers)
+        parsed = ParsedFile(path=rel, text=text, tree=tree)
 
         kept: List[Finding] = []
         suppressed: List[Finding] = []

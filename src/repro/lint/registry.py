@@ -67,8 +67,6 @@ class ParsedFile:
     text: str
     tree: ast.AST
     lines: List[str] = field(default_factory=list)
-    #: lines carrying a ``# reprolint: hot-path`` marker (see suppressions)
-    hot_markers: List[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.lines:
@@ -162,15 +160,6 @@ def dotted_name(node: ast.AST) -> str:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(reversed(parts))
-    return ""
-
-
-def terminal_name(node: ast.AST) -> str:
-    """Last component of a Name/Attribute chain (``a.b.rng`` -> ``rng``)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
     return ""
 
 

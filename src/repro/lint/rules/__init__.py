@@ -5,6 +5,6 @@ rule module only needs to be imported here to join ``--list-rules``, the
 engine, the baseline and the fixture-driven test matrix.
 """
 
-from repro.lint.rules import api_contracts, determinism, hash_order, hot_path
+from repro.lint.rules import api_contracts, determinism, hash_order
 
-__all__ = ["api_contracts", "determinism", "hash_order", "hot_path"]
+__all__ = ["api_contracts", "determinism", "hash_order"]

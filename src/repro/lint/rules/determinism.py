@@ -1,6 +1,6 @@
-"""Determinism rules: seed-keyed RNGs, wall-clock bans, stream forking.
+"""Determinism rules: seed-keyed RNGs and wall-clock bans.
 
-These three rules guard the repo's strongest promise: the same
+These rules guard the repo's strongest promise: the same
 ``(scenario, seed)`` produces byte-identical results on any machine, any
 process, any year.  Every one of them pins a bug class that has either
 already shipped here or shipped in the systems this repo reproduces.
@@ -17,7 +17,6 @@ from repro.lint.registry import (
     Rule,
     dotted_name,
     register_rule,
-    terminal_name,
 )
 
 #: ``numpy.random`` module-state draw functions (legacy global-RNG API)
@@ -26,13 +25,6 @@ NP_MODULE_STATE_FNS = {
     "sample", "uniform", "normal", "standard_normal", "choice", "shuffle",
     "permutation", "poisson", "exponential", "binomial", "beta", "gamma",
     "lognormal", "pareto", "weibull", "zipf", "bytes", "random_integers",
-}
-
-#: Generator draw methods that consume the stream
-RNG_DRAW_METHODS = {
-    "random", "uniform", "normal", "standard_normal", "integers", "choice",
-    "shuffle", "permutation", "exponential", "poisson", "binomial", "gamma",
-    "beta", "lognormal", "pareto", "weibull", "zipf", "bytes",
 }
 
 #: substrings that mark a ``default_rng`` argument as derived from the run
@@ -234,90 +226,4 @@ class WallClockRule(Rule):
                         file, node,
                         f"{func.id}() (time.{orig}) reads the host clock; simulated "
                         "time is engine.now_s",
-                    )
-
-
-#: attribute / variable names whose truthiness encodes an opt-in mode, and
-#: the string constants those modes compare against
-_MODE_NAMES = {
-    "dispatch_mode", "batched_dispatch", "calendar_mode", "columnar_requests",
-    "request_path",
-}
-_MODE_CONSTANTS = {"batched", "scalar", "calendar", "heap", "columnar", "object"}
-
-
-def _is_mode_test(test: ast.expr) -> bool:
-    for node in ast.walk(test):
-        if isinstance(node, ast.Name) and node.id in _MODE_NAMES:
-            return True
-        if isinstance(node, ast.Attribute) and node.attr in _MODE_NAMES:
-            return True
-        if isinstance(node, ast.Constant) and node.value in (_MODE_NAMES | _MODE_CONSTANTS):
-            return True
-    return False
-
-
-@register_rule
-class RngDrawInBranchRule(Rule):
-    """R007 rng-draw-in-branch: no RNG draws under engine/dispatch-mode branches.
-
-    History: every opt-in fast path (``dispatch_mode="batched"``,
-    ``engine="calendar"``, ``request_path="columnar"``) shares ONE simulation
-    RNG with the default scalar path, and the fig5/fig6 parity goldens pin
-    the scalar stream draw-for-draw.  A draw added inside an
-    ``if self.batched_dispatch:`` branch silently forks the stream: either
-    the default path consumes an extra draw (goldens break loudly) or the
-    opt-in path diverges from the documented "statistically equivalent"
-    contract (breaks silently).  The deliberate vectorized draws of the
-    batched path are suppressed inline where they were reviewed; anything
-    new under a mode-conditioned branch must be argued, not assumed.
-    Flags both direct ``*.rng`` method draws and calls passing an ``rng``
-    object onward (routing/delay samplers consume the stream too).
-    """
-
-    id = "R007"
-    name = "rng-draw-in-branch"
-    scope = (
-        "src/repro/simulator/frontend.py",
-        "src/repro/simulator/worker.py",
-        "src/repro/simulator/runner.py",
-        "src/repro/simulator/cluster.py",
-        "src/repro/simulator/metrics.py",
-        "src/repro/simulator/network.py",
-    )
-
-    def check(self, file: ParsedFile) -> Iterator[Finding]:
-        reported: Set[Tuple[int, int]] = set()
-        for node in ast.walk(file.tree):
-            if not (isinstance(node, ast.If) and _is_mode_test(node.test)):
-                continue
-            for branch_node in ast.walk(node):
-                if branch_node is node.test or not isinstance(branch_node, ast.Call):
-                    continue
-                where = (branch_node.lineno, branch_node.col_offset)
-                if where in reported:
-                    continue
-                func = branch_node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in RNG_DRAW_METHODS
-                    and terminal_name(func.value) == "rng"
-                ):
-                    reported.add(where)
-                    yield self.finding(
-                        file, branch_node,
-                        f"rng.{func.attr} under a mode-conditioned branch forks the "
-                        "shared RNG stream between dispatch/engine modes",
-                    )
-                    continue
-                if any(
-                    terminal_name(arg) == "rng"
-                    for arg in branch_node.args + [kw.value for kw in branch_node.keywords]
-                ):
-                    reported.add(where)
-                    yield self.finding(
-                        file, branch_node,
-                        "call consumes the shared RNG under a mode-conditioned "
-                        "branch; mode-dependent draw counts fork the stream the "
-                        "parity goldens pin",
                     )

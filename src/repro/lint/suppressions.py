@@ -1,4 +1,4 @@
-"""Suppression comments and hot-path markers for :mod:`repro.lint`.
+"""Suppression comments for :mod:`repro.lint`.
 
 Grammar (inside any comment)::
 
@@ -7,9 +7,6 @@ Grammar (inside any comment)::
     #                                        matching enable (or EOF)
     # reprolint: enable=R001[,all]           close a standalone region
     # reprolint: disable-next-line=R001      the following physical line
-    # reprolint: hot-path                    mark the next ``def`` (or the
-    #                                        one this comment trails) as a
-    #                                        hot-path region for R004
 
 A *standalone* comment is one with nothing but whitespace before the ``#``;
 a *trailing* comment shares its line with code.  Every suppression should
@@ -51,8 +48,6 @@ class Directives:
     line_disables: Dict[int, Set[str]] = field(default_factory=dict)
     #: (rule id or ``all``, first line, last line) inclusive regions
     regions: List[Tuple[str, int, int]] = field(default_factory=list)
-    #: lines carrying a ``# reprolint: hot-path`` marker
-    hot_markers: List[int] = field(default_factory=list)
     #: malformed directives: (line, comment text)
     errors: List[Tuple[int, str]] = field(default_factory=list)
 
@@ -93,9 +88,7 @@ def scan_directives(text: str) -> Directives:
         directive = match.group("directive")
         rules = [r.strip() for r in (match.group("rules") or "").split(",") if r.strip()]
 
-        if directive == "hot-path":
-            directives.hot_markers.append(line)
-        elif directive == "disable-next-line" and rules:
+        if directive == "disable-next-line" and rules:
             directives.line_disables.setdefault(line + 1, set()).update(rules)
         elif directive == "disable" and rules:
             if standalone:

@@ -189,9 +189,6 @@ def _rehost(sim: "ServingSimulation") -> None:
     be refreshed explicitly.
     """
     if sim.current_plan is not None:
-        # Through the simulation's own plan hook (not cluster.apply_plan
-        # directly): rehosting remaps logical workers, which must also drop
-        # the calendar engine's cached delivery contexts.
         sim._apply_plan(sim.current_plan)
 
 

@@ -156,21 +156,6 @@ class ScenarioSpec:
     arrival_process: str = "poisson"
     arrival_params: Dict[str, object] = field(default_factory=dict)
     content_mode: str = "poisson"
-    #: arrival dispatch mode of the simulator frontend: ``"scalar"`` (default;
-    #: one event per query, RNG-stream-identical to the fig5/fig6 parity
-    #: goldens) or ``"batched"`` (opt-in vectorized arrival bursts — ~2x+
-    #: end-to-end events/s on arrival-dominated runs, statistically but not
-    #: bit-for-bit equivalent because routes/delays are drawn in bulk)
-    dispatch_mode: str = "scalar"
-    #: event-core backend of the simulator: ``"heap"`` (default; the binary
-    #: heap behind the parity goldens) or ``"calendar"`` (opt-in columnar
-    #: calendar queue with macro-dispatch — same event order, bulk-drained)
-    engine: str = "heap"
-    #: request-lifecycle representation: ``"object"`` (default; per-request
-    #: ``Request``/``IntermediateQuery`` objects) or ``"columnar"`` (opt-in
-    #: struct-of-arrays ``RequestTable`` hot path; requires
-    #: ``dispatch_mode="batched"`` and ``engine="calendar"``)
-    request_path: str = "object"
     #: None selects the system default (Loki: opportunistic rerouting,
     #: baselines: no early dropping), matching the paper's comparisons
     drop_policy: Optional[str] = None
@@ -253,14 +238,11 @@ class ScenarioSpec:
             arrival_process=self.arrival_process,
             arrival_params=dict(self.arrival_params),
             content_mode=self.content_mode,
-            dispatch_mode=self.dispatch_mode,
-            engine=self.engine,
-            request_path=self.request_path,
             drop_policy=self.resolved_drop_policy(),
             resilience=dict(self.resilience) if self.resilience is not None else None,
         )
-        # sim_overrides wins over spec-level fields (e.g. dispatch_mode,
-        # drop_policy), matching its name.
+        # sim_overrides wins over spec-level fields (e.g. drop_policy),
+        # matching its name.
         config_kwargs.update(self.sim_overrides)
         config = SimulationConfig(**config_kwargs)
         simulation = ServingSimulation(pipeline, control_plane, trace, config)

@@ -5,7 +5,7 @@ a discrete-event simulator extended from Proteus, after validating that the
 two agree to within ~2%.  This package is that simulator, built from scratch:
 
 * :mod:`repro.simulator.engine` / :mod:`repro.simulator.events` -- the event
-  calendar and simulation clock.
+  calendar (the one binary-heap event core) and simulation clock.
 * :mod:`repro.simulator.query` -- client requests and the intermediate queries
   they spawn while traversing the pipeline.
 * :mod:`repro.simulator.worker` -- workers that form batches, execute them

@@ -162,8 +162,8 @@ class Cluster:
         """Dispatch-time probe: ``(backlogs, service_rates)`` per logical id.
 
         The hot-path half of the :class:`~repro.control.context.ClusterStateProvider`
-        protocol — dynamic routing choosers call this once per draw (scalar)
-        or per chunk (batched).  Backlog counts queued plus executing
+        protocol — dynamic routing choosers call this once per draw.
+        Backlog counts queued plus executing
         queries; unhosted or failed logical ids come back as ``(inf, 0.0)``
         so queue-aware choosers route around them without special-casing.
 
@@ -188,12 +188,7 @@ class Cluster:
             # once per routing draw under jsq; keep in sync with the
             # SimWorker properties of the same names.
             batch_event = worker._batch_event
-            if worker._columnar:
-                backlog = len(worker._cq_req) - worker._cq_head
-                if batch_event is not None:
-                    backlog += len(batch_event.batch[0])
-            else:
-                backlog = len(worker.queue) + (len(batch_event.batch) if batch_event else 0)
+            backlog = len(worker.queue) + (len(batch_event.batch) if batch_event else 0)
             rate = worker.service_rate_qps
             pending_load_s = worker.available_at_s - now_s
             if pending_load_s > 1e-12:

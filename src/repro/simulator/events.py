@@ -25,9 +25,7 @@ __all__ = [
     "Event",
     "CallbackEvent",
     "ArrivalEvent",
-    "ArrivalBurstEvent",
     "DeliveryEvent",
-    "RoutedDeliveryEvent",
     "BatchCompleteEvent",
     "ModelReadyEvent",
     "SwapCompleteEvent",
@@ -102,34 +100,6 @@ class ArrivalEvent(Event):
         self.frontend.submit()
 
 
-class ArrivalBurstEvent(Event):
-    """A whole chunk of client requests arrives at the Frontend at once.
-
-    The batched dispatch mode (``SimulationConfig.dispatch_mode="batched"``)
-    collapses N per-query :class:`ArrivalEvent` dispatches into one event
-    carrying the chunk's sorted arrival-time array; the Frontend routes the
-    whole chunk through one vectorized sampler draw (see
-    ``Frontend.submit_burst``).  Bursts never span a control tick, so every
-    query in the burst sees exactly the routing table and cluster state it
-    would have seen under scalar dispatch.
-    """
-
-    __slots__ = ("frontend", "times")
-
-    kind = "arrival_burst"
-
-    def __init__(self, time_s: float, frontend, times):
-        self.time_s = time_s
-        self.cancelled = False
-        self._queue = None
-        self.frontend = frontend
-        #: sorted ndarray of the burst's arrival times (a whole-trace view)
-        self.times = times
-
-    def run(self) -> None:
-        self.frontend.submit_burst(self.times)
-
-
 class DeliveryEvent(Event):
     """A query is delivered to a worker after its network hop."""
 
@@ -148,47 +118,8 @@ class DeliveryEvent(Event):
         self.worker.enqueue(self.query)
 
 
-class RoutedDeliveryEvent(Event):
-    """A batched-dispatch delivery that resolves its physical worker on arrival.
-
-    Scalar dispatch resolves the logical→physical mapping at submit time;
-    a burst pre-resolving at its own start time would see a mapping up to a
-    whole control interval old, making mid-interval fault rehosts
-    (``scenarios.faults._rehost``) visible to scalar queries but not batched
-    ones.  Resolving when the delivery fires keeps batched fault behaviour
-    within one network hop of scalar's.
-    """
-
-    __slots__ = ("sim", "worker_id", "query")
-
-    kind = "routed_delivery"
-
-    def __init__(self, time_s: float, sim, worker_id: str, query):
-        self.time_s = time_s
-        self.cancelled = False
-        self._queue = None
-        self.sim = sim
-        self.worker_id = worker_id
-        self.query = query
-
-    def run(self) -> None:
-        sim = self.sim
-        worker = sim.cluster.logical_map.get(self.worker_id)
-        if worker is None:
-            sim.notify_drop(self.query, reason=f"logical worker {self.worker_id} not hosted")
-            return
-        sim.forwarded_queries += 1
-        sim._tele_forwarded.value += 1
-        worker.enqueue(self.query)
-
-
 class BatchCompleteEvent(Event):
-    """A worker finishes executing one batch.
-
-    ``batch`` is a list of :class:`IntermediateQuery` on the object request
-    path, or — under ``request_path="columnar"`` — the worker's
-    ``(request_ids, path_accuracies, arrival_times)`` list triple.
-    """
+    """A worker finishes executing one batch of :class:`IntermediateQuery`."""
 
     __slots__ = ("worker", "batch")
 
@@ -289,40 +220,13 @@ class EventQueue:
         """Bulk-load many events at once.
 
         Events with equal times keep FIFO order by their position in
-        ``events``, matching :meth:`push` semantics.  Validation happens
-        before any mutation, so a negative-time event leaves the calendar
-        untouched (no handle of the rejected batch is ever attached).
-
-        Two loading strategies, picked by cost: a whole-trace preload
-        (batch comparable to or larger than the live calendar) appends and
-        re-heapifies in O(n + m); a small batch landing in a big calendar --
-        the batched dispatch mode bulk-schedules one burst's deliveries at a
-        time -- pushes each event in O(m log n) instead of paying a full
-        re-heapify per burst.
+        ``events``, matching :meth:`push` semantics.  The batch is appended
+        and the heap rebuilt in one O(n + m) heapify.  A negative-time event
+        rolls the whole batch back, so the calendar is left untouched (no
+        handle of the rejected batch stays attached).
         """
-        if not isinstance(events, list):
-            events = list(events)
-        m = len(events)
-        if m == 0:
-            return
         heap = self._heap
         seq = self._seq
-        total = len(heap) + m
-        if m * max(1, total.bit_length()) < total:
-            # Small batch into a big calendar: validate up front (pushed
-            # entries merge into the heap and could not be rolled back), then
-            # push each event.
-            for event in events:
-                if event.time_s < 0:
-                    raise ValueError("cannot schedule an event at negative time")
-            push = heappush
-            for event in events:
-                event._queue = self
-                seq += 1
-                push(heap, (event.time_s, seq, event))
-            self._seq = seq
-            self._live += m
-            return
         loaded = len(heap)
         append = heap.append
         for event in events:

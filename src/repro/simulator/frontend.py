@@ -5,29 +5,16 @@ them to a first-task worker according to the frontend routing table produced
 by the Load Balancer, aggregates the sink results, and records the incoming
 demand so the Controller can store it in the Metadata Store (Section 3).
 
-Two dispatch paths coexist:
-
-* :meth:`submit` — the scalar per-arrival path.  One inverse-CDF routing draw
-  and one network-delay draw per query, consuming the RNG stream exactly as
-  every previous release did, so default-mode simulations stay bit-identical.
-* :meth:`submit_burst` — the batched path (``dispatch_mode="batched"``).  A
-  whole arrival chunk is ingested at once: all root-task routes come from one
-  vectorized alias-table draw, all network delays from one vectorized uniform
-  draw, metrics are bulk-binned and telemetry counters batch-incremented; only
-  the per-query ``Request``/``IntermediateQuery``/``DeliveryEvent``
-  construction remains a (tight) Python loop.
+Each client query arrives as one :class:`ArrivalEvent` whose ``run()`` calls
+:meth:`Frontend.submit`: one inverse-CDF routing draw and one network-delay
+draw per query, the RNG stream the fig5/fig6 parity goldens pin.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.simulator.calendar import KIND_COLUMNAR_DELIVERY
-from repro.simulator.events import RoutedDeliveryEvent
-from repro.simulator.query import IntermediateQuery, Request
+from repro.simulator.query import Request
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.runner import ServingSimulation
@@ -40,9 +27,7 @@ class Frontend:
 
     Arrivals are delivered as bulk-preloaded :class:`ArrivalEvent` objects
     (one per client query, pre-sampled from the whole trace in a few
-    vectorized draws) whose ``run()`` calls :meth:`submit`, or — in batched
-    dispatch mode — as :class:`ArrivalBurstEvent` objects (one per arrival
-    chunk) whose ``run()`` calls :meth:`submit_burst`.
+    vectorized draws) whose ``run()`` calls :meth:`submit`.
     """
 
     __slots__ = (
@@ -97,155 +82,6 @@ class Frontend:
             return request
         self.sim.forward_query(query, entry.worker_id)
         return request
-
-    # -- batched client API ----------------------------------------------------
-    # reprolint: hot-path
-    def submit_burst(self, times) -> None:
-        """A whole chunk of client queries arrives; route them in one batch.
-
-        ``times`` is the burst's sorted arrival-time array.  The burst never
-        spans a control tick (the runner splits chunks at tick boundaries),
-        so the routing plan is constant across the burst and routes are drawn
-        with one vectorized alias-table call.  Deliveries are bulk-loaded
-        into the calendar at each query's own ``arrival + delay`` timestamp
-        and resolve their logical→physical worker when they *fire* (see
-        :class:`RoutedDeliveryEvent`), so all downstream behaviour —
-        queueing, batching, dropping, and mid-interval fault rehosts — is
-        time-accurate.
-
-        Note the vectorized draws consume the RNG stream differently from
-        per-query :meth:`submit` calls; batched mode is opt-in and
-        statistically — not bit-for-bit — equivalent to scalar mode.
-        """
-        sim = self.sim
-        count = times.shape[0]
-        if count == 0:
-            return
-        self.total_submitted += count
-        self._window_arrivals += count
-        self._tele_requests.value += count
-        sim.metrics.record_arrivals(times)
-
-        root_task = sim.pipeline.root
-        if getattr(sim, "columnar_requests", False):
-            self._submit_burst_columnar(times, count, root_task)
-            return
-        times_list = times.tolist()
-
-        routing = sim.routing_plan
-        drawn = (
-            routing.frontend_table.choose_batch_indices(
-                root_task,
-                sim.rng,
-                count,
-                method="alias",
-                chunk=sim.config.batch_route_chunk,
-            )
-            if routing is not None
-            else None
-        )
-        if drawn is None:
-            # No routing yet (e.g. before the first plan) or no root capacity
-            # at all: none of the burst's requests can be served.
-            self.rejected_no_plan += count
-            self._tele_rejected.value += count
-            notify_drop = sim.notify_drop
-            for query in self._materialize_chunk(times_list, root_task):
-                notify_drop(query, reason="no frontend route available")
-            return
-
-        entries, indices = drawn
-        worker_ids = [entry.worker_id for entry in entries]
-        delays = sim.network.sample_delays_s(sim.rng, count)
-        delivery_times = times + delays
-        queries = self._materialize_chunk(times_list, root_task)
-        targets = [worker_ids[i] for i in indices.tolist()]
-        # The forwarded counters are bumped by each delivery as it fires
-        # (matching scalar forward_query timing).
-        if getattr(sim, "calendar_mode", False):
-            # Columnar event core: the burst's deliveries enter the calendar
-            # as object-free rows (query + logical-target payload columns) —
-            # nothing per-event is allocated until a macro-run drains them.
-            sim.engine.push_columnar(delivery_times, KIND_COLUMNAR_DELIVERY, queries, targets)
-            return
-        deliveries = list(
-            map(RoutedDeliveryEvent, delivery_times.tolist(), repeat(sim), targets, queries)
-        )
-        sim.engine.preload(deliveries)
-
-    # reprolint: hot-path
-    def _submit_burst_columnar(self, times, count: int, root_task: str) -> None:
-        """Object-free burst ingestion for ``request_path="columnar"``.
-
-        The whole chunk becomes :class:`RequestTable` rows in a handful of
-        vectorized column stores — no ``Request`` or ``IntermediateQuery``
-        objects exist — and its deliveries enter the calendar as
-        ``(request id, logical target, path accuracy)`` payload columns.
-        Request ids are the dense table row range ``[req0, req0 + count)``.
-        """
-        sim = self.sim
-        req0 = sim.request_table.add_requests(times, self.slo_ms)
-        self._next_request_id = req0 + count
-        routing = sim.routing_plan
-        drawn = (
-            routing.frontend_table.choose_batch_indices(
-                root_task,
-                sim.rng,
-                count,
-                method="alias",
-                chunk=sim.config.batch_route_chunk,
-            )
-            if routing is not None
-            else None
-        )
-        if drawn is None:
-            self.rejected_no_plan += count
-            self._tele_rejected.value += count
-            sim.notify_drop_ids(
-                list(range(req0, req0 + count)), reason="no frontend route available"
-            )
-            return
-        entries, indices = drawn
-        # One C-level gather over the (tiny) route-entry table instead of a
-        # per-row Python list-index comprehension (ids are strings, so this
-        # is an object-pointer gather).
-        worker_ids = np.array([entry.worker_id for entry in entries], dtype=object)
-        delays = sim.network.sample_delays_s(sim.rng, count)
-        sim.engine.push_columnar(
-            times + delays,
-            KIND_COLUMNAR_DELIVERY,
-            list(range(req0, req0 + count)),
-            worker_ids[indices].tolist(),
-            [1.0] * count,
-        )
-
-    # reprolint: hot-path
-    def _materialize_chunk(self, times_list, root_task):
-        """Requests plus their root queries for a whole arrival chunk.
-
-        Struct-of-arrays construction: every constructor runs through C-level
-        ``map`` iteration (one Python frame per ``__init__``, no interpreter
-        loop bookkeeping around it), with the id counters threaded in bulk.
-        """
-        sim = self.sim
-        count = len(times_list)
-        request_id = self._next_request_id
-        query_id = sim._next_query_id
-        requests = list(
-            map(Request, range(request_id, request_id + count), times_list, repeat(self.slo_ms), repeat(1))
-        )
-        queries = list(
-            map(
-                IntermediateQuery,
-                range(query_id, query_id + count),
-                requests,
-                repeat(root_task),
-                times_list,
-            )
-        )
-        self._next_request_id = request_id + count
-        sim._next_query_id = query_id + count
-        return queries
 
     # -- demand accounting -------------------------------------------------------
     def drain_window_demand(self) -> int:

@@ -21,17 +21,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.simulator.query import (
-    STATUS_COMPLETED,
-    STATUS_DROPPED,
-    STATUS_IN_FLIGHT,
-    STATUS_LATE,
-    Request,
-    RequestStatus,
-)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.simulator.query import RequestTable
+from repro.simulator.query import Request, RequestStatus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry import TelemetryRegistry
@@ -168,46 +158,6 @@ class MetricsCollector:
         self.total_requests += 1
         self._interval(time_s).demand += 1
 
-    def record_arrivals(self, times_s) -> None:
-        """Record a whole chunk of arrivals (``times_s`` sorted ascending).
-
-        Equivalent to calling :meth:`record_arrival` once per element, but
-        bins the chunk into reporting intervals with a single
-        ``np.searchsorted`` over the interval edges instead of one floor
-        division and dict lookup per query — the metrics half of the batched
-        dispatch mode's frontend hot path.
-        """
-        times = np.asarray(times_s, dtype=float)
-        count = times.shape[0]
-        if count == 0:
-            return
-        self.total_requests += count
-        interval_s = self.interval_s
-        intervals = self.intervals
-        cluster_size = self.cluster_size
-        first = int(times[0] // interval_s)
-        last = int(times[-1] // interval_s)
-        if first == last:
-            interval = intervals.get(first)
-            if interval is None:
-                interval = IntervalMetrics(start_s=first * interval_s, cluster_size=cluster_size)
-                intervals[first] = interval
-            interval.demand += count
-            return
-        edges = np.arange(first + 1, last + 1, dtype=float) * interval_s
-        cuts = np.searchsorted(times, edges, side="left")
-        bounds = [0, *cuts.tolist(), count]
-        for offset in range(last - first + 1):
-            demand = bounds[offset + 1] - bounds[offset]
-            if demand == 0:
-                continue
-            index = first + offset
-            interval = intervals.get(index)
-            if interval is None:
-                interval = IntervalMetrics(start_s=index * interval_s, cluster_size=cluster_size)
-                intervals[index] = interval
-            interval.demand += demand
-
     def record_active_workers(self, time_s: float, active_workers: int) -> None:
         """Record the worker count in use at (the interval containing) ``time_s``."""
         interval = self._interval(time_s)
@@ -260,195 +210,6 @@ class MetricsCollector:
                     interval.accuracy_count += 1
                     self._accuracy_sum += mean_accuracy
                     self._accuracy_count += 1
-
-    def record_sink_batch(self, queries, completion_times) -> None:
-        """Bulk sink-return bookkeeping for the batched dispatch mode.
-
-        Each query must be the *sole* derived query of its request with no
-        prior sink results or drops (the caller checks this — always true on
-        single-task pipelines): the request completes here with path accuracy
-        ``query.accuracy_so_far``, so per-request status classification plus
-        all counter/histogram updates collapse into one tight loop and a few
-        bulk increments.  Equivalent to ``record_sink_completion`` +
-        :meth:`record_request_finished` per query.
-        """
-        completed = 0
-        late = 0
-        all_latencies = []
-        completed_latencies = self._latencies_ms
-        lat_append = all_latencies.append
-        done_append = completed_latencies.append
-        accuracy_total = 0.0
-        status_completed = RequestStatus.COMPLETED
-        status_late = RequestStatus.LATE
-        _interval = self._interval
-        for query, completion_s in zip(queries, completion_times):
-            request = query.request
-            accuracy = query.accuracy_so_far
-            request.sink_results = 1
-            request.accuracy_sum = accuracy
-            request.accuracy_count = 1
-            request.outstanding = 0
-            request.completion_s = completion_s
-            latency_ms = (completion_s - request.arrival_s) * 1000.0
-            lat_append(latency_ms)
-            accuracy_total += accuracy
-            interval = _interval(completion_s)
-            if completion_s <= request.deadline_s + 1e-9:
-                request.status = status_completed
-                interval.completed += 1
-                completed += 1
-                done_append(latency_ms)
-            else:
-                request.status = status_late
-                interval.violations += 1
-                interval.late += 1
-                late += 1
-            interval.accuracy_sum += accuracy
-            interval.accuracy_count += 1
-        self.completed_requests += completed
-        self.late_requests += late
-        count = completed + late
-        self._accuracy_sum += accuracy_total
-        self._accuracy_count += count
-        if self.telemetry is not None:
-            self._tele_completed.value += completed
-            self._tele_late.value += late
-            self._tele_latency.observe_many(all_latencies)
-            self._tele_latency_window.observe_many(all_latencies)
-
-    # -- columnar request path (RequestTable) ----------------------------------
-    def record_finished_id(self, table: "RequestTable", req: int) -> None:
-        """Record one finished :class:`RequestTable` row.
-
-        Exact id-based counterpart of :meth:`record_request_finished` — the
-        table's ``status`` and ``completion_s`` must already be set.
-        """
-        status = int(table.status[req])
-        completion_s = float(table.completion_s[req])
-        if status == STATUS_IN_FLIGHT or math.isnan(completion_s):
-            raise ValueError("request has not finished yet")
-        interval = self._interval(completion_s)
-        telemetry = self.telemetry
-        latency_ms = (completion_s - float(table.arrival_s[req])) * 1000.0
-        if status == STATUS_COMPLETED:
-            self.completed_requests += 1
-            interval.completed += 1
-            if telemetry is not None:
-                self._tele_completed.value += 1
-                self._tele_latency.observe(latency_ms)
-                self._tele_latency_window.observe(latency_ms)
-            if table.accuracy_count[req]:
-                mean_accuracy = table.mean_accuracy(req)
-                interval.accuracy_sum += mean_accuracy
-                interval.accuracy_count += 1
-                self._accuracy_sum += mean_accuracy
-                self._accuracy_count += 1
-            self._latencies_ms.append(latency_ms)
-        else:
-            interval.violations += 1
-            if status == STATUS_DROPPED:
-                self.dropped_requests += 1
-                interval.dropped += 1
-                if telemetry is not None:
-                    self._tele_dropped.value += 1
-            else:
-                self.late_requests += 1
-                interval.late += 1
-                if telemetry is not None:
-                    self._tele_late.value += 1
-                    self._tele_latency.observe(latency_ms)
-                    self._tele_latency_window.observe(latency_ms)
-                if table.accuracy_count[req]:
-                    mean_accuracy = table.mean_accuracy(req)
-                    interval.accuracy_sum += mean_accuracy
-                    interval.accuracy_count += 1
-                    self._accuracy_sum += mean_accuracy
-                    self._accuracy_count += 1
-
-    def record_finished_ids(self, table: "RequestTable", reqs) -> None:
-        """Record a batch of finished table rows (mixed statuses allowed)."""
-        record = self.record_finished_id
-        for req in np.asarray(reqs, dtype=np.int64).tolist():
-            record(table, req)
-
-    def record_sink_batch_table(self, table: "RequestTable", ids, accuracies, completions) -> None:
-        """Vectorized sink-return bookkeeping for the columnar request path.
-
-        The table counterpart of :meth:`record_sink_batch`, with the
-        per-query loop gone entirely: the caller guarantees each id is the
-        sole in-flight query of its request with no drops or prior sink
-        results, so completion stores, status classification (``np.where``
-        over the deadline column), latency extraction and interval binning
-        are all whole-batch NumPy expressions, and telemetry sees one
-        ``observe_many`` per batch.
-        """
-        n = int(ids.size)
-        table.accuracy_sum[ids] = accuracies
-        table.accuracy_count[ids] = 1
-        table.outstanding[ids] = 0
-        table.completion_s[ids] = completions
-        latencies = (completions - table.arrival_s[ids]) * 1000.0
-        on_time = completions <= table.deadline_s[ids] + 1e-9
-        completed = int(np.count_nonzero(on_time))
-        late = n - completed
-        all_latencies = latencies.tolist()
-        # Batches are usually homogeneous (deep in saturation everything is
-        # late, in the steady state everything is on time): classify with one
-        # scalar store and skip the np.where / masked gather for those.
-        if not late:
-            table.status[ids] = STATUS_COMPLETED
-            self._latencies_ms.extend(all_latencies)
-        elif not completed:
-            table.status[ids] = STATUS_LATE
-        else:
-            table.status[ids] = np.where(on_time, STATUS_COMPLETED, STATUS_LATE)
-            self._latencies_ms.extend(latencies[on_time].tolist())
-        accuracy_total = float(accuracies.sum())
-
-        interval_s = self.interval_s
-        first = int(completions.min() // interval_s)
-        if int(completions.max() // interval_s) == first:
-            interval = self._interval(float(completions[0]))
-            interval.completed += completed
-            interval.violations += late
-            interval.late += late
-            interval.accuracy_sum += accuracy_total
-            interval.accuracy_count += n
-        else:
-            indices = (completions // interval_s).astype(np.int64)
-            intervals = self.intervals
-            cluster_size = self.cluster_size
-            for index in np.unique(indices).tolist():
-                mask = indices == index
-                interval = intervals.get(index)
-                if interval is None:
-                    interval = IntervalMetrics(
-                        start_s=index * interval_s, cluster_size=cluster_size
-                    )
-                    intervals[index] = interval
-                group = int(np.count_nonzero(mask))
-                group_completed = int(np.count_nonzero(on_time & mask))
-                group_late = group - group_completed
-                interval.completed += group_completed
-                interval.violations += group_late
-                interval.late += group_late
-                interval.accuracy_sum += float(accuracies[mask].sum())
-                interval.accuracy_count += group
-            # The memoized last-interval shortcut is stale-safe (it still
-            # points at a real IntervalMetrics), but refresh it to the
-            # batch's last interval — the next batch usually lands there.
-            self._last_index = None
-            self._last_interval = None
-        self.completed_requests += completed
-        self.late_requests += late
-        self._accuracy_sum += accuracy_total
-        self._accuracy_count += n
-        if self.telemetry is not None:
-            self._tele_completed.value += completed
-            self._tele_late.value += late
-            self._tele_latency.observe_many(all_latencies)
-            self._tele_latency_window.observe_many(all_latencies)
 
     # -- summaries ------------------------------------------------------------
     @property

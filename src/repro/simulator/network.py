@@ -61,38 +61,3 @@ class NetworkModel:
         if self.delay_scale != 1.0:
             value *= self.delay_scale
         return value / 1000.0
-
-    def sample_delays_s(self, rng: Optional[np.random.Generator], size: int) -> np.ndarray:
-        """``size`` hop latencies in seconds, drawn in one vectorized call.
-
-        The batched-dispatch hot path samples a whole arrival burst's network
-        delays at once; per-element values follow the same distribution as
-        :meth:`sample_delay_s` (constant when jitter is disabled, clipped
-        uniform jitter otherwise), but consume the RNG stream in bulk.
-        """
-        if self.jitter_ms <= 0 or rng is None:
-            return np.full(size, self.latency_ms * self.delay_scale / 1000.0)
-        delays = self.latency_ms + rng.uniform(-self.jitter_ms, self.jitter_ms, size=size)
-        np.maximum(delays, 0.0, out=delays)
-        if self.delay_scale != 1.0:
-            delays *= self.delay_scale
-        return delays / 1000.0
-
-    def delayed_times_s(self, base_s: float, rng: Optional[np.random.Generator], size: int) -> np.ndarray:
-        """``base_s`` plus ``size`` hop latencies, as one array.
-
-        Identical float results to ``base_s + sample_delays_s(rng, size)``
-        (scalar-plus-float64 addition is the same IEEE op either way), but
-        the jitter-free path folds the scalar sum before the fill instead of
-        broadcasting an addition over the freshly-filled array — one array
-        op instead of two on the per-batch sink path.
-        """
-        if self.jitter_ms <= 0 or rng is None:
-            if self.delay_scale != 1.0:
-                return np.full(size, base_s + self.latency_ms * self.delay_scale / 1000.0)
-            return np.full(size, base_s + self.latency_ms / 1000.0)
-        delays = self.latency_ms + rng.uniform(-self.jitter_ms, self.jitter_ms, size=size)
-        np.maximum(delays, 0.0, out=delays)
-        if self.delay_scale != 1.0:
-            delays *= self.delay_scale
-        return base_s + delays / 1000.0

@@ -14,18 +14,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-import numpy as np
-
-__all__ = [
-    "RequestStatus",
-    "Request",
-    "RequestTable",
-    "IntermediateQuery",
-    "STATUS_IN_FLIGHT",
-    "STATUS_COMPLETED",
-    "STATUS_LATE",
-    "STATUS_DROPPED",
-]
+__all__ = ["RequestStatus", "Request", "IntermediateQuery"]
 
 
 class RequestStatus(enum.Enum):
@@ -35,23 +24,6 @@ class RequestStatus(enum.Enum):
     COMPLETED = "completed"       # all derived queries finished before the deadline
     LATE = "late"                 # finished, but after the deadline
     DROPPED = "dropped"           # at least one derived query was dropped
-
-
-#: integer status codes of :class:`RequestTable` rows (``status`` int8 column);
-#: same lifecycle and precedence as :class:`RequestStatus` — DROPPED dominates
-#: the on-time/late classification.
-STATUS_IN_FLIGHT = 0
-STATUS_COMPLETED = 1
-STATUS_LATE = 2
-STATUS_DROPPED = 3
-
-#: status-code -> RequestStatus (index = code), for summary/debug surfaces
-STATUS_ENUMS = (
-    RequestStatus.IN_FLIGHT,
-    RequestStatus.COMPLETED,
-    RequestStatus.LATE,
-    RequestStatus.DROPPED,
-)
 
 
 class Request:
@@ -70,15 +42,14 @@ class Request:
         "sink_results",
     )
 
-    def __init__(self, request_id: int, arrival_s: float, slo_ms: float, outstanding: int = 0) -> None:
+    def __init__(self, request_id: int, arrival_s: float, slo_ms: float) -> None:
         self.request_id = request_id
         self.arrival_s = arrival_s
         self.deadline_s = arrival_s + slo_ms / 1000.0
         self.status = RequestStatus.IN_FLIGHT
         #: number of in-flight queries derived from this request (including
-        #: the root query); constructor-seeded by bulk producers (the batched
-        #: frontend) so object setup stays a single C-level call
-        self.outstanding = outstanding
+        #: the root query)
+        self.outstanding = 0
         self.completion_s: Optional[float] = None
         self.accuracy_sum = 0.0
         self.accuracy_count = 0
@@ -141,179 +112,6 @@ class Request:
 
     def remaining_slo_ms(self, now_s: float) -> float:
         return (self.deadline_s - now_s) * 1000.0
-
-
-class RequestTable:
-    """Structure-of-arrays request bookkeeping for the columnar request path.
-
-    One row per client request, identified by a dense integer id (the row
-    index) instead of a heap-allocated :class:`Request`.  Semantics mirror
-    :class:`Request` exactly — same outstanding counting, same underflow
-    guard, same terminal-status precedence (DROPPED dominates the
-    on-time/late classification, with the same ``1e-9`` deadline tolerance)
-    — but a whole arrival chunk's rows are created with a handful of
-    vectorized column stores (:meth:`add_requests`) and whole completion
-    batches classify via ``np.where`` on the deadline/drops columns.
-
-    ``Request.sink_results`` has no column: it is always equal to
-    ``accuracy_count`` (both are incremented only by a sink completion), so
-    the table keeps one of the pair.
-
-    Column references must not be cached across operations that can call
-    :meth:`add_requests` — growth replaces the arrays (handles stay valid,
-    the buffers do not).
-
-    ``deadline_list`` mirrors ``deadline_s`` as a plain Python list: the
-    delivery fast path reads one deadline per row, where list indexing plus
-    float arithmetic is several times cheaper than a NumPy scalar read.
-    Deadlines are write-once (set by :meth:`add_requests`, never mutated),
-    so the mirror can never go stale.
-
-    ``gate_count`` is a conservative upper bound on ``outstanding + drops +
-    accuracy_count``: it starts at 1 (the root query) and only
-    :meth:`add_outstanding` (fan-out) ever raises it — drops and sink
-    completions move counts *between* the three terms, never up.  The sink
-    fast-path gate therefore collapses to one gather and one reduction:
-    ``gate_count == 1`` proves the arriving query is its request's sole
-    in-flight query with no drops and no prior sink results.  A stale-high
-    value (a sibling later finished internally) only routes that batch to
-    the exact scalar sequence — never a wrong answer, just a slower one.
-    """
-
-    __slots__ = (
-        "arrival_s",
-        "deadline_s",
-        "outstanding",
-        "drops",
-        "accuracy_sum",
-        "accuracy_count",
-        "completion_s",
-        "status",
-        "gate_count",
-        "deadline_list",
-        "size",
-        "_cap",
-    )
-
-    def __init__(self, capacity: int = 4096) -> None:
-        cap = max(int(capacity), 16)
-        self._cap = cap
-        #: rows in use; request ids are dense ``[0, size)``
-        self.size = 0
-        self.arrival_s = np.empty(cap, dtype=np.float64)
-        self.deadline_s = np.empty(cap, dtype=np.float64)
-        #: in-flight queries derived from the request (root query included)
-        self.outstanding = np.empty(cap, dtype=np.int32)
-        self.drops = np.empty(cap, dtype=np.int32)
-        self.accuracy_sum = np.empty(cap, dtype=np.float64)
-        self.accuracy_count = np.empty(cap, dtype=np.int32)
-        self.completion_s = np.empty(cap, dtype=np.float64)
-        self.status = np.empty(cap, dtype=np.int8)
-        self.gate_count = np.empty(cap, dtype=np.int32)
-        self.deadline_list: list = []
-
-    def _ensure(self, extra: int) -> None:
-        need = self.size + extra
-        if need <= self._cap:
-            return
-        cap = self._cap
-        # Quadrupling instead of doubling: bulk producers add whole arrival
-        # chunks, so growth events are few and the dominant cost is copying
-        # the live prefix — a steeper curve roughly halves the total rows
-        # copied over a run for a bounded (4x) high-water overshoot.
-        while cap < need:
-            cap *= 4
-        n = self.size
-        for name in RequestTable.__slots__[:9]:
-            old = getattr(self, name)
-            new = np.empty(cap, dtype=old.dtype)
-            new[:n] = old[:n]
-            setattr(self, name, new)
-        self._cap = cap
-
-    # -- bulk production -------------------------------------------------------
-    # reprolint: hot-path
-    def add_requests(self, times: "np.ndarray", slo_ms: float) -> int:
-        """Rows for a whole arrival chunk; returns the first new request id.
-
-        Every row starts with ``outstanding == 1`` (its root query), exactly
-        like the batched frontend's constructor-seeded :class:`Request`.
-        """
-        times = np.asarray(times, dtype=np.float64)
-        n = times.shape[0]
-        self._ensure(n)
-        start = self.size
-        end = start + n
-        deadlines = times + slo_ms / 1000.0
-        self.arrival_s[start:end] = times
-        self.deadline_s[start:end] = deadlines
-        self.deadline_list.extend(deadlines.tolist())
-        self.outstanding[start:end] = 1
-        self.drops[start:end] = 0
-        self.accuracy_sum[start:end] = 0.0
-        self.accuracy_count[start:end] = 0
-        self.completion_s[start:end] = np.nan
-        self.status[start:end] = STATUS_IN_FLIGHT
-        self.gate_count[start:end] = 1
-        self.size = end
-        return start
-
-    # -- scalar bookkeeping (mirrors Request) ----------------------------------
-    def add_outstanding(self, req: int, count: int = 1) -> None:
-        self.outstanding[req] += count
-        self.gate_count[req] += count
-
-    def record_sink_completion(self, req: int, time_s: float, path_accuracy: float) -> bool:
-        """One derived query reached a sink; True when the request finished."""
-        self.accuracy_sum[req] += path_accuracy
-        self.accuracy_count[req] += 1
-        return self._finish_one(req, time_s)
-
-    def record_drop(self, req: int, time_s: float) -> bool:
-        """One derived query was dropped; True when the request finished."""
-        self.drops[req] += 1
-        return self._finish_one(req, time_s)
-
-    def record_internal_completion(self, req: int, time_s: float) -> bool:
-        """A derived query finished without further work; True when done."""
-        return self._finish_one(req, time_s)
-
-    def _finish_one(self, req: int, time_s: float) -> bool:
-        outstanding = self.outstanding
-        remaining = int(outstanding[req]) - 1
-        outstanding[req] = remaining
-        if remaining < 0:
-            raise RuntimeError(f"request {req}: completion bookkeeping underflow")
-        if remaining:
-            return False
-        self.completion_s[req] = time_s
-        if self.drops[req] > 0:
-            self.status[req] = STATUS_DROPPED
-        elif time_s <= self.deadline_s[req] + 1e-9:
-            self.status[req] = STATUS_COMPLETED
-        else:
-            self.status[req] = STATUS_LATE
-        return True
-
-    # -- metrics helpers -------------------------------------------------------
-    def is_finished(self, req: int) -> bool:
-        return self.status[req] != STATUS_IN_FLIGHT
-
-    def status_enum(self, req: int) -> RequestStatus:
-        return STATUS_ENUMS[self.status[req]]
-
-    def mean_accuracy(self, req: int) -> float:
-        count = self.accuracy_count[req]
-        return float(self.accuracy_sum[req]) / int(count) if count else 0.0
-
-    def latency_ms(self, req: int) -> Optional[float]:
-        completion = self.completion_s[req]
-        if np.isnan(completion):
-            return None
-        return float(completion - self.arrival_s[req]) * 1000.0
-
-    def remaining_slo_ms(self, req: int, now_s: float) -> float:
-        return float(self.deadline_s[req] - now_s) * 1000.0
 
 
 class IntermediateQuery:

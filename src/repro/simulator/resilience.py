@@ -4,8 +4,8 @@ Real serving fleets do not let a worker failure silently erase every queued
 and in-flight query: they retry transient losses, time out stragglers, hedge
 tail requests, and re-queue work stranded on a dead worker.  This module adds
 those behaviours to the simulator behind explicit knobs that all default off,
-so the scalar RNG stream -- and therefore the fig5/fig6 parity goldens -- stay
-bit-identical unless a scenario opts in.
+so the simulation RNG stream -- and therefore the fig5/fig6 parity goldens --
+stays bit-identical unless a scenario opts in.
 
 Design rules:
 
@@ -26,12 +26,11 @@ Design rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.simulator.calendar import KIND_COLUMNAR_DELIVERY
-from repro.simulator.events import CallbackEvent, RoutedDeliveryEvent
+from repro.simulator.events import CallbackEvent
 from repro.simulator.query import IntermediateQuery, Request, RequestStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -136,12 +135,6 @@ class ResilienceManager:
     def __init__(self, sim: "ServingSimulation", config: ResilienceConfig):
         self.sim = sim
         self.cfg = config
-        if config.request_timeout_ms is not None or config.hedging_enabled or config.max_retries > 0:
-            if sim.config.dispatch_mode != "scalar":
-                raise ValueError(
-                    "retries, timeouts and hedging require dispatch_mode='scalar'; "
-                    "only failover_requeue is supported on the batched/columnar paths"
-                )
         self.rng = np.random.default_rng((int(sim.config.seed), _RNG_SALT))
         self.timeout_s: Optional[float] = (
             None if config.request_timeout_ms is None else config.request_timeout_ms / 1000.0
@@ -210,6 +203,26 @@ class ResilienceManager:
                     return backup.worker_id
         return choice if avoid is None else None
 
+    def _send(self, time_s: float, target: str, query: IntermediateQuery) -> None:
+        """Deliver ``query`` at ``time_s`` to whichever worker then hosts ``target``.
+
+        The logical->physical lookup happens when the delivery lands, not
+        when it is sent, so a re-send never reaches a worker that failed or
+        was rehosted in the meantime.  An unhosted target is a drop.
+        """
+        sim = self.sim
+
+        def land() -> None:
+            worker = sim.cluster.logical_map.get(target)
+            if worker is None:
+                sim.notify_drop(query, reason=f"logical worker {target} not hosted")
+                return
+            sim.forwarded_queries += 1
+            sim._tele_forwarded.value += 1
+            worker.enqueue(query)
+
+        sim.engine.schedule_event(CallbackEvent(time_s, land))
+
     # ------------------------------------------------------------------ retries
 
     def on_query_drop(self, query: IntermediateQuery, reason: str) -> bool:
@@ -260,9 +273,7 @@ class ResilienceManager:
         delay_s = backoff_ms / 1000.0 + self.sim.network.sample_delay_s(self.rng)
         self._retry_counts[qid] = count + 1
         self._tele_retries.value += 1
-        self.sim.engine.schedule_event(
-            RoutedDeliveryEvent(self.sim.engine.now_s + delay_s, self.sim, target, query)
-        )
+        self._send(self.sim.engine.now_s + delay_s, target, query)
         return True
 
     # ------------------------------------------------------------------ timeouts
@@ -340,7 +351,7 @@ class ResilienceManager:
         self._hedge_copies.add(copy.query_id)
         self._tele_hedges.value += 1
         delay_s = sim.network.sample_delay_s(self.rng)
-        sim.engine.schedule_event(RoutedDeliveryEvent(now + delay_s, sim, target, copy))
+        self._send(now + delay_s, target, copy)
 
     def absorb_sink(self, query: IntermediateQuery) -> bool:
         """Intercept a sink completion.  Returns True when the completion was
@@ -375,7 +386,7 @@ class ResilienceManager:
         return self.cfg.failover_requeue
 
     def requeue_queries(self, queries: Sequence[IntermediateQuery], task: str) -> None:
-        """Re-queue object-path queries stranded on a failed worker."""
+        """Re-queue queries stranded on a failed worker."""
         sim = self.sim
         now = sim.engine.now_s
         for query in queries:
@@ -385,29 +396,4 @@ class ResilienceManager:
                 continue
             self._tele_failover.value += 1
             delay_s = sim.network.sample_delay_s(self.rng)
-            sim.engine.schedule_event(RoutedDeliveryEvent(now + delay_s, sim, target, query))
-
-    def requeue_columnar(self, reqs: Sequence[int], accs: Sequence[float], task: str) -> None:
-        """Re-queue columnar rows stranded on a failed worker."""
-        sim = self.sim
-        now = sim.engine.now_s
-        keep_req: List[int] = []
-        keep_acc: List[float] = []
-        keep_target: List[str] = []
-        lost: List[int] = []
-        for req, acc in zip(reqs, accs):
-            target = self._route(task)
-            if target is None:
-                lost.append(req)
-            else:
-                keep_req.append(req)
-                keep_acc.append(acc)
-                keep_target.append(target)
-        if lost:
-            sim.notify_drop_ids(lost, reason="worker failed")
-        if keep_req:
-            self._tele_failover.value += len(keep_req)
-            times = now + sim.network.sample_delays_s(self.rng, len(keep_req))
-            sim.engine.push_columnar(
-                times, KIND_COLUMNAR_DELIVERY, keep_req, keep_target, keep_acc
-            )
+            self._send(now + delay_s, target, query)

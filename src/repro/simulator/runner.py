@@ -10,7 +10,6 @@ substrate as Loki.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, List, Optional, Protocol, Tuple
@@ -21,47 +20,20 @@ from repro.core.allocation import AllocationPlan
 from repro.core.dropping import DropPolicy, make_drop_policy
 from repro.core.load_balancer import BackupEntry, RoutingPlan, RoutingTable
 from repro.core.pipeline import Pipeline
-from repro.simulator.calendar import (
-    CalendarEngine,
-    KIND_ARRIVAL,
-    KIND_ARRIVAL_BURST,
-    KIND_BATCH_COMPLETE,
-    KIND_COLUMNAR_DELIVERY,
-    KIND_DELIVERY,
-    KIND_ROUTED_DELIVERY,
-)
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import SimulationEngine
-from repro.simulator.events import (
-    ArrivalBurstEvent,
-    ArrivalEvent,
-    CallbackEvent,
-    ControlTickEvent,
-    DeliveryEvent,
-)
+from repro.simulator.events import ArrivalEvent, CallbackEvent, ControlTickEvent, DeliveryEvent
 from repro.simulator.frontend import Frontend
 from repro.simulator.metrics import MetricsCollector, SimulationSummary
 from repro.simulator.network import NetworkModel
 from repro.simulator.resilience import ResilienceConfig, ResilienceManager
-from repro.simulator.query import (
-    STATUS_DROPPED,
-    STATUS_IN_FLIGHT,
-    IntermediateQuery,
-    Request,
-    RequestStatus,
-    RequestTable,
-)
-from repro.simulator.worker import SimWorker
+from repro.simulator.query import IntermediateQuery, Request, RequestStatus
 from repro.telemetry import TelemetryRegistry
 from repro.workloads.arrivals import ArrivalProcess, make_arrival_process
 from repro.workloads.content import MultiplicativeContentModel
 from repro.workloads.traces import Trace
 
 __all__ = ["ControlPlane", "SimulationConfig", "ServingSimulation"]
-
-#: cache-miss sentinel: a delivery context is a tuple (fast path) or None
-#: (slow path), so neither can stand in for "not built yet"
-_UNBUILT = object()
 
 
 class ControlPlane(Protocol):
@@ -89,33 +61,6 @@ class SimulationConfig:
     arrival_process: str = "poisson"
     #: constructor parameters of the arrival process (see workloads.arrivals)
     arrival_params: Dict[str, object] = field(default_factory=dict)
-    #: ``"scalar"`` dispatches one ArrivalEvent per query (the default;
-    #: RNG-stream-identical to every previous release), ``"batched"`` routes
-    #: whole arrival chunks through one vectorized draw per control interval
-    #: (opt-in; statistically equivalent but on a different RNG stream)
-    dispatch_mode: str = "scalar"
-    #: batched dispatch: *dynamic* routing policies (jsq/adaptive_p2c) re-draw
-    #: an arrival burst in chunks of this many queries, re-probing live queue
-    #: state at each chunk boundary — the bound on how stale a queue-aware
-    #: decision inside a burst can be.  Static policies route every burst
-    #: through one frozen-table draw regardless of this knob, so changing it
-    #: cannot change their results.
-    batch_route_chunk: int = 64
-    #: event-core backend.  ``"heap"`` (default) is the pure-Python binary
-    #: heap, RNG-stream-identical to every previous release.  ``"calendar"``
-    #: is the columnar bucketed calendar queue with macro-dispatch
-    #: (``repro.simulator.calendar``): same event order — the equivalence
-    #: suite pins identical (time, seq) execution — but bulk-drained, and in
-    #: batched dispatch mode deliveries flow as object-free columnar rows.
-    engine: str = "heap"
-    #: request-lifecycle representation.  ``"object"`` (default) allocates one
-    #: :class:`Request`/:class:`IntermediateQuery` pair per query — the
-    #: RNG-stream-identical path behind the parity goldens.  ``"columnar"``
-    #: (opt-in; requires ``dispatch_mode="batched"`` and ``engine="calendar"``)
-    #: keeps the whole request lifecycle in a NumPy :class:`RequestTable` and
-    #: flows queries as (request id, target, accuracy) payload columns —
-    #: object-free end to end, statistically equivalent to the object path.
-    request_path: str = "object"
     drop_policy: str = "opportunistic_rerouting"
     content_mode: str = "poisson"
     network_latency_ms: float = 2.0
@@ -153,36 +98,7 @@ class ServingSimulation:
         self.control_plane = control_plane
         self.trace = trace
         self.config = config or SimulationConfig()
-        if self.config.dispatch_mode not in ("scalar", "batched"):
-            raise ValueError(
-                f"unknown dispatch_mode {self.config.dispatch_mode!r}; expected 'scalar' or 'batched'"
-            )
-        #: batched dispatch restructures the RNG-consuming hot paths (frontend
-        #: routing, network delays, sink returns) into vectorized draws;
-        #: scalar mode keeps the historical per-query stream bit-for-bit
-        self.batched_dispatch = self.config.dispatch_mode == "batched"
-        if self.config.engine not in ("heap", "calendar"):
-            raise ValueError(
-                f"unknown engine {self.config.engine!r}; expected 'heap' or 'calendar'"
-            )
-        #: columnar calendar-queue event core with macro-dispatch (opt-in);
-        #: the heap engine stays the RNG-stream-identical default
-        self.calendar_mode = self.config.engine == "calendar"
-        if self.config.request_path not in ("object", "columnar"):
-            raise ValueError(
-                f"unknown request_path {self.config.request_path!r}; expected 'object' or 'columnar'"
-            )
-        #: object-free request lifecycle (opt-in): all request bookkeeping in
-        #: a RequestTable, queries as integer-id payload columns.  Requires
-        #: the batched dispatch mode (queries only exist in bulk) and the
-        #: calendar engine (object-free rows need the columnar event core).
-        self.columnar_requests = self.config.request_path == "columnar"
-        if self.columnar_requests and (not self.batched_dispatch or not self.calendar_mode):
-            raise ValueError(
-                "request_path='columnar' requires dispatch_mode='batched' and engine='calendar'"
-            )
-        self.request_table = RequestTable() if self.columnar_requests else None
-        self.engine = CalendarEngine() if self.calendar_mode else SimulationEngine()
+        self.engine = SimulationEngine()
         self.rng = np.random.default_rng(self.config.seed)
         self.network = NetworkModel(self.config.network_latency_ms, self.config.network_jitter_ms)
         self.content_model = content_model or MultiplicativeContentModel(mode=self.config.content_mode)
@@ -225,15 +141,6 @@ class ServingSimulation:
         #: per-task arrivals in the current demand-reporting window (consumed by
         #: pipeline-agnostic control planes through ``report_task_demand``)
         self.task_arrivals: Dict[str, int] = {task: 0 for task in pipeline.tasks}
-        #: reaction-window floors for calendar macro-dispatch: the smallest
-        #: possible network hop, and the smallest batch execution time any
-        #: hosted variant can produce (monotone running min over applied plans)
-        self._net_floor_s = max(0.0, self.network.latency_ms - self.network.jitter_ms) / 1000.0
-        self._service_floor_ms = math.inf
-        #: logical id -> fast-path delivery context (see _build_delivery_context);
-        #: cleared on every plan application, revalidated per row against the
-        #: live assignment
-        self._delivery_contexts: Dict[str, object] = {}
         #: fault-induced query losses, counted apart from generic drops so
         #: fault-window accounting closes exactly (satellite of the
         #: resilience layer; always registered, only bumped on faults)
@@ -247,8 +154,6 @@ class ServingSimulation:
             self.resilience: Optional[ResilienceManager] = ResilienceManager(self, res_cfg)
         else:
             self.resilience = None
-        if self.calendar_mode:
-            self._configure_calendar_engine()
 
     # ------------------------------------------------------------------ run --
     def run(self) -> SimulationSummary:
@@ -287,10 +192,7 @@ class ServingSimulation:
         self.engine.preload(
             [ControlTickEvent(float(second + 1) - 1e-6, self) for second in range(self.trace.duration_s)]
         )
-        if self.config.dispatch_mode == "batched":
-            self._preload_arrival_bursts()
-        else:
-            self._preload_arrival_chunk()
+        self._preload_arrival_chunk()
 
     def _preload_arrival_chunk(self) -> None:
         start = self._arrival_cursor
@@ -306,39 +208,6 @@ class ServingSimulation:
             # Refill at this chunk's last arrival: it is appended after that
             # arrival, so the FIFO tie-break runs it once the chunk is spent.
             events.append(CallbackEvent(chunk[-1], self._preload_arrival_chunk))
-        self.engine.preload(events)
-
-    def _preload_arrival_bursts(self) -> None:
-        """Batched dispatch: load one ArrivalBurstEvent per arrival chunk.
-
-        Chunk boundaries are the control-tick times (each tick fires just
-        before a whole trace second), so a burst can never overtake a routing
-        refresh or plan application: every query in a burst is routed with
-        exactly the state it would have seen under scalar dispatch.  Chunks
-        larger than :attr:`ARRIVAL_CHUNK` are split further (bounding the
-        per-burst delivery bulk-load).  Burst events hold *views* of the
-        whole-trace time array (~8 bytes/arrival), so even day-long traces
-        need no lazy refill path here.
-        """
-        times = self._arrival_times
-        total = times.shape[0]
-        if total == 0:
-            return
-        tick_times = np.arange(1, self.trace.duration_s + 1, dtype=float) - 1e-6
-        cut_list = np.searchsorted(times, tick_times, side="left").tolist()
-        events = []
-        start = 0
-        frontend = self.frontend
-        chunk_limit = self.ARRIVAL_CHUNK
-        for end in (*cut_list, total):
-            while end - start > chunk_limit:
-                segment = times[start : start + chunk_limit]
-                events.append(ArrivalBurstEvent(float(segment[0]), frontend, segment))
-                start += chunk_limit
-            if end > start:
-                segment = times[start:end]
-                events.append(ArrivalBurstEvent(float(segment[0]), frontend, segment))
-                start = end
         self.engine.preload(events)
 
     def _bootstrap(self) -> None:
@@ -378,304 +247,7 @@ class ServingSimulation:
 
     def _apply_plan(self, plan: AllocationPlan) -> None:
         self.current_plan = plan
-        logical_workers = self.cluster.apply_plan(plan, self.pipeline, self.engine.now_s)
-        if self.calendar_mode:
-            # The logical->physical mapping may have changed; cached delivery
-            # contexts resolve through it, so they are all suspect now.
-            self._delivery_contexts.clear()
-            self._update_service_floor(logical_workers)
-
-    # ------------------------------------------- calendar-engine macro-dispatch --
-    def _configure_calendar_engine(self) -> None:
-        """Wire the columnar event core: reaction windows plus delivery handlers.
-
-        The run cap registered for each kind is a *lower bound on how far
-        ahead* any event spawned by that kind's handlers can land (see
-        ``repro.simulator.calendar``): arrivals and arrival bursts only spawn
-        network deliveries (never earlier than the minimum hop delay),
-        deliveries only spawn batch completions (never earlier than the
-        fastest hosted variant's execution time), and batch completions spawn
-        both.  Control ticks, callbacks, model loads and swaps can reschedule
-        arbitrarily, so they keep per-event dispatch.  Cached delivery
-        contexts survive across runs (see :meth:`_build_delivery_context` for
-        the invalidation argument).
-        """
-        engine = self.engine
-        if self.columnar_requests:
-            engine.set_bulk_handler(KIND_COLUMNAR_DELIVERY, self._run_delivery_rows_table)
-            engine.set_scalar_handler(KIND_COLUMNAR_DELIVERY, self._deliver_row_table)
-        else:
-            engine.set_bulk_handler(KIND_COLUMNAR_DELIVERY, self._run_delivery_rows)
-            engine.set_scalar_handler(KIND_COLUMNAR_DELIVERY, self._deliver_row)
-        self._refresh_run_caps()
-
-    def _refresh_run_caps(self) -> None:
-        engine = self.engine
-        net = self._net_floor_s
-        floor_ms = self._service_floor_ms
-        service = floor_ms / 1000.0 if floor_ms != math.inf else math.inf
-        engine.set_run_cap(KIND_ARRIVAL, net)
-        engine.set_run_cap(KIND_ARRIVAL_BURST, net)
-        engine.set_run_cap(KIND_DELIVERY, service)
-        engine.set_run_cap(KIND_ROUTED_DELIVERY, service)
-        engine.set_run_cap(KIND_COLUMNAR_DELIVERY, service)
-        engine.set_run_cap(KIND_BATCH_COMPLETE, min(net, service))
-
-    def _update_service_floor(self, logical_workers) -> None:
-        """Tighten the service-time reaction window to the new plan's variants.
-
-        Monotone running min over every variant a plan has ever hosted:
-        batches started under an old plan may still complete after a new one
-        applies, so the window only shrinks.  The per-variant minimum bounds
-        ``execution_latency_ms`` for *any* batch count — the smallest table
-        entry for table variants (interpolation and clamping stay between
-        measured points), batch count 1 for the linear model.
-        """
-        floor = self._service_floor_ms
-        registry = self.pipeline.registry
-        seen = set()
-        for state in logical_workers:
-            name = state.variant_name
-            if name in seen:
-                continue
-            seen.add(name)
-            variant = registry.variant(name)
-            table = variant.latency_table
-            if table:
-                low = min(table.values())
-            else:
-                low = variant.base_latency_ms + variant.per_item_latency_ms
-            if low < floor:
-                floor = low
-        if floor < self._service_floor_ms:
-            self._service_floor_ms = floor
-            self._refresh_run_caps()
-
-    def _build_delivery_context(self, worker_id: str):
-        """Per-run fast-path context for one logical delivery target.
-
-        ``None`` marks the slow path: unhosted/failed worker, no assignment,
-        or a drop policy whose :meth:`DropPolicy.arrival_process_floor` cannot
-        promise decision-free arrivals (third-party policies).  Otherwise the
-        tuple carries everything the inlined enqueue needs, including the
-        assignment it was derived from.  Contexts persist across macro-runs in
-        ``_delivery_contexts``; two things keep them honest: every plan
-        application clears the whole cache (the logical->physical mapping may
-        move), and the bulk handler re-checks ``worker.assignment`` *identity*
-        per row — worker failure nulls the assignment and every swap or
-        reassignment replaces the object, so any other invalidation shows up
-        as a mismatch.  A cached ``None`` can only turn fast again via a plan
-        application (nothing else hosts a logical worker), and the slow path
-        is exact regardless.
-        """
-        worker = self.cluster.logical_map.get(worker_id)
-        if worker is None or worker.failed:
-            return None
-        assignment = worker.assignment
-        if assignment is None:
-            return None
-        child_edges = assignment.child_edges
-        if child_edges is None:
-            child_edges = tuple(self.pipeline.children(assignment.task))
-        floor_ms = self.drop_policy.arrival_process_floor(
-            not child_edges, assignment.expected_latency_ms
-        )
-        if math.isnan(floor_ms) or floor_ms == math.inf:
-            return None
-        if self.columnar_requests:
-            return (
-                worker,
-                worker._cq_req.append,
-                worker._cq_acc.append,
-                worker._cq_arr.append,
-                floor_ms,
-                assignment.task,
-                assignment,
-            )
-        return (worker, worker.queue.append, floor_ms, assignment.task, assignment)
-
-    def _deliver_query_slow(self, worker_id: str, query: IntermediateQuery) -> int:
-        """Deliver one columnar row the long way; returns forwarded count.
-
-        Mirrors ``RoutedDeliveryEvent.run`` exactly, except the forwarded
-        counters are left to the caller (the bulk handler flushes them once
-        per run): an unhosted target drops without counting as forwarded,
-        everything else counts even when ``enqueue``'s policy then drops it.
-        """
-        worker = self.cluster.logical_map.get(worker_id)
-        if worker is None:
-            self.notify_drop(query, reason=f"logical worker {worker_id} not hosted")
-            return 0
-        worker.enqueue(query)
-        return 1
-
-    def _deliver_row(self, time_s: float, query, worker_id, _accuracy=None) -> None:
-        """Scalar handler for a single columnar delivery row (``engine.step``)."""
-        forwarded = self._deliver_query_slow(worker_id, query)
-        self.forwarded_queries += forwarded
-        self._tele_forwarded.value += forwarded
-
-    def _run_delivery_rows(self, entries, start: int, stop: int) -> None:
-        """Bulk handler draining one claimed run of columnar delivery rows.
-
-        The hot path inlines ``RoutedDeliveryEvent.run`` + ``SimWorker.enqueue``
-        for targets whose drop policy pre-promises a PROCESS decision (see
-        :meth:`DropPolicy.arrival_process_floor`): resolve once per target
-        per plan epoch, then per row it is one assignment-identity check, one
-        deadline subtraction, one deque append and the idle-worker batch
-        check.  Rows that cannot take the fast path fall back to the exact
-        scalar sequence.  Payloads are read straight off the claimed entry
-        tuples' handles — no gather pass, no intermediate per-run lists.
-        Telemetry counters are flushed once per run.
-        """
-        engine = self.engine
-        queue = engine.queue
-        p1 = queue._p1
-        p2 = queue._p2
-        contexts = self._delivery_contexts
-        build = self._build_delivery_context
-        slow = self._deliver_query_slow
-        task_arrivals = self.task_arrivals
-        forwarded = 0
-        for i in range(start, stop):
-            entry = entries[i]
-            t = entry[0]
-            h = entry[2]
-            query = p1[h]
-            worker_id = p2[h]
-            p1[h] = None
-            p2[h] = None
-            ctx = contexts.get(worker_id, _UNBUILT)
-            if ctx is _UNBUILT:
-                ctx = contexts[worker_id] = build(worker_id)
-            if ctx is None:
-                engine.now_s = t
-                forwarded += slow(worker_id, query)
-                continue
-            worker, append, floor_ms, task, assignment = ctx
-            if worker.assignment is not assignment:
-                # Failed (assignment nulled) or swapped/reassigned since the
-                # context was built: rebuild from live state.
-                ctx = contexts[worker_id] = build(worker_id)
-                if ctx is None:
-                    engine.now_s = t
-                    forwarded += slow(worker_id, query)
-                    continue
-                worker, append, floor_ms, task, assignment = ctx
-            if (query.request.deadline_s - t) * 1000.0 < floor_ms:
-                engine.now_s = t
-                forwarded += slow(worker_id, query)
-                continue
-            forwarded += 1
-            task_arrivals[task] += 1
-            query.worker_arrival_s = t
-            append(query)
-            if not worker.busy:
-                # The clock only needs to be exact when side effects can read
-                # it: a bare enqueue touches nothing time-dependent, so the
-                # store is deferred to the batch-start (and slow) paths.
-                engine.now_s = t
-                worker._maybe_start_batch()
-        engine.now_s = entries[stop - 1][0]
-        self.forwarded_queries += forwarded
-        self._tele_forwarded.value += forwarded
-
-    # ----------------------------------------- columnar request path (opt-in) --
-    def _deliver_columnar_slow(self, worker_id: str, req: int, accuracy: float) -> int:
-        """Columnar counterpart of :meth:`_deliver_query_slow`.
-
-        The caller must have stored the row's timestamp into ``engine.now_s``
-        — drop bookkeeping and the arrival-time policy decision read it.
-        """
-        worker = self.cluster.logical_map.get(worker_id)
-        if worker is None:
-            self.notify_drop_id(req, reason=f"logical worker {worker_id} not hosted")
-            return 0
-        worker._enqueue_columnar(req, accuracy)
-        return 1
-
-    def _deliver_row_table(self, time_s: float, req, worker_id, accuracy) -> None:
-        """Scalar handler for one columnar-request delivery row (``engine.step``)."""
-        forwarded = self._deliver_columnar_slow(worker_id, req, accuracy)
-        self.forwarded_queries += forwarded
-        self._tele_forwarded.value += forwarded
-
-    def _run_delivery_rows_table(self, entries, start: int, stop: int) -> None:
-        """Bulk delivery drain for the columnar request path.
-
-        Same fast-path structure as :meth:`_run_delivery_rows`, but a query
-        is three payload-column reads (request id, logical target, path
-        accuracy) and the deadline check is one ``RequestTable`` column
-        lookup — no ``Request`` or ``IntermediateQuery`` object ever exists.
-        Nothing inside a delivery run appends table rows, so the deadline
-        column reference stays valid across the run.
-        """
-        engine = self.engine
-        queue = engine.queue
-        p1 = queue._p1
-        p2 = queue._p2
-        p3 = queue._p3
-        deadline_s = self.request_table.deadline_list
-        contexts = self._delivery_contexts
-        build = self._build_delivery_context
-        slow = self._deliver_columnar_slow
-        task_arrivals = self.task_arrivals
-        # Contexts validated once per run, not once per row: a delivery run
-        # contains only delivery rows, and nothing a delivery does (enqueue,
-        # batch start, drop bookkeeping) can fail a worker or swap its
-        # assignment — those happen in fault/control/model-load handlers,
-        # which are different event kinds and therefore never interleave
-        # inside a run.  Payload slots are NOT cleared: columnar payloads
-        # are ints, floats and shared worker-id strings, so stale slots pin
-        # no per-request memory (the object loop must clear, these rows
-        # need not).
-        validated = {}
-        vget = validated.get
-        forwarded = 0
-        # The unpacked context of the row's worker is kept in locals across
-        # rows (`last_wid` identity check): consecutive rows for one worker
-        # — common once routing weights skew — skip the dict probe and the
-        # 7-tuple unpack entirely.  Payload worker-id strings are shared
-        # objects, so `is` comparison is exact; an equal-but-distinct string
-        # would merely re-probe the dict.
-        last_wid: object = _UNBUILT
-        worker = append_req = append_acc = append_arr = floor_ms = task = None
-        for t, _seq, h, _kind in entries[start:stop]:
-            worker_id = p2[h]
-            if worker_id is not last_wid:
-                ctx = vget(worker_id, _UNBUILT)
-                if ctx is _UNBUILT:
-                    ctx = contexts.get(worker_id, _UNBUILT)
-                    if ctx is _UNBUILT:
-                        ctx = contexts[worker_id] = build(worker_id)
-                    elif ctx is not None and ctx[0].assignment is not ctx[6]:
-                        # Failed (assignment nulled) or swapped/reassigned
-                        # since the context was built: rebuild from live
-                        # state.
-                        ctx = contexts[worker_id] = build(worker_id)
-                    validated[worker_id] = ctx
-                if ctx is None:
-                    engine.now_s = t
-                    forwarded += slow(worker_id, p1[h], p3[h])
-                    continue
-                worker, append_req, append_acc, append_arr, floor_ms, task, _assignment = ctx
-                last_wid = worker_id
-            req = p1[h]
-            if (deadline_s[req] - t) * 1000.0 < floor_ms:
-                engine.now_s = t
-                forwarded += slow(worker_id, req, p3[h])
-                continue
-            forwarded += 1
-            task_arrivals[task] += 1
-            append_req(req)
-            append_acc(p3[h])
-            append_arr(t)
-            if not worker.busy:
-                engine.now_s = t
-                worker._maybe_start_batch()
-        engine.now_s = entries[stop - 1][0]
-        self.forwarded_queries += forwarded
-        self._tele_forwarded.value += forwarded
+        self.cluster.apply_plan(plan, self.pipeline, self.engine.now_s)
 
     # --------------------------------------------------------------- plumbing --
     def new_intermediate_query(
@@ -721,39 +293,6 @@ class ServingSimulation:
         if request.status is not RequestStatus.IN_FLIGHT:
             self.metrics.record_request_finished(request)
 
-    def notify_sink_batch(self, batch: List[IntermediateQuery]) -> None:
-        """Batched-dispatch sink return: one vectorized delay draw per batch.
-
-        Every query of a completed batch leaves the sink at the same
-        simulation instant, so their return-hop delays can be drawn in one
-        vectorized call instead of one scalar draw per query.  Only the
-        batched dispatch mode uses this (it consumes the RNG stream
-        differently from per-query :meth:`notify_sink` calls); the completion
-        timestamps and bookkeeping are otherwise identical.
-        """
-        now = self.engine.now_s
-        delays = self.network.sample_delays_s(self.rng, len(batch))
-        metrics = self.metrics
-        # Struct-of-arrays fast path: when every request in the batch is a
-        # single-query request finishing right here (always true on
-        # single-task pipelines), the whole batch's bookkeeping collapses
-        # into MetricsCollector.record_sink_batch.
-        simple = True
-        for query in batch:
-            request = query.request
-            if request.outstanding != 1 or request.drops or request.sink_results:
-                simple = False
-                break
-        if simple:
-            metrics.record_sink_batch(batch, (now + delays).tolist())
-            return
-        in_flight = RequestStatus.IN_FLIGHT
-        for query, delay in zip(batch, delays.tolist()):
-            request = query.request
-            request.record_sink_completion(now + delay, query.accuracy_so_far)
-            if request.status is not in_flight:
-                metrics.record_request_finished(request)
-
     def notify_drop(self, query: IntermediateQuery, reason: str = "") -> None:
         resilience = self.resilience
         if resilience is not None and resilience.on_query_drop(query, reason):
@@ -775,97 +314,3 @@ class ServingSimulation:
             if resilience is not None and resilience.absorbed(request):
                 return  # timed out earlier: metrics already recorded once
             self.metrics.record_request_finished(request)
-
-    # ----------------------------------- columnar request-path plumbing --------
-    def forward_query_columnar(self, req: int, accuracy: float, logical_worker_id: str) -> None:
-        """Columnar counterpart of :meth:`forward_query` (scalar fallback).
-
-        Pushes one object-free delivery row; the logical→physical resolution
-        happens when the row fires (the same late binding as the batched
-        object path's :class:`RoutedDeliveryEvent`), and the forwarded
-        counters are bumped at delivery time by the drain handler.
-        """
-        delay = self.network.sample_delay_s(self.rng)
-        self.engine.push_columnar(
-            np.array([self.engine.now_s + delay]),
-            KIND_COLUMNAR_DELIVERY,
-            [req],
-            [logical_worker_id],
-            [accuracy],
-        )
-
-    def notify_sink_batch_columnar(self, reqs, accuracies) -> None:
-        """Batched sink return on the columnar request path.
-
-        ``reqs`` is the completed batch's request-id list, ``accuracies`` the
-        matching end-to-end path accuracies.  When every request in the batch
-        is a single-query request finishing right here — ``outstanding == 1``
-        with no drops and no prior sink results (``accuracy_count == 0``);
-        a duplicate id inside the batch forces ``outstanding >= 2`` and so
-        fails the same mask — the whole batch collapses into one vectorized
-        :meth:`MetricsCollector.record_sink_batch_table` call.  Anything else
-        runs the exact scalar sequence per query.  The eligibility test is
-        one gather + one reduction over ``RequestTable.gate_count``, whose
-        invariant (see the table docstring) makes ``gate_count == 1``
-        equivalent to the three-column check.
-        """
-        n = len(reqs)
-        table = self.request_table
-        completions = self.network.delayed_times_s(self.engine.now_s, self.rng, n)
-        ids = np.asarray(reqs, dtype=np.int64)
-        if table.gate_count[ids].max() == 1:
-            self.metrics.record_sink_batch_table(
-                table, ids, np.asarray(accuracies, dtype=np.float64), completions
-            )
-            return
-        metrics = self.metrics
-        record_finished = metrics.record_finished_id
-        record_sink = table.record_sink_completion
-        for req, accuracy, completion in zip(reqs, accuracies, completions.tolist()):
-            if record_sink(req, completion, accuracy):
-                record_finished(table, req)
-
-    def notify_drop_id(self, req: int, reason: str = "") -> None:
-        """Columnar counterpart of :meth:`notify_drop` for one derived query."""
-        self.dropped_queries += 1
-        self._tele_dropped.value += 1
-        if reason:
-            self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
-            if reason == "worker failed":
-                self._tele_dropped_on_fault.value += 1
-        table = self.request_table
-        if table.record_drop(req, self.engine.now_s):
-            self.metrics.record_finished_id(table, req)
-
-    def notify_drop_ids(self, reqs, reason: str = "") -> None:
-        """Drop a whole batch of derived queries (one request id per query).
-
-        ``reqs`` may repeat an id (two queued queries of one request die
-        together, e.g. on worker failure): drops and decrements apply per
-        *query* via unbuffered ``np.add.at``, then each request that reached
-        zero outstanding finishes exactly once.
-        """
-        ids = np.asarray(reqs, dtype=np.int64)
-        n = int(ids.size)
-        if n == 0:
-            return
-        self.dropped_queries += n
-        self._tele_dropped.value += n
-        if reason:
-            self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + n
-            if reason == "worker failed":
-                self._tele_dropped_on_fault.value += n
-        table = self.request_table
-        np.add.at(table.drops, ids, 1)
-        np.add.at(table.outstanding, ids, -1)
-        if (table.outstanding[ids] < 0).any():
-            raise RuntimeError("completion bookkeeping underflow in bulk drop")
-        uniq = np.unique(ids)
-        finished = uniq[
-            (table.outstanding[uniq] == 0) & (table.status[uniq] == STATUS_IN_FLIGHT)
-        ]
-        if finished.size:
-            table.completion_s[finished] = self.engine.now_s
-            # Every finishing request here carries at least one drop.
-            table.status[finished] = STATUS_DROPPED
-            self.metrics.record_finished_ids(table, finished)

@@ -21,40 +21,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Deque, List, Optional, Tuple, TYPE_CHECKING
-
-import numpy as np
 
 from repro.core.dropping import DropAction
 from repro.core.pipeline import Edge
 from repro.core.profiles import ModelVariant
-from repro.simulator.calendar import KIND_COLUMNAR_DELIVERY
-from repro.simulator.events import (
-    BatchCompleteEvent,
-    ModelReadyEvent,
-    RoutedDeliveryEvent,
-    SwapCompleteEvent,
-)
-from repro.simulator.query import (
-    STATUS_COMPLETED,
-    STATUS_DROPPED,
-    STATUS_IN_FLIGHT,
-    STATUS_LATE,
-    IntermediateQuery,
-)
+from repro.simulator.events import BatchCompleteEvent, ModelReadyEvent, SwapCompleteEvent
+from repro.simulator.query import IntermediateQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.simulator.runner import ServingSimulation
 
-__all__ = ["WorkerAssignment", "SimWorker", "BATCHED_COMPLETION_MIN"]
-
-#: minimum completed-batch size for the vectorized batched-dispatch paths
-#: (bulk sink returns and the bulk downstream fan-out): below this the fixed
-#: cost of the vectorized draws exceeds the per-query savings and the scalar
-#: loop wins.  Both sides of the boundary are statistically equivalent — the
-#: equivalence suite pins batch sizes 1..8 across it.
-BATCHED_COMPLETION_MIN = 4
+__all__ = ["WorkerAssignment", "SimWorker"]
 
 
 @dataclass(frozen=True)
@@ -103,11 +81,6 @@ class SimWorker:
         "_batch_event",
         "_engine",
         "_on_arrival",
-        "_columnar",
-        "_cq_req",
-        "_cq_acc",
-        "_cq_arr",
-        "_cq_head",
     )
 
     def __init__(self, physical_id: str, sim: "ServingSimulation"):
@@ -148,17 +121,6 @@ class SimWorker:
         self._pending_swap_event: Optional[SwapCompleteEvent] = None
         #: live BatchCompleteEvent for the batch currently executing
         self._batch_event: Optional[BatchCompleteEvent] = None
-        #: columnar request path: queued rows live in three parallel lists
-        #: (request id, path accuracy, worker-arrival time) consumed through a
-        #: head cursor instead of IntermediateQuery objects in a deque.  The
-        #: list objects are never replaced — delivery contexts capture their
-        #: bound ``.append`` — so compaction deletes the consumed prefix in
-        #: place.
-        self._columnar = bool(getattr(sim, "columnar_requests", False))
-        self._cq_req: List[int] = []
-        self._cq_acc: List[float] = []
-        self._cq_arr: List[float] = []
-        self._cq_head = 0
 
     # -- assignment ------------------------------------------------------------
     def _cancel_pending_swap(self) -> None:
@@ -210,12 +172,9 @@ class SimWorker:
             self._pending_swap_event = self.sim.engine.schedule_event(SwapCompleteEvent(ready_at, self))
             return
         # Task changed: queued queries of the old task cannot be served here.
-        if self._columnar:
-            self._drop_columnar_queue("worker reassigned to a different task")
-        else:
-            for stale in list(self.queue):
-                self.sim.notify_drop(stale, reason="worker reassigned to a different task")
-            self.queue.clear()
+        for stale in list(self.queue):
+            self.sim.notify_drop(stale, reason="worker reassigned to a different task")
+        self.queue.clear()
         self.pending_assignment = None
         self._cancel_pending_swap()
         self.assignment = assignment
@@ -236,18 +195,13 @@ class SimWorker:
 
     @property
     def queue_length(self) -> int:
-        if self._columnar:
-            return len(self._cq_req) - self._cq_head
         return len(self.queue)
 
     @property
     def in_flight(self) -> int:
         """Queries in the batch currently executing (0 when idle)."""
         batch_event = self._batch_event
-        if batch_event is None:
-            return 0
-        batch = batch_event.batch
-        return len(batch[0]) if self._columnar else len(batch)
+        return len(batch_event.batch) if batch_event is not None else 0
 
     @property
     def service_rate_qps(self) -> float:
@@ -290,38 +244,19 @@ class SimWorker:
             batch = self._batch_event.batch
             self._batch_event.cancel()
             self._batch_event = None
-            if self._columnar:
-                if resilience is not None:
-                    resilience.requeue_columnar(batch[0], batch[1], task)
-                else:
-                    self.sim.notify_drop_ids(batch[0], reason=reason)
-            elif resilience is not None:
+            if resilience is not None:
                 resilience.requeue_queries(batch, task)
             else:
                 for query in batch:
                     self.sim.notify_drop(query, reason=reason)
         self.busy = False
-        if self._columnar:
-            if resilience is not None:
-                head = self._cq_head
-                pending_req = self._cq_req[head:]
-                pending_acc = self._cq_acc[head:]
-                if pending_req:
-                    resilience.requeue_columnar(pending_req, pending_acc, task)
-                del self._cq_req[:]
-                del self._cq_acc[:]
-                del self._cq_arr[:]
-                self._cq_head = 0
-            else:
-                self._drop_columnar_queue(reason)
+        if resilience is not None:
+            if self.queue:
+                resilience.requeue_queries(list(self.queue), task)
         else:
-            if resilience is not None:
-                if self.queue:
-                    resilience.requeue_queries(list(self.queue), task)
-            else:
-                for stale in list(self.queue):
-                    self.sim.notify_drop(stale, reason=reason)
-            self.queue.clear()
+            for stale in list(self.queue):
+                self.sim.notify_drop(stale, reason=reason)
+        self.queue.clear()
         self.assignment = None
         self.pending_assignment = None
         self._cancel_pending_swap()
@@ -378,92 +313,8 @@ class SimWorker:
         if not self.busy:
             self._maybe_start_batch()
 
-    # reprolint: hot-path
-    def _enqueue_columnar(self, req: int, accuracy: float) -> None:
-        """A columnar delivery row arrives (already includes network delay).
-
-        Exact object-free mirror of :meth:`enqueue`: same drop decisions in
-        the same order, but the queued query is three list appends instead of
-        an :class:`IntermediateQuery` in a deque.
-        """
-        engine = self._engine
-        if engine is None:
-            engine = self.sim.engine
-        now = engine.now_s
-        sim = self.sim
-        if self.failed:
-            sim.notify_drop_id(req, reason="worker failed")
-            return
-        assignment = self.assignment
-        if assignment is None:
-            sim.notify_drop_id(req, reason="worker has no assignment")
-            return
-        child_edges = assignment.child_edges
-        if child_edges is None:
-            child_edges = tuple(sim.pipeline.children(assignment.task))
-        on_arrival = self._on_arrival
-        if on_arrival is None:
-            on_arrival = sim.drop_policy.on_arrival
-        decision = on_arrival(
-            not child_edges,
-            float(sim.request_table.deadline_s[req] - now) * 1000.0,
-            assignment.expected_latency_ms,
-        )
-        if decision.action is DropAction.DROP:
-            sim.notify_drop_id(req, reason=decision.reason)
-            return
-        sim.task_arrivals[assignment.task] += 1
-        self._cq_req.append(req)
-        self._cq_acc.append(accuracy)
-        self._cq_arr.append(now)
-        if not self.busy:
-            self._maybe_start_batch()
-
-    def _drop_columnar_queue(self, reason: str) -> None:
-        """Drop every queued columnar row; the lists stay identity-stable."""
-        head = self._cq_head
-        pending = self._cq_req[head:]
-        if pending:
-            self.sim.notify_drop_ids(pending, reason=reason)
-        del self._cq_req[:]
-        del self._cq_acc[:]
-        del self._cq_arr[:]
-        self._cq_head = 0
-
     # -- batching ----------------------------------------------------------------
     def _maybe_start_batch(self) -> None:
-        if self._columnar:
-            head = self._cq_head
-            if self.busy or head >= len(self._cq_req) or self.assignment is None or self.failed:
-                return
-            now = self.sim.engine.now_s
-            if now < self.available_at_s - 1e-12:
-                return
-            assignment = self.assignment
-            batch_count = min(len(self._cq_req) - head, assignment.batch_size)
-            stop = head + batch_count
-            batch = (
-                self._cq_req[head:stop],
-                self._cq_acc[head:stop],
-                self._cq_arr[head:stop],
-            )
-            self._cq_head = stop
-            if stop >= 4096 and stop * 2 >= len(self._cq_req):
-                # Consumed prefix dominates the lists: compact in place so the
-                # bound .append closures in delivery contexts stay valid.
-                del self._cq_req[:stop]
-                del self._cq_acc[:stop]
-                del self._cq_arr[:stop]
-                self._cq_head = 0
-            duration_s = assignment.variant.execution_latency_ms(batch_count) / 1000.0
-            if self.slowdown != 1.0:
-                duration_s *= self.slowdown
-            self.busy = True
-            self.busy_time_s += duration_s
-            self._batch_event = self.sim.engine.schedule_event(
-                BatchCompleteEvent(now + duration_s, self, batch)
-            )
-            return
         if self.busy or not self.queue or self.assignment is None or self.failed:
             return
         now = self.sim.engine.now_s
@@ -480,10 +331,7 @@ class SimWorker:
         self.busy_time_s += duration_s
         self._batch_event = self.sim.engine.schedule_event(BatchCompleteEvent(now + duration_s, self, batch))
 
-    def _complete_batch(self, batch) -> None:
-        if self._columnar:
-            self._complete_batch_columnar(batch)
-            return
+    def _complete_batch(self, batch: List[IntermediateQuery]) -> None:
         sim = self.sim
         assignment = self.assignment
         self.busy = False
@@ -503,66 +351,16 @@ class SimWorker:
             child_edges = tuple(sim.pipeline.children(assignment.task))
         if not child_edges:
             # Sink fast path: no downstream fan-out to sample, every query in
-            # the batch returns straight to the Frontend.  Batched dispatch
-            # draws the whole batch's return-hop delays in one vectorized
-            # call (worth it once the vectorization overhead amortises).
-            if sim.batched_dispatch and len(batch) >= BATCHED_COMPLETION_MIN:
-                for query in batch:
-                    query.accuracy_so_far *= accuracy
-                sim.notify_sink_batch(batch)
-            else:
-                notify_sink = sim.notify_sink
-                for query in batch:
-                    query.accuracy_so_far *= accuracy
-                    notify_sink(query)
-        elif sim.batched_dispatch and len(batch) >= BATCHED_COMPLETION_MIN:
+            # the batch returns straight to the Frontend.
+            notify_sink = sim.notify_sink
             for query in batch:
                 query.accuracy_so_far *= accuracy
-            self._dispatch_batch(batch, assignment, child_edges, now)
+                notify_sink(query)
         else:
             for query in batch:
                 query.accuracy_so_far *= accuracy
                 self._dispatch(query, assignment, now)
         if self.queue:
-            self._maybe_start_batch()
-
-    # reprolint: hot-path
-    def _complete_batch_columnar(self, batch) -> None:
-        """Batch completion on the columnar request path.
-
-        ``batch`` is the ``(request_ids, path_accuracies, arrival_times)``
-        triple sliced off the queue columns at batch start.  The columnar
-        path always takes the bulk branches — there is no
-        ``BATCHED_COMPLETION_MIN`` gate, because there is no scalar object
-        path to fall back to — so its RNG stream differs from object-batched
-        mode; the dispatch-equivalence suite pins the two statistically
-        equivalent.
-        """
-        sim = self.sim
-        assignment = self.assignment
-        self.busy = False
-        self._batch_event = None
-        reqs, accs, arrs = batch
-        if assignment is None:  # pragma: no cover - defensive
-            sim.notify_drop_ids(reqs, reason="assignment removed mid-batch")
-            return
-        now = sim.engine.now_s
-        n = len(reqs)
-        self.processed_batches += 1
-        sim._tele_batches.value += 1
-        sim._tele_batch_queries.value += n
-        self.processed_queries += n
-        accuracy = assignment.variant.accuracy
-        if accuracy != 1.0:
-            accs = [a * accuracy for a in accs]
-        child_edges = assignment.child_edges
-        if child_edges is None:
-            child_edges = tuple(sim.pipeline.children(assignment.task))
-        if not child_edges:
-            sim.notify_sink_batch_columnar(reqs, accs)
-        else:
-            self._dispatch_batch_columnar(reqs, accs, arrs, assignment, child_edges, now)
-        if len(self._cq_req) > self._cq_head:
             self._maybe_start_batch()
 
     # -- forwarding ----------------------------------------------------------------
@@ -602,415 +400,6 @@ class SimWorker:
         # The parent query itself is finished (its children carry on).
         request.record_internal_completion(now_s)
         self.sim.check_request(request)
-
-    # reprolint: hot-path
-    def _dispatch_batch(
-        self,
-        batch: List[IntermediateQuery],
-        assignment: WorkerAssignment,
-        child_edges: Tuple[Edge, ...],
-        now_s: float,
-    ) -> None:
-        """Vectorized downstream fan-out for a whole completed batch.
-
-        The batched-dispatch counterpart of per-query :meth:`_dispatch`: child
-        counts are sampled once per *edge* for the whole batch
-        (``ContentModel.sample_children_batch``), child queries are
-        bulk-allocated, routes come from ``choose_batch_indices`` in
-        ``batch_route_chunk``-bounded chunks (re-probing dynamic choosers at
-        chunk boundaries exactly like the frontend burst path), forward-hop
-        network delays are drawn in one vectorized call per edge, and all
-        delivery events enter the calendar through a single ``preload``.  The
-        RNG stream differs from scalar mode by design; summary statistics are
-        pinned equivalent by the dispatch-equivalence suite.
-
-        Drop decisions are skipped wholesale for parents whose
-        ``needs_forward_decision(time_in_task, budget)`` is ``False`` — the
-        policy has promised a plain FORWARD with no RNG, the overwhelmingly
-        common case (parents within budget).  Overrun parents get one
-        ``on_forward_batch`` call deciding all their children together, so
-        the per-parent work (overrun test, backup-candidate scan) is not
-        repeated per child and a single late parent in a batch no longer
-        drags every sibling's children through a scalar loop.
-        """
-        sim = self.sim
-        rng = sim.rng
-        n = len(batch)
-        variant = assignment.variant
-        content_model = sim.content_model
-        counts_per_edge = [
-            content_model.sample_children_batch(variant, edge, rng, n) for edge in child_edges
-        ]
-        if len(counts_per_edge) == 1:
-            totals = counts_per_edge[0]
-        else:
-            totals = counts_per_edge[0].copy()
-            for counts in counts_per_edge[1:]:
-                totals += counts
-        total_children = int(totals.sum())
-        self.factor_observation_sum += total_children
-        self.factor_observation_count += n
-
-        # Seed every parent's outstanding count before any child can be
-        # dropped (a drop decrements the request), mirroring the scalar
-        # add_outstanding-before-forward ordering invariant.
-        for query, total in zip(batch, totals.tolist()):
-            if total:
-                query.request.add_outstanding(total)
-
-        if total_children:
-            routing_table = sim.routing_table_for(assignment.logical_id)
-            budget_ms = assignment.latency_budget_ms
-            drop_policy = sim.drop_policy
-            needs_decision = drop_policy.needs_forward_decision
-            time_in_task = [(now_s - q.worker_arrival_s) * 1000.0 for q in batch]
-            consult_any = False
-            consult = []
-            # reprolint: disable=R004
-            # Per-parent scalar probe is the DropPolicy API; within-budget
-            # parents short-circuit and the loop is bounded by batch size.
-            for t in time_in_task:
-                flag = needs_decision(t, budget_ms)
-                consult_any = consult_any or flag
-                consult.append(flag)
-            # reprolint: enable=R004
-            chunk = sim.config.batch_route_chunk
-            # Deliveries accumulate as parallel columns (time, target, child)
-            # and materialise once at the end: RoutedDeliveryEvent objects for
-            # the heap calendar (same construction order as before, so the
-            # sequence numbers — and the simulation — are bit-identical), or
-            # one object-free columnar bulk-load under the calendar engine.
-            out_times: List[float] = []
-            out_targets: List[str] = []
-            out_children: List[IntermediateQuery] = []
-            query_id = sim._next_query_id
-            requests = [q.request for q in batch]
-            accuracies = [q.accuracy_so_far for q in batch]
-            for edge, counts in zip(child_edges, counts_per_edge):
-                edge_total = int(counts.sum())
-                if edge_total == 0:
-                    continue
-                child_task = edge.child
-                parent_idx = np.repeat(np.arange(n), counts).tolist()
-                children = list(
-                    map(
-                        IntermediateQuery,
-                        range(query_id, query_id + edge_total),
-                        [requests[i] for i in parent_idx],
-                        repeat(child_task),
-                        repeat(now_s),
-                        [accuracies[i] for i in parent_idx],
-                    )
-                )
-                query_id += edge_total
-                drawn = (
-                    routing_table.choose_batch_indices(
-                        child_task, rng, edge_total, method="alias", chunk=chunk
-                    )
-                    if routing_table is not None
-                    else None
-                )
-                if drawn is None:
-                    # No serviceable route for this task: fall back to the
-                    # scalar per-child path, whose choose() comes back empty
-                    # too — per-child policy decision with planned=None, then
-                    # backup table or drop.  Rare (plan/table inconsistency).
-                    sim._next_query_id = query_id
-                    for child, pi in zip(children, parent_idx):
-                        self._forward(child, child_task, time_in_task[pi], assignment, routing_table)
-                    query_id = sim._next_query_id
-                    continue
-                entries, indices = drawn
-                worker_ids = [entry.worker_id for entry in entries]
-                delivery_times = (now_s + sim.network.sample_delays_s(rng, edge_total)).tolist()
-                indices_list = indices.tolist()
-                if not consult_any:
-                    # Fan-out fast path: every parent is within budget, so the
-                    # policy forwards every child — extend the delivery
-                    # columns wholesale, no per-child calls.
-                    out_times.extend(delivery_times)
-                    out_targets.extend(worker_ids[j] for j in indices_list)
-                    out_children.extend(children)
-                    continue
-                # Mixed batch: walk the children parent by parent (np.repeat
-                # keeps a parent's children contiguous).  Within-budget
-                # parents keep the bulk path; each overrun parent gets ONE
-                # on_forward_batch call deciding all its children at once,
-                # so the backup-candidate scan is hoisted per parent rather
-                # than repeated per child.
-                backups = sim.backups_for(child_task)
-                on_forward_batch = drop_policy.on_forward_batch
-                notify_drop = sim.notify_drop
-                offset = 0
-                for pi, cnt in enumerate(counts.tolist()):
-                    if not cnt:
-                        continue
-                    stop = offset + cnt
-                    decisions = None
-                    group_entries = None
-                    if consult[pi]:
-                        group_entries = [entries[indices_list[k]] for k in range(offset, stop)]
-                        decisions = on_forward_batch(
-                            time_in_task[pi],
-                            budget_ms,
-                            group_entries,
-                            backups,
-                            children[offset].remaining_slo_ms(now_s),
-                            rng,
-                        )
-                    if decisions is None:
-                        out_times.extend(delivery_times[offset:stop])
-                        out_targets.extend(worker_ids[indices_list[k]] for k in range(offset, stop))
-                        out_children.extend(children[offset:stop])
-                        offset = stop
-                        continue
-                    for slot, decision in enumerate(decisions):
-                        child = children[offset + slot]
-                        if decision.action is DropAction.DROP:
-                            notify_drop(child, reason=decision.reason)
-                            continue
-                        if decision.action is DropAction.REROUTE and decision.target is not None:
-                            target_id = decision.target.worker_id
-                        else:
-                            target_id = group_entries[slot].worker_id
-                        # reprolint: disable=R004
-                        # Overrun-parent slow path: only parents past their
-                        # latency budget take per-child decisions; the common
-                        # within-budget case extends columns in bulk above.
-                        out_times.append(delivery_times[offset + slot])
-                        out_targets.append(target_id)
-                        out_children.append(child)
-                        # reprolint: enable=R004
-                    offset = stop
-            sim._next_query_id = query_id
-            if out_times:
-                if getattr(sim, "calendar_mode", False):
-                    sim.engine.push_columnar(
-                        out_times, KIND_COLUMNAR_DELIVERY, out_children, out_targets
-                    )
-                else:
-                    sim.engine.preload(
-                        list(map(RoutedDeliveryEvent, out_times, repeat(sim), out_targets, out_children))
-                    )
-
-        # Every parent query is finished (its children carry on); parents with
-        # zero fan-out complete their branch of the request right here.
-        check_request = sim.check_request
-        for query in batch:
-            request = query.request
-            request.record_internal_completion(now_s)
-            check_request(request)
-
-    # reprolint: hot-path
-    def _dispatch_batch_columnar(
-        self,
-        reqs: List[int],
-        accs: List[float],
-        arrs: List[float],
-        assignment: WorkerAssignment,
-        child_edges: Tuple[Edge, ...],
-        now_s: float,
-    ) -> None:
-        """Vectorized fan-out for a completed columnar batch.
-
-        Mirrors :meth:`_dispatch_batch` stage by stage with all ``Request``/
-        ``IntermediateQuery`` traffic replaced by table columns: outstanding
-        seeding and the final parent completions are unbuffered ``np.add.at``
-        scatters (a batch may carry two queries of one request), the terminal
-        classification is one ``np.where`` over the drops/deadline columns,
-        and children enter the calendar as three payload columns.
-        """
-        sim = self.sim
-        rng = sim.rng
-        n = len(reqs)
-        variant = assignment.variant
-        content_model = sim.content_model
-        counts_per_edge = [
-            content_model.sample_children_batch(variant, edge, rng, n) for edge in child_edges
-        ]
-        if len(counts_per_edge) == 1:
-            totals = counts_per_edge[0]
-        else:
-            totals = counts_per_edge[0].copy()
-            for counts in counts_per_edge[1:]:
-                totals += counts
-        total_children = int(totals.sum())
-        self.factor_observation_sum += total_children
-        self.factor_observation_count += n
-
-        table = sim.request_table
-        ids = np.asarray(reqs, dtype=np.int64)
-        if total_children:
-            # Seed every parent's outstanding count before any child can be
-            # dropped, preserving the add_outstanding-before-forward ordering
-            # invariant (the parent's own count keeps the request in flight
-            # throughout the fan-out).
-            np.add.at(table.outstanding, ids, totals)
-            np.add.at(table.gate_count, ids, totals)
-            routing_table = sim.routing_table_for(assignment.logical_id)
-            budget_ms = assignment.latency_budget_ms
-            drop_policy = sim.drop_policy
-            needs_decision = drop_policy.needs_forward_decision
-            time_in_task = [(now_s - a) * 1000.0 for a in arrs]
-            consult_any = False
-            consult = []
-            # reprolint: disable=R004
-            # Per-parent scalar probe is the DropPolicy API; within-budget
-            # parents short-circuit and the loop is bounded by batch size.
-            for t in time_in_task:
-                flag = needs_decision(t, budget_ms)
-                consult_any = consult_any or flag
-                consult.append(flag)
-            # reprolint: enable=R004
-            chunk = sim.config.batch_route_chunk
-            deadline_s = table.deadline_s  # no add_requests during a dispatch
-            out_times: List[float] = []
-            out_targets: List[str] = []
-            out_reqs: List[int] = []
-            out_accs: List[float] = []
-            for edge, counts in zip(child_edges, counts_per_edge):
-                edge_total = int(counts.sum())
-                if edge_total == 0:
-                    continue
-                child_task = edge.child
-                parent_idx = np.repeat(np.arange(n), counts).tolist()
-                child_reqs = [reqs[i] for i in parent_idx]
-                child_accs = [accs[i] for i in parent_idx]
-                drawn = (
-                    routing_table.choose_batch_indices(
-                        child_task, rng, edge_total, method="alias", chunk=chunk
-                    )
-                    if routing_table is not None
-                    else None
-                )
-                if drawn is None:
-                    # No serviceable route for this task: per-child policy
-                    # decision with planned=None, then backup table or drop.
-                    for slot, pi in enumerate(parent_idx):
-                        self._forward_columnar(
-                            child_reqs[slot],
-                            child_accs[slot],
-                            child_task,
-                            time_in_task[pi],
-                            assignment,
-                            routing_table,
-                        )
-                    continue
-                entries, indices = drawn
-                worker_ids = [entry.worker_id for entry in entries]
-                delivery_times = (now_s + sim.network.sample_delays_s(rng, edge_total)).tolist()
-                indices_list = indices.tolist()
-                if not consult_any:
-                    out_times.extend(delivery_times)
-                    out_targets.extend(worker_ids[j] for j in indices_list)
-                    out_reqs.extend(child_reqs)
-                    out_accs.extend(child_accs)
-                    continue
-                backups = sim.backups_for(child_task)
-                on_forward_batch = drop_policy.on_forward_batch
-                notify_drop_id = sim.notify_drop_id
-                offset = 0
-                for pi, cnt in enumerate(counts.tolist()):
-                    if not cnt:
-                        continue
-                    stop = offset + cnt
-                    decisions = None
-                    group_entries = None
-                    if consult[pi]:
-                        group_entries = [entries[indices_list[k]] for k in range(offset, stop)]
-                        decisions = on_forward_batch(
-                            time_in_task[pi],
-                            budget_ms,
-                            group_entries,
-                            backups,
-                            float(deadline_s[reqs[pi]] - now_s) * 1000.0,
-                            rng,
-                        )
-                    if decisions is None:
-                        out_times.extend(delivery_times[offset:stop])
-                        out_targets.extend(worker_ids[indices_list[k]] for k in range(offset, stop))
-                        out_reqs.extend(child_reqs[offset:stop])
-                        out_accs.extend(child_accs[offset:stop])
-                        offset = stop
-                        continue
-                    for slot, decision in enumerate(decisions):
-                        k = offset + slot
-                        if decision.action is DropAction.DROP:
-                            notify_drop_id(child_reqs[k], reason=decision.reason)
-                            continue
-                        if decision.action is DropAction.REROUTE and decision.target is not None:
-                            target_id = decision.target.worker_id
-                        else:
-                            target_id = group_entries[slot].worker_id
-                        # reprolint: disable=R004
-                        # Overrun-parent slow path, columnar flavour: bulk
-                        # column extends handle the within-budget majority.
-                        out_times.append(delivery_times[k])
-                        out_targets.append(target_id)
-                        out_reqs.append(child_reqs[k])
-                        out_accs.append(child_accs[k])
-                        # reprolint: enable=R004
-                    offset = stop
-            if out_times:
-                sim.engine.push_columnar(
-                    out_times, KIND_COLUMNAR_DELIVERY, out_reqs, out_targets, out_accs
-                )
-
-        # Every parent query is finished (its children carry on); the whole
-        # batch's record_internal_completion collapses into one scatter and
-        # one vectorized terminal classification.
-        outstanding = table.outstanding
-        np.add.at(outstanding, ids, -1)
-        if (outstanding[ids] < 0).any():
-            raise RuntimeError("completion bookkeeping underflow in batch dispatch")
-        uniq = np.unique(ids)
-        finished = uniq[(outstanding[uniq] == 0) & (table.status[uniq] == STATUS_IN_FLIGHT)]
-        if finished.size:
-            table.completion_s[finished] = now_s
-            table.status[finished] = np.where(
-                table.drops[finished] > 0,
-                STATUS_DROPPED,
-                np.where(
-                    now_s <= table.deadline_s[finished] + 1e-9, STATUS_COMPLETED, STATUS_LATE
-                ),
-            )
-            sim.metrics.record_finished_ids(table, finished)
-
-    # reprolint: hot-path
-    def _forward_columnar(
-        self,
-        req: int,
-        accuracy: float,
-        child_task: str,
-        time_in_task_ms: float,
-        assignment: WorkerAssignment,
-        routing_table,
-    ) -> None:
-        """Scalar forward fallback for one columnar child (mirrors :meth:`_forward`)."""
-        sim = self.sim
-        planned_entry = routing_table.choose(child_task, sim.rng) if routing_table is not None else None
-        backups = sim.backups_for(child_task)
-        decision = sim.drop_policy.on_forward(
-            time_in_task_ms,
-            assignment.latency_budget_ms,
-            planned_entry,
-            backups,
-            float(sim.request_table.deadline_s[req] - sim.engine.now_s) * 1000.0,
-            sim.rng,
-        )
-        if decision.action is DropAction.DROP:
-            sim.notify_drop_id(req, reason=decision.reason)
-            return
-        if decision.action is DropAction.REROUTE and decision.target is not None:
-            target_id = decision.target.worker_id
-        elif planned_entry is not None:
-            target_id = planned_entry.worker_id
-        elif backups:
-            target_id = backups[0].worker_id
-        else:
-            sim.notify_drop_id(req, reason="no downstream worker available")
-            return
-        sim.forward_query_columnar(req, accuracy, target_id)
 
     def _forward(self, child_query, child_task: str, time_in_task_ms: float, assignment: WorkerAssignment, routing_table) -> None:
         planned_entry = routing_table.choose(child_task, self.sim.rng) if routing_table is not None else None

@@ -272,9 +272,8 @@ class Histogram:
     def observe_many(self, values: Iterable[float]) -> None:
         """Record a whole chunk of observations in one call.
 
-        Equivalent to observing each element in order; bulk consumers (the
-        batched dispatch mode's sink returns) skip the per-sample method
-        call and length check.
+        Equivalent to observing each element in order, without the
+        per-sample method call and length check.
         """
         buffer = self._buffer
         if type(values) is list:

@@ -35,11 +35,6 @@ class ContentModel(Protocol):
     def sample_children(self, variant: ModelVariant, edge: Edge, rng: np.random.Generator) -> int:
         ...  # pragma: no cover - protocol
 
-    def sample_children_batch(
-        self, variant: ModelVariant, edge: Edge, rng: np.random.Generator, size: int
-    ) -> np.ndarray:
-        ...  # pragma: no cover - protocol
-
 
 class MultiplicativeContentModel:
     """Samples the number of intermediate queries per outgoing edge.
@@ -77,20 +72,3 @@ class MultiplicativeContentModel:
         if self.mode == "expected":
             return int(round(mean))
         return int(rng.poisson(mean))
-
-    def sample_children_batch(
-        self, variant: ModelVariant, edge: Edge, rng: np.random.Generator, size: int
-    ) -> np.ndarray:
-        """Fan-out counts for ``size`` queries of one edge, drawn in one call.
-
-        The batched-dispatch worker fan-out samples a whole completed batch's
-        child counts per edge at once.  Per-element values follow the same
-        distribution as :meth:`sample_children` (deterministic rounded mean,
-        or Poisson with the profile mean) but consume the RNG stream in bulk;
-        the deterministic cases consume no RNG at all, exactly like their
-        scalar counterpart.
-        """
-        mean = self.mean_children(variant, edge)
-        if abs(mean - round(mean)) < 1e-9 or self.mode == "expected":
-            return np.full(size, int(round(mean)), dtype=np.int64)
-        return rng.poisson(mean, size)

@@ -11,7 +11,6 @@ the pinned end-to-end comparisons of the feedback-control study:
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.control import (
@@ -59,7 +58,6 @@ class TestJSQChooser:
     def test_without_probe_declines(self, rng):
         chooser = JSQChooser()
         assert chooser.choose_index(entries(), rng) is None
-        assert chooser.choose_chunk_series(entries(), rng, 8, 4) is None
 
     def test_picks_least_expected_wait(self, rng):
         chooser = JSQChooser()
@@ -81,7 +79,6 @@ class TestJSQChooser:
         chooser = JSQChooser()
         chooser.bind_probe(CountingProbe([math.inf, math.inf], rates=[0.0, 0.0]))
         assert chooser.choose_index(entries(2), rng) is None
-        assert chooser.choose_chunk_series(entries(2), rng, 4, 2) is None
 
     def test_consumes_no_rng(self, rng):
         chooser = JSQChooser()
@@ -89,20 +86,6 @@ class TestJSQChooser:
         state = rng.bit_generator.state
         chooser.choose_index(entries(), rng)
         assert rng.bit_generator.state == state
-
-    def test_chunk_series_probes_per_chunk_and_spreads(self, rng):
-        chooser = JSQChooser()
-        probe = CountingProbe([0, 0, 0])
-        chooser.bind_probe(probe)
-        drawn = chooser.choose_chunk_series(entries(), rng, 12, 4)
-        assert probe.calls == 3  # one probe per 4-query chunk
-        # within each chunk the virtual placements round-robin across equal
-        # queues (ties reset at every probe refresh), so no worker is ever
-        # more than one placement per chunk ahead of the others
-        counts = np.bincount(drawn, minlength=3)
-        assert counts.sum() == 12 and counts.min() >= 3
-        assert counts.max() - counts.min() <= 12 // 4
-
 
 class TestAdaptiveP2C:
     def test_stale_tolerance_bounds_probe_rate(self, rng):

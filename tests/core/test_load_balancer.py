@@ -1,6 +1,5 @@
 """Tests for the MostAccurateFirst routing algorithm and the Load Balancer."""
 
-import numpy as np
 import pytest
 
 from repro.core.allocation import AllocationProblem
@@ -64,24 +63,6 @@ class TestRoutingTable:
         table.add("b", RoutingEntry("w1", 1.0, 1.0, 10.0))
         assert set(table.destination_tasks()) == {"a", "b"}
         assert len(table.entries("a")) == 1
-
-    @pytest.mark.parametrize("method", ["alias", "searchsorted"])
-    def test_choose_batch_indices_respects_probabilities(self, rng, method):
-        table = RoutingTable()
-        table.add("t", RoutingEntry("w0", 0.9, 1.0, 10.0))
-        table.add("t", RoutingEntry("w1", 0.1, 0.8, 5.0))
-        entries, indices = table.choose_batch_indices("t", rng, 20_000, method=method)
-        assert [e.worker_id for e in entries] == ["w0", "w1"]
-        assert indices.shape == (20_000,)
-        share_w0 = float(np.mean(indices == 0))
-        assert 0.87 <= share_w0 <= 0.93
-
-    def test_choose_batch_indices_empty_or_zero_probability(self, rng):
-        table = RoutingTable()
-        assert table.choose_batch_indices("t", rng, 10) is None
-        table.add("t", RoutingEntry("w0", 0.0, 1.0, 10.0))
-        assert table.choose_batch_indices("t", rng, 10) is None
-
 
 class TestMostAccurateFirst:
     def test_most_accurate_worker_saturated_first(self, small_pipeline):

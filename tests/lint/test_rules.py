@@ -22,10 +22,8 @@ EXPECTED = {
     "R001": 7,
     "R002": 7,
     "R003": 7,
-    "R004": 7,
     "R005": 5,
     "R006": 7,
-    "R007": 6,
 }
 
 
@@ -58,7 +56,7 @@ def test_good_fixture_is_clean(rule_id):
 
 
 def test_registry_is_complete():
-    """All seven rules are registered; deleting one fails here by id."""
+    """All five rules are registered; deleting one fails here by id."""
     registered = {rule.id for rule in all_rules()}
     assert registered == set(EXPECTED)
 

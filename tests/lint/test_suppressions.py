@@ -115,13 +115,6 @@ def test_prose_mention_is_not_a_directive():
     assert directives.line_disables == {}
 
 
-def test_hot_path_markers_are_collected():
-    directives = scan_directives(
-        "# reprolint: hot-path\ndef f():\n    pass\n"
-    )
-    assert directives.hot_markers == [1]
-
-
 def test_syntax_error_file_yields_parse_finding(tmp_path):
     path = tmp_path / "broken.py"
     path.write_text("def f(:\n")

@@ -13,6 +13,7 @@ from repro.scenarios import (
     register,
     scenario_names,
 )
+from repro.simulator import SimulationConfig
 from repro.workloads import constant_trace
 
 
@@ -90,6 +91,31 @@ class TestScenarioSpec:
         spec = ScenarioSpec(name="bad", pipeline="single_task", trace="nonexistent")
         with pytest.raises(KeyError):
             spec.build(0)
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("dispatch_mode", "batched"),
+            ("engine", "calendar"),
+            ("request_path", "columnar"),
+            ("batch_route_chunk", 64),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "channel", ["spec_field", "with_overrides", "sim_overrides", "simulation_config"]
+    )
+    def test_removed_execution_path_options_raise(self, option, value, channel):
+        # The simulator has one execution path: a stale sweep config that
+        # still selects another must fail loudly, not silently run the default.
+        with pytest.raises(TypeError):
+            if channel == "spec_field":
+                ScenarioSpec(name="stale", **TINY, **{option: value})
+            elif channel == "with_overrides":
+                ScenarioSpec(name="stale", **TINY).with_overrides(**{option: value})
+            elif channel == "sim_overrides":
+                ScenarioSpec(name="stale", sim_overrides={option: value}, **TINY).build(0)
+            else:
+                SimulationConfig(**{option: value})
 
 
 class TestDeterminism:

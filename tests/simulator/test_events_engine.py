@@ -1,6 +1,7 @@
 """Tests for the event calendar and simulation engine."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simulator.engine import SimulationEngine
 from repro.simulator.events import ArrivalEvent, CallbackEvent, Event, EventQueue
@@ -258,3 +259,195 @@ class TestSimulationEngine:
         engine.run()
         assert len(engine.queue) == 0
         assert not engine.queue
+
+    def test_raising_callback_leaves_unexecuted_tail_pending_in_order(self):
+        engine = SimulationEngine()
+        fired = []
+
+        def boom():
+            raise RuntimeError("injected")
+
+        engine.schedule(1.0, lambda: fired.append(1))
+        engine.schedule(2.0, boom)
+        engine.schedule(3.0, lambda: fired.append(3))
+        engine.schedule(4.0, lambda: fired.append(4))
+        with pytest.raises(RuntimeError):
+            engine.run(max_events=10)
+        assert fired == [1]
+        assert engine.now_s == 2.0
+        assert len(engine.queue) == 2
+        engine.run()
+        assert fired == [1, 3, 4]
+        assert engine.events_processed == 4
+
+    def test_step_skips_cancelled_head_and_counts(self):
+        engine = SimulationEngine()
+        fired = []
+        head = engine.schedule(1.0, lambda: fired.append(1))
+        engine.schedule(2.0, lambda: fired.append(2))
+        head.cancel()
+        assert engine.step() is True
+        assert fired == [2]
+        assert engine.now_s == 2.0
+        assert engine.events_processed == 1
+        assert engine.step() is False
+
+    def test_schedule_event_clamps_rounding_error_to_now(self):
+        engine = SimulationEngine()
+        engine.schedule(1.0, lambda: None)
+        engine.run()
+        event = engine.schedule_event(CallbackEvent(1.0 - 1e-13, lambda: None))
+        assert event.time_s == 1.0
+        with pytest.raises(ValueError):
+            engine.schedule_event(CallbackEvent(0.5, lambda: None))
+
+    def test_preload_matches_individual_scheduling(self):
+        times = [0.3, 0.1, 0.2, 0.1, 0.0, 0.3]
+
+        def order(bulk):
+            engine = SimulationEngine()
+            seen = []
+            events = [CallbackEvent(t, lambda i=i: seen.append(i)) for i, t in enumerate(times)]
+            if bulk:
+                engine.preload(events)
+            else:
+                for event in events:
+                    engine.schedule_event(event)
+            engine.run()
+            return seen
+
+        assert order(bulk=True) == order(bulk=False) == [4, 1, 3, 2, 0, 5]
+
+
+# ---------------------------------------------------------- order properties
+class _ReferenceEngine:
+    """Naive scheduler with the engine's documented semantics.
+
+    Every step linearly scans for the earliest live ``(time, sequence)``
+    entry, so the order is correct by construction; the heap engine must
+    reproduce it exactly.
+    """
+
+    def __init__(self):
+        self.now_s = 0.0
+        self._pending = []
+        self._seq = 0
+
+    def schedule_event(self, event):
+        self._seq += 1
+        self._pending.append((event.time_s, self._seq, event))
+        return event
+
+    def run(self):
+        while True:
+            live = [entry for entry in self._pending if not entry[2].cancelled]
+            if not live:
+                return
+            entry = min(live, key=lambda e: (e[0], e[1]))
+            self._pending.remove(entry)
+            self.now_s = entry[0]
+            entry[2].run()
+
+
+def _load_schedule(engine, schedule, order):
+    """Schedule a generated workload; events append to ``order`` when run.
+
+    ``schedule`` is a list of ``(time, child_delays, cancel_targets)``: event
+    ``i`` fires at ``time``, schedules one child per delay (at ``now +
+    delay``) and cancels the listed root events by index, so the workload
+    exercises equal-time ties, mid-run scheduling and mid-run cancellation.
+    """
+    handles = {}
+
+    def make_action(label, child_delays, cancel_targets):
+        def action():
+            order.append((round(engine.now_s, 9), label))
+            for k, delay in enumerate(child_delays):
+                child = CallbackEvent(engine.now_s + delay, make_action((label, k), (), ()))
+                engine.schedule_event(child)
+            for target in cancel_targets:
+                handle = handles.get(target)
+                if handle is not None:
+                    handle.cancel()
+
+        return action
+
+    for i, (time_s, child_delays, cancel_targets) in enumerate(schedule):
+        handles[i] = engine.schedule_event(
+            CallbackEvent(time_s, make_action(i, child_delays, cancel_targets))
+        )
+    return handles
+
+
+def _run_order(engine, schedule, drive=None):
+    order = []
+    _load_schedule(engine, schedule, order)
+    (drive or (lambda e: e.run()))(engine)
+    return order
+
+
+#: coarse time grid => heavy equal-time ties (the FIFO tie-break is the point)
+_times = st.integers(min_value=0, max_value=12).map(lambda k: k * 0.25)
+_event = st.tuples(
+    _times,
+    st.lists(st.integers(min_value=0, max_value=8).map(lambda k: k * 0.125), max_size=2),
+    st.lists(st.integers(min_value=0, max_value=19), max_size=2),
+)
+_schedules = st.lists(_event, max_size=20)
+
+
+class TestOrderProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_schedules)
+    def test_order_matches_reference_scheduler(self, schedule):
+        assert _run_order(SimulationEngine(), schedule) == _run_order(_ReferenceEngine(), schedule)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_schedules)
+    def test_cancelled_events_never_fire(self, schedule):
+        engine = SimulationEngine()
+        order = []
+        handles = _load_schedule(engine, schedule, order)
+        doomed = {i for i in handles if i % 3 == 0}
+        for i in doomed:
+            handles[i].cancel()
+        engine.run()
+        assert not doomed & {label for _, label in order}
+        assert len(engine.queue) == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(_schedules)
+    def test_stepping_matches_run(self, schedule):
+        def step_all(engine):
+            while engine.step():
+                pass
+
+        assert _run_order(SimulationEngine(), schedule, step_all) == _run_order(
+            SimulationEngine(), schedule
+        )
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8])
+    @settings(max_examples=30, deadline=None)
+    @given(schedule=_schedules)
+    def test_budgeted_resumption_keeps_order(self, budget, schedule):
+        def in_slices(engine):
+            while len(engine.queue):
+                before = engine.events_processed
+                engine.run(max_events=budget)
+                assert engine.events_processed - before <= budget
+
+        assert _run_order(SimulationEngine(), schedule, in_slices) == _run_order(
+            SimulationEngine(), schedule
+        )
+
+    @pytest.mark.parametrize("split_s", [0.0, 0.6, 1.25, 2.0, 3.1])
+    @settings(max_examples=30, deadline=None)
+    @given(schedule=_schedules)
+    def test_horizon_split_keeps_order(self, split_s, schedule):
+        def split(engine):
+            assert engine.run(until_s=split_s) == split_s
+            engine.run()
+
+        assert _run_order(SimulationEngine(), schedule, split) == _run_order(
+            SimulationEngine(), schedule
+        )

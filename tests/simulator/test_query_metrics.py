@@ -2,19 +2,12 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulator.metrics import MetricsCollector
-from repro.simulator.query import (
-    STATUS_IN_FLIGHT,
-    IntermediateQuery,
-    Request,
-    RequestStatus,
-    RequestTable,
-)
+from repro.simulator.query import IntermediateQuery, Request, RequestStatus
 
 
 class TestRequest:
@@ -162,7 +155,7 @@ class TestMetricsCollector:
             MetricsCollector(cluster_size=4, interval_s=0.0)
 
 
-# -- RequestTable: columnar bookkeeping mirrors Request exactly ----------------
+# -- Request lifecycle: property test of the bookkeeping invariants ------------
 
 _op = st.one_of(
     st.tuples(st.just("sink"), st.floats(0.0, 0.5), st.floats(0.0, 1.0)),
@@ -172,13 +165,10 @@ _op = st.one_of(
 )
 
 
-class TestRequestTableProperty:
-    """Property tests pinning RequestTable's bookkeeping against Request.
-
-    Invariants: outstanding never goes negative (underflow raises on both
-    representations), the terminal status is set exactly once, and DROPPED
-    dominates the on-time/late classification.
-    """
+class TestRequestLifecycleProperty:
+    """Invariants: outstanding never goes negative (underflow raises), the
+    terminal status is set exactly once, DROPPED dominates the on-time/late
+    classification, and every sink result feeds the accuracy mean."""
 
     @given(
         arrival=st.floats(0.0, 10.0),
@@ -186,85 +176,51 @@ class TestRequestTableProperty:
         ops=st.lists(_op, min_size=1, max_size=12),
     )
     @settings(max_examples=200, deadline=None)
-    def test_table_mirrors_request_field_by_field(self, arrival, slo_ms, ops):
-        request = Request(0, arrival, slo_ms, outstanding=1)
-        table = RequestTable(capacity=1)  # clamps to the 16-row minimum
-        req = table.add_requests(np.array([arrival]), slo_ms)
-        assert req == 0
-        assert float(table.deadline_s[0]) == pytest.approx(request.deadline_s)
-
+    def test_bookkeeping_invariants(self, arrival, slo_ms, ops):
+        request = Request(0, arrival, slo_ms)
+        request.add_outstanding(1)
         now = arrival
         terminal_transitions = 0
+        sink_accuracies = []
         for kind, a, b in ops:
             if kind == "add":
                 if request.is_finished:
                     continue
                 request.add_outstanding(a)
-                table.add_outstanding(req, a)
-            else:
-                now += a
-                if request.is_finished:
-                    # One more completion past zero must underflow on BOTH.
-                    with pytest.raises(RuntimeError):
-                        request.record_internal_completion(now)
-                    with pytest.raises(RuntimeError):
-                        table.record_internal_completion(req, now)
-                    break
-                was_finished = request.is_finished
-                if kind == "sink":
-                    request.record_sink_completion(now, b)
-                    finished = table.record_sink_completion(req, now, b)
-                elif kind == "drop":
-                    request.record_drop(now)
-                    finished = table.record_drop(req, now)
-                else:
+                continue
+            now += a
+            if request.is_finished:
+                with pytest.raises(RuntimeError):
                     request.record_internal_completion(now)
-                    finished = table.record_internal_completion(req, now)
-                assert finished == request.is_finished
-                if not was_finished and request.is_finished:
-                    terminal_transitions += 1
-
-            # Field-by-field parity after every operation.
-            assert int(table.outstanding[req]) == request.outstanding
+                break
+            if kind == "sink":
+                request.record_sink_completion(now, b)
+                sink_accuracies.append(b)
+            elif kind == "drop":
+                request.record_drop(now)
+            else:
+                request.record_internal_completion(now)
             assert request.outstanding >= 0
-            assert int(table.drops[req]) == request.drops
-            assert float(table.accuracy_sum[req]) == pytest.approx(request.accuracy_sum)
-            assert int(table.accuracy_count[req]) == request.accuracy_count
-            # sink_results has no column: it always equals accuracy_count.
-            assert request.sink_results == request.accuracy_count
-            assert table.status_enum(req) is request.status
-            assert table.is_finished(req) == request.is_finished
-            if request.completion_s is None:
-                assert math.isnan(float(table.completion_s[req]))
-                assert table.latency_ms(req) is None
+            if request.is_finished:
+                terminal_transitions += 1
+                assert request.completion_s == now
+                assert request.latency_ms == pytest.approx((now - arrival) * 1000.0)
             else:
-                assert float(table.completion_s[req]) == pytest.approx(request.completion_s)
-                assert table.latency_ms(req) == pytest.approx(request.latency_ms)
-            assert table.mean_accuracy(req) == pytest.approx(request.mean_accuracy)
+                assert request.completion_s is None and request.latency_ms is None
 
-        # Terminal status is set at most once per lifecycle.
         assert terminal_transitions <= 1
+        assert request.sink_results == request.accuracy_count == len(sink_accuracies)
+        assert request.mean_accuracy == pytest.approx(
+            sum(sink_accuracies) / len(sink_accuracies) if sink_accuracies else 0.0
+        )
         if request.is_finished:
-            # DROPPED dominates the on-time/late classification.
-            if request.drops > 0:
+            if request.drops:
                 assert request.status is RequestStatus.DROPPED
-                assert table.status_enum(req) is RequestStatus.DROPPED
             elif request.completion_s <= request.deadline_s + 1e-9:
-                assert table.status_enum(req) is RequestStatus.COMPLETED
+                assert request.status is RequestStatus.COMPLETED
             else:
-                assert table.status_enum(req) is RequestStatus.LATE
-
-    @given(chunks=st.lists(st.integers(1, 40), min_size=1, max_size=6))
-    @settings(max_examples=50, deadline=None)
-    def test_add_requests_growth_keeps_rows(self, chunks):
-        table = RequestTable(capacity=16)
-        total = 0
-        for i, n in enumerate(chunks):
-            times = np.linspace(i, i + 0.9, n)
-            start = table.add_requests(times, 100.0)
-            assert start == total
-            total += n
-        assert table.size == total
-        assert (table.outstanding[:total] == 1).all()
-        assert (table.status[:total] == STATUS_IN_FLIGHT).all()
-        assert np.isnan(table.completion_s[:total]).all()
+                assert request.status is RequestStatus.LATE
+            assert request.violates_slo == (request.status is not RequestStatus.COMPLETED)
+        else:
+            assert request.status is RequestStatus.IN_FLIGHT
+            assert not request.violates_slo

@@ -6,8 +6,10 @@ import pytest
 from repro.core import Controller, ControllerConfig
 from repro.core.allocation import AllocationProblem
 from repro.baselines import StaticPlanControlPlane
+from repro.scenarios import get_scenario
 from repro.simulator import ServingSimulation, SimulationConfig
 from repro.simulator.network import NetworkModel
+from repro.simulator.query import Request
 from repro.workloads import constant_trace, ramp_trace
 
 
@@ -51,18 +53,113 @@ class TestNetworkModel:
             expected = max(0.0, 3.0 + float(legacy.uniform(-1.0, 1.0)))
             assert model.sample_latency_ms(new) == expected
 
-    def test_vectorized_delays_match_distribution(self, rng):
-        model = NetworkModel(latency_ms=3.0, jitter_ms=1.0)
-        delays = model.sample_delays_s(rng, 5_000)
-        assert delays.shape == (5_000,)
-        assert float(delays.min()) >= 0.002 - 1e-12
-        assert float(delays.max()) <= 0.004 + 1e-12
-        assert float(delays.mean()) == pytest.approx(0.003, abs=5e-5)
+    @pytest.mark.parametrize("latency_ms,jitter_ms", [(3.0, 1.0), (2.0, 0.5), (0.5, 1.0)])
+    def test_delay_draws_match_distribution(self, latency_ms, jitter_ms):
+        """Per-hop delays are uniform on [latency - jitter, latency + jitter],
+        clamped at zero, and consume exactly one uniform per draw."""
+        model = NetworkModel(latency_ms=latency_ms, jitter_ms=jitter_ms)
+        rng = np.random.default_rng(5)
+        reference = np.random.default_rng(5)
+        delays = np.array([model.sample_delay_s(rng) for _ in range(5_000)])
+        raw = latency_ms + reference.uniform(-jitter_ms, jitter_ms, 5_000)
+        assert delays * 1000.0 == pytest.approx(np.maximum(raw, 0.0), abs=1e-9)
+        assert float(delays.min()) >= 0.0
+        assert float(delays.max()) <= (latency_ms + jitter_ms) / 1000.0 + 1e-12
+        assert rng.bit_generator.state == reference.bit_generator.state
 
-    def test_vectorized_delays_constant_without_jitter(self, rng):
+    def test_constant_delay_consumes_no_rng(self):
         model = NetworkModel(latency_ms=3.0, jitter_ms=0.0)
-        assert list(model.sample_delays_s(rng, 3)) == pytest.approx([0.003] * 3)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        assert [model.sample_delay_s(rng) for _ in range(3)] == pytest.approx([0.003] * 3)
+        assert rng.bit_generator.state == state
 
+    def test_delay_scale_multiplies_every_hop(self):
+        model = NetworkModel(latency_ms=3.0, jitter_ms=1.0)
+        plain_s = model.sample_delay_s(np.random.default_rng(9))
+        model.delay_scale = 4.0
+        assert model.sample_delay_s(np.random.default_rng(9)) == pytest.approx(4.0 * plain_s)
+        assert model.sample_latency_ms(np.random.default_rng(9)) == pytest.approx(4000.0 * plain_s)
+
+
+class TestScalarGolden:
+    #: the smoke scenario's seed-0 summary; the simulator's one data-plane
+    #: path must keep reproducing these digits exactly
+    GOLDEN = {
+        "total_requests": 316,
+        "completed_requests": 312,
+        "violated_requests": 4,
+        "slo_violation_ratio": 0.012658227848101266,
+        "mean_accuracy": 1.0,
+        "mean_latency_ms": 42.93086954021579,
+        "p99_latency_ms": 129.47074337120782,
+    }
+
+    def test_smoke_summary_matches_golden(self):
+        summary = get_scenario("smoke").run(seed=0)
+        for field, expected in self.GOLDEN.items():
+            observed = getattr(summary, field)
+            if isinstance(expected, int):
+                assert observed == expected, field
+            else:
+                assert observed == pytest.approx(expected, rel=1e-12), field
+
+
+class TestFanoutBookkeeping:
+    """One completed batch of any size fans out exactly the expected children.
+
+    With the deterministic ("expected") content model every query of a
+    fan-out task emits the rounded mean number of children per edge, so the
+    worker's factor observations, each request's outstanding count and the
+    number of scheduled deliveries follow from the batch size alone.
+    """
+
+    def _complete_batch(self, size):
+        spec = get_scenario("social_twitter_bursty").with_overrides(content_mode="expected")
+        simulation = spec.build(seed=0)
+        simulation._bootstrap()
+        worker = next(
+            w
+            for w in simulation.cluster.workers
+            if w.assignment is not None and w.assignment.child_edges
+        )
+        assignment = worker.assignment
+        now = simulation.engine.now_s
+        batch = []
+        for i in range(size):
+            request = Request(i, now, simulation.pipeline.latency_slo_ms)
+            request.add_outstanding(1)  # the parent query itself, as on intake
+            query = simulation.new_intermediate_query(request, assignment.task, now, 1.0)
+            query.worker_arrival_s = now
+            batch.append(query)
+        children_per_query = sum(
+            simulation.content_model.sample_children(assignment.variant, edge, simulation.rng)
+            for edge in assignment.child_edges
+        )
+        observations_before = worker.factor_observation_count
+        observed_before = worker.factor_observation_sum
+        calendar_before = len(simulation.engine.queue)
+        worker._complete_batch(batch)
+        return worker, assignment, batch, children_per_query, {
+            "observations": worker.factor_observation_count - observations_before,
+            "children_observed": worker.factor_observation_sum - observed_before,
+            "scheduled_deliveries": len(simulation.engine.queue) - calendar_before,
+        }
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_batch_fanout_bookkeeping(self, size):
+        worker, assignment, batch, children, counts = self._complete_batch(size)
+        assert children > 0
+        assert counts == {
+            "observations": size,
+            "children_observed": size * children,
+            "scheduled_deliveries": size * children,
+        }
+        assert [q.request.outstanding for q in batch] == [children] * size
+        assert not any(q.request.is_finished for q in batch)
+        accuracy = assignment.variant.accuracy
+        assert [q.accuracy_so_far for q in batch] == [accuracy] * size
+        assert worker.processed_queries >= size
 
 class TestEndToEndSimulation:
     def test_moderate_load_mostly_meets_slo(self, small_pipeline):
