@@ -1,15 +1,10 @@
-"""Ablation benchmark: MILP solver backends on the accuracy-scaling problem.
+"""Solver benchmark: HiGHS on the accuracy-scaling problem.
 
 DESIGN.md calls out the solver substrate as a substitution for Gurobi; this
-ablation quantifies what that substitution costs by solving the same
-accuracy-scaling MILP with the HiGHS backend, the pure-Python branch and
-bound (warm-started simplex engine and, for comparison, the seed-style cold
-scipy-LP engine), and the greedy LP-rounding heuristic, comparing both
-runtime and achieved objective (expected system accuracy).
-
-Two further cases quantify the warm-start and solution-cache paths of
-``repro.solver.solve`` that the control plane exercises between control
-periods.
+benchmark times :func:`repro.solver.solve` (HiGHS) on a mid-size
+accuracy-scaling MILP, records its runtime and achieved objective (expected
+system accuracy), and times the solution-cache hit the control plane takes
+when consecutive control periods build the same model.
 """
 
 import time
@@ -18,13 +13,7 @@ import pytest
 
 from benchmarks import perf_record
 from repro.core.allocation import build_accuracy_scaling_model, AllocationProblem
-from repro.solver import (
-    BranchAndBoundSolver,
-    GreedyRoundingSolver,
-    ScipyMilpBackend,
-    SolutionCache,
-    solve,
-)
+from repro.solver import SolutionCache, solve
 from repro.zoo import linear_pipeline
 
 pytestmark = pytest.mark.bench
@@ -32,8 +21,8 @@ pytestmark = pytest.mark.bench
 
 @pytest.fixture(scope="module")
 def ablation_model():
-    # A mid-size synthetic pipeline keeps the pure-Python backends tractable
-    # while preserving the structure of the real allocation MILP.
+    # A mid-size synthetic pipeline preserves the structure of the real
+    # allocation MILP at a fraction of its size.
     pipeline = linear_pipeline(num_tasks=2, variants_per_task=3, latency_slo_ms=300.0)
     problem = AllocationProblem(pipeline, num_workers=12, latency_slo_ms=300.0, utilization_target=1.0)
     demand = problem.max_supported_demand(restrict_to_best=True).max_demand_qps * 1.3
@@ -41,70 +30,28 @@ def ablation_model():
 
 
 def test_solver_backend_scipy_highs(benchmark, ablation_model):
-    solution = benchmark.pedantic(ScipyMilpBackend().solve, args=(ablation_model,), rounds=3, iterations=1)
+    solution = benchmark.pedantic(solve, args=(ablation_model,), kwargs={"cache": False}, rounds=3, iterations=1)
     assert solution.is_optimal
-
-
-def test_solver_backend_branch_and_bound(benchmark, ablation_model):
-    # Default engine: warm-started built-in simplex (parent-basis dual
-    # re-solves), greedy incumbent, bound tightening.
-    solver = BranchAndBoundSolver(max_nodes=5000, time_limit=30.0)
-    solution = benchmark.pedantic(solver.solve, args=(ablation_model,), rounds=3, iterations=1)
-    assert solution.is_optimal
-    assert solution.info["warm_started_nodes"] > 0
-
-
-def test_solver_backend_branch_and_bound_cold_scipy(benchmark, ablation_model):
-    # Seed-style configuration: cold scipy linprog per node.  Kept as the
-    # ablation baseline for the warm-start speedup.
-    solver = BranchAndBoundSolver(relaxation="scipy", max_nodes=5000, time_limit=30.0)
-    solution = benchmark.pedantic(solver.solve, args=(ablation_model,), rounds=1, iterations=1)
-    assert solution.is_optimal
-
-
-def test_solver_backend_greedy_rounding(benchmark, ablation_model):
-    reference = ScipyMilpBackend().solve(ablation_model)
-    solution = benchmark.pedantic(GreedyRoundingSolver().solve, args=(ablation_model,), rounds=3, iterations=1)
-    assert solution.is_optimal
-    # The heuristic must stay within 10% of the optimal system accuracy.
-    assert solution.objective >= reference.objective - 0.1 * abs(reference.objective)
-
-
-def test_solver_warm_started_bnb(benchmark, ablation_model):
-    # Re-solving with the previous optimum as a warm start: the incumbent is
-    # seeded before the tree search, so pruning starts from node one.
-    cold = BranchAndBoundSolver(max_nodes=5000, time_limit=30.0).solve(ablation_model)
-    solver = BranchAndBoundSolver(max_nodes=5000, time_limit=30.0)
-    solution = benchmark.pedantic(
-        solver.solve, args=(ablation_model,), kwargs={"warm_start": cold.x}, rounds=3, iterations=1
-    )
-    assert solution.is_optimal
-    assert solution.objective == pytest.approx(cold.objective, rel=1e-6)
 
 
 def test_solver_ablation_record(ablation_model):
-    """One timed pass per backend, merged into the machine-readable record."""
-    backends = {
-        "scipy_highs": ScipyMilpBackend().solve,
-        "branch_and_bound": BranchAndBoundSolver(max_nodes=5000, time_limit=30.0).solve,
-        "greedy_rounding": GreedyRoundingSolver().solve,
+    """One timed HiGHS solve, merged into the machine-readable record."""
+    start = time.perf_counter()
+    solution = solve(ablation_model, cache=False)
+    values = {
+        "scipy_highs_runtime_s": time.perf_counter() - start,
+        "scipy_highs_objective": solution.objective,
     }
-    values = {}
-    for name, solve_fn in backends.items():
-        start = time.perf_counter()
-        solution = solve_fn(ablation_model)
-        values[f"{name}_runtime_s"] = time.perf_counter() - start
-        values[f"{name}_objective"] = solution.objective
-        assert solution.is_optimal
+    assert solution.is_optimal
     perf_record.update("solver_ablation", values)
 
 
 def test_solver_solution_cache_hit(benchmark, ablation_model):
     cache = SolutionCache(maxsize=8)
-    solve(ablation_model, backend="scipy", cache=cache)  # populate
+    solve(ablation_model, cache=cache)  # populate
 
     def cached_solve():
-        return solve(ablation_model, backend="scipy", cache=cache)
+        return solve(ablation_model, cache=cache)
 
     solution = benchmark.pedantic(cached_solve, rounds=3, iterations=1)
     assert solution.is_optimal

@@ -53,14 +53,12 @@ class InferLineAllocationPolicy(AllocationPolicy):
         self,
         variant_selection: Optional[Mapping[str, str]] = None,
         communication_latency_ms: float = 2.0,
-        solver_backend: str = "auto",
     ):
         super().__init__()
         self._requested_selection = variant_selection
         self.variant_selection: Dict[str, str] = {}
         self.restricted_pipeline: Optional[Pipeline] = None
         self.communication_latency_ms = float(communication_latency_ms)
-        self.solver_backend = solver_backend
 
     def bind(self, engine) -> None:
         super().bind(engine)
@@ -81,7 +79,6 @@ class InferLineAllocationPolicy(AllocationPolicy):
             latency_slo_ms=engine.latency_slo_ms,
             communication_latency_ms=self.communication_latency_ms,
             multiplicative_factors=engine.multiplier_estimates,
-            solver_backend=self.solver_backend,
         )
 
     def build_plan(self, target_demand_qps: float) -> AllocationPlan:
@@ -131,13 +128,11 @@ class InferLineControlPlane(BaselineControlPlane):
         num_workers: int,
         variant_selection: Optional[Mapping[str, str]] = None,
         communication_latency_ms: float = 2.0,
-        solver_backend: str = "auto",
         **kwargs,
     ):
         policy = InferLineAllocationPolicy(
             variant_selection=variant_selection,
             communication_latency_ms=communication_latency_ms,
-            solver_backend=solver_backend,
         )
         super().__init__(pipeline, num_workers, allocation_policy=policy, **kwargs)
 
@@ -153,7 +148,3 @@ class InferLineControlPlane(BaselineControlPlane):
     @property
     def communication_latency_ms(self) -> float:
         return self.allocation.communication_latency_ms
-
-    @property
-    def solver_backend(self) -> str:
-        return self.allocation.solver_backend

@@ -34,7 +34,7 @@ from repro.control.policies import AllocationPolicy, register_allocation_policy
 from repro.core.allocation import ACCURACY_SCALING, AllocationPlan, VariantAllocation
 from repro.core.pipeline import Pipeline
 from repro.core.profiles import ModelVariant
-from repro.solver import Model, solve
+from repro.solver import DEFAULT_SOLVER_OPTIONS, Model, solve
 
 __all__ = ["ProteusAllocationPolicy", "ProteusControlPlane"]
 
@@ -47,13 +47,11 @@ class ProteusAllocationPolicy(AllocationPolicy):
 
     def __init__(
         self,
-        solver_backend: str = "auto",
         solver_options: Optional[Dict[str, object]] = None,
         slo_slack_factor: float = 2.0,
     ):
         super().__init__()
-        self.solver_backend = solver_backend
-        self.solver_options = dict(solver_options or {"mip_rel_gap": 2e-3, "time_limit": 3.0})
+        self.solver_options = dict(DEFAULT_SOLVER_OPTIONS if solver_options is None else solver_options)
         self.slo_slack_factor = float(slo_slack_factor)
 
     # -- demand view ---------------------------------------------------------------
@@ -142,7 +140,7 @@ class ProteusAllocationPolicy(AllocationPolicy):
         if objective is not None:
             model.maximize(objective)
 
-        solution = solve(model, backend=self.solver_backend, **self.solver_options)
+        solution = solve(model, **self.solver_options)
         if not solution.is_optimal:
             return self._fallback_plan(target_demand_qps, demands, budget_ms)
 
@@ -290,13 +288,11 @@ class ProteusControlPlane(BaselineControlPlane):
         self,
         pipeline: Pipeline,
         num_workers: int,
-        solver_backend: str = "auto",
         solver_options: Optional[Dict[str, object]] = None,
         slo_slack_factor: float = 2.0,
         **kwargs,
     ):
         policy = ProteusAllocationPolicy(
-            solver_backend=solver_backend,
             solver_options=solver_options,
             slo_slack_factor=slo_slack_factor,
         )

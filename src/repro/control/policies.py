@@ -211,8 +211,8 @@ class LokiAllocationPolicy(AllocationPolicy):
     """Loki's two-step hardware/accuracy-scaling allocator (Section 4).
 
     Wraps a :class:`~repro.core.resource_manager.ResourceManager`, which owns
-    its own demand estimation (EWMA + headroom), multiplier-aware plan cache,
-    warm starts and plan-switch hysteresis — so this policy overrides the
+    its own demand estimation (EWMA + headroom), multiplier-aware plan cache
+    and plan-switch hysteresis — so this policy overrides the
     generic cached path entirely and routes observations into the Metadata
     Store the way a real Loki deployment's heartbeats would.
     """
@@ -318,7 +318,6 @@ class SLOFeedbackPolicy(AllocationPolicy):
         urgent_error: float = 0.25,
         urgent_interval_s: float = 1.0,
         communication_latency_ms: float = 2.0,
-        solver_backend: str = "auto",
     ):
         super().__init__()
         self.kp = float(kp)
@@ -333,7 +332,6 @@ class SLOFeedbackPolicy(AllocationPolicy):
         self.urgent_error = float(urgent_error)
         self.urgent_interval_s = float(urgent_interval_s)
         self.communication_latency_ms = float(communication_latency_ms)
-        self.solver_backend = solver_backend
         self.error = 0.0
         self.integral = 0.0
         self.scale = 1.0
@@ -402,7 +400,6 @@ class SLOFeedbackPolicy(AllocationPolicy):
             latency_slo_ms=engine.latency_slo_ms,
             communication_latency_ms=self.communication_latency_ms,
             multiplicative_factors=engine.multiplier_estimates,
-            solver_backend=self.solver_backend,
         )
         return problem.solve(target_demand_qps)
 

@@ -61,7 +61,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.pipeline import Pipeline, PathKey
 from repro.core.profiles import ModelVariant
-from repro.solver import Model, Solution, solve
+from repro.solver import DEFAULT_SOLVER_OPTIONS, Model, Solution, solve
 
 __all__ = [
     "Configuration",
@@ -185,9 +185,6 @@ class AllocationPlan:
     total_workers: int
     feasible: bool = True
     solver_info: Dict[str, object] = field(default_factory=dict)
-    #: raw MILP variable values (by name), used to warm-start the next period's
-    #: solve -- variable names are stable across model rebuilds.
-    solution_values: Dict[str, float] = field(default_factory=dict)
 
     # -- helpers -----------------------------------------------------------
     def allocations_for(self, task: str) -> List[VariantAllocation]:
@@ -263,7 +260,6 @@ class AllocationProblem:
         slo_slack_factor: float = 2.0,
         utilization_target: float = 0.8,
         multiplicative_factors: Optional[Mapping[str, float]] = None,
-        solver_backend: str = "auto",
         solver_options: Optional[Dict[str, object]] = None,
     ):
         if num_workers < 1:
@@ -282,19 +278,7 @@ class AllocationProblem:
         # waiting times unbounded).
         self.utilization_target = float(utilization_target)
         self.multiplicative_factors = dict(multiplicative_factors or {})
-        self.solver_backend = solver_backend
-        if solver_options is None:
-            # Near-capacity accuracy-scaling MILPs can take several seconds to
-            # prove optimality; a small relative gap and a time limit keep the
-            # Resource Manager's runtime close to the paper's ~500 ms while
-            # staying within a fraction of a percent of the optimum.  The
-            # same budget applies to every exact backend (the option names
-            # differ: HiGHS takes mip_rel_gap, our B&B takes relative_gap).
-            if solver_backend in ("auto", "scipy"):
-                solver_options = {"mip_rel_gap": 2e-3, "time_limit": 3.0}
-            elif solver_backend == "bnb":
-                solver_options = {"relative_gap": 2e-3, "time_limit": 3.0}
-        self.solver_options = dict(solver_options or {})
+        self.solver_options = dict(DEFAULT_SOLVER_OPTIONS if solver_options is None else solver_options)
 
         self._task_paths = pipeline.task_paths()
         self._designated_branch: Dict[str, int] = {}
@@ -577,18 +561,16 @@ class AllocationProblem:
         return expr
 
     # -- solving --------------------------------------------------------------
-    def solve_hardware_scaling(self, demand_qps: float, warm_start=None) -> Optional[AllocationPlan]:
+    def solve_hardware_scaling(self, demand_qps: float) -> Optional[AllocationPlan]:
         """Step 1: minimise workers using only the most accurate variants.
 
         Returns ``None`` when infeasible (the Resource Manager then falls back
-        to accuracy scaling).  ``warm_start`` is a ``{variable name: value}``
-        mapping (e.g. :attr:`AllocationPlan.solution_values` of the previous
-        period) forwarded to backends that support it.
+        to accuracy scaling).
         """
         model, configs, paths, x_vars, flow_vars, _ = self._build_model(
             demand_qps=demand_qps, mode=HARDWARE_SCALING, restrict_to_best=True
         )
-        solution = solve(model, backend=self.solver_backend, warm_start=warm_start, **self.solver_options)
+        solution = solve(model, **self.solver_options)
         if not solution.is_optimal:
             return None
         return self._decode(solution, configs, paths, x_vars, flow_vars, demand_qps, HARDWARE_SCALING)
@@ -598,14 +580,12 @@ class AllocationProblem:
         demand_qps: float,
         accuracy_floor: Optional[float] = None,
         preferred_variants: Optional[Iterable[str]] = None,
-        warm_start=None,
     ) -> Optional[AllocationPlan]:
         """Step 2: maximise system accuracy using the whole cluster.
 
         ``preferred_variants`` lists the variants of the incumbent plan; a
         small stability bonus steers ties toward reusing them (fewer model
-        swaps between consecutive invocations).  ``warm_start`` seeds the
-        solver with the previous period's solution values.
+        swaps between consecutive invocations).
         """
         model, configs, paths, x_vars, flow_vars, _ = self._build_model(
             demand_qps=demand_qps,
@@ -614,7 +594,7 @@ class AllocationProblem:
             accuracy_floor=accuracy_floor,
             preferred_variants=preferred_variants,
         )
-        solution = solve(model, backend=self.solver_backend, warm_start=warm_start, **self.solver_options)
+        solution = solve(model, **self.solver_options)
         if not solution.is_optimal:
             return None
         return self._decode(solution, configs, paths, x_vars, flow_vars, demand_qps, ACCURACY_SCALING)
@@ -623,20 +603,17 @@ class AllocationProblem:
         self,
         demand_qps: float,
         preferred_variants: Optional[Iterable[str]] = None,
-        warm_start=None,
     ) -> AllocationPlan:
         """The Resource Manager's two-step procedure (Section 4).
 
         Try hardware scaling at maximum accuracy first; if infeasible, fall
         back to accuracy scaling; if that is also infeasible, return the
         best-effort max-throughput plan flagged ``feasible=False``.
-        ``warm_start`` (previous period's :attr:`AllocationPlan.solution_values`)
-        is forwarded to both steps.
         """
-        plan = self.solve_hardware_scaling(demand_qps, warm_start=warm_start)
+        plan = self.solve_hardware_scaling(demand_qps)
         if plan is not None:
             return plan
-        plan = self.solve_accuracy_scaling(demand_qps, preferred_variants=preferred_variants, warm_start=warm_start)
+        plan = self.solve_accuracy_scaling(demand_qps, preferred_variants=preferred_variants)
         if plan is not None:
             return plan
         return self.best_effort_plan(demand_qps)
@@ -672,7 +649,7 @@ class AllocationProblem:
             for index, path in enumerate(paths):
                 expr = expr + flow_vars[index] * (path.accuracy - accuracy_floor)
             model.add_constraint(expr >= 0.0, name="accuracy_floor")
-        solution = solve(model, backend=self.solver_backend, **self.solver_options)
+        solution = solve(model, **self.solver_options)
         if not solution.is_optimal:
             return MaxDemandResult(max_demand_qps=0.0, plan=self._empty_plan(0.0))
         max_demand = solution.get("D", 0.0)
@@ -731,7 +708,6 @@ class AllocationProblem:
             total_workers=total_workers,
             feasible=True,
             solver_info=dict(solution.info),
-            solution_values=dict(solution.values),
         )
 
     def _empty_plan(self, demand_qps: float) -> AllocationPlan:

@@ -58,16 +58,11 @@ class ControllerConfig:
     drop_policy: str = "opportunistic_rerouting"
     #: routing-table generation algorithm (see repro.control.routing)
     routing_policy: str = "most_accurate_first"
-    solver_backend: str = "auto"
-    #: extra keyword options for the MILP backend (e.g. ``{"time_limit": 30.0}``).
-    #: For machine-load-independent (reproducible) plans use deterministic
-    #: work limits instead of wall clocks: ``{"time_limit": None,
-    #: "node_limit": 10_000}`` on the default SciPy/HiGHS backend, or
-    #: ``{"time_limit": None, "max_nodes": 10_000, "max_lp_iterations":
-    #: 200_000}`` with ``solver_backend="bnb"``.
+    #: HiGHS options for the allocation MILPs (e.g. ``{"time_limit": 30.0}``);
+    #: ``None`` selects :data:`repro.solver.DEFAULT_SOLVER_OPTIONS`.  For
+    #: machine-load-independent (reproducible) plans use a deterministic work
+    #: limit instead of a wall clock: ``{"time_limit": None, "node_limit": 10_000}``.
     solver_options: Optional[Dict[str, object]] = None
-    #: seed each control period's MILP with the previous allocation's solution
-    solver_warm_start: bool = True
     min_demand_qps: float = 1.0
 
 
@@ -97,9 +92,7 @@ class Controller:
             reallocation_threshold=self.config.reallocation_threshold,
             min_demand_qps=self.config.min_demand_qps,
             utilization_target=self.config.utilization_target,
-            solver_backend=self.config.solver_backend,
             solver_options=self.config.solver_options,
-            solver_warm_start=self.config.solver_warm_start,
         )
         self.engine: "ControlPlaneEngine" = ControlPlaneEngine(
             pipeline,

@@ -13,10 +13,8 @@ experiments).  Each invocation it
 
 The heavy lifting is done by :class:`repro.core.allocation.AllocationProblem`;
 this module adds demand estimation, plan caching (identical quantised demands
-re-use the previous MILP solution, which keeps long simulations tractable),
-warm starting (each period's MILP is seeded with the previous allocation's
-solution values, so backends that support it prune from a known-good
-incumbent) and the "significant change between periodic invocations" trigger.
+re-use the previous MILP solution, which keeps long simulations tractable)
+and the "significant change between periodic invocations" trigger.
 """
 
 from __future__ import annotations
@@ -86,7 +84,6 @@ class ResourceManagerStats:
     invocations: int = 0
     milp_solves: int = 0
     cache_hits: int = 0
-    warm_started_solves: int = 0
     hardware_plans: int = 0
     accuracy_plans: int = 0
     infeasible_plans: int = 0
@@ -139,9 +136,7 @@ class ResourceManager:
         min_demand_qps: float = 1.0,
         utilization_target: float = 0.75,
         accuracy_improvement_margin: float = 0.02,
-        solver_backend: str = "auto",
         solver_options: Optional[Dict[str, object]] = None,
-        solver_warm_start: bool = True,
         plan_cache_size: int = 256,
     ):
         self.pipeline = pipeline
@@ -157,9 +152,7 @@ class ResourceManager:
         self.min_demand_qps = float(min_demand_qps)
         self.utilization_target = float(utilization_target)
         self.accuracy_improvement_margin = float(accuracy_improvement_margin)
-        self.solver_backend = solver_backend
         self.solver_options = solver_options
-        self.solver_warm_start = bool(solver_warm_start)
         self.plan_cache_size = int(plan_cache_size)
 
         self.stats = ResourceManagerStats()
@@ -272,30 +265,18 @@ class ResourceManager:
             batch_sizes=self.batch_sizes,
             utilization_target=self.utilization_target,
             multiplicative_factors=self.metadata.multiplier_estimates(),
-            solver_backend=self.solver_backend,
             solver_options=self.solver_options,
         )
 
     def _solve(self, target_qps: float) -> AllocationPlan:
         problem = self._problem()
         preferred = None
-        warm_start = None
         if self.current_plan is not None:
             # Bias the accuracy-scaling MILP toward the incumbent plan's
             # variants so consecutive plans stay similar (fewer model swaps).
             preferred = {a.variant_name for a in self.current_plan.allocations}
-            if self.solver_warm_start and self.current_plan.solution_values:
-                # Seed the solver with the previous period's solution: the
-                # variable names are stable across model rebuilds, so the
-                # incumbent from the last control period primes pruning.
-                warm_start = self.current_plan.solution_values
-                if self.solver_backend in ("bnb", "greedy"):
-                    # Only these backends consume warm starts; the default
-                    # auto/scipy path ignores them, and counting a discarded
-                    # seed would make the stat lie.
-                    self.stats.warm_started_solves += 1
         start = time.perf_counter()  # reprolint: disable=R002 -- solve-time stat is reporting-only
-        plan = problem.solve(target_qps, preferred_variants=preferred, warm_start=warm_start)
+        plan = problem.solve(target_qps, preferred_variants=preferred)
         self.stats.total_solve_time_s += time.perf_counter() - start  # reprolint: disable=R002 -- reporting-only
         self.stats.milp_solves += 1
         return plan

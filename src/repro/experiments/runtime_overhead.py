@@ -3,9 +3,8 @@
 The paper measures an average MILP runtime of ~500 ms for the Resource Manager
 and ~0.15 ms for the Load Balancer's MostAccurateFirst pass, arguing that both
 are fast enough for a 10-second re-allocation interval and per-second routing
-refreshes.  This experiment reproduces both measurements (and additionally
-breaks the Resource Manager down by solver backend, which is an ablation the
-paper does not have because it only uses Gurobi).
+refreshes.  This experiment reproduces both measurements, with HiGHS in
+Gurobi's place.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ class RuntimeResult:
     resource_manager_ms: Dict[str, float]
     load_balancer_ms: Dict[str, float]
     demands_qps: Dict[str, List[float]]
-    solver_backend: str = "auto"
     #: discrete-event simulator throughput on the smoke scenario (0 = not measured)
     simulator_events_per_s: float = 0.0
 
@@ -60,7 +58,6 @@ def run(
     slo_ms: float = 250.0,
     demand_fractions: Sequence[float] = (0.3, 0.6, 0.9),
     repeats: int = 3,
-    solver_backend: str = "auto",
     include_simulator: bool = True,
 ) -> RuntimeResult:
     """Time the two-step MILP, MostAccurateFirst and the simulator engine."""
@@ -72,9 +69,7 @@ def run(
     lb_times: Dict[str, float] = {}
     demands: Dict[str, List[float]] = {}
     for name, pipeline in pipelines.items():
-        problem = AllocationProblem(
-            pipeline, num_workers=num_workers, latency_slo_ms=slo_ms, solver_backend=solver_backend
-        )
+        problem = AllocationProblem(pipeline, num_workers=num_workers, latency_slo_ms=slo_ms)
         capacity = problem.max_supported_demand().max_demand_qps
         demand_list = [capacity * fraction for fraction in demand_fractions]
         demands[name] = demand_list
@@ -100,7 +95,6 @@ def run(
         resource_manager_ms=rm_times,
         load_balancer_ms=lb_times,
         demands_qps=demands,
-        solver_backend=solver_backend,
         simulator_events_per_s=measure_simulator_throughput() if include_simulator else 0.0,
     )
 
@@ -111,7 +105,7 @@ def main(**kwargs) -> RuntimeResult:
         [name, f"{result.resource_manager_ms[name]:.1f}", f"{result.load_balancer_ms[name]:.3f}"]
         for name in result.resource_manager_ms
     ]
-    print(f"Section 6.5 -- runtime overhead (solver backend: {result.solver_backend})")
+    print("Section 6.5 -- runtime overhead")
     print(format_table(["pipeline", "resource_manager_ms", "load_balancer_ms"], rows))
     print(
         f"\nmean Resource Manager runtime: {result.mean_resource_manager_ms:.1f} ms (paper: ~500 ms with Gurobi)"

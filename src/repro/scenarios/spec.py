@@ -102,7 +102,6 @@ def make_slo_feedback(pipeline: Pipeline, num_workers: int, slo_ms: float, **ove
         "urgent_error",
         "urgent_interval_s",
         "communication_latency_ms",
-        "solver_backend",
     )
     policy_kwargs = {key: overrides.pop(key) for key in policy_keys if key in overrides}
     return BaselineControlPlane(

@@ -1,32 +1,28 @@
 """Mixed-integer linear programming substrate used by the Loki control plane.
 
 The paper solves its resource-allocation problem with Gurobi.  This package
-provides a from-scratch replacement consisting of:
+plays that role with HiGHS (through ``scipy.optimize.milp``):
 
 * :mod:`repro.solver.model` -- a small modelling layer (variables, linear
-  expressions, constraints, objective) that is backend agnostic.
-* :mod:`repro.solver.scipy_backend` -- a backend on top of
-  ``scipy.optimize.milp`` (HiGHS), used by default when SciPy is available.
-* :mod:`repro.solver.simplex` -- a dense, warm-startable two-phase
-  primal/dual simplex implementation in pure NumPy.
-* :mod:`repro.solver.branch_and_bound` -- a best-first branch-and-bound MILP
-  solver whose LP relaxations are warm-started from the parent basis.
-* :mod:`repro.solver.greedy` -- an LP-relaxation rounding heuristic that
-  produces feasible (not necessarily optimal) integer solutions quickly.
-* :mod:`repro.solver.heuristics` -- the shared round-fix-resolve repair used
-  by the greedy backend and the branch-and-bound incumbent heuristic.
+  expressions, constraints, objective) that the allocation MILPs are
+  written against.
 * :mod:`repro.solver.cache` -- model fingerprinting and the LRU solution
   cache behind :func:`solve`.
 
-All backends consume the same :class:`~repro.solver.model.Model` object and
-return a :class:`~repro.solver.model.Solution`.  :func:`solve` is the unified
-entry point: it picks a backend, consults the solution cache, and forwards
-warm starts to backends that understand them.
+:func:`solve` is the one entry point: it consults the solution cache, hands
+the model's matrix form to HiGHS and decodes the result into a
+:class:`~repro.solver.model.Solution`.
 """
 
-from typing import Dict, Mapping, Optional, Union
+from __future__ import annotations
+
+import math
+import time
+import types
+from typing import Optional, Union
 
 import numpy as np
+from scipy import optimize, sparse
 
 from repro.solver.model import (
     INFEASIBLE,
@@ -42,10 +38,6 @@ from repro.solver.model import (
     Variable,
 )
 from repro.solver.cache import SolutionCache, default_cache, fingerprint_model
-from repro.solver.scipy_backend import ScipyMilpBackend, solve_with_scipy
-from repro.solver.branch_and_bound import BranchAndBoundSolver
-from repro.solver.greedy import GreedyRoundingSolver
-from repro.solver.simplex import LinProgProblem, SimplexSolver, SimplexResult, WarmStart
 
 __all__ = [
     "INFEASIBLE",
@@ -59,101 +51,112 @@ __all__ = [
     "Solution",
     "SolverError",
     "Variable",
-    "ScipyMilpBackend",
-    "solve_with_scipy",
-    "BranchAndBoundSolver",
-    "GreedyRoundingSolver",
-    "SimplexSolver",
-    "SimplexResult",
-    "LinProgProblem",
-    "WarmStart",
     "SolutionCache",
     "default_cache",
     "fingerprint_model",
+    "DEFAULT_SOLVER_OPTIONS",
     "solve",
 ]
 
-WarmStartLike = Union[Solution, Mapping[str, float], np.ndarray]
+#: HiGHS options the control plane solves its allocation MILPs with.
+#: Near-capacity accuracy-scaling MILPs can take several seconds to prove
+#: optimality; a small relative gap and a time limit keep the Resource
+#: Manager's runtime close to the paper's ~500 ms while staying within a
+#: fraction of a percent of the optimum.
+DEFAULT_SOLVER_OPTIONS = types.MappingProxyType({"mip_rel_gap": 2e-3, "time_limit": 3.0})
 
 
-def _scipy_available() -> bool:
-    try:  # pragma: no cover - scipy is baked into the container
-        import scipy.optimize  # noqa: F401
-    except ImportError:  # pragma: no cover
-        return False
-    return True
-
-
-def resolve_backend(backend: str) -> str:
-    """Map ``"auto"`` to a concrete backend for this environment."""
-    if backend != "auto":
-        return backend
-    if _scipy_available():
-        return "scipy"
-    return "bnb"
-
-
-def _warm_vector(model: Model, warm_start: Optional[WarmStartLike]) -> Optional[np.ndarray]:
-    """Convert a warm start (Solution / name->value mapping / raw vector) to
-    a vector in this model's column order.
-
-    Solutions and mappings are matched *by variable name*, so a solution of a
-    structurally different model from an earlier control period still seeds
-    whatever variables the two models share; unknown variables fall back to
-    their lower bound.
-    """
-    if warm_start is None:
-        return None
-    if isinstance(warm_start, np.ndarray):
-        return warm_start if warm_start.shape == (model.num_vars,) else None
-    values: Mapping[str, float]
-    if isinstance(warm_start, Solution):
-        if not warm_start.values:
-            return None
-        values = warm_start.values
-    else:
-        values = warm_start
-    x0 = np.array([float(values.get(v.name, v.lb)) for v in model.variables])
-    return x0
-
-
-def solve(
+def _solve_highs(
     model: Model,
-    backend: str = "auto",
-    warm_start: Optional[WarmStartLike] = None,
-    cache: Union[bool, SolutionCache, None] = True,
-    **kwargs,
+    *,
+    time_limit: Optional[float] = None,
+    mip_rel_gap: float = 1e-6,
+    presolve: bool = True,
+    node_limit: Optional[int] = None,
 ) -> Solution:
-    """Solve ``model`` with the requested backend.
+    """Solve ``model`` with HiGHS.
+
+    ``time_limit`` is a wall-clock limit in seconds.  ``node_limit`` is a
+    deterministic work limit on branch-and-bound nodes: unlike
+    ``time_limit`` it does not depend on machine load, so a solve bounded
+    only by it returns the same plan on any machine (HiGHS is deterministic
+    for a fixed option set).  ``None`` means unlimited for both.
+    """
+    if model.num_vars == 0:
+        return Solution(status=OPTIMAL, objective=model.objective.constant, values={}, x=np.zeros(0))
+
+    c, A_ub, b_ub, A_eq, b_eq, integrality = model.to_standard_form()
+    lbs, ubs = model.bounds_arrays()
+    constraints = []
+    if A_ub.shape[0]:
+        constraints.append(optimize.LinearConstraint(sparse.csr_matrix(A_ub), -np.inf * np.ones(A_ub.shape[0]), b_ub))
+    if A_eq.shape[0]:
+        constraints.append(optimize.LinearConstraint(sparse.csr_matrix(A_eq), b_eq, b_eq))
+
+    options = {"mip_rel_gap": mip_rel_gap, "presolve": presolve}
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
+    if node_limit is not None:
+        options["node_limit"] = int(node_limit)
+
+    start = time.perf_counter()
+    try:
+        result = optimize.milp(
+            c=c,
+            constraints=constraints,
+            integrality=integrality,
+            bounds=optimize.Bounds(lbs, ubs),
+            options=options,
+        )
+    except Exception as exc:  # pragma: no cover - defensive
+        raise SolverError(f"scipy.optimize.milp failed: {exc}") from exc
+    info = {
+        "runtime_s": time.perf_counter() - start,
+        "status_code": int(getattr(result, "status", -1)),
+        "message": getattr(result, "message", ""),
+        "mip_gap": getattr(result, "mip_gap", math.nan),
+        # status 1 = iteration/time limit: the incumbent (if any) is
+        # returned but not proven optimal.
+        "optimal_proven": getattr(result, "status", -1) == 0,
+    }
+
+    # scipy.optimize.milp status codes: 0 optimal, 1 iteration/time limit,
+    # 2 infeasible, 3 unbounded, 4 other.
+    if result.status == 2:
+        return Solution(status=INFEASIBLE, info=info)
+    if result.status == 3:
+        return Solution(status=UNBOUNDED, info=info)
+    if result.x is None:
+        return Solution(status=ERROR, info=info)
+
+    x = np.asarray(result.x, dtype=float)
+    # Snap integer variables to the nearest integer to remove tiny
+    # numerical noise from the relaxation.
+    for idx in model.integer_indices:
+        x[idx] = round(x[idx])
+    return model.make_solution(x, status=OPTIMAL, **info)
+
+
+def solve(model: Model, cache: Union[bool, SolutionCache, None] = True, **highs_options) -> Solution:
+    """Solve ``model`` with HiGHS.
 
     Parameters
     ----------
     model:
         A :class:`repro.solver.model.Model` instance.
-    backend:
-        One of ``"auto"``, ``"scipy"``, ``"bnb"`` (branch and bound) or
-        ``"greedy"``.  ``"auto"`` prefers the SciPy/HiGHS backend and falls
-        back to the warm-started branch and bound if SciPy is unavailable.
-    warm_start:
-        A previous :class:`Solution`, a ``{variable name: value}`` mapping,
-        or a raw vector in model column order.  Backends that support warm
-        starting (``bnb``, ``greedy``) use it to seed their incumbent;
-        ``scipy`` ignores it.  Matching is by variable name, so warm starts
-        survive model rebuilds across control periods.
     cache:
         ``True`` (default) consults the process-wide solution cache keyed by
         the model's content fingerprint; pass a :class:`SolutionCache` to use
         a private cache, or ``False``/``None`` to bypass caching.  Hits carry
         ``info["cache"] == "hit"``.
-    kwargs:
-        Forwarded to the backend constructor.
+    highs_options:
+        ``time_limit``, ``mip_rel_gap``, ``presolve`` and ``node_limit``;
+        any other keyword raises :class:`TypeError`.
 
     Returns
     -------
     Solution
     """
-    resolved = resolve_backend(backend)
-
     cache_obj: Optional[SolutionCache]
     if cache is True:
         cache_obj = default_cache
@@ -166,39 +169,12 @@ def solve(
     fingerprint = None
     if cache_obj is not None:
         fingerprint = fingerprint_model(model)
-        cache_key = SolutionCache.key(fingerprint, resolved, kwargs)
+        cache_key = SolutionCache.key(fingerprint, highs_options)
         cached = cache_obj.get(cache_key)
         if cached is not None:
             return cached
 
-    if resolved == "scipy":
-        try:
-            solution = ScipyMilpBackend(**kwargs).solve(model)
-        except ImportError:  # pragma: no cover - scipy is a hard dependency here
-            solution = BranchAndBoundSolver(**kwargs).solve(model, warm_start=_warm_vector(model, warm_start))
-    elif resolved == "bnb":
-        solution = BranchAndBoundSolver(**kwargs).solve(model, warm_start=_warm_vector(model, warm_start))
-        if solution.status == ERROR:
-            # Budget exhausted without an incumbent (possible on models far
-            # above the backend's sweet spot): the greedy heuristic chain
-            # (rounding repair -> dive -> bounded exact fallback) usually
-            # still produces a feasible plan.  Better a near-optimal feasible
-            # answer than an error the control plane must degrade around.
-            # The rescue respects the caller's time budget rather than the
-            # greedy default.
-            rescue_kwargs = {}
-            if "relaxation" in kwargs:
-                rescue_kwargs["relaxation"] = kwargs["relaxation"]
-            if kwargs.get("time_limit") is not None:
-                rescue_kwargs["fallback_time_limit"] = float(kwargs["time_limit"])
-            rescue = GreedyRoundingSolver(**rescue_kwargs).solve(model, warm_start=_warm_vector(model, warm_start))
-            if rescue.status == OPTIMAL:
-                rescue.info["rescued_from"] = "bnb-error"
-                solution = rescue
-    elif resolved == "greedy":
-        solution = GreedyRoundingSolver(**kwargs).solve(model, warm_start=_warm_vector(model, warm_start))
-    else:
-        raise ValueError(f"unknown solver backend: {backend!r}")
+    solution = _solve_highs(model, **highs_options)
 
     solution.info.setdefault("cache", "miss" if cache_obj is not None else "off")
     if fingerprint is not None:

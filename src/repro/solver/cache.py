@@ -4,12 +4,12 @@ The Loki control plane re-solves structurally identical MILPs every control
 period: the demand estimate is quantised, the multiplier estimates are
 rounded, so consecutive periods frequently produce the *same* model.  The
 cache in this module lets :func:`repro.solver.solve` return the previous
-:class:`~repro.solver.model.Solution` for such re-solves without invoking a
-backend at all.
+:class:`~repro.solver.model.Solution` for such re-solves without invoking
+HiGHS at all.
 
 Keys are content fingerprints of the model's matrix form (objective,
-constraints, bounds, integrality, variable names) combined with the backend
-and its options, so a cache hit is only possible when the solve would be
+constraints, bounds, integrality, variable names) combined with the solver
+options, so a cache hit is only possible when the solve would be
 bit-for-bit identical.  Mutating and re-solving a model therefore never
 returns stale results -- the fingerprint changes with the content.
 
@@ -49,7 +49,7 @@ def fingerprint_model(model: Model) -> str:
 
 
 class SolutionCache:
-    """A small LRU cache mapping ``(fingerprint, backend, options)`` to solutions.
+    """A small LRU cache mapping ``(fingerprint, options)`` to solutions.
 
     The stored solution is never handed out directly: hits return a shallow
     copy whose ``info`` dict is private to the caller (so callers can stamp
@@ -65,9 +65,9 @@ class SolutionCache:
         self.misses = 0
 
     @staticmethod
-    def key(fingerprint: str, backend: str, options: Optional[Dict[str, object]] = None) -> str:
+    def key(fingerprint: str, options: Optional[Dict[str, object]] = None) -> str:
         option_sig = "&".join(f"{k}={options[k]!r}" for k in sorted(options)) if options else ""
-        return f"{fingerprint}|{backend}|{option_sig}"
+        return f"{fingerprint}|{option_sig}"
 
     def get(self, key: str) -> Optional[Solution]:
         entry = self._entries.get(key)

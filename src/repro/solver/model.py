@@ -1,4 +1,4 @@
-"""Backend-agnostic modelling layer for (mixed-integer) linear programs.
+"""Modelling layer for (mixed-integer) linear programs.
 
 The Loki resource manager formulates its hardware- and accuracy-scaling steps
 as MILPs (Section 4.1 of the paper).  This module provides the small algebraic
@@ -6,8 +6,7 @@ modelling layer those formulations are written against.  It intentionally
 mirrors the look-and-feel of commercial modelling APIs (``model.add_var``,
 ``expr <= rhs``, ``model.maximize``) so the allocation code in
 :mod:`repro.core.allocation` reads close to the paper's notation, while the
-actual solve is delegated to one of the interchangeable backends in this
-package.
+actual solve is delegated to HiGHS by :func:`repro.solver.solve`.
 
 The layer is deliberately dense-matrix friendly: Loki's MILPs have at most a
 few thousand variables (configurations x batch sizes x paths), so we favour
@@ -37,7 +36,7 @@ __all__ = [
     "ERROR",
 ]
 
-#: Solution status constants shared by every backend.
+#: Solution status constants.
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -56,7 +55,7 @@ StandardForm = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
 
 
 class SolverError(RuntimeError):
-    """Raised when a backend cannot process the given model."""
+    """Raised when the solver cannot process the given model."""
 
 
 class Sense(enum.Enum):
@@ -263,7 +262,7 @@ class Solution:
     values: Dict[str, float] = field(default_factory=dict)
     #: raw column vector in model variable order (empty when infeasible)
     x: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    #: backend-specific diagnostics (iterations, node counts, messages, ...)
+    #: solver diagnostics (runtime, status code, MIP gap, cache, ...)
     info: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -390,13 +389,13 @@ class Model:
         """Return ``(c, A_ub, b_ub, A_eq, b_eq, integrality)`` for *minimisation*.
 
         The objective vector ``c`` is already adjusted for maximisation
-        problems (the sign flip is applied), so every backend minimises
+        problems (the sign flip is applied), so the solver minimises
         ``c @ x`` and reports ``objective_sign * (c @ x)``... i.e. callers
         should use :meth:`recover_objective`.
 
         Treat the returned arrays as read-only: the matrix form is cached
         until the model changes structurally (it is requested several times
-        per solve -- fingerprinting, presolve, and the backend itself).
+        per solve -- fingerprinting and the HiGHS call).
         """
         if self._standard_form_cache is not None and self._standard_form_cache[0] == self._revision:
             return self._standard_form_cache[1]

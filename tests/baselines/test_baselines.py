@@ -119,6 +119,32 @@ class TestProteus:
         for allocation in plan.allocations:
             assert allocation.latency_ms <= budget + 1e-9
 
+    def test_solver_options_default_only_for_none(self, small_pipeline):
+        """An explicit ``{}`` means "HiGHS defaults", not the control plane's budget,
+        for Proteus exactly as for Loki's :class:`AllocationProblem`."""
+        from repro.baselines.proteus import ProteusAllocationPolicy
+        from repro.solver import DEFAULT_SOLVER_OPTIONS
+
+        assert ProteusAllocationPolicy(solver_options={}).solver_options == {}
+        assert ProteusAllocationPolicy().solver_options == dict(DEFAULT_SOLVER_OPTIONS)
+        assert AllocationProblem(small_pipeline, 10, solver_options={}).solver_options == {}
+        assert AllocationProblem(small_pipeline, 10).solver_options == dict(DEFAULT_SOLVER_OPTIONS)
+
+    def test_solver_options_reach_the_solver(self, small_pipeline, monkeypatch):
+        import repro.baselines.proteus as proteus
+
+        calls = []
+        real = proteus.solve
+
+        def spy(model, **kwargs):
+            calls.append(kwargs)
+            return real(model, **kwargs)
+
+        monkeypatch.setattr(proteus, "solve", spy)
+        control = ProteusControlPlane(small_pipeline, num_workers=10, solver_options={"node_limit": 500})
+        assert control.build_plan(50.0).feasible
+        assert calls == [{"node_limit": 500}]
+
 
 class TestStaticPlan:
     def test_always_returns_supplied_plan(self, small_pipeline):

@@ -212,3 +212,39 @@ class TestPlanHelpers:
         assert set(plan.tasks()) <= {"detect", "classify"}
         assert plan.variants_for("detect")
         assert plan.capacity_qps("detect") > 0
+
+
+class TestSolverOptionsReachHighs:
+    """Every allocation MILP is solved with the problem's ``solver_options``."""
+
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        import repro.core.allocation as allocation
+
+        calls = []
+        real = allocation.solve
+
+        def spy(model, **kwargs):
+            calls.append(kwargs)
+            return real(model, **kwargs)
+
+        monkeypatch.setattr(allocation, "solve", spy)
+        return calls
+
+    def test_default_options_on_every_step(self, small_pipeline, solve_calls):
+        from repro.solver import DEFAULT_SOLVER_OPTIONS
+
+        problem = AllocationProblem(small_pipeline, num_workers=10, latency_slo_ms=150.0)
+        problem.solve(5_000.0)  # hardware scaling, accuracy scaling, then max throughput
+        assert len(solve_calls) == 3
+        assert all(call == dict(DEFAULT_SOLVER_OPTIONS) for call in solve_calls)
+
+    def test_controller_config_options_reach_the_solver(self, small_pipeline, solve_calls):
+        from repro.core import Controller, ControllerConfig
+
+        options = {"time_limit": None, "node_limit": 5_000, "mip_rel_gap": 1e-3}
+        controller = Controller(small_pipeline, ControllerConfig(num_workers=10, solver_options=dict(options)))
+        controller.report_demand(0.0, 40.0)
+        plan, _ = controller.step(0.0, force=True)
+        assert plan is not None and plan.feasible
+        assert solve_calls and all(call == options for call in solve_calls)

@@ -1,19 +1,12 @@
-"""Tests for the MILP solver backends (scipy/HiGHS, branch & bound, greedy).
-
-All backends are exercised on the same small problem set so their answers can
-be cross-checked against each other and against hand-computed optima.
-"""
+"""Tests for :func:`repro.solver.solve` (HiGHS) on small hand-solved problems."""
 
 
 import pytest
 
 from repro.solver import (
-    BranchAndBoundSolver,
-    GreedyRoundingSolver,
     INFEASIBLE,
     Model,
     OPTIMAL,
-    ScipyMilpBackend,
     UNBOUNDED,
     solve,
 )
@@ -32,10 +25,7 @@ def knapsack_model():
 
 
 def covering_model():
-    """min x + y subject to 3x + 2y >= 12, x,y integer >= 0; optimum 5 (x=4,y=0 is 4... check).
-
-    Actually 3x+2y>=12 with min x+y: x=4,y=0 gives 4; x=2,y=3 gives 5 -> optimum is 4.
-    """
+    """min x + y subject to 3x + 2y >= 12, x,y integer >= 0; optimum 4 (x=4, y=0)."""
     m = Model("covering")
     x = m.add_var("x", integer=True)
     y = m.add_var("y", integer=True)
@@ -64,85 +54,33 @@ def infeasible_model():
     return m
 
 
-BACKENDS = {
-    "scipy": lambda: ScipyMilpBackend(),
-    "bnb-scipy": lambda: BranchAndBoundSolver(relaxation="scipy"),
-    "bnb-simplex": lambda: BranchAndBoundSolver(relaxation="simplex"),
-}
 
-
-@pytest.mark.parametrize("backend_name", list(BACKENDS))
-class TestBackendsAgree:
-    def test_knapsack_optimum(self, backend_name):
-        solution = BACKENDS[backend_name]().solve(knapsack_model())
+class TestHandSolvedOptima:
+    def test_knapsack_optimum(self):
+        solution = solve(knapsack_model(), cache=False)
         assert solution.status == OPTIMAL
         assert solution.objective == pytest.approx(14.0, abs=1e-6)
         assert solution["a"] == pytest.approx(1.0)
         assert solution["c"] == pytest.approx(1.0)
 
-    def test_covering_optimum(self, backend_name):
-        solution = BACKENDS[backend_name]().solve(covering_model())
+    def test_covering_optimum(self):
+        solution = solve(covering_model(), cache=False)
         assert solution.status == OPTIMAL
         assert solution.objective == pytest.approx(4.0, abs=1e-6)
 
-    def test_lp_optimum(self, backend_name):
-        solution = BACKENDS[backend_name]().solve(lp_model())
+    def test_lp_optimum(self):
+        solution = solve(lp_model(), cache=False)
         assert solution.status == OPTIMAL
         assert solution.objective == pytest.approx(8.0, abs=1e-6)
 
-    def test_infeasible_detected(self, backend_name):
-        solution = BACKENDS[backend_name]().solve(infeasible_model())
+    def test_infeasible_detected(self):
+        solution = solve(infeasible_model(), cache=False)
         assert solution.status == INFEASIBLE
 
-    def test_solution_is_feasible_point(self, backend_name):
+    def test_solution_is_feasible_point(self):
         model = knapsack_model()
-        solution = BACKENDS[backend_name]().solve(model)
+        solution = solve(model, cache=False)
         assert model.is_feasible_point(solution.x)
-
-
-class TestScipyBackend:
-    def test_empty_model(self):
-        solution = ScipyMilpBackend().solve(Model("empty"))
-        assert solution.status == OPTIMAL
-
-    def test_unbounded_detection(self):
-        m = Model("unbounded")
-        x = m.add_var("x")
-        m.maximize(x * 1.0)
-        solution = ScipyMilpBackend().solve(m)
-        assert solution.status in (UNBOUNDED, INFEASIBLE)
-
-    def test_integer_values_are_snapped(self):
-        solution = ScipyMilpBackend().solve(covering_model())
-        assert solution["x"] == int(solution["x"])
-        assert solution["y"] == int(solution["y"])
-
-    def test_runtime_reported(self):
-        solution = ScipyMilpBackend().solve(knapsack_model())
-        assert solution.info["backend"] == "scipy-highs"
-        assert solution.info["runtime_s"] >= 0
-
-
-class TestBranchAndBound:
-    def test_respects_node_budget(self):
-        solver = BranchAndBoundSolver(max_nodes=1)
-        solution = solver.solve(knapsack_model())
-        # With a single node the solver cannot prove optimality but must not crash.
-        assert solution.status in (OPTIMAL, INFEASIBLE, "error")
-
-    def test_reports_node_count(self):
-        solution = BranchAndBoundSolver().solve(knapsack_model())
-        assert solution.info["nodes"] >= 1
-        assert solution.info["optimal_proven"] in (True, False)
-
-    def test_continuous_only_problem(self):
-        solution = BranchAndBoundSolver().solve(lp_model())
-        assert solution.status == OPTIMAL
-        assert solution.objective == pytest.approx(8.0, abs=1e-6)
-
-    def test_unknown_relaxation_rejected(self):
-        with pytest.raises(ValueError):
-            BranchAndBoundSolver(relaxation="magic")
 
     def test_mixed_integer_continuous(self):
         m = Model("mixed")
@@ -150,51 +88,34 @@ class TestBranchAndBound:
         y = m.add_var("y", ub=10)
         m.add_constraint(x + y <= 7.5)
         m.maximize(2 * x + y)
-        solution = BranchAndBoundSolver().solve(m)
+        solution = solve(m, cache=False)
         assert solution.status == OPTIMAL
         assert solution["x"] == pytest.approx(7.0)
         assert solution["y"] == pytest.approx(0.5, abs=1e-6)
 
 
-class TestGreedyRounding:
-    def test_feasible_solution_on_covering(self):
-        model = covering_model()
-        solution = GreedyRoundingSolver().solve(model)
-        assert solution.status == OPTIMAL
-        assert model.is_feasible_point(solution.x)
-        # Greedy may be suboptimal but never better than the optimum.
-        assert solution.objective >= 4.0 - 1e-9
-
-    def test_respects_cluster_style_cap(self):
-        m = Model("cap")
-        x = m.add_var("x", integer=True)
-        y = m.add_var("y", integer=True)
-        m.add_constraint(x + y <= 3)
-        m.add_constraint(2 * x + y >= 4)
-        m.minimize(x + y)
-        solution = GreedyRoundingSolver().solve(m)
-        assert solution.status == OPTIMAL
-        assert m.is_feasible_point(solution.x)
-
-    def test_infeasible_problem(self):
-        solution = GreedyRoundingSolver().solve(infeasible_model())
-        assert solution.status == INFEASIBLE
-
-    def test_marks_solution_as_heuristic(self):
-        solution = GreedyRoundingSolver().solve(knapsack_model())
-        assert solution.info.get("optimal_proven") is False
-
-
-class TestSolveDispatcher:
-    def test_auto_uses_scipy(self):
-        solution = solve(knapsack_model(), backend="auto")
+class TestHighsDecoding:
+    def test_empty_model(self):
+        solution = solve(Model("empty"), cache=False)
         assert solution.status == OPTIMAL
 
-    @pytest.mark.parametrize("backend", ["scipy", "bnb", "greedy"])
-    def test_named_backends(self, backend):
-        solution = solve(covering_model(), backend=backend)
-        assert solution.status == OPTIMAL
+    def test_unbounded_detection(self):
+        m = Model("unbounded")
+        x = m.add_var("x")
+        m.maximize(x * 1.0)
+        solution = solve(m, cache=False)
+        assert solution.status in (UNBOUNDED, INFEASIBLE)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            solve(knapsack_model(), backend="gurobi")
+    def test_integer_values_are_snapped(self):
+        solution = solve(covering_model(), cache=False)
+        assert solution["x"] == int(solution["x"])
+        assert solution["y"] == int(solution["y"])
+
+    def test_runtime_reported(self):
+        solution = solve(knapsack_model(), cache=False)
+        assert solution.info["runtime_s"] >= 0
+        assert solution.info["optimal_proven"] is True
+
+    def test_unknown_option_rejected(self):
+        with pytest.raises(TypeError):
+            solve(knapsack_model(), cache=False, relative_gap=1e-3)

@@ -1,12 +1,12 @@
 """Property-based tests for the solver substrate (hypothesis)."""
 
 
-import numpy as np
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.solver import BranchAndBoundSolver, Model, OPTIMAL, ScipyMilpBackend
-from repro.solver.simplex import LinProgProblem, SimplexSolver
+from repro.solver import Model, OPTIMAL, solve
 
 
 coeff = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
@@ -44,8 +44,8 @@ class TestKnapsackProperties:
         weights=st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=6),
         capacity=st.integers(min_value=1, max_value=20),
     )
-    def test_scipy_and_bnb_agree_on_knapsack(self, weights, capacity):
-        """Both exact backends must find the same optimal knapsack value."""
+    def test_knapsack_matches_enumeration(self, weights, capacity):
+        """HiGHS finds the knapsack value that enumerating every 0/1 choice finds."""
         values = [w + 1 for w in weights]  # correlated values keep it non-trivial
         m = Model("hyp-knapsack")
         xs = [m.add_var(f"x{i}", ub=1, integer=True) for i in range(len(weights))]
@@ -57,12 +57,15 @@ class TestKnapsackProperties:
         m.add_constraint(weight_expr <= capacity)
         m.maximize(value_expr)
 
-        scipy_solution = ScipyMilpBackend().solve(m)
-        bnb_solution = BranchAndBoundSolver().solve(m)
-        assert scipy_solution.status == OPTIMAL
-        assert bnb_solution.status == OPTIMAL
-        assert scipy_solution.objective == pytest.approx(bnb_solution.objective, abs=1e-6)
-        assert m.is_feasible_point(bnb_solution.x)
+        best = max(
+            sum(v for v, take in zip(values, choice) if take)
+            for choice in itertools.product((0, 1), repeat=len(weights))
+            if sum(w for w, take in zip(weights, choice) if take) <= capacity
+        )
+        solution = solve(m, cache=False)
+        assert solution.status == OPTIMAL
+        assert solution.objective == pytest.approx(best, abs=1e-6)
+        assert m.is_feasible_point(solution.x)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -80,32 +83,8 @@ class TestKnapsackProperties:
             total = total + x
         m.add_constraint(served >= demand)
         m.minimize(total)
-        solution = ScipyMilpBackend().solve(m)
+        solution = solve(m, cache=False)
         if solution.status == OPTIMAL:
             provided = sum(solution[f"x{i}"] * q for i, q in enumerate(throughputs))
             assert provided >= demand - 1e-6
 
-
-class TestSimplexProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_simplex_matches_highs_on_random_lps(self, seed):
-        rng = np.random.default_rng(seed)
-        n, m = 4, 3
-        A = rng.uniform(0.1, 2.0, size=(m, n))
-        b = A @ rng.uniform(0.5, 1.5, size=n) + rng.uniform(0.1, 1.0, size=m)
-        c = rng.uniform(-1.0, 1.0, size=n)
-        problem = LinProgProblem(
-            c=c, A_ub=A, b_ub=b, A_eq=np.zeros((0, n)), b_eq=np.zeros(0), lb=np.zeros(n), ub=np.full(n, 5.0)
-        )
-        result = SimplexSolver().solve(problem)
-        from scipy.optimize import linprog
-
-        reference = linprog(c, A_ub=A, b_ub=b, bounds=[(0, 5.0)] * n, method="highs")
-        assert result.success == reference.success
-        if result.success:
-            assert result.objective == pytest.approx(reference.fun, abs=1e-5)
-            # The returned point must satisfy every constraint.
-            assert np.all(A @ result.x <= b + 1e-6)
-            assert np.all(result.x >= -1e-9)
-            assert np.all(result.x <= 5.0 + 1e-9)

@@ -1,19 +1,18 @@
-"""Deterministic solver work limits (node / LP-iteration budgets).
+"""Deterministic solver work limits (HiGHS node budgets).
 
 Wall-clock limits make MILP results depend on machine load: a solve that
 terminates on ``time_limit`` returns whatever incumbent it happened to reach
-in the allotted seconds.  The work limits added here (``max_nodes`` +
-``max_lp_iterations`` on the bundled branch and bound, ``node_limit`` on the
-SciPy/HiGHS backend) bound the *work*, not the wall clock, so a budgeted
-solve returns the same plan on any machine — which is what lets full-grid
-fig5-style allocation MILPs run reproducibly (the parity suite previously
-had to restrict the batch grid to keep every solve under the wall clock).
+in the allotted seconds.  HiGHS's ``node_limit`` bounds the *work*, not the
+wall clock, so a budgeted solve returns the same plan on any machine — which
+is what lets full-grid fig5-style allocation MILPs run reproducibly (the
+parity suite previously had to restrict the batch grid to keep every solve
+under the wall clock).
 """
 
 import numpy as np
 
 from repro.core.allocation import AllocationProblem, build_accuracy_scaling_model
-from repro.solver import BranchAndBoundSolver, Model, OPTIMAL, ScipyMilpBackend, solve
+from repro.solver import Model, OPTIMAL, solve
 from repro.zoo import traffic_analysis_pipeline
 
 
@@ -34,65 +33,23 @@ def knapsack_model(num_items: int = 14, seed: int = 3) -> Model:
     return model
 
 
-class TestBranchAndBoundWorkLimits:
-    def test_lp_iteration_budget_stops_the_search(self):
-        model = knapsack_model()
-        bounded = BranchAndBoundSolver(
-            time_limit=None, max_lp_iterations=5, relative_gap=0.0, absolute_gap=0.0,
-            use_incumbent_heuristic=False, tighten_bounds=False,
-        ).solve(model)
-        assert bounded.info["stop_reason"] == "lp_iteration_limit"
-        assert bounded.info["lp_iterations"] >= 5
-        assert not bounded.info.get("optimal_proven", False)
-
-    def test_unbudgeted_solve_reports_terminal_stop_reason(self):
-        solution = BranchAndBoundSolver(time_limit=None).solve(knapsack_model())
-        assert solution.status == OPTIMAL
-        assert solution.info["stop_reason"] in ("gap", "exhausted")
-
-    def test_work_limited_solve_is_deterministic(self):
-        """Two budgeted wall-clock-free solves must agree bit for bit."""
-        results = []
-        for _ in range(2):
-            solution = BranchAndBoundSolver(
-                time_limit=None, max_nodes=50, max_lp_iterations=2_000
-            ).solve(knapsack_model())
-            results.append(solution)
-        first, second = results
-        assert first.status == second.status == OPTIMAL
-        assert first.objective == second.objective
-        assert np.array_equal(first.x, second.x)
-        assert first.info["nodes"] == second.info["nodes"]
-        assert first.info["lp_iterations"] == second.info["lp_iterations"]
-        assert first.info["stop_reason"] == second.info["stop_reason"]
-
-    def test_node_budget_still_returns_incumbent(self):
-        solution = BranchAndBoundSolver(time_limit=None, max_nodes=3).solve(knapsack_model())
-        # The root + heuristic produce an incumbent even under a tiny budget.
-        assert solution.status == OPTIMAL
-        assert solution.info["stop_reason"] == "node_limit"
-
-
 class TestScipyNodeLimit:
     def test_node_limit_option_accepted_and_deterministic(self):
         model = knapsack_model()
-        first = ScipyMilpBackend(node_limit=10_000).solve(model)
-        second = ScipyMilpBackend(node_limit=10_000).solve(model)
+        first = solve(model, cache=False, node_limit=10_000)
+        second = solve(model, cache=False, node_limit=10_000)
         assert first.status == OPTIMAL
         assert first.objective == second.objective
         assert np.array_equal(first.x, second.x)
 
     def test_node_limit_flows_through_solver_options(self):
-        """ControllerConfig.solver_options-style kwargs reach the backend."""
-        solution = solve(
-            knapsack_model(), backend="scipy", cache=False,
-            mip_rel_gap=2e-3, node_limit=50_000,
-        )
+        """ControllerConfig.solver_options-style kwargs reach HiGHS."""
+        solution = solve(knapsack_model(), cache=False, mip_rel_gap=2e-3, node_limit=50_000)
         assert solution.status == OPTIMAL
 
 
 class TestFullGridAllocationDeterminism:
-    #: deterministic (wall-clock-free) options for the default HiGHS backend:
+    #: deterministic (wall-clock-free) HiGHS options:
     #: the work is bounded by a node budget instead of seconds
     DETERMINISTIC_OPTIONS = {"time_limit": None, "node_limit": 20_000, "mip_rel_gap": 2e-3}
 
@@ -113,7 +70,7 @@ class TestFullGridAllocationDeterminism:
         model = build_accuracy_scaling_model(problem, demand)
 
         solutions = [
-            solve(model, backend="scipy", cache=False, **self.DETERMINISTIC_OPTIONS)
+            solve(model, cache=False, **self.DETERMINISTIC_OPTIONS)
             for _ in range(2)
         ]
         first, second = solutions
