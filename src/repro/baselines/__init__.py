@@ -12,18 +12,17 @@ The paper compares Loki against two state-of-the-art systems:
   of the cluster without knowledge of inter-task dependencies, which creates
   throughput bottlenecks and suboptimal accuracy choices.
 
-Both baselines implement the same :class:`~repro.simulator.runner.ControlPlane`
-protocol as Loki's Controller, so Figures 5-6 run all three systems on an
-identical cluster, trace and request stream.
+Both baselines, like Loki's Controller, are
+:class:`~repro.control.engine.ControlPlaneEngine` subclasses that differ only
+in their :class:`~repro.control.policies.AllocationPolicy`, so Figures 5-6 run
+all three systems through one control loop on an identical cluster, trace and
+request stream.
 """
 
-from repro.baselines.base import BaselineControlPlane, StaticPlanControlPlane
 from repro.baselines.inferline import InferLineControlPlane
 from repro.baselines.proteus import ProteusControlPlane
 
 __all__ = [
-    "BaselineControlPlane",
-    "StaticPlanControlPlane",
     "InferLineControlPlane",
     "ProteusControlPlane",
 ]

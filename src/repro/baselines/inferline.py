@@ -10,17 +10,17 @@ demand exceeds what the cluster can serve with the pinned variants, the best
 the system can do is provision for its maximum throughput -- the regime in
 which its SLO violations climb in Figures 5 and 6.
 
-The plan construction lives in :class:`InferLineAllocationPolicy`, a
-registered :class:`~repro.control.policies.AllocationPolicy`;
-:class:`InferLineControlPlane` wires it into the unified control-plane engine.
+The plan construction lives in :class:`InferLineAllocationPolicy`, an
+:class:`~repro.control.policies.AllocationPolicy`;
+:class:`InferLineControlPlane` is the control-plane engine built with it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-from repro.baselines.base import BaselineControlPlane
-from repro.control.policies import AllocationPolicy, register_allocation_policy
+from repro.control.engine import ControlPlaneEngine
+from repro.control.policies import AllocationPolicy
 from repro.core.allocation import AllocationPlan, AllocationProblem
 from repro.core.pipeline import Edge, Pipeline, Task
 from repro.core.profiles import ProfileRegistry
@@ -43,11 +43,8 @@ def restrict_pipeline_to_variants(pipeline: Pipeline, selection: Mapping[str, st
     return Pipeline(f"{pipeline.name}|restricted", tasks, edges, registry, latency_slo_ms=pipeline.latency_slo_ms)
 
 
-@register_allocation_policy
 class InferLineAllocationPolicy(AllocationPolicy):
     """Hardware scaling only, with a client-pinned variant per task."""
-
-    name = "inferline"
 
     def __init__(
         self,
@@ -119,8 +116,8 @@ class InferLineAllocationPolicy(AllocationPolicy):
         )
 
 
-class InferLineControlPlane(BaselineControlPlane):
-    """InferLine's policy behind the unified control-plane engine."""
+class InferLineControlPlane(ControlPlaneEngine):
+    """The control-plane engine with InferLine's allocation policy."""
 
     def __init__(
         self,
@@ -134,17 +131,4 @@ class InferLineControlPlane(BaselineControlPlane):
             variant_selection=variant_selection,
             communication_latency_ms=communication_latency_ms,
         )
-        super().__init__(pipeline, num_workers, allocation_policy=policy, **kwargs)
-
-    # -- pre-refactor API --------------------------------------------------------
-    @property
-    def variant_selection(self) -> Dict[str, str]:
-        return self.allocation.variant_selection
-
-    @property
-    def restricted_pipeline(self) -> Pipeline:
-        return self.allocation.restricted_pipeline
-
-    @property
-    def communication_latency_ms(self) -> float:
-        return self.allocation.communication_latency_ms
+        super().__init__(pipeline, policy, num_workers=num_workers, **kwargs)

@@ -19,9 +19,9 @@ throughput bottlenecks when upstream variants change the downstream load, end
 to-end deadline misses even when each task individually "meets" its target,
 and no server savings at off-peak times.
 
-The plan construction lives in :class:`ProteusAllocationPolicy`, a registered
+The plan construction lives in :class:`ProteusAllocationPolicy`, an
 :class:`~repro.control.policies.AllocationPolicy`;
-:class:`ProteusControlPlane` wires it into the unified control-plane engine.
+:class:`ProteusControlPlane` is the control-plane engine built with it.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.baselines.base import BaselineControlPlane
-from repro.control.policies import AllocationPolicy, register_allocation_policy
+from repro.control.engine import ControlPlaneEngine
+from repro.control.policies import AllocationPolicy
 from repro.core.allocation import ACCURACY_SCALING, AllocationPlan, VariantAllocation
 from repro.core.pipeline import Pipeline
 from repro.core.profiles import ModelVariant
@@ -39,11 +39,8 @@ from repro.solver import DEFAULT_SOLVER_OPTIONS, Model, solve
 __all__ = ["ProteusAllocationPolicy", "ProteusControlPlane"]
 
 
-@register_allocation_policy
 class ProteusAllocationPolicy(AllocationPolicy):
     """Pipeline-agnostic accuracy scaling over the whole cluster."""
-
-    name = "proteus"
 
     def __init__(
         self,
@@ -281,8 +278,8 @@ class ProteusAllocationPolicy(AllocationPolicy):
         )
 
 
-class ProteusControlPlane(BaselineControlPlane):
-    """Proteus's policy behind the unified control-plane engine."""
+class ProteusControlPlane(ControlPlaneEngine):
+    """The control-plane engine with Proteus's allocation policy."""
 
     def __init__(
         self,
@@ -296,12 +293,4 @@ class ProteusControlPlane(BaselineControlPlane):
             solver_options=solver_options,
             slo_slack_factor=slo_slack_factor,
         )
-        super().__init__(pipeline, num_workers, allocation_policy=policy, **kwargs)
-
-    # -- pre-refactor API --------------------------------------------------------
-    def task_demand_estimate(self, task_name: str, root_target_qps: float) -> float:
-        return self.allocation.task_demand_estimate(task_name, root_target_qps)
-
-    @property
-    def slo_slack_factor(self) -> float:
-        return self.allocation.slo_slack_factor
+        super().__init__(pipeline, policy, num_workers=num_workers, **kwargs)

@@ -1,23 +1,24 @@
 """Unified control-plane framework: one engine, pluggable policies.
 
 The control planes compared in the paper (Loki, InferLine-style, Proteus
-style) all share the same periodic skeleton — estimate demand, maybe build a
-new allocation plan, refresh routing tables — and differ only in the policy
-decisions inside it.  This package factors that skeleton into
+style) and the SLO-feedback allocator all share the same periodic skeleton —
+estimate demand, maybe build a new allocation plan, refresh routing tables —
+and differ only in the policy decisions inside it.  This package factors that skeleton into
 
 * :class:`~repro.control.engine.ControlPlaneEngine` — the one periodic loop
   (demand estimation, fingerprint-keyed LRU plan caching, plan diffing,
   worker-state expansion, routing refresh, telemetry);
 * :class:`~repro.control.policies.AllocationPolicy` — *what to run*: Loki's
-  two-step MILP allocator, the InferLine/Proteus baselines and static plans
-  are all registered implementations;
+  two-step MILP allocator, the InferLine/Proteus baselines, the SLO-feedback
+  allocator and static plans are all implementations;
 * :mod:`~repro.control.routing` — *where to send queries*: the paper's
   MostAccurateFirst plus least-loaded, weighted-random and
   power-of-two-choices, all compiled into O(1) per-query samplers
   (:mod:`repro.core.sampling`).
 
-``repro.core.controller.Controller`` and the classes in ``repro.baselines``
-are thin facades over this engine; their public APIs are unchanged.
+``repro.core.controller.Controller`` and the control planes in
+``repro.baselines`` are ``ControlPlaneEngine`` subclasses that only build
+their policies.
 """
 
 from repro.control.context import (
@@ -29,14 +30,11 @@ from repro.control.context import (
 )
 from repro.control.engine import ControlPlaneEngine
 from repro.control.policies import (
-    ALLOCATION_POLICIES,
     AllocationPolicy,
-    DelegatingAllocationPolicy,
     LokiAllocationPolicy,
     SLOFeedbackPolicy,
     StaticPlanPolicy,
     multiplier_fingerprint,
-    register_allocation_policy,
 )
 from repro.control.routing import (
     ROUTING_POLICIES,
@@ -66,9 +64,6 @@ __all__ = [
     "LokiAllocationPolicy",
     "StaticPlanPolicy",
     "SLOFeedbackPolicy",
-    "DelegatingAllocationPolicy",
-    "ALLOCATION_POLICIES",
-    "register_allocation_policy",
     "multiplier_fingerprint",
     "RoutingPolicy",
     "TrafficSplitPolicy",

@@ -1,9 +1,9 @@
 """The unified control-plane engine.
 
-One :class:`ControlPlaneEngine` owns the periodic loop every serving system in
-this repo shares — demand estimation, plan caching/diffing, worker-state
-expansion and routing refresh — with the system-specific decisions delegated
-to two plug points:
+Every serving system in this repo is a :class:`ControlPlaneEngine`: it owns
+the periodic loop they share — demand estimation, plan caching/diffing,
+worker-state expansion and routing refresh — with the system-specific
+decisions delegated to two plug points:
 
 * an :class:`~repro.control.policies.AllocationPolicy` (what to run:
   Loki's MILP allocator, the InferLine/Proteus baselines, a static plan...),
@@ -13,9 +13,10 @@ to two plug points:
 The engine implements the simulator's
 :class:`~repro.simulator.runner.ControlPlane` protocol (``report_demand`` /
 ``report_multiplier`` / ``report_task_demand`` / ``step``), so every policy
-combination drives the cluster through exactly the same loop — the duplicated
-step logic that previously lived in ``core/controller.py`` and
-``baselines/base.py`` exists only here now.
+combination drives the cluster through exactly the same loop.  Loki's
+:class:`~repro.core.controller.Controller` and the baselines in
+:mod:`repro.baselines` are subclasses that only build their policies; none
+overrides :meth:`ControlPlaneEngine.step`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class ControlPlaneEngine:
         self,
         pipeline: Pipeline,
         allocation: "AllocationPolicy",
-        routing=None,
+        routing_policy=None,
         *,
         num_workers: int,
         latency_slo_ms: Optional[float] = None,
@@ -83,16 +84,18 @@ class ControlPlaneEngine:
             task: DemandEstimator(alpha=self.ewma_alpha) for task in pipeline.tasks
         }
 
-        if routing is None:
+        if routing_policy is None:
             from repro.control.routing import make_routing_policy
 
-            routing = make_routing_policy("most_accurate_first", pipeline)
-        elif isinstance(routing, str):
+            routing_policy = make_routing_policy("most_accurate_first", pipeline)
+        elif isinstance(routing_policy, str):
             from repro.control.routing import make_routing_policy
 
-            routing = make_routing_policy(routing, pipeline)
-        self.routing_policy = routing
-        self.load_balancer = LoadBalancer(pipeline, refresh_interval_s=routing_refresh_interval_s, policy=routing)
+            routing_policy = make_routing_policy(routing_policy, pipeline)
+        self.routing_policy = routing_policy
+        self.load_balancer = LoadBalancer(
+            pipeline, refresh_interval_s=routing_refresh_interval_s, policy=routing_policy
+        )
 
         self.allocation = allocation
         allocation.bind(self)

@@ -8,27 +8,23 @@ the generic machinery every periodic control plane shares — interval-based
 reallocation, demand-quantum provisioning targets and fingerprint-keyed LRU
 plan caching — so concrete policies usually override only :meth:`build_plan`
 (and :meth:`fingerprint` when their plans depend on more runtime state than
-the multiplier estimates).  Feedback-driven policies override
-:meth:`allocate` itself and consult the context: :class:`SLOFeedbackPolicy`
-scales its capacity target from the observed p99-vs-SLO error.
+the multiplier estimates).  Policies with their own planning loop override
+:meth:`allocate`, which always receives the period's
+:class:`~repro.control.context.ControlContext`; feedback-driven policies
+consult it as well: :class:`SLOFeedbackPolicy` scales its capacity target
+from the observed p99-vs-SLO error.
 
-The pre-feedback signature ``allocate(now_s)`` keeps working: the engine
-dispatches through :meth:`AllocationPolicy.run_allocation`, which detects a
-legacy override, emits one :class:`DeprecationWarning` per policy instance
-and calls it with ``ctx.now_s``.
-
-Policies are registered by name (:func:`register_allocation_policy`); Loki's
-two-step MILP allocator (:class:`repro.core.controller.Controller`) and the
-InferLine/Proteus baselines (:mod:`repro.baselines`) are all policies behind
-the same :class:`~repro.control.engine.ControlPlaneEngine`.
+Loki's two-step MILP allocator (:class:`LokiAllocationPolicy`, built by
+:class:`repro.core.controller.Controller`), the InferLine/Proteus baselines
+(:mod:`repro.baselines`) and the SLO-feedback allocator are all policies of
+the same :class:`~repro.control.engine.ControlPlaneEngine`; scenarios select
+a serving system by name through :data:`repro.scenarios.SYSTEM_FACTORIES`.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
-import warnings
-from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.control.context import ControlContext
 from repro.core.allocation import AllocationPlan
@@ -42,22 +38,8 @@ __all__ = [
     "LokiAllocationPolicy",
     "StaticPlanPolicy",
     "SLOFeedbackPolicy",
-    "DelegatingAllocationPolicy",
-    "ALLOCATION_POLICIES",
-    "register_allocation_policy",
     "multiplier_fingerprint",
 ]
-
-#: name -> policy class; populated by ``register_allocation_policy`` (the
-#: baseline policies register on ``repro.baselines`` import, Loki's on
-#: ``repro.core.controller`` import).
-ALLOCATION_POLICIES: Dict[str, type] = {}
-
-
-def register_allocation_policy(cls: type) -> type:
-    """Class decorator: add the policy to :data:`ALLOCATION_POLICIES` by its ``name``."""
-    ALLOCATION_POLICIES[cls.name] = cls
-    return cls
 
 
 def multiplier_fingerprint(estimates: Dict[str, float]) -> Tuple:
@@ -73,8 +55,6 @@ def multiplier_fingerprint(estimates: Dict[str, float]) -> Tuple:
 
 class AllocationPolicy:
     """Base class: generic periodic allocation with fingerprinted plan caching."""
-
-    name = "allocation"
 
     def __init__(self):
         self.engine: Optional["ControlPlaneEngine"] = None
@@ -124,65 +104,13 @@ class AllocationPolicy:
             return True
         return now_s - engine.last_allocation_s >= engine.reallocation_interval_s
 
-    #: classification of the subclass's allocate override: None = not yet
-    #: inspected, True = legacy ``allocate(now_s)``, False = context-aware
-    _allocate_is_legacy: Optional[bool] = None
-
     def run_allocation(self, ctx: ControlContext) -> AllocationPlan:
-        """Engine entry point: dispatch to :meth:`allocate`, shimming legacy overrides.
-
-        A policy written against the pre-feedback API (``allocate(now_s)``)
-        is detected by its signature, warned about once per instance, and
-        called with ``ctx.now_s``; context-aware policies receive the full
-        :class:`~repro.control.context.ControlContext`.
-        """
-        if self._allocate_is_legacy is None:
-            self._allocate_is_legacy = self._classify_allocate()
-        if self._allocate_is_legacy:
-            return self.allocate(ctx.now_s)
+        """Engine entry point of one allocation round."""
         return self.allocate(ctx)
 
-    def _classify_allocate(self) -> bool:
-        fn = type(self).allocate
-        if fn is AllocationPolicy.allocate:
-            return False
-        try:
-            parameters = list(inspect.signature(fn).parameters.values())
-        except (TypeError, ValueError):  # C callables: assume context-aware
-            return False
-        positional = [
-            p
-            for p in parameters[1:]  # drop self
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        ]
-        if positional:
-            first = positional[0]
-            if first.name in ("ctx", "context"):
-                return False
-            # An annotation naming ControlContext also marks a context-aware
-            # override, whatever the parameter is called.
-            if "ControlContext" in str(first.annotation):
-                return False
-        if any(p.kind is p.VAR_POSITIONAL for p in parameters):
-            return False
-        warnings.warn(
-            f"{type(self).__name__}.allocate(now_s) is deprecated; accept a "
-            "ControlContext (`allocate(ctx)`, ctx.now_s carries the timestamp) — "
-            "see the 'Feedback control' section of the README for migration notes",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-        return True
-
-    def allocate(self, ctx) -> AllocationPlan:
-        """One allocation round: target -> cache lookup -> ``build_plan`` on miss.
-
-        ``ctx`` is normally a :class:`~repro.control.context.ControlContext`;
-        a bare timestamp is still accepted so legacy subclasses that delegate
-        to ``super().allocate(now_s)`` keep working.
-        """
+    def allocate(self, ctx: ControlContext) -> AllocationPlan:
+        """One allocation round: target -> cache lookup -> ``build_plan`` on miss."""
         engine = self.engine
-        now_s = ctx.now_s if isinstance(ctx, ControlContext) else float(ctx)
         target = self.provisioning_target_qps()
         key = (round(target, 3), self.fingerprint())
         plan = engine.plan_cache_get(key)
@@ -190,7 +118,7 @@ class AllocationPolicy:
             plan = self.build_plan(target)
             engine.plan_cache_put(key, plan)
             engine.allocations_performed += 1
-        engine.last_allocation_s = now_s
+        engine.last_allocation_s = ctx.now_s
         return plan
 
     def build_plan(self, target_demand_qps: float) -> AllocationPlan:
@@ -206,7 +134,6 @@ class AllocationPolicy:
         """Called after every routing refresh (Loki records it in the Metadata Store)."""
 
 
-@register_allocation_policy
 class LokiAllocationPolicy(AllocationPolicy):
     """Loki's two-step hardware/accuracy-scaling allocator (Section 4).
 
@@ -216,8 +143,6 @@ class LokiAllocationPolicy(AllocationPolicy):
     generic cached path entirely and routes observations into the Metadata
     Store the way a real Loki deployment's heartbeats would.
     """
-
-    name = "loki"
 
     def __init__(self, resource_manager):
         super().__init__()
@@ -243,24 +168,17 @@ class LokiAllocationPolicy(AllocationPolicy):
     def should_reallocate(self, now_s: float) -> bool:
         return self.resource_manager.should_reallocate(now_s)
 
-    def allocate(self, ctx) -> AllocationPlan:
-        now_s = ctx.now_s if isinstance(ctx, ControlContext) else float(ctx)
-        plan = self.resource_manager.allocate(now_s)
-        self.engine.last_allocation_s = now_s
+    def allocate(self, ctx: ControlContext) -> AllocationPlan:
+        plan = self.resource_manager.allocate(ctx.now_s)
+        self.engine.last_allocation_s = ctx.now_s
         return plan
-
-    def build_plan(self, target_demand_qps: float) -> AllocationPlan:
-        return self.resource_manager.allocate(self.engine.last_allocation_s or 0.0, demand_qps=target_demand_qps)
 
     def on_routing(self, routing: "RoutingPlan") -> None:
         self.metadata.set_routing(routing)
 
 
-@register_allocation_policy
 class StaticPlanPolicy(AllocationPolicy):
     """Serves a fixed, externally supplied plan (tests / ablations)."""
-
-    name = "static"
 
     def __init__(self, plan: AllocationPlan):
         super().__init__()
@@ -270,7 +188,6 @@ class StaticPlanPolicy(AllocationPolicy):
         return self.plan
 
 
-@register_allocation_policy
 class SLOFeedbackPolicy(AllocationPolicy):
     """SLO-feedback allocation: PID-style scaling of the MILP's capacity target.
 
@@ -301,8 +218,6 @@ class SLOFeedbackPolicy(AllocationPolicy):
     interval — the piece that lets the policy chase a flash crowd faster than
     its demand EWMA alone would.
     """
-
-    name = "slo_feedback"
 
     def __init__(
         self,
@@ -402,28 +317,3 @@ class SLOFeedbackPolicy(AllocationPolicy):
             multiplicative_factors=engine.multiplier_estimates,
         )
         return problem.solve(target_demand_qps)
-
-
-class DelegatingAllocationPolicy(AllocationPolicy):
-    """Adapter for control planes that override ``build_plan`` on themselves.
-
-    :class:`~repro.baselines.base.BaselineControlPlane` subclasses predate the
-    policy split and define plan construction as a method on the control
-    plane; this adapter exposes that method as a policy so they run behind the
-    unified engine unchanged.
-    """
-
-    name = "delegating"
-
-    def __init__(self, build_plan: Callable[[float], AllocationPlan], fingerprint: Optional[Callable[[], Tuple]] = None):
-        super().__init__()
-        self._build_plan = build_plan
-        self._fingerprint = fingerprint
-
-    def build_plan(self, target_demand_qps: float) -> AllocationPlan:
-        return self._build_plan(target_demand_qps)
-
-    def fingerprint(self) -> Tuple:
-        if self._fingerprint is not None:
-            return self._fingerprint()
-        return super().fingerprint()

@@ -15,11 +15,12 @@ for workloads where accuracy is uniform across variants:
   probability of a worker equals the probability it wins a "pick two uniformly
   at random, keep the one with more spare capacity" draw.
 
-All policies share one traversal (:class:`TrafficSplitPolicy`): route client
+All policies, MostAccurateFirst included, share one traversal
+(:class:`~repro.core.load_balancer.TrafficSplitPolicy`): route client
 demand at the root, then propagate multiplier-scaled demand task by task in
 topological order, collecting leftover capacity into the backup tables used
-for opportunistic rerouting.  A policy only decides how one parcel of demand
-is split across one task's workers.
+for opportunistic rerouting.  A policy only decides the order of each task's
+workers and how one parcel of demand is split across them.
 
 Since the feedback-control redesign routing also has a second, dispatch-time
 plug point: a :class:`DynamicChooser` attached to the routing tables a policy
@@ -38,7 +39,6 @@ from the cluster (``queue_snapshot``).  Two queue-aware policies ship on it:
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,9 +47,10 @@ from repro.core.load_balancer import (
     MostAccurateFirst,
     RoutingEntry,
     RoutingPlan,
+    RoutingPolicy,
     RoutingTable,
+    TrafficSplitPolicy,
     WorkerState,
-    _accepts_keyword,
 )
 from repro.core.pipeline import Pipeline
 
@@ -70,25 +71,7 @@ __all__ = [
 ]
 
 
-class RoutingPolicy:
-    """Protocol: anything with ``build(workers, demand_qps, factors, view=None) -> RoutingPlan``."""
-
-    name = "routing"
-
-    def __init__(self, pipeline: Pipeline):
-        self.pipeline = pipeline
-
-    def build(
-        self,
-        workers: Sequence[WorkerState],
-        demand_qps: float,
-        multiplicative_factors: Optional[Mapping[str, float]] = None,
-        view=None,
-    ) -> RoutingPlan:
-        raise NotImplementedError
-
-
-#: name -> policy class (MostAccurateFirst is registered below).
+#: name -> policy class.
 ROUTING_POLICIES: Dict[str, type] = {}
 
 
@@ -105,136 +88,9 @@ def make_routing_policy(name: str, pipeline: Pipeline, **kwargs):
     return ROUTING_POLICIES[name](pipeline, **kwargs)
 
 
-# The paper's Algorithm 1 keeps its implementation (and exact tie-breaking) in
+# The paper's Algorithm 1 lives next to the shared traversal in
 # repro.core.load_balancer; it registers here as the default policy.
-MostAccurateFirst.name = "most_accurate_first"
-ROUTING_POLICIES[MostAccurateFirst.name] = MostAccurateFirst
-
-
-class TrafficSplitPolicy(RoutingPolicy):
-    """Shared traversal: root routing + topological demand propagation + backups.
-
-    Subclasses implement :meth:`split`, which decides how one parcel of demand
-    is divided across one task's workers given their current spare capacity.
-    The current signature is ``split(workers, demand_qps, view)``, where
-    ``view`` is the :class:`~repro.control.context.ClusterView` of the control
-    period triggering the refresh (or ``None`` outside an engine).  The
-    pre-feedback two-argument form still works through a deprecation shim
-    (one :class:`DeprecationWarning` per policy instance).
-    """
-
-    #: classification of the subclass's split override: None = not yet
-    #: inspected, True = legacy two-argument form, False = view-aware
-    _split_is_legacy: Optional[bool] = None
-
-    def split(
-        self, workers: Sequence[WorkerState], demand_qps: float, view=None
-    ) -> List[float]:
-        """Amounts (aligned with ``workers``) with ``amount_i <= remaining_i``
-        and ``sum(amounts) <= demand_qps``."""
-        raise NotImplementedError
-
-    def _split_parcel(self, workers, demand_qps, view):
-        """Call :meth:`split`, shimming legacy overrides.
-
-        Classification is name-based, mirroring the allocation shim: only an
-        override that accepts a ``view`` keyword (explicitly or via
-        ``**kwargs``) is view-aware.  Counting parameters instead would
-        silently bind the ClusterView to an unrelated defaulted parameter of
-        a legacy override.
-        """
-        if self._split_is_legacy is None:
-            fn = type(self).split
-            legacy = not _accepts_keyword(fn, "view")
-            if legacy:
-                warnings.warn(
-                    f"{type(self).__name__}.split(workers, demand_qps) is deprecated; "
-                    "accept a `view` keyword argument (ClusterView) — see the "
-                    "'Feedback control' section of the README for migration notes",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            self._split_is_legacy = legacy
-        if self._split_is_legacy:
-            return self.split(workers, demand_qps)
-        return self.split(workers, demand_qps, view=view)
-
-    def build(
-        self,
-        workers: Sequence[WorkerState],
-        demand_qps: float,
-        multiplicative_factors: Optional[Mapping[str, float]] = None,
-        view=None,
-    ) -> RoutingPlan:
-        multiplicative_factors = dict(multiplicative_factors or {})
-        by_task: Dict[str, List[WorkerState]] = {}
-        for worker in workers:
-            worker.reset()
-            by_task.setdefault(worker.task, []).append(worker)
-        for task_workers in by_task.values():
-            task_workers.sort(key=lambda w: w.worker_id)  # deterministic split order
-
-        frontend_table = RoutingTable()
-        worker_tables: Dict[str, RoutingTable] = {w.worker_id: RoutingTable() for w in workers}
-        unplaced: Dict[str, float] = {}
-
-        root = self.pipeline.root
-        placed = self._route_parcel(frontend_table, by_task.get(root, []), root, demand_qps, view)
-        if demand_qps > 0:
-            unplaced[root] = max(0.0, (demand_qps - placed) / demand_qps)
-
-        for task_name in self.pipeline.topological_order():
-            for worker in by_task.get(task_name, []):
-                factor = multiplicative_factors.get(
-                    worker.variant_name,
-                    self.pipeline.registry.variant(worker.variant_name).multiplicative_factor,
-                )
-                table = worker_tables[worker.worker_id]
-                for edge in self.pipeline.children(task_name):
-                    outgoing = worker.incoming_qps * factor * edge.branch_ratio
-                    if outgoing <= 1e-12:
-                        continue
-                    placed = self._route_parcel(
-                        table, by_task.get(edge.child, []), edge.child, outgoing, view
-                    )
-                    shortfall = (outgoing - placed) / outgoing
-                    unplaced[edge.child] = max(unplaced.get(edge.child, 0.0), max(0.0, shortfall))
-
-        backup_tables = MostAccurateFirst._build_backups(by_task)
-        return RoutingPlan(
-            frontend_table=frontend_table,
-            worker_tables=worker_tables,
-            backup_tables=backup_tables,
-            unplaced_fraction=unplaced,
-        )
-
-    def _route_parcel(
-        self,
-        table: RoutingTable,
-        destinations: List[WorkerState],
-        task: str,
-        demand_qps: float,
-        view=None,
-    ) -> float:
-        """Split one parcel across ``destinations``, append entries, return placed qps."""
-        if demand_qps <= 1e-12 or not destinations:
-            return 0.0
-        amounts = self._split_parcel(destinations, demand_qps, view)
-        placed = 0.0
-        for worker, amount in zip(destinations, amounts):
-            if amount <= 1e-12:
-                continue
-            amount = min(amount, worker.remaining_capacity_qps)
-            if amount <= 1e-12:
-                continue
-            table.add(
-                task,
-                RoutingEntry(worker.worker_id, amount / demand_qps, worker.accuracy, worker.latency_ms),
-            )
-            worker.remaining_capacity_qps -= amount
-            worker.incoming_qps += amount
-            placed += amount
-        return placed
+register_routing_policy(MostAccurateFirst)
 
 
 @register_routing_policy

@@ -9,8 +9,9 @@ resource-allocation plan plus the estimated demand into *routing tables*:
   produces over the workers hosting the downstream tasks.
 
 Routing tables are produced by :class:`MostAccurateFirst` (Algorithm 1 in the
-paper): tasks are visited in topological order; within a task, workers are
-saturated in non-increasing order of their variant's single-model accuracy.
+paper), one :class:`TrafficSplitPolicy`: tasks are visited in topological
+order; within a task, workers are saturated in non-increasing order of their
+variant's single-model accuracy.
 Because end-to-end pipeline accuracy is monotone in the single-model
 accuracies, saturating the most accurate workers first maximises end-to-end
 accuracy for the routed demand.
@@ -21,7 +22,6 @@ that upstream workers use for opportunistic rerouting (Section 5.2).
 
 from __future__ import annotations
 
-import inspect
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -39,6 +39,8 @@ __all__ = [
     "BackupEntry",
     "RoutingPlan",
     "LoadBalancer",
+    "RoutingPolicy",
+    "TrafficSplitPolicy",
     "MostAccurateFirst",
     "workers_from_plan",
 ]
@@ -207,8 +209,10 @@ class RoutingPlan:
         return list(self.backup_tables.get(task, []))
 
 
-class MostAccurateFirst:
-    """Algorithm 1: greedy accuracy-maximising routing-table generation."""
+class RoutingPolicy:
+    """Protocol: anything with ``build(workers, demand_qps, factors, view=None) -> RoutingPlan``."""
+
+    name = "routing"
 
     def __init__(self, pipeline: Pipeline):
         self.pipeline = pipeline
@@ -220,49 +224,57 @@ class MostAccurateFirst:
         multiplicative_factors: Optional[Mapping[str, float]] = None,
         view=None,
     ) -> RoutingPlan:
-        """Produce routing tables for the given worker fleet and estimated demand.
+        raise NotImplementedError
 
-        ``view`` (an optional :class:`repro.control.context.ClusterView`) is
-        part of the feedback-control API; Algorithm 1 routes from planned
-        capacity only and ignores it.
-        """
+
+class TrafficSplitPolicy(RoutingPolicy):
+    """Shared traversal: root routing + topological demand propagation + backups.
+
+    Subclasses implement :meth:`split`, which decides how one parcel of demand
+    is divided across one task's workers given their current spare capacity,
+    as ``split(workers, demand_qps, view)``: ``view`` is the
+    :class:`~repro.control.context.ClusterView` of the control period
+    triggering the refresh (or ``None`` outside an engine).
+    """
+
+    @staticmethod
+    def worker_order(worker: WorkerState):
+        """Sort key of one task's workers: the order :meth:`split` sees them in
+        and the order in which they propagate demand to their children."""
+        return worker.worker_id
+
+    def split(self, workers: Sequence[WorkerState], demand_qps: float, view=None) -> List[float]:
+        """Amounts (aligned with ``workers``) with ``amount_i <= remaining_i``
+        and ``sum(amounts) <= demand_qps``."""
+        raise NotImplementedError
+
+    def build(
+        self,
+        workers: Sequence[WorkerState],
+        demand_qps: float,
+        multiplicative_factors: Optional[Mapping[str, float]] = None,
+        view=None,
+    ) -> RoutingPlan:
+        """Produce routing tables for the given worker fleet and estimated demand."""
         multiplicative_factors = dict(multiplicative_factors or {})
         by_task: Dict[str, List[WorkerState]] = {}
         for worker in workers:
             worker.reset()
             by_task.setdefault(worker.task, []).append(worker)
         for task_workers in by_task.values():
-            task_workers.sort(key=lambda w: (-w.accuracy, w.latency_ms, w.worker_id))
+            task_workers.sort(key=self.worker_order)
 
         frontend_table = RoutingTable()
         worker_tables: Dict[str, RoutingTable] = {w.worker_id: RoutingTable() for w in workers}
         unplaced: Dict[str, float] = {}
 
-        # Route client demand to the root task's workers, most accurate first.
         root = self.pipeline.root
-        root_workers = by_task.get(root, [])
-        remaining = float(demand_qps)
-        for worker in root_workers:
-            if remaining <= 1e-12:
-                break
-            routed = min(remaining, worker.remaining_capacity_qps)
-            if routed <= 0:
-                continue
-            probability = routed / demand_qps if demand_qps > 0 else 0.0
-            frontend_table.add(
-                root,
-                RoutingEntry(worker.worker_id, probability, worker.accuracy, worker.latency_ms),
-            )
-            worker.remaining_capacity_qps -= routed
-            worker.incoming_qps += routed
-            remaining -= routed
+        placed = self._route_parcel(frontend_table, by_task.get(root, []), root, demand_qps, view)
         if demand_qps > 0:
-            unplaced[root] = max(0.0, remaining / demand_qps)
+            unplaced[root] = max(0.0, (demand_qps - placed) / demand_qps)
 
-        # Route intermediate demand task by task in topological order.
         for task_name in self.pipeline.topological_order():
-            task_workers = by_task.get(task_name, [])
-            for worker in task_workers:
+            for worker in by_task.get(task_name, []):
                 factor = multiplicative_factors.get(
                     worker.variant_name,
                     self.pipeline.registry.variant(worker.variant_name).multiplicative_factor,
@@ -272,65 +284,93 @@ class MostAccurateFirst:
                     outgoing = worker.incoming_qps * factor * edge.branch_ratio
                     if outgoing <= 1e-12:
                         continue
-                    total_child_demand = outgoing
-                    child_workers = by_task.get(edge.child, [])
-                    for child in child_workers:
-                        if outgoing <= 1e-12:
-                            break
-                        if child.remaining_capacity_qps <= 0:
-                            continue
-                        routed = min(outgoing, child.remaining_capacity_qps)
-                        probability = routed / total_child_demand
-                        table.add(
-                            edge.child,
-                            RoutingEntry(child.worker_id, probability, child.accuracy, child.latency_ms),
-                        )
-                        outgoing -= routed
-                        child.remaining_capacity_qps -= routed
-                        child.incoming_qps += routed
-                    if total_child_demand > 0:
-                        shortfall = outgoing / total_child_demand
-                        unplaced[edge.child] = max(unplaced.get(edge.child, 0.0), shortfall)
+                    placed = self._route_parcel(
+                        table, by_task.get(edge.child, []), edge.child, outgoing, view
+                    )
+                    shortfall = (outgoing - placed) / outgoing
+                    unplaced[edge.child] = max(unplaced.get(edge.child, 0.0), max(0.0, shortfall))
 
-        backup_tables = self._build_backups(by_task)
         return RoutingPlan(
             frontend_table=frontend_table,
             worker_tables=worker_tables,
-            backup_tables=backup_tables,
+            backup_tables=_build_backups(by_task),
             unplaced_fraction=unplaced,
         )
 
+    def _route_parcel(
+        self,
+        table: RoutingTable,
+        destinations: List[WorkerState],
+        task: str,
+        demand_qps: float,
+        view=None,
+    ) -> float:
+        """Split one parcel across ``destinations``, append entries, return placed qps."""
+        if demand_qps <= 1e-12 or not destinations:
+            return 0.0
+        amounts = self.split(destinations, demand_qps, view)
+        placed = 0.0
+        for worker, amount in zip(destinations, amounts):
+            if amount <= 1e-12:
+                continue
+            amount = min(amount, worker.remaining_capacity_qps)
+            if amount <= 1e-12:
+                continue
+            table.add(
+                task,
+                RoutingEntry(worker.worker_id, amount / demand_qps, worker.accuracy, worker.latency_ms),
+            )
+            worker.remaining_capacity_qps -= amount
+            worker.incoming_qps += amount
+            placed += amount
+        return placed
+
+
+def _build_backups(by_task: Mapping[str, List[WorkerState]]) -> Dict[str, List[BackupEntry]]:
+    """Collect leftover capacity per task, fastest workers first."""
+    backups: Dict[str, List[BackupEntry]] = {}
+    for task_name, task_workers in by_task.items():
+        entries = [
+            BackupEntry(
+                worker_id=w.worker_id,
+                task=task_name,
+                variant_name=w.variant_name,
+                accuracy=w.accuracy,
+                latency_ms=w.latency_ms,
+                leftover_capacity_qps=w.remaining_capacity_qps,
+            )
+            for w in task_workers
+            if w.remaining_capacity_qps > 1e-9
+        ]
+        entries.sort(key=lambda e: (e.latency_ms, -e.accuracy))
+        backups[task_name] = entries
+    return backups
+
+
+class MostAccurateFirst(TrafficSplitPolicy):
+    """Algorithm 1: greedy accuracy-maximising routing-table generation.
+
+    Each task's workers are visited most accurate first (ties: faster, then
+    by id) and every parcel saturates them in that order.  ``view`` is
+    ignored: Algorithm 1 routes from planned capacity only.
+    """
+
+    name = "most_accurate_first"
+
     @staticmethod
-    def _build_backups(by_task: Mapping[str, List[WorkerState]]) -> Dict[str, List[BackupEntry]]:
-        """Collect leftover capacity per task, fastest workers first."""
-        backups: Dict[str, List[BackupEntry]] = {}
-        for task_name, task_workers in by_task.items():
-            entries = [
-                BackupEntry(
-                    worker_id=w.worker_id,
-                    task=task_name,
-                    variant_name=w.variant_name,
-                    accuracy=w.accuracy,
-                    latency_ms=w.latency_ms,
-                    leftover_capacity_qps=w.remaining_capacity_qps,
-                )
-                for w in task_workers
-                if w.remaining_capacity_qps > 1e-9
-            ]
-            entries.sort(key=lambda e: (e.latency_ms, -e.accuracy))
-            backups[task_name] = entries
-        return backups
+    def worker_order(worker: WorkerState):
+        return (-worker.accuracy, worker.latency_ms, worker.worker_id)
 
-
-def _accepts_keyword(fn, name: str) -> bool:
-    """Whether ``fn`` can be called with keyword ``name`` (explicitly or via **kwargs)."""
-    try:
-        parameters = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # builtins / C callables: assume modern surface
-        return True
-    if name in parameters:
-        return True
-    return any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values())
+    def split(self, workers: Sequence[WorkerState], demand_qps: float, view=None) -> List[float]:
+        amounts = []
+        left = demand_qps
+        for worker in workers:
+            if left <= 1e-12:
+                break
+            take = min(left, worker.remaining_capacity_qps)
+            amounts.append(take)
+            left -= take
+        return amounts
 
 
 class LoadBalancer:
@@ -339,18 +379,14 @@ class LoadBalancer:
     The Load Balancer re-runs the routing algorithm whenever the Resource
     Manager publishes a new plan and also periodically in between, to follow
     short-term demand changes.  The algorithm defaults to the paper's
-    :class:`MostAccurateFirst`; any object with the same ``build(workers,
-    demand_qps, multiplicative_factors)`` signature can be plugged in (see
-    :mod:`repro.control.routing` for the registry of alternatives).
+    :class:`MostAccurateFirst`; any :class:`RoutingPolicy` can be plugged in
+    (see :mod:`repro.control.routing` for the registry of alternatives).
     """
 
     def __init__(self, pipeline: Pipeline, refresh_interval_s: float = 1.0, policy=None):
         self.pipeline = pipeline
         self.refresh_interval_s = float(refresh_interval_s)
         self.algorithm = policy if policy is not None else MostAccurateFirst(pipeline)
-        # Third-party algorithms may predate the feedback-control API and
-        # accept only (workers, demand_qps, factors); classify once.
-        self._build_accepts_view = _accepts_keyword(self.algorithm.build, "view")
         self.current_plan: Optional[RoutingPlan] = None
         self._last_refresh_s: Optional[float] = None
         self.refresh_count = 0
@@ -373,10 +409,7 @@ class LoadBalancer:
         import time as _time
 
         start = _time.perf_counter()  # reprolint: disable=R002 -- refresh-latency stat is reporting-only
-        if self._build_accepts_view:
-            plan = self.algorithm.build(workers, demand_qps, multiplicative_factors, view=view)
-        else:
-            plan = self.algorithm.build(workers, demand_qps, multiplicative_factors)
+        plan = self.algorithm.build(workers, demand_qps, multiplicative_factors, view=view)
         self.last_refresh_time_s = _time.perf_counter() - start  # reprolint: disable=R002 -- reporting-only
         self.total_refresh_time_s += self.last_refresh_time_s
         self.refresh_count += 1

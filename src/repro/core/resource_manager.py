@@ -249,12 +249,6 @@ class ResourceManager:
             return True  # accuracy can be improved meaningfully
         return False
 
-    def maybe_allocate(self, now_s: float) -> Optional[AllocationPlan]:
-        """Allocate only when :meth:`should_reallocate` says so."""
-        if self.should_reallocate(now_s):
-            return self.allocate(now_s)
-        return None
-
     # -- internals ------------------------------------------------------------
     def _problem(self) -> AllocationProblem:
         return AllocationProblem(

@@ -13,7 +13,7 @@ and five repo-specific rules:
  R002      wall-clock               simulated code never reads the host clock
  R003      hash-order               no set-order leakage into plan/constraint emission
  R005      frozen-view-mutation     control contexts are immutable values
- R006      legacy-policy-signature  new policies use the context-aware API
+ R006      legacy-policy-signature  policy hooks use their one signature
 ========  =======================  ====================================================
 
 R004 and R007 were retired with the execution paths they guarded.

@@ -1,8 +1,9 @@
-"""API-contract rules: frozen view immutability, post-deprecation signatures.
+"""API-contract rules: frozen view immutability, the one signature per policy hook.
 
-Both rules pin contracts introduced by PR 5's feedback-control redesign:
-policies read *immutable* live-state snapshots, and new policy code must
-target the context-aware API rather than ride the legacy shim forever.
+Both rules pin contracts of the feedback-control API: policies read
+*immutable* live-state snapshots, and policy hooks have exactly one
+signature (``allocate(ctx)``, ``split(workers, demand_qps, view)``), which
+the engine calls without inspecting the override.
 """
 
 from __future__ import annotations
@@ -131,20 +132,21 @@ class FrozenViewMutationRule(Rule):
 
 @register_rule
 class LegacyPolicySignatureRule(Rule):
-    """R006 legacy-policy-signature: new policies target the context API.
+    """R006 legacy-policy-signature: policy hooks use their one signature.
 
-    History: PR 5 replaced ``AllocationPolicy.allocate(now_s)`` with
-    ``allocate(ctx)`` and kept a signature-sniffing deprecation shim
-    (``run_allocation`` warns once and passes ``ctx.now_s``) so third-party
-    policies keep working.  The shim is for *migration*, not for new code: a
-    new in-repo override written against the old signature silently opts out
-    of live cluster state, windowed telemetry and the SLO — everything the
-    feedback policies feed on — and will break outright when the shim is
-    retired.  Flags ``allocate`` overrides in ``AllocationPolicy``
-    subclasses whose first argument is not a ControlContext (by name
-    ``ctx``/``context`` or annotation), mirroring the runtime classifier in
-    ``repro/control/policies.py``, and ``TrafficSplitPolicy.split``
-    overrides missing the third ``view`` parameter.
+    History: the feedback-control API replaced ``allocate(now_s)`` with
+    ``allocate(ctx)`` and gave ``split`` a third ``view`` argument; a
+    signature-sniffing deprecation shim bridged old overrides until it was
+    removed.  The engine now calls ``AllocationPolicy.allocate(ctx)`` with
+    the period's ``ControlContext`` and ``TrafficSplitPolicy.split(workers,
+    demand_qps, view)`` with three arguments, whatever the override
+    declares.  An ``allocate(now_s)`` override therefore silently receives a
+    ``ControlContext`` as its timestamp, and a two-argument ``split`` raises
+    ``TypeError`` at the first routing refresh.  Flags ``allocate``
+    overrides in ``AllocationPolicy`` subclasses whose first argument is not
+    a ControlContext (by name ``ctx``/``context`` or annotation), and
+    ``TrafficSplitPolicy.split`` overrides missing the third ``view``
+    parameter.
     """
 
     id = "R006"
@@ -173,16 +175,16 @@ class LegacyPolicySignatureRule(Rule):
                 if is_alloc and item.name == "allocate" and self._legacy_allocate(item):
                     yield self.finding(
                         file, item,
-                        f"{node.name}.allocate uses the deprecated (now_s) signature "
-                        "and would run via the legacy shim; accept a ControlContext "
-                        "(ctx.now_s carries the timestamp)",
+                        f"{node.name}.allocate uses the old (now_s) signature and "
+                        "would silently receive a ControlContext as now_s; accept a "
+                        "ControlContext (ctx.now_s carries the timestamp)",
                     )
                 if is_split and item.name == "split" and self._legacy_split(item):
                     yield self.finding(
                         file, item,
                         f"{node.name}.split is missing the third (view) parameter; "
-                        "legacy two-argument split overrides run via the deprecation "
-                        "shim and never see live cluster state",
+                        "the traversal calls split(workers, demand_qps, view), so a "
+                        "two-argument split raises TypeError at the first routing refresh",
                     )
 
     @staticmethod

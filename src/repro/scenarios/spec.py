@@ -20,7 +20,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from repro.baselines import BaselineControlPlane, InferLineControlPlane, ProteusControlPlane
+from repro.baselines import InferLineControlPlane, ProteusControlPlane
+from repro.control.engine import ControlPlaneEngine
 from repro.core import Controller, ControllerConfig
 from repro.core.allocation import AllocationProblem
 from repro.core.pipeline import Pipeline
@@ -75,7 +76,7 @@ def make_proteus(pipeline: Pipeline, num_workers: int, slo_ms: float, **override
     return ProteusControlPlane(pipeline, num_workers, latency_slo_ms=slo_ms, **overrides)
 
 
-def make_slo_feedback(pipeline: Pipeline, num_workers: int, slo_ms: float, **overrides) -> BaselineControlPlane:
+def make_slo_feedback(pipeline: Pipeline, num_workers: int, slo_ms: float, **overrides) -> ControlPlaneEngine:
     """SLO-feedback allocation behind the unified engine (feedback-control API).
 
     Controller gains and limits (``kp``/``ki``/``scale_max``...) pass through
@@ -104,11 +105,11 @@ def make_slo_feedback(pipeline: Pipeline, num_workers: int, slo_ms: float, **ove
         "communication_latency_ms",
     )
     policy_kwargs = {key: overrides.pop(key) for key in policy_keys if key in overrides}
-    return BaselineControlPlane(
+    return ControlPlaneEngine(
         pipeline,
-        num_workers,
+        SLOFeedbackPolicy(**policy_kwargs),
+        num_workers=num_workers,
         latency_slo_ms=slo_ms,
-        allocation_policy=SLOFeedbackPolicy(**policy_kwargs),
         **overrides,
     )
 

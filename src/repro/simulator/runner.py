@@ -37,9 +37,22 @@ __all__ = ["ControlPlane", "SimulationConfig", "ServingSimulation"]
 
 
 class ControlPlane(Protocol):
-    """The protocol a control plane must implement to drive the simulator."""
+    """The protocol a control plane must implement to drive the simulator.
+
+    :class:`~repro.control.engine.ControlPlaneEngine` implements it; every
+    in-repo serving system is one.
+    """
+
+    def attach_telemetry(self, registry: TelemetryRegistry) -> None:
+        ...  # pragma: no cover - protocol
+
+    def attach_cluster_state(self, provider: Cluster) -> None:
+        ...  # pragma: no cover - protocol
 
     def report_demand(self, timestamp_s: float, demand_qps: float) -> None:
+        ...  # pragma: no cover - protocol
+
+    def report_task_demand(self, task_name: str, demand_qps: float) -> None:
         ...  # pragma: no cover - protocol
 
     def report_multiplier(self, variant_name: str, observed_factor: float) -> None:
@@ -115,15 +128,12 @@ class ServingSimulation:
         self._tele_batches = self.telemetry.counter("worker.batches")
         self._tele_batch_queries = self.telemetry.counter("worker.processed_queries")
         self._tele_active_workers = self.telemetry.gauge("cluster.active_workers")
-        if hasattr(control_plane, "attach_telemetry"):
-            control_plane.attach_telemetry(self.telemetry)
+        control_plane.attach_telemetry(self.telemetry)
         self.cluster = Cluster(self, self.config.num_workers)
-        # Feedback-control plumbing: control planes that understand live
-        # cluster state (the unified engine and its facades) get the cluster
-        # as their ClusterStateProvider — ControlContext snapshots each
-        # control period, queue_snapshot probes at dispatch time.
-        if hasattr(control_plane, "attach_cluster_state"):
-            control_plane.attach_cluster_state(self.cluster)
+        # Feedback-control plumbing: the cluster is the control plane's
+        # ClusterStateProvider — ControlContext snapshots each control
+        # period, queue_snapshot probes at dispatch time.
+        control_plane.attach_cluster_state(self.cluster)
         self.frontend = Frontend(self, self.config.latency_slo_ms)
         self.metrics = MetricsCollector(
             cluster_size=self.config.num_workers,
@@ -230,10 +240,9 @@ class ServingSimulation:
         now = self.engine.now_s
         observed = self.frontend.drain_window_demand()
         self.control_plane.report_demand(now, float(observed))
-        if hasattr(self.control_plane, "report_task_demand"):
-            for task, count in self.task_arrivals.items():
-                self.control_plane.report_task_demand(task, float(count) / self.config.control_interval_s)
-                self.task_arrivals[task] = 0
+        for task, count in self.task_arrivals.items():
+            self.control_plane.report_task_demand(task, float(count) / self.config.control_interval_s)
+            self.task_arrivals[task] = 0
         if int(now) % max(1, int(self.config.heartbeat_interval_s)) == 0:
             for variant_name, factor in self.cluster.heartbeats().items():
                 self.control_plane.report_multiplier(variant_name, factor)

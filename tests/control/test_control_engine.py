@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.baselines import BaselineControlPlane, StaticPlanControlPlane
 from repro.control import (
-    ALLOCATION_POLICIES,
+    AllocationPolicy,
     ControlPlaneEngine,
     ROUTING_POLICIES,
     StaticPlanPolicy,
@@ -12,6 +11,8 @@ from repro.control import (
 )
 from repro.core import Controller, ControllerConfig
 from repro.core.allocation import AllocationProblem
+from repro.core.load_balancer import LoadBalancer
+from repro.scenarios import SYSTEM_FACTORIES, get_scenario
 from repro.telemetry import TelemetryRegistry
 
 
@@ -19,18 +20,23 @@ def solved_plan(pipeline, num_workers=10, demand=40.0):
     return AllocationProblem(pipeline, num_workers=num_workers, utilization_target=1.0).solve(demand)
 
 
-class CountingControlPlane(BaselineControlPlane):
-    """Subclass-style control plane that counts plan builds."""
+class CountingPolicy(AllocationPolicy):
+    """Allocation policy that counts plan builds."""
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self):
+        super().__init__()
         self.builds = 0
-        super().__init__(*args, **kwargs)
 
     def build_plan(self, target_demand_qps):
         self.builds += 1
+        engine = self.engine
         return AllocationProblem(
-            self.pipeline, num_workers=self.num_workers, utilization_target=1.0
+            engine.pipeline, num_workers=engine.num_workers, utilization_target=1.0
         ).solve(target_demand_qps)
+
+
+def counting_engine(pipeline, **kwargs):
+    return ControlPlaneEngine(pipeline, CountingPolicy(), num_workers=10, **kwargs)
 
 
 class TestEngineLoop:
@@ -132,63 +138,69 @@ class TestTelemetryWindowQuantiles:
 
 class TestPlanCache:
     def test_identical_state_hits_the_cache(self, small_pipeline):
-        control = CountingControlPlane(small_pipeline, num_workers=10)
+        control = counting_engine(small_pipeline)
         control.report_demand(0.0, 40.0)
         control.step(0.0, force=True)
         control.step(10.0, force=True)
-        assert control.builds == 1  # same target + fingerprint -> cached plan
+        assert control.allocation.builds == 1  # same target + fingerprint -> cached plan
         assert control.allocations_performed == 1
 
     def test_multiplier_drift_invalidates_cached_plans(self, small_pipeline):
         """Regression: the seed cache was keyed on demand alone and served
         stale plans forever once multiplier estimates drifted."""
-        control = CountingControlPlane(small_pipeline, num_workers=10)
+        control = counting_engine(small_pipeline)
         control.report_demand(0.0, 40.0)
         control.step(0.0, force=True)
-        assert control.builds == 1
+        assert control.allocation.builds == 1
         # Drift the estimate far enough to move the 0.5-quantised fingerprint.
         for _ in range(20):
             control.report_multiplier("detect_big", 4.0)
         control.step(10.0, force=True)
-        assert control.builds == 2
+        assert control.allocation.builds == 2
 
     def test_fingerprint_quantisation_absorbs_heartbeat_jitter(self, small_pipeline):
-        control = CountingControlPlane(small_pipeline, num_workers=10)
+        control = counting_engine(small_pipeline)
         control.report_demand(0.0, 40.0)
         control.step(0.0, force=True)
-        before = control.plan_fingerprint()
+        before = control.allocation.fingerprint()
         control.report_multiplier("detect_big", 2.02)  # tiny jitter
-        assert control.plan_fingerprint() == before
+        assert control.allocation.fingerprint() == before
         control.step(10.0, force=True)
-        assert control.builds == 1
+        assert control.allocation.builds == 1
 
     def test_cache_is_lru_bounded(self, small_pipeline):
-        control = CountingControlPlane(small_pipeline, num_workers=10, plan_cache_size=2)
+        control = counting_engine(small_pipeline, plan_cache_size=2)
         targets = [20.0, 40.0, 60.0]
         for index, target in enumerate(targets):
             control.estimator.reset(target)
             control.step(10.0 * index, force=True)
-        assert control.builds == 3
+        assert control.allocation.builds == 3
         assert len(control._plan_cache) == 2
         # Oldest key (target 20) was evicted; re-solving it builds again.
         control.estimator.reset(20.0)
         control.step(100.0, force=True)
-        assert control.builds == 4
+        assert control.allocation.builds == 4
 
 
 class TestMultiplierSmoothing:
     def test_configured_alpha_used(self, small_pipeline):
         """Regression: the seed hard-coded a 0.3/0.7 EWMA for baselines."""
         plan = solved_plan(small_pipeline)
-        control = StaticPlanControlPlane(small_pipeline, 10, plan, ewma_alpha=0.5)
+        control = ControlPlaneEngine(
+            small_pipeline, StaticPlanPolicy(plan), num_workers=10, ewma_alpha=0.5
+        )
         before = control.multiplier_estimates["detect_big"]
         control.report_multiplier("detect_big", before + 1.0)
         assert control.multiplier_estimates["detect_big"] == pytest.approx(before + 0.5)
 
     def test_multiplier_alpha_overridable_independently(self, small_pipeline):
         plan = solved_plan(small_pipeline)
-        control = StaticPlanControlPlane(
-            small_pipeline, 10, plan, ewma_alpha=0.5, multiplier_ewma_alpha=0.1
+        control = ControlPlaneEngine(
+            small_pipeline,
+            StaticPlanPolicy(plan),
+            num_workers=10,
+            ewma_alpha=0.5,
+            multiplier_ewma_alpha=0.1,
         )
         before = control.multiplier_estimates["detect_big"]
         control.report_multiplier("detect_big", before + 1.0)
@@ -201,7 +213,6 @@ class TestMultiplierSmoothing:
 
 class TestRegistries:
     def test_builtin_policies_registered(self):
-        assert {"loki", "inferline", "proteus", "static"} <= set(ALLOCATION_POLICIES)
         assert {
             "most_accurate_first",
             "least_loaded",
@@ -210,21 +221,44 @@ class TestRegistries:
         } <= set(ROUTING_POLICIES)
 
 
-class TestControllerFacade:
+class TestController:
     def test_controller_routing_policy_config(self, small_pipeline):
         controller = Controller(
             small_pipeline,
             ControllerConfig(num_workers=10, routing_policy="weighted_random", utilization_target=1.0),
         )
-        assert type(controller.engine.routing_policy) is ROUTING_POLICIES["weighted_random"]
+        assert type(controller.routing_policy) is ROUTING_POLICIES["weighted_random"]
         controller.report_demand(0.0, 40.0)
         plan, routing = controller.step(0.0, force=True)
         assert plan is not None and routing is not None
 
-    def test_controller_shares_engine_state(self, small_pipeline):
-        controller = Controller(small_pipeline, ControllerConfig(num_workers=10, utilization_target=1.0))
-        controller.report_demand(0.0, 40.0)
-        controller.step(0.0, force=True)
-        assert controller.current_plan is controller.engine.current_plan
-        assert controller.load_balancer is controller.engine.load_balancer
-        assert controller.plan_changes == controller.engine.plan_changes == 1
+
+@pytest.mark.parametrize("system", sorted(SYSTEM_FACTORIES))
+def test_every_system_runs_through_the_engine_hooks(system, monkeypatch):
+    """Every serving system is a ControlPlaneEngine that keeps the engine's
+    own step, so class-level wrappers on the engine loop, the allocation
+    entry point and the routing refresh see each system's control work."""
+    spec = get_scenario("smoke").with_overrides(
+        system=system, trace_params={"qps": 30.0, "duration_s": 3}
+    )
+    simulation = spec.build(seed=0)
+    control = simulation.control_plane
+    assert isinstance(control, ControlPlaneEngine)
+    assert type(control).step is ControlPlaneEngine.step
+
+    calls = {"step": 0, "run_allocation": 0, "refresh": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(ControlPlaneEngine, "step")
+    counting(AllocationPolicy, "run_allocation")
+    counting(LoadBalancer, "refresh")
+    simulation.run()
+    assert all(count >= 1 for count in calls.values()), calls

@@ -1,11 +1,10 @@
-"""Feedback-control API: ControlContext assembly, shims for pre-feedback policies.
+"""Feedback-control API: ControlContext assembly and the one signature per hook.
 
-The api_redesign PR changed ``AllocationPolicy.allocate(now_s)`` to
-``allocate(ctx)`` and gave ``TrafficSplitPolicy.split`` a third ``view``
-argument.  These tests pin the redesigned surface (per-step context assembly,
-telemetry windows, live-view plumbing) and the compatibility story: an
-old-style third-party policy still runs and emits exactly one
-``DeprecationWarning`` per instance.
+``AllocationPolicy.allocate`` receives the period's ``ControlContext`` and
+``TrafficSplitPolicy.split`` takes ``(workers, demand_qps, view)``.  These
+tests pin that surface (per-step context assembly, telemetry windows,
+live-view plumbing) and that the engine calls each hook with exactly that
+signature.
 """
 
 import dataclasses
@@ -178,65 +177,53 @@ class TestContextAssembly:
         assert window.p50_latency_ms == pytest.approx(20.0)
 
 
-class OldStyleAllocation(AllocationPolicy):
-    """Third-party policy written against the pre-feedback allocate(now_s)."""
-
-    name = "old_style_test"
+class RecordingAllocation(AllocationPolicy):
+    """Context-aware policy that records what ``allocate`` receives."""
 
     def __init__(self, plan):
         super().__init__()
         self.plan = plan
         self.calls = []
 
-    def allocate(self, now_s):
-        self.calls.append(now_s)
-        self.engine.last_allocation_s = now_s
+    def allocate(self, ctx):
+        self.calls.append(ctx)
+        self.engine.last_allocation_s = ctx.now_s
         return self.plan
 
 
-class OldStyleSplit(TrafficSplitPolicy):
-    """Third-party routing policy with the pre-feedback split(workers, demand)."""
-
-    name = "old_split_test"
+class TwoArgumentSplit(TrafficSplitPolicy):
+    """Routing policy whose split lacks the third ``view`` parameter."""
 
     def split(self, workers, demand_qps):
         share = demand_qps / len(workers)
         return [min(share, w.remaining_capacity_qps) for w in workers]
 
 
-class TestDeprecationShims:
-    def test_old_style_allocate_runs_with_single_warning(self, small_pipeline):
+class TestSingleSignatures:
+    def test_allocate_receives_the_context_and_nothing_warns(self, small_pipeline):
         plan = solved_plan(small_pipeline)
-        policy = OldStyleAllocation(plan)
+        policy = RecordingAllocation(plan)
         engine = ControlPlaneEngine(small_pipeline, policy, num_workers=10)
         engine.report_demand(0.0, 40.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             engine.step(0.0, force=True)
             engine.step(10.0, force=True)
-            engine.step(20.0, force=True)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "allocate(now_s) is deprecated" in str(deprecations[0].message)
-        # the shim passed plain timestamps, and the policy drove real plans
-        assert policy.calls == [0.0, 10.0, 20.0]
+        assert caught == []
+        assert [ctx.now_s for ctx in policy.calls] == [0.0, 10.0]
+        assert policy.calls[-1] is engine.last_context
         assert engine.current_plan is plan
 
-    def test_old_style_split_runs_with_single_warning(self, small_pipeline):
+    def test_two_argument_split_raises_at_first_refresh(self, small_pipeline):
         plan = solved_plan(small_pipeline)
         engine = ControlPlaneEngine(
-            small_pipeline, StaticPlanPolicy(plan), OldStyleSplit(small_pipeline), num_workers=10
+            small_pipeline, StaticPlanPolicy(plan), TwoArgumentSplit(small_pipeline), num_workers=10
         )
         engine.report_demand(0.0, 40.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with pytest.raises(TypeError, match="split"):
             engine.step(0.0, force=True)
-            engine.step(1.0, force=True)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "split(workers, demand_qps) is deprecated" in str(deprecations[0].message)
-        assert engine.current_routing is not None
-        assert not engine.current_routing.frontend_table.is_empty()
+        assert engine.current_plan is plan  # allocation ran; the refresh raised
+        assert engine.current_routing is None
 
     def test_annotated_context_param_counts_as_new_style(self, small_pipeline):
         """An override whose first parameter is annotated ControlContext is
@@ -269,49 +256,24 @@ class TestDeprecationShims:
             engine.step(0.0, force=True)
         assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
 
-    def test_legacy_split_with_extra_defaulted_param(self, small_pipeline):
-        """Regression: classification is by the `view` keyword, not arity — a
-        legacy split with an unrelated defaulted parameter must not have the
-        ClusterView bound to it."""
+    def test_context_aware_super_delegation_plans(self, small_pipeline):
+        """An ``allocate(ctx)`` override that delegates to ``super().allocate(ctx)``
+        runs the generic cached path."""
         plan = solved_plan(small_pipeline)
         seen = []
 
-        class LegacySplitWithDefault(TrafficSplitPolicy):
-            def split(self, workers, demand_qps, spread=2.0):
-                seen.append(spread)
-                share = demand_qps / (len(workers) * spread) * spread
-                return [min(share, w.remaining_capacity_qps) for w in workers]
-
-        engine = ControlPlaneEngine(
-            small_pipeline,
-            StaticPlanPolicy(plan),
-            LegacySplitWithDefault(small_pipeline),
-            num_workers=10,
-        )
-        engine.attach_cluster_state(FakeProvider(make_view()))
-        engine.report_demand(0.0, 40.0)
-        with pytest.warns(DeprecationWarning, match="split"):
-            engine.step(0.0, force=True)
-        assert seen and all(spread == 2.0 for spread in seen)
-
-    def test_legacy_super_delegation_still_works(self, small_pipeline):
-        """A legacy subclass calling super().allocate(now_s) keeps working."""
-        plan = solved_plan(small_pipeline)
-
-        class LegacyDelegator(AllocationPolicy):
-            def __init__(self):
-                super().__init__()
-
+        class Delegator(AllocationPolicy):
             def build_plan(self, target):
                 return plan
 
-            def allocate(self, now_s):
-                return super().allocate(now_s)  # float, not a ControlContext
+            def allocate(self, ctx):
+                seen.append(ctx.now_s)
+                return super().allocate(ctx)
 
-        engine = ControlPlaneEngine(small_pipeline, LegacyDelegator(), num_workers=10)
+        engine = ControlPlaneEngine(small_pipeline, Delegator(), num_workers=10)
         engine.report_demand(0.0, 40.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            new_plan, _ = engine.step(0.0, force=True)
+        new_plan, _ = engine.step(0.0, force=True)
         assert new_plan is plan
+        assert seen == [0.0]
         assert engine.last_allocation_s == 0.0
+        assert engine.allocations_performed == 1

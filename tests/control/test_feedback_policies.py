@@ -14,10 +14,10 @@ import math
 import pytest
 
 from repro.control import (
-    ALLOCATION_POLICIES,
     AdaptiveP2CChooser,
     ClusterView,
     ControlContext,
+    ControlPlaneEngine,
     JSQChooser,
     ROUTING_POLICIES,
     SLOFeedbackPolicy,
@@ -51,7 +51,6 @@ class CountingProbe:
 class TestRegistries:
     def test_feedback_policies_registered(self):
         assert {"jsq", "adaptive_p2c"} <= set(ROUTING_POLICIES)
-        assert "slo_feedback" in ALLOCATION_POLICIES
 
 
 class TestJSQChooser:
@@ -206,12 +205,10 @@ class TestSLOFeedbackPolicy:
         assert (policy.scale / 0.25) == pytest.approx(round(policy.scale / 0.25))
 
     def test_zero_gains_disable_urgent_reallocation(self, small_pipeline):
-        from repro.baselines import BaselineControlPlane
-
-        control = BaselineControlPlane(
+        control = ControlPlaneEngine(
             small_pipeline,
-            10,
-            allocation_policy=SLOFeedbackPolicy(kp=0.0, ki=0.0),
+            SLOFeedbackPolicy(kp=0.0, ki=0.0),
+            num_workers=10,
             reallocation_interval_s=10.0,
         )
         control.report_demand(0.0, 40.0)
@@ -223,13 +220,12 @@ class TestSLOFeedbackPolicy:
         """Regression: the PID integrates each control period's window, so a
         violation burst between reallocations is seen (and can trigger an
         urgent reallocation) even though no allocation ran during it."""
-        from repro.baselines import BaselineControlPlane
         from repro.telemetry import TelemetryRegistry
 
-        control = BaselineControlPlane(
+        control = ControlPlaneEngine(
             small_pipeline,
-            10,
-            allocation_policy=SLOFeedbackPolicy(),
+            SLOFeedbackPolicy(),
+            num_workers=10,
             reallocation_interval_s=10.0,
         )
         registry = TelemetryRegistry()
@@ -258,12 +254,10 @@ class TestSLOFeedbackPolicy:
         assert policy.kp == 2.0
 
     def test_urgent_reallocation_with_gains(self, small_pipeline):
-        from repro.baselines import BaselineControlPlane
-
-        control = BaselineControlPlane(
+        control = ControlPlaneEngine(
             small_pipeline,
-            10,
-            allocation_policy=SLOFeedbackPolicy(urgent_error=0.25, urgent_interval_s=1.0),
+            SLOFeedbackPolicy(urgent_error=0.25, urgent_interval_s=1.0),
+            num_workers=10,
             reallocation_interval_s=10.0,
         )
         control.report_demand(0.0, 40.0)

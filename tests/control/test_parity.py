@@ -209,8 +209,6 @@ def test_parity_runs_through_unified_engine(figure):
     for system, spec in specs.items():
         simulation = spec.build(seed=0)
         control_plane = simulation.control_plane
+        assert isinstance(control_plane, ControlPlaneEngine)
         if system == "loki":
             assert isinstance(control_plane, Controller)
-            assert isinstance(control_plane.engine, ControlPlaneEngine)
-        else:
-            assert isinstance(control_plane, ControlPlaneEngine)

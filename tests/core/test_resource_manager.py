@@ -120,11 +120,6 @@ class TestResourceManager:
         plan = manager.allocate(0.0, demand_qps=60.0)
         assert plan.demand_qps == pytest.approx(60.0)
 
-    def test_maybe_allocate_respects_interval(self, manager):
-        manager.observe_demand(0.0, 40.0)
-        assert manager.maybe_allocate(0.0) is not None
-        assert manager.maybe_allocate(1.0) is None
-
     def test_stats_track_modes(self, manager):
         manager.observe_demand(0.0, 20.0)
         manager.allocate(0.0)

@@ -1,4 +1,4 @@
-"""R006 fixture: a policy still written against the legacy signature."""
+"""R006 fixture: an allocate(now_s) override, which would receive a ControlContext."""
 
 from repro.control.policies import AllocationPolicy
 

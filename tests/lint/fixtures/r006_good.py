@@ -1,4 +1,4 @@
-"""R006 fixture: a policy written against the ControlContext signature."""
+"""R006 fixture: an allocate override with the one (ctx) signature."""
 
 from repro.control.policies import AllocationPolicy
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import Controller, ControllerConfig
 from repro.core.allocation import AllocationProblem
-from repro.baselines import StaticPlanControlPlane
+from repro.control import ControlPlaneEngine, StaticPlanPolicy
 from repro.scenarios import get_scenario
 from repro.simulator import ServingSimulation, SimulationConfig
 from repro.simulator.network import NetworkModel
@@ -243,7 +243,9 @@ class TestEndToEndSimulation:
 
     def test_static_control_plane_runs(self, small_pipeline):
         plan = AllocationProblem(small_pipeline, num_workers=10, utilization_target=0.75).solve(50.0)
-        control = StaticPlanControlPlane(small_pipeline, 10, plan, latency_slo_ms=150.0)
+        control = ControlPlaneEngine(
+            small_pipeline, StaticPlanPolicy(plan), num_workers=10, latency_slo_ms=150.0
+        )
         sim = ServingSimulation(
             small_pipeline,
             control,
