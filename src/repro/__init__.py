@@ -9,8 +9,8 @@ The package is organised as follows:
   allocation-/routing-policy registries every serving system plugs into.
 * :mod:`repro.telemetry` -- counters, gauges and streaming-quantile
   histograms collected per simulation run and aggregated across sweeps.
-* :mod:`repro.solver` -- the MILP substrate (modelling layer, solution cache
-  and HiGHS in Gurobi's place).
+* :mod:`repro.solver` -- the MILP substrate (the array form of a MILP, the
+  solution cache and HiGHS in Gurobi's place).
 * :mod:`repro.simulator` -- the discrete-event cluster simulator that replaces
   the paper's 20-GPU prototype.
 * :mod:`repro.zoo` -- synthetic model-variant families and the two pipelines

@@ -29,12 +29,15 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+from scipy import sparse
+
 from repro.control.engine import ControlPlaneEngine
 from repro.control.policies import AllocationPolicy
 from repro.core.allocation import ACCURACY_SCALING, AllocationPlan, VariantAllocation
 from repro.core.pipeline import Pipeline
 from repro.core.profiles import ModelVariant
-from repro.solver import DEFAULT_SOLVER_OPTIONS, Model, solve
+from repro.solver import DEFAULT_SOLVER_OPTIONS, StandardForm, solve
 
 __all__ = ["ProteusAllocationPolicy", "ProteusControlPlane"]
 
@@ -97,47 +100,48 @@ class ProteusAllocationPolicy(AllocationPolicy):
         demands = {task: self.task_demand_estimate(task, target_demand_qps) for task in tasks}
         budget_ms = engine.latency_slo_ms / self.slo_slack_factor
 
-        model = Model("proteus")
-        x_vars: Dict[Tuple[str, str, int], object] = {}
-        f_vars: Dict[Tuple[str, str, int], object] = {}
-        configs: Dict[Tuple[str, str, int], Tuple[ModelVariant, float, float]] = {}
+        # Columns interleave x (instances, integer) and f (served QPS) per
+        # (task, variant, batch) configuration, task by task.
+        configs: List[Tuple[Tuple[str, str, int], ModelVariant, float, float]] = []
         for task in tasks:
             for variant in pipeline.registry.variants(task):
                 for batch in variant.batch_sizes:
                     latency = variant.latency_ms(batch)
                     if latency > budget_ms:
                         continue  # the only latency awareness Proteus has is per model
-                    key = (task, variant.name, batch)
-                    configs[key] = (variant, variant.throughput_qps(batch), latency)
-                    x_vars[key] = model.add_var(
-                        f"x[{task}|{variant.name}|{batch}]", lb=0, ub=engine.num_workers, integer=True
-                    )
-                    f_vars[key] = model.add_var(f"f[{task}|{variant.name}|{batch}]", lb=0.0)
+                    configs.append(((task, variant.name, batch), variant, variant.throughput_qps(batch), latency))
+        feasible_tasks = [task for task in tasks if any(key[0] == task for key, *_ in configs)]
+        num_configs = len(configs)
+        num_vars = 2 * num_configs
+        k = np.arange(num_configs)
+        # f <= x * throughput per configuration, then the cluster size.
+        capacity = np.zeros((num_configs, num_vars))
+        capacity[k, 2 * k] = [-throughput for _, _, throughput, _ in configs]
+        capacity[k, 2 * k + 1] = 1.0
+        cluster = np.zeros((1, num_vars))
+        cluster[0, 0::2] = 1.0
+        # Every task's observed demand is served in full.
+        served = np.zeros((len(feasible_tasks), num_vars))
+        served[:, 1::2] = [[key[0] == task for key, *_ in configs] for task in feasible_tasks]
+        c = np.zeros(num_vars)
+        c[1::2] = [-(variant.accuracy / max(demands[key[0]], 1e-9) / len(tasks)) for key, variant, _, _ in configs]
+        ub = np.full(num_vars, math.inf)
+        ub[0::2] = float(engine.num_workers)
+        integrality = np.zeros(num_vars)
+        integrality[0::2] = 1.0
+        form = StandardForm(
+            c=c,
+            A_ub=sparse.csr_matrix(np.vstack([capacity, cluster])),
+            b_ub=np.array([0.0] * num_configs + [float(engine.num_workers)]),
+            A_eq=sparse.csr_matrix(served),
+            b_eq=np.array([float(demands[task]) for task in feasible_tasks]),
+            lb=np.zeros(num_vars),
+            ub=ub,
+            integrality=integrality,
+            sense=-1,
+        )
 
-        total_x = None
-        objective = None
-        feasible_tasks = []
-        for task in tasks:
-            task_keys = [key for key in configs if key[0] == task]
-            if not task_keys:
-                continue
-            feasible_tasks.append(task)
-            served = None
-            for key in task_keys:
-                variant, throughput, _ = configs[key]
-                model.add_constraint(f_vars[key] <= x_vars[key] * throughput, name=f"cap[{'|'.join(map(str, key))}]")
-                served = f_vars[key] * 1.0 if served is None else served + f_vars[key]
-                term = f_vars[key] * (variant.accuracy / max(demands[task], 1e-9) / len(tasks))
-                objective = term if objective is None else objective + term
-            model.add_constraint(served == demands[task], name=f"demand[{task}]")
-        for key, var in x_vars.items():
-            total_x = var * 1.0 if total_x is None else total_x + var
-        if total_x is not None:
-            model.add_constraint(total_x <= float(engine.num_workers), name="cluster_size")
-        if objective is not None:
-            model.maximize(objective)
-
-        solution = solve(model, **self.solver_options)
+        solution = solve(form, **self.solver_options)
         if not solution.is_optimal:
             return self._fallback_plan(target_demand_qps, demands, budget_ms)
 
@@ -145,8 +149,10 @@ class ProteusAllocationPolicy(AllocationPolicy):
         total_workers = 0
         accuracy_weighted = 0.0
         accuracy_norm = 0.0
-        for key, (variant, throughput, latency) in configs.items():
-            replicas = int(round(solution.get(x_vars[key], 0.0)))
+        counts = solution.x[0::2].tolist()
+        flows = solution.x[1::2].tolist()
+        for (key, variant, throughput, latency), count, flow in zip(configs, counts, flows):
+            replicas = int(round(count))
             if replicas <= 0:
                 continue
             total_workers += replicas
@@ -161,7 +167,6 @@ class ProteusAllocationPolicy(AllocationPolicy):
                     accuracy=variant.accuracy,
                 )
             )
-            flow = solution.get(f_vars[key], 0.0)
             accuracy_weighted += flow * variant.accuracy
             accuracy_norm += flow
         expected_accuracy = accuracy_weighted / accuracy_norm if accuracy_norm else 0.0

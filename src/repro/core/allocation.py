@@ -51,6 +51,17 @@ designated branch and (b) adds *coupling constraints* forcing the per
 configuration flow through a shared task to be identical across branches, so
 the designated-branch accounting is exact and the variant mix at the shared
 task is consistent.
+
+Array form
+----------
+
+The MILP's structure is fixed, so it is assembled directly as a
+:class:`~repro.solver.StandardForm`: integer ``x`` columns in configuration
+order, flow ``g`` columns in path order, then ``D`` when the demand is a
+variable.  Capacity rows come from a path x configuration incidence that
+carries each hop's multiplier on the configuration's designated branch,
+coupling rows are differences of incidence columns between branches, and the
+accuracy objective is the vector of path accuracies.
 """
 
 from __future__ import annotations
@@ -59,9 +70,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+from scipy import sparse
+
 from repro.core.pipeline import Pipeline, PathKey
 from repro.core.profiles import ModelVariant
-from repro.solver import DEFAULT_SOLVER_OPTIONS, Model, Solution, solve
+from repro.solver import DEFAULT_SOLVER_OPTIONS, Solution, StandardForm, solve
 
 __all__ = [
     "Configuration",
@@ -77,6 +91,10 @@ __all__ = [
 
 HARDWARE_SCALING = "hardware"
 ACCURACY_SCALING = "accuracy"
+
+#: total system accuracy the accuracy-scaling objective credits for keeping
+#: the incumbent plan's variants (a tie-breaker, see ``_build_model``)
+STABILITY_BONUS = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -349,44 +367,36 @@ class AllocationProblem:
         per_task_configs: Sequence[Sequence[Configuration]],
         budget_ms: float,
     ) -> None:
-        """Depth-first enumeration with latency-based pruning."""
+        """Depth-first enumeration with latency-based pruning.
+
+        Latency, accuracy and the multiplier of each hop (the product of the
+        upstream variants' multiplicative factors and the edges' branch
+        ratios) accumulate along the way, in path order.
+        """
         n = len(task_path)
+        latencies = [[c.latency_ms for c in configs] for configs in per_task_configs]
+        branch_ratios = [self.pipeline.edge(a, b).branch_ratio for a, b in zip(task_path, task_path[1:])]
         # Lower bound on remaining latency from each position enables pruning.
         min_remaining = [0.0] * (n + 1)
         for i in range(n - 1, -1, -1):
-            min_remaining[i] = min_remaining[i + 1] + min(c.latency_ms for c in per_task_configs[i])
+            min_remaining[i] = min_remaining[i + 1] + min(latencies[i])
 
-        def visit(position: int, chosen: List[Configuration], latency: float):
+        def visit(position: int, chosen: Tuple[Configuration, ...], multipliers: Tuple[float, ...],
+                  accuracy: float, latency: float):
             if latency + min_remaining[position] > budget_ms + 1e-9:
                 return
             if position == n:
-                multipliers = self._path_multipliers(task_path, chosen)
-                accuracy = math.prod(c.accuracy for c in chosen)
-                out.append(
-                    ConfigPath(
-                        branch_index=branch_index,
-                        configs=tuple(chosen),
-                        multipliers=multipliers,
-                        accuracy=accuracy,
-                        latency_ms=latency,
-                    )
-                )
+                out.append(ConfigPath(branch_index, chosen, multipliers, accuracy, latency))
                 return
-            for config in per_task_configs[position]:
-                visit(position + 1, chosen + [config], latency + config.latency_ms)
-
-        visit(0, [], 0.0)
-
-    def _path_multipliers(self, task_path: Sequence[str], configs: Sequence[Configuration]) -> Tuple[float, ...]:
-        multipliers: List[float] = []
-        running = 1.0
-        for position, config in enumerate(configs):
+            running = 1.0
             if position > 0:
-                upstream = configs[position - 1]
-                edge = self.pipeline.edge(task_path[position - 1], task_path[position])
-                running *= self.multiplicative_factor(upstream.variant) * edge.branch_ratio
-            multipliers.append(running)
-        return tuple(multipliers)
+                upstream = chosen[-1].variant
+                running = multipliers[-1] * (self.multiplicative_factor(upstream) * branch_ratios[position - 1])
+            for config, config_latency in zip(per_task_configs[position], latencies[position]):
+                visit(position + 1, chosen + (config,), multipliers + (running,),
+                      accuracy * config.accuracy, latency + config_latency)
+
+        visit(0, (), (), 1, 0.0)
 
     # -- MILP assembly -------------------------------------------------------
     def _build_model(
@@ -395,170 +405,130 @@ class AllocationProblem:
         mode: str,
         restrict_to_best: bool,
         accuracy_floor: Optional[float] = None,
-        worker_budget: Optional[int] = None,
         preferred_variants: Optional[Iterable[str]] = None,
-        stability_bonus: float = 0.02,
-    ) -> Tuple[Model, List[Configuration], List[ConfigPath], Dict[Tuple[str, str, int], object], Dict[int, object], Optional[object]]:
-        """Assemble the MILP shared by all solve entry points.
+    ) -> Optional[Tuple[StandardForm, List[Configuration], List[ConfigPath]]]:
+        """Assemble the MILP shared by all solve entry points as arrays.
 
-        ``demand_qps=None`` turns the demand into an optimisation variable
-        (used to compute the maximum supportable demand).
+        Columns are ``x`` per configuration in :meth:`configurations` order,
+        then ``g`` per path in :meth:`config_paths` order, then ``D`` when
+        ``demand_qps`` is ``None`` (the demand becomes an optimisation
+        variable, used to compute the maximum supportable demand).  Returns
+        ``None`` when the latency budget prunes every path of some branch:
+        the problem is then structurally infeasible for this SLO.
         """
         configs = self.configurations(restrict_to_best=restrict_to_best)
         paths = self.config_paths(restrict_to_best=restrict_to_best)
-        model = Model(f"{self.pipeline.name}-{mode}")
+        num_branches = len(self._task_paths)
+        branch = np.array([path.branch_index for path in paths], dtype=int)
+        if len(np.unique(branch)) < num_branches:
+            return None
+        num_x, num_g = len(configs), len(paths)
+        num_vars = num_x + num_g + (demand_qps is None)
+        g = slice(num_x, num_x + num_g)
 
-        # Instance-count variables x(i, k, b).
-        x_vars: Dict[Tuple[str, str, int], object] = {}
-        for config in configs:
-            x_vars[config.key] = model.add_var(
-                f"x[{config.task}|{config.variant.name}|{config.batch_size}]",
-                lb=0,
-                ub=self.num_workers,
-                integer=True,
-            )
-
-        # Flow variables g(p) = D * c(p) (absolute QPS entering each path).
-        flow_vars: Dict[int, object] = {}
-        for index, path in enumerate(paths):
-            flow_vars[index] = model.add_var(f"g[{index}]", lb=0.0)
-
-        demand_var = None
-        if demand_qps is None:
-            demand_var = model.add_var("D", lb=0.0)
-
-        # Demand-coverage constraint per branch: Σ_{p in branch} g(p) = D.
-        branches_with_paths = {p.branch_index for p in paths}
-        for branch_index, task_path in enumerate(self._task_paths):
-            terms = [flow_vars[i] * 1.0 for i, p in enumerate(paths) if p.branch_index == branch_index]
-            if not terms:
-                # Every path of this branch was pruned by the latency budget:
-                # the problem is structurally infeasible for this SLO.
-                model.add_constraint(model.add_var(f"infeasible[{branch_index}]", lb=1.0, ub=1.0) <= 0.0,
-                                     name=f"branch_infeasible[{branch_index}]")
-                continue
-            total = terms[0]
-            for term in terms[1:]:
-                total = total + term
-            if demand_var is None:
-                model.add_constraint(total == float(demand_qps), name=f"demand[{branch_index}]")
-            else:
-                model.add_constraint(total == demand_var * 1.0, name=f"demand[{branch_index}]")
-
-        # Shared-prefix coupling: configuration flow through a shared task must
-        # agree across branches (see module docstring).
-        self._add_coupling_constraints(model, paths, flow_vars)
+        # Path x configuration incidence with the multiplier of each hop.
+        column = {config.key: j for j, config in enumerate(configs)}
+        rows = [p for p, path in enumerate(paths) for _ in path.configs]
+        cols = [column[config.key] for path in paths for config in path.configs]
+        on_path = np.zeros((num_g, num_x), dtype=bool)
+        on_path[rows, cols] = True
+        multiplier = np.zeros((num_g, num_x))
+        multiplier[rows, cols] = [m for path in paths for m in path.multipliers]
+        designated_branch = np.array([self._designated_branch[config.task] for config in configs])
+        designated = on_path & (designated_branch[None, :] == branch[:, None])
+        accuracy = np.array([path.accuracy for path in paths])
 
         # Capacity constraint (2): load on each configuration from its
-        # designated branch must fit the provisioned throughput.  Terms are
-        # gathered in a single pass over the paths to keep model assembly
-        # linear in (number of paths x path length).
-        load_terms: Dict[Tuple[str, str, int], List[Tuple[object, float]]] = {c.key: [] for c in configs}
-        for index, path in enumerate(paths):
-            for position, path_config in enumerate(path.configs):
-                if self._designated_branch[path_config.task] == path.branch_index:
-                    load_terms[path_config.key].append((flow_vars[index], path.multipliers[position]))
-        for config in configs:
-            terms = load_terms[config.key]
-            if not terms:
+        # designated branch must fit the provisioned throughput.  Then the
+        # cluster size constraint (3) and the optional accuracy floor.
+        loaded = designated.any(axis=0)
+        throughput = np.array([self.effective_throughput_qps(config) for config in configs])
+        capacity = np.zeros((int(loaded.sum()), num_vars))
+        capacity[:, :num_x] = np.diag(-throughput)[loaded]
+        capacity[:, g] = np.where(designated, multiplier, 0.0).T[loaded]
+        cluster = np.zeros((1, num_vars))
+        cluster[0, :num_x] = 1.0
+        ub_rows = [capacity, cluster]
+        b_ub = [0.0] * len(capacity) + [float(self.num_workers)]
+        if accuracy_floor is not None and (demand_qps is None or demand_qps > 0):
+            floor = np.zeros((1, num_vars))
+            if demand_qps is None:
+                # Σ_p g(p) (Â(p) - floor) >= 0 per the normalisation Σ_p g(p) = |branches| * D.
+                floor[0, g] = -(accuracy - accuracy_floor)
+                b_ub.append(0.0)
+            else:
+                floor[0, g] = -(accuracy / (num_branches * demand_qps))
+                b_ub.append(-accuracy_floor)
+            ub_rows.append(floor)
+
+        # Demand coverage per branch, Σ_{p in branch} g(p) = D, then the
+        # shared-prefix coupling (see module docstring): per configuration of
+        # a shared task, the flow of the first branch through it equals that
+        # of every other branch.  Configurations are sorted so the row order
+        # (and therefore solver tie-breaks between equally optimal plans) does
+        # not depend on PYTHONHASHSEED.
+        in_branch = (branch[None, :] == np.arange(num_branches)[:, None]).astype(float)
+        demand = np.zeros((num_branches, num_vars))
+        demand[:, g] = in_branch
+        if demand_qps is None:
+            demand[:, -1] = -1.0
+        eq_rows = [demand]
+        used = on_path.any(axis=0)
+        for task in dict.fromkeys(task for task_path in self._task_paths for task in task_path):
+            reference, *others = [b for b, task_path in enumerate(self._task_paths) if task in task_path]
+            if not others:
                 continue
-            expr = terms[0][0] * terms[0][1]
-            for var, mult in terms[1:]:
-                expr = expr + var * mult
-            capacity = x_vars[config.key] * self.effective_throughput_qps(config)
-            model.add_constraint(expr <= capacity, name=f"capacity[{'|'.join(map(str, config.key))}]")
+            task_columns = [j for j, config in enumerate(configs) if config.task == task and used[j]]
+            for j in sorted(task_columns, key=lambda j: configs[j].key):
+                for other in others:
+                    row = np.zeros((1, num_vars))
+                    row[0, g] = on_path[:, j] * (in_branch[reference] - in_branch[other])
+                    eq_rows.append(row)
+        b_eq = [0.0 if demand_qps is None else float(demand_qps)] * num_branches + [0.0] * (len(eq_rows) - 1)
 
-        # Cluster size constraint (3).
-        budget = worker_budget if worker_budget is not None else self.num_workers
-        all_x = list(x_vars.values())
-        total_x = all_x[0] * 1.0
-        for var in all_x[1:]:
-            total_x = total_x + var
-        model.add_constraint(total_x <= float(budget), name="cluster_size")
-
-        # Optional accuracy floor (used for capacity-at-accuracy sweeps).
-        if accuracy_floor is not None and demand_qps is not None and demand_qps > 0:
-            acc_expr = None
-            for index, path in enumerate(paths):
-                term = flow_vars[index] * (path.accuracy / (len(self._task_paths) * demand_qps))
-                acc_expr = term if acc_expr is None else acc_expr + term
-            if acc_expr is not None:
-                model.add_constraint(acc_expr >= accuracy_floor, name="accuracy_floor")
-
-        # Objective.
+        c = np.zeros(num_vars)
+        sense = -1
         if mode == HARDWARE_SCALING:
-            model.minimize(total_x)
+            c[:num_x] = 1.0
+            sense = 1
         elif mode == ACCURACY_SCALING:
             # System accuracy = (1/|branches|) Σ_p c(p) Â(p); with flows this is
             # (1/(|branches| D)) Σ_p g(p) Â(p).  D is a constant here.
             assert demand_qps is not None and demand_qps > 0
-            acc_expr = None
-            for index, path in enumerate(paths):
-                term = flow_vars[index] * (path.accuracy / (len(self._task_paths) * demand_qps))
-                acc_expr = term if acc_expr is None else acc_expr + term
-            if acc_expr is None:
-                # Every path was pruned by the latency budget; the model is
-                # already infeasible via the branch coverage constraints.
-                from repro.solver.model import LinExpr
-
-                acc_expr = LinExpr()
+            c[g] = -(accuracy / (num_branches * demand_qps))
             # Plan-stability bonus: slightly prefer keeping the variants of the
             # incumbent plan so consecutive re-allocations do not shuffle model
             # assignments gratuitously (every shuffle costs a model-load on a
-            # worker).  The bonus is small (worth ``stability_bonus`` system
+            # worker).  The bonus is small (worth ``STABILITY_BONUS`` system
             # accuracy in total), so it only breaks ties between near-optimal
             # mixes and never outweighs a real accuracy gain.
             if preferred_variants:
                 preferred = set(preferred_variants)
-                per_worker_bonus = stability_bonus / max(1, self.num_workers)
-                for config in configs:
+                per_worker_bonus = STABILITY_BONUS / max(1, self.num_workers)
+                for j, config in enumerate(configs):
                     if config.variant.name in preferred:
-                        acc_expr = acc_expr + x_vars[config.key] * per_worker_bonus
-            model.maximize(acc_expr)
+                        c[j] = -per_worker_bonus
         elif mode == "max_throughput":
-            assert demand_var is not None
-            model.maximize(demand_var * 1.0)
+            c[-1] = -1.0
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown mode {mode!r}")
 
-        return model, configs, paths, x_vars, flow_vars, demand_var
-
-    def _add_coupling_constraints(self, model: Model, paths: List[ConfigPath], flow_vars: Dict[int, object]) -> None:
-        """Force per-configuration flow through shared tasks to match across branches."""
-        # Group flows by (task, config key, branch).
-        by_config_branch: Dict[Tuple[Tuple[str, str, int], int], List[int]] = {}
-        branches_per_task: Dict[str, set] = {}
-        for index, path in enumerate(paths):
-            for config in path.configs:
-                by_config_branch.setdefault((config.key, path.branch_index), []).append(index)
-                branches_per_task.setdefault(config.task, set()).add(path.branch_index)
-
-        for task, branches in branches_per_task.items():
-            if len(branches) < 2:
-                continue
-            branch_list = sorted(branches)
-            reference = branch_list[0]
-            # Sorted so the constraint order (and therefore solver tie-breaks
-            # between equally optimal plans) does not depend on PYTHONHASHSEED.
-            config_keys = sorted({key for (key, b) in by_config_branch if key[0] == task})
-            for key in config_keys:
-                ref_indices = by_config_branch.get((key, reference), [])
-                ref_expr = self._sum_flows(flow_vars, ref_indices)
-                for other in branch_list[1:]:
-                    other_indices = by_config_branch.get((key, other), [])
-                    other_expr = self._sum_flows(flow_vars, other_indices)
-                    model.add_constraint(ref_expr == other_expr, name=f"couple[{task}|{key[1]}|{key[2]}|{other}]")
-
-    @staticmethod
-    def _sum_flows(flow_vars: Dict[int, object], indices: Sequence[int]):
-        if not indices:
-            from repro.solver.model import LinExpr
-
-            return LinExpr()
-        expr = flow_vars[indices[0]] * 1.0
-        for index in indices[1:]:
-            expr = expr + flow_vars[index]
-        return expr
+        ub = np.full(num_vars, math.inf)
+        ub[:num_x] = float(self.num_workers)
+        integrality = np.zeros(num_vars)
+        integrality[:num_x] = 1.0
+        form = StandardForm(
+            c=c,
+            A_ub=sparse.csr_matrix(np.vstack(ub_rows)),
+            b_ub=np.array(b_ub),
+            A_eq=sparse.csr_matrix(np.vstack(eq_rows)),
+            b_eq=np.array(b_eq),
+            lb=np.zeros(num_vars),
+            ub=ub,
+            integrality=integrality,
+            sense=sense,
+        )
+        return form, configs, paths
 
     # -- solving --------------------------------------------------------------
     def solve_hardware_scaling(self, demand_qps: float) -> Optional[AllocationPlan]:
@@ -567,13 +537,14 @@ class AllocationProblem:
         Returns ``None`` when infeasible (the Resource Manager then falls back
         to accuracy scaling).
         """
-        model, configs, paths, x_vars, flow_vars, _ = self._build_model(
-            demand_qps=demand_qps, mode=HARDWARE_SCALING, restrict_to_best=True
-        )
-        solution = solve(model, **self.solver_options)
+        built = self._build_model(demand_qps=demand_qps, mode=HARDWARE_SCALING, restrict_to_best=True)
+        if built is None:
+            return None
+        form, configs, paths = built
+        solution = solve(form, **self.solver_options)
         if not solution.is_optimal:
             return None
-        return self._decode(solution, configs, paths, x_vars, flow_vars, demand_qps, HARDWARE_SCALING)
+        return self._decode(solution, configs, paths, demand_qps, HARDWARE_SCALING)
 
     def solve_accuracy_scaling(
         self,
@@ -587,17 +558,20 @@ class AllocationProblem:
         small stability bonus steers ties toward reusing them (fewer model
         swaps between consecutive invocations).
         """
-        model, configs, paths, x_vars, flow_vars, _ = self._build_model(
+        built = self._build_model(
             demand_qps=demand_qps,
             mode=ACCURACY_SCALING,
             restrict_to_best=False,
             accuracy_floor=accuracy_floor,
             preferred_variants=preferred_variants,
         )
-        solution = solve(model, **self.solver_options)
+        if built is None:
+            return None
+        form, configs, paths = built
+        solution = solve(form, **self.solver_options)
         if not solution.is_optimal:
             return None
-        return self._decode(solution, configs, paths, x_vars, flow_vars, demand_qps, ACCURACY_SCALING)
+        return self._decode(solution, configs, paths, demand_qps, ACCURACY_SCALING)
 
     def solve(
         self,
@@ -637,23 +611,17 @@ class AllocationProblem:
 
     def max_supported_demand(self, restrict_to_best: bool = False, accuracy_floor: Optional[float] = None):
         """Maximum demand the cluster can absorb (used for Figure 1 capacity curves)."""
-        model, configs, paths, x_vars, flow_vars, demand_var = self._build_model(
-            demand_qps=None, mode="max_throughput", restrict_to_best=restrict_to_best
+        built = self._build_model(
+            demand_qps=None, mode="max_throughput", restrict_to_best=restrict_to_best, accuracy_floor=accuracy_floor
         )
-        if accuracy_floor is not None:
-            # Accuracy floor with variable demand: Σ g(p) (Â(p) - floor) >= 0 per the
-            # normalisation Σ_p g(p) = |branches| * D.
-            from repro.solver.model import LinExpr
-
-            expr = LinExpr()
-            for index, path in enumerate(paths):
-                expr = expr + flow_vars[index] * (path.accuracy - accuracy_floor)
-            model.add_constraint(expr >= 0.0, name="accuracy_floor")
-        solution = solve(model, **self.solver_options)
+        if built is None:
+            return MaxDemandResult(max_demand_qps=0.0, plan=self._empty_plan(0.0))
+        form, configs, paths = built
+        solution = solve(form, **self.solver_options)
         if not solution.is_optimal:
             return MaxDemandResult(max_demand_qps=0.0, plan=self._empty_plan(0.0))
-        max_demand = solution.get("D", 0.0)
-        plan = self._decode(solution, configs, paths, x_vars, flow_vars, max(max_demand, 1e-9), ACCURACY_SCALING)
+        max_demand = float(solution.x[-1])
+        plan = self._decode(solution, configs, paths, max(max_demand, 1e-9), ACCURACY_SCALING)
         return MaxDemandResult(max_demand_qps=max_demand, plan=plan)
 
     # -- decoding --------------------------------------------------------------
@@ -662,15 +630,14 @@ class AllocationProblem:
         solution: Solution,
         configs: List[Configuration],
         paths: List[ConfigPath],
-        x_vars,
-        flow_vars,
         demand_qps: float,
         mode: str,
     ) -> AllocationPlan:
         allocations: List[VariantAllocation] = []
         total_workers = 0
-        for config in configs:
-            replicas = int(round(solution.get(x_vars[config.key], 0.0)))
+        num_x = len(configs)
+        for config, count in zip(configs, solution.x[:num_x].tolist()):
+            replicas = int(round(count))
             if replicas <= 0:
                 continue
             total_workers += replicas
@@ -689,8 +656,7 @@ class AllocationProblem:
         num_branches = max(1, len(self._task_paths))
         path_ratios: Dict[PathKey, float] = {}
         accuracy_numerator = 0.0
-        for index, path in enumerate(paths):
-            flow = solution.get(flow_vars[index], 0.0)
+        for path, flow in zip(paths, solution.x[num_x : num_x + len(paths)].tolist()):
             if flow <= 1e-9:
                 continue
             ratio = flow / demand_qps if demand_qps > 0 else 0.0
@@ -734,13 +700,19 @@ class MaxDemandResult:
 # ---------------------------------------------------------------------------
 # Convenience functions used by tests and the experiment harness
 # ---------------------------------------------------------------------------
-def build_hardware_scaling_model(problem: AllocationProblem, demand_qps: float) -> Model:
-    """Return the raw MILP of the hardware-scaling step (for inspection/tests)."""
-    model, *_ = problem._build_model(demand_qps=demand_qps, mode=HARDWARE_SCALING, restrict_to_best=True)
-    return model
+def build_hardware_scaling_model(problem: AllocationProblem, demand_qps: float) -> Optional[StandardForm]:
+    """Return the raw MILP of the hardware-scaling step (for inspection/tests).
+
+    ``None`` when the latency budget prunes every path of some branch.
+    """
+    built = problem._build_model(demand_qps=demand_qps, mode=HARDWARE_SCALING, restrict_to_best=True)
+    return None if built is None else built[0]
 
 
-def build_accuracy_scaling_model(problem: AllocationProblem, demand_qps: float) -> Model:
-    """Return the raw MILP of the accuracy-scaling step (for inspection/tests)."""
-    model, *_ = problem._build_model(demand_qps=demand_qps, mode=ACCURACY_SCALING, restrict_to_best=False)
-    return model
+def build_accuracy_scaling_model(problem: AllocationProblem, demand_qps: float) -> Optional[StandardForm]:
+    """Return the raw MILP of the accuracy-scaling step (for inspection/tests).
+
+    ``None`` when the latency budget prunes every path of some branch.
+    """
+    built = problem._build_model(demand_qps=demand_qps, mode=ACCURACY_SCALING, restrict_to_best=False)
+    return None if built is None else built[0]

@@ -150,13 +150,14 @@ class UnkeyedRngRule(Rule):
 class WallClockRule(Rule):
     """R002 wall-clock: simulated code must not read the host's clock.
 
-    History: PR 4 made solver plans machine-independent by replacing
-    wall-clock ``time_limit`` cutoffs with deterministic work limits
-    (``node_limit`` / ``max_lp_iterations``) — a B&B that stops "after 2s"
-    returns different plans on a laptop vs CI, which fig5's full-batch-grid
-    test caught as cross-machine plan drift.  Any ``time.time`` /
-    ``perf_counter`` / ``datetime.now`` inside ``src/repro`` risks
-    reintroducing that: the simulation's only clock is ``engine.now_s``.
+    History: a B&B that stops "after 2s" returns different plans on a laptop
+    vs CI, which fig5's full-batch-grid test caught as cross-machine plan
+    drift.  HiGHS's deterministic work limit (``node_limit``) avoids that,
+    but it is opt-in: ``DEFAULT_SOLVER_OPTIONS`` still carries a wall-clock
+    ``time_limit`` of 3 s, so reproducible runs pass ``node_limit`` with
+    ``time_limit=None``.  Any ``time.time`` / ``perf_counter`` /
+    ``datetime.now`` inside ``src/repro`` risks adding another host-clock
+    dependence: the simulation's only clock is ``engine.now_s``.
     Measurement-only uses (reporting ``runtime_s``, never branching on it)
     are grandfathered in the baseline or suppressed inline with a
     justification; ``experiments/runtime_overhead.py`` is allow-listed

@@ -3,14 +3,14 @@
 The paper solves its resource-allocation problem with Gurobi.  This package
 plays that role with HiGHS (through ``scipy.optimize.milp``):
 
-* :mod:`repro.solver.model` -- a small modelling layer (variables, linear
-  expressions, constraints, objective) that the allocation MILPs are
-  written against.
+* :mod:`repro.solver.model` -- :class:`StandardForm`, the array form
+  (objective, sparse constraint rows, bounds, integrality) the allocation
+  MILPs are assembled into, and the :class:`Solution` it solves to.
 * :mod:`repro.solver.cache` -- model fingerprinting and the LRU solution
   cache behind :func:`solve`.
 
 :func:`solve` is the one entry point: it consults the solution cache, hands
-the model's matrix form to HiGHS and decodes the result into a
+the form's arrays to HiGHS and decodes the result into a
 :class:`~repro.solver.model.Solution`.
 """
 
@@ -22,20 +22,16 @@ import types
 from typing import Optional, Union
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 
 from repro.solver.model import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     ERROR,
-    Constraint,
-    LinExpr,
-    Model,
-    Sense,
     Solution,
     SolverError,
-    Variable,
+    StandardForm,
 )
 from repro.solver.cache import SolutionCache, default_cache, fingerprint_model
 
@@ -44,13 +40,9 @@ __all__ = [
     "OPTIMAL",
     "UNBOUNDED",
     "ERROR",
-    "Constraint",
-    "LinExpr",
-    "Model",
-    "Sense",
     "Solution",
     "SolverError",
-    "Variable",
+    "StandardForm",
     "SolutionCache",
     "default_cache",
     "fingerprint_model",
@@ -67,14 +59,14 @@ DEFAULT_SOLVER_OPTIONS = types.MappingProxyType({"mip_rel_gap": 2e-3, "time_limi
 
 
 def _solve_highs(
-    model: Model,
+    form: StandardForm,
     *,
     time_limit: Optional[float] = None,
     mip_rel_gap: float = 1e-6,
     presolve: bool = True,
     node_limit: Optional[int] = None,
 ) -> Solution:
-    """Solve ``model`` with HiGHS.
+    """Solve ``form`` with HiGHS.
 
     ``time_limit`` is a wall-clock limit in seconds.  ``node_limit`` is a
     deterministic work limit on branch-and-bound nodes: unlike
@@ -82,16 +74,14 @@ def _solve_highs(
     only by it returns the same plan on any machine (HiGHS is deterministic
     for a fixed option set).  ``None`` means unlimited for both.
     """
-    if model.num_vars == 0:
-        return Solution(status=OPTIMAL, objective=model.objective.constant, values={}, x=np.zeros(0))
+    if form.num_vars == 0:
+        return Solution(status=OPTIMAL, objective=0.0, x=np.zeros(0))
 
-    c, A_ub, b_ub, A_eq, b_eq, integrality = model.to_standard_form()
-    lbs, ubs = model.bounds_arrays()
     constraints = []
-    if A_ub.shape[0]:
-        constraints.append(optimize.LinearConstraint(sparse.csr_matrix(A_ub), -np.inf * np.ones(A_ub.shape[0]), b_ub))
-    if A_eq.shape[0]:
-        constraints.append(optimize.LinearConstraint(sparse.csr_matrix(A_eq), b_eq, b_eq))
+    if form.A_ub.shape[0]:
+        constraints.append(optimize.LinearConstraint(form.A_ub, np.full(form.A_ub.shape[0], -np.inf), form.b_ub))
+    if form.A_eq.shape[0]:
+        constraints.append(optimize.LinearConstraint(form.A_eq, form.b_eq, form.b_eq))
 
     options = {"mip_rel_gap": mip_rel_gap, "presolve": presolve}
     if time_limit is not None:
@@ -102,10 +92,10 @@ def _solve_highs(
     start = time.perf_counter()
     try:
         result = optimize.milp(
-            c=c,
+            c=form.c,
             constraints=constraints,
-            integrality=integrality,
-            bounds=optimize.Bounds(lbs, ubs),
+            integrality=form.integrality,
+            bounds=optimize.Bounds(form.lb, form.ub),
             options=options,
         )
     except Exception as exc:  # pragma: no cover - defensive
@@ -132,21 +122,21 @@ def _solve_highs(
     x = np.asarray(result.x, dtype=float)
     # Snap integer variables to the nearest integer to remove tiny
     # numerical noise from the relaxation.
-    for idx in model.integer_indices:
-        x[idx] = round(x[idx])
-    return model.make_solution(x, status=OPTIMAL, **info)
+    integer = form.integrality != 0
+    x[integer] = np.round(x[integer])
+    return Solution(status=OPTIMAL, objective=form.sense * float(form.c @ x), x=x, info=info)
 
 
-def solve(model: Model, cache: Union[bool, SolutionCache, None] = True, **highs_options) -> Solution:
-    """Solve ``model`` with HiGHS.
+def solve(form: StandardForm, cache: Union[bool, SolutionCache, None] = True, **highs_options) -> Solution:
+    """Solve ``form`` with HiGHS.
 
     Parameters
     ----------
-    model:
-        A :class:`repro.solver.model.Model` instance.
+    form:
+        A :class:`repro.solver.model.StandardForm`.
     cache:
         ``True`` (default) consults the process-wide solution cache keyed by
-        the model's content fingerprint; pass a :class:`SolutionCache` to use
+        the form's content fingerprint; pass a :class:`SolutionCache` to use
         a private cache, or ``False``/``None`` to bypass caching.  Hits carry
         ``info["cache"] == "hit"``.
     highs_options:
@@ -168,13 +158,13 @@ def solve(model: Model, cache: Union[bool, SolutionCache, None] = True, **highs_
     cache_key = None
     fingerprint = None
     if cache_obj is not None:
-        fingerprint = fingerprint_model(model)
+        fingerprint = fingerprint_model(form)
         cache_key = SolutionCache.key(fingerprint, highs_options)
         cached = cache_obj.get(cache_key)
         if cached is not None:
             return cached
 
-    solution = _solve_highs(model, **highs_options)
+    solution = _solve_highs(form, **highs_options)
 
     solution.info.setdefault("cache", "miss" if cache_obj is not None else "off")
     if fingerprint is not None:

@@ -7,11 +7,10 @@ cache in this module lets :func:`repro.solver.solve` return the previous
 :class:`~repro.solver.model.Solution` for such re-solves without invoking
 HiGHS at all.
 
-Keys are content fingerprints of the model's matrix form (objective,
-constraints, bounds, integrality, variable names) combined with the solver
-options, so a cache hit is only possible when the solve would be
-bit-for-bit identical.  Mutating and re-solving a model therefore never
-returns stale results -- the fingerprint changes with the content.
+Keys are content fingerprints of the model's arrays (objective sense and
+vector, the sparse constraint rows and their structure, right-hand sides,
+bounds, integrality) combined with the solver options, so a cache hit is only
+possible when the solve would be bit-for-bit identical.
 
 Hits are observable: the returned solution carries ``info["cache"] == "hit"``
 (misses are stamped ``"miss"``), and :class:`SolutionCache` keeps hit/miss
@@ -25,35 +24,35 @@ from collections import OrderedDict
 from dataclasses import replace
 from typing import Dict, Optional
 
-from repro.solver.model import Model, Solution
+from repro.solver.model import Solution, StandardForm
 
 __all__ = ["fingerprint_model", "SolutionCache", "default_cache"]
 
 
-def fingerprint_model(model: Model) -> str:
-    """Content hash of a model's full matrix form (hex digest).
+def fingerprint_model(form: StandardForm) -> str:
+    """Content hash of a model's arrays (hex digest).
 
     Two models with the same fingerprint describe the same optimisation
-    problem with the same variable names, so their solutions are
+    problem in the same column order, so their solutions are
     interchangeable.
     """
-    c, A_ub, b_ub, A_eq, b_eq, integrality = model.to_standard_form()
-    lbs, ubs = model.bounds_arrays()
     h = hashlib.sha256()
-    h.update(str(model.objective_sign).encode())
-    h.update(repr(model.objective.constant).encode())
-    for arr in (c, A_ub, b_ub, A_eq, b_eq, integrality, lbs, ubs):
+    h.update(str(form.sense).encode())
+    for matrix in (form.A_ub, form.A_eq):
+        h.update(repr(matrix.shape).encode())
+        for arr in (matrix.indptr, matrix.indices, matrix.data):
+            h.update(arr.tobytes())
+    for arr in (form.c, form.b_ub, form.b_eq, form.integrality, form.lb, form.ub):
         h.update(arr.tobytes())
-    h.update("\x00".join(v.name for v in model.variables).encode())
     return h.hexdigest()
 
 
 class SolutionCache:
     """A small LRU cache mapping ``(fingerprint, options)`` to solutions.
 
-    The stored solution is never handed out directly: hits return a shallow
-    copy whose ``info`` dict is private to the caller (so callers can stamp
-    or mutate diagnostics without corrupting the cache).
+    The stored solution is never handed out directly: ``put`` stores and
+    hits return copies whose ``x`` array and ``info`` dict are private to the
+    caller (so callers can mutate them without corrupting the cache).
     """
 
     def __init__(self, maxsize: int = 256):
@@ -76,13 +75,13 @@ class SolutionCache:
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return replace(entry, values=dict(entry.values), info={**entry.info, "cache": "hit"})
+        return replace(entry, x=entry.x.copy(), info={**entry.info, "cache": "hit"})
 
     def put(self, key: str, solution: Solution) -> None:
         if key not in self._entries and len(self._entries) >= self.maxsize:
             self._entries.popitem(last=False)
         # Store a private copy so later caller-side mutation cannot leak in.
-        self._entries[key] = replace(solution, values=dict(solution.values), info=dict(solution.info))
+        self._entries[key] = replace(solution, x=solution.x.copy(), info=dict(solution.info))
         self._entries.move_to_end(key)
 
     def clear(self) -> None:

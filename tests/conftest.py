@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core.pipeline import Edge, Pipeline, Task
 from repro.core.profiles import ModelVariant, ProfileRegistry
+from repro.solver import StandardForm
 from repro.zoo import linear_pipeline, single_task_pipeline, social_media_pipeline, traffic_analysis_pipeline
 
 
@@ -34,6 +36,27 @@ def make_variant(
         multiplicative_factor=factor,
         batch_sizes=batch_sizes,
         load_time_ms=load_time_ms,
+    )
+
+
+def standard_form(c, A_ub=None, b_ub=(), A_eq=None, b_eq=(), lb=None, ub=None, integer=None, maximize=False):
+    """``StandardForm`` of ``min``/``max c @ x`` s.t. ``A_ub x <= b_ub``, ``A_eq x == b_eq`` from dense rows.
+
+    Bounds default to ``[0, inf)`` and every column to continuous.
+    """
+    c = np.asarray(c, dtype=float)
+    n = len(c)
+    sense = -1 if maximize else 1
+    return StandardForm(
+        c=sense * c,
+        A_ub=sparse.csr_matrix(np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)),
+        b_ub=np.asarray(b_ub, dtype=float),
+        A_eq=sparse.csr_matrix(np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)),
+        b_eq=np.asarray(b_eq, dtype=float),
+        lb=np.zeros(n) if lb is None else np.asarray(lb, dtype=float),
+        ub=np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float),
+        integrality=np.zeros(n) if integer is None else np.asarray(integer, dtype=float),
+        sense=sense,
     )
 
 

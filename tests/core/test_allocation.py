@@ -2,6 +2,7 @@
 
 
 import pytest
+from scipy import optimize
 
 from repro.core.allocation import (
     ACCURACY_SCALING,
@@ -96,9 +97,9 @@ class TestHardwareScaling:
         assert plan is None
 
     def test_raw_model_is_minimisation(self, problem):
-        model = build_hardware_scaling_model(problem, 50.0)
-        assert model.objective_sign == 1
-        assert model.num_vars > 0
+        form = build_hardware_scaling_model(problem, 50.0)
+        assert form.sense == 1
+        assert form.num_vars > 0
 
 
 class TestAccuracyScaling:
@@ -140,8 +141,8 @@ class TestAccuracyScaling:
             assert plan.expected_accuracy >= 0.9 - 1e-6
 
     def test_raw_model_is_maximisation(self, problem):
-        model = build_accuracy_scaling_model(problem, 50.0)
-        assert model.objective_sign == -1
+        form = build_accuracy_scaling_model(problem, 50.0)
+        assert form.sense == -1
 
 
 class TestTwoStepSolve:
@@ -171,6 +172,28 @@ class TestTwoStepSolve:
             plan.latency_budget_ms("detect", "ghost", 1)
 
 
+class TestColumnLayout:
+    def test_x_then_g_then_demand(self, problem, monkeypatch):
+        import repro.core.allocation as allocation
+
+        calls = []
+        real = allocation.solve
+
+        def capture(form, **options):
+            calls.append((form, real(form, **options)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(allocation, "solve", capture)
+        result = problem.max_supported_demand()
+        ((form, solution),) = calls
+        num_x, num_g = len(problem.configurations()), len(problem.config_paths())
+        assert form.num_vars == num_x + num_g + 1
+        assert form.integrality.tolist() == [1] * num_x + [0] * (num_g + 1)
+        assert form.c.tolist() == [0] * (num_x + num_g) + [-1] and form.sense == -1
+        assert result.max_demand_qps == solution.x[-1] > 0
+        assert result.plan.total_workers == sum(solution.x[:num_x])
+
+
 class TestMaxSupportedDemand:
     def test_accuracy_scaling_capacity_exceeds_hardware_capacity(self, problem):
         hardware = problem.max_supported_demand(restrict_to_best=True).max_demand_qps
@@ -196,11 +219,44 @@ class TestMaxSupportedDemand:
 
 
 class TestInfeasibleSLO:
-    def test_unreachable_slo_yields_no_paths(self, small_pipeline):
-        problem = AllocationProblem(small_pipeline, num_workers=10, latency_slo_ms=10.0)
+    """An SLO that no configuration path meets is infeasible on every entry point, without a solve."""
+
+    @pytest.fixture
+    def problem(self, small_pipeline):
+        return AllocationProblem(small_pipeline, num_workers=10, latency_slo_ms=10.0)
+
+    @pytest.fixture
+    def milp_calls(self, monkeypatch):
+        calls = []
+
+        def counting_milp(**kwargs):
+            calls.append(kwargs)
+            raise AssertionError("HiGHS called on a structurally infeasible problem")
+
+        monkeypatch.setattr(optimize, "milp", counting_milp)
+        return calls
+
+    def test_unreachable_slo_yields_no_paths(self, problem):
         assert problem.config_paths() == []
+        assert build_hardware_scaling_model(problem, 10.0) is None
+        assert build_accuracy_scaling_model(problem, 10.0) is None
+
+    def test_scaling_steps_return_none(self, problem, milp_calls):
+        assert problem.solve_hardware_scaling(10.0) is None
+        assert problem.solve_accuracy_scaling(10.0) is None
+        assert milp_calls == []
+
+    def test_max_supported_demand_is_zero(self, problem, milp_calls):
+        assert problem.max_supported_demand().max_demand_qps == 0.0
+        assert problem.max_supported_demand(restrict_to_best=True).max_demand_qps == 0.0
+        assert milp_calls == []
+
+    def test_solve_returns_infeasible_plan(self, problem, milp_calls):
         plan = problem.solve(10.0)
         assert not plan.feasible
+        assert plan.allocations == []
+        assert plan.solver_info == {"max_supported_qps": 0.0}
+        assert milp_calls == []
 
 
 class TestPlanHelpers:

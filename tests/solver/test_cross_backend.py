@@ -1,9 +1,9 @@
 """Property-based checks of :func:`repro.solver.solve` against oracles in the tests (hypothesis).
 
-Random *feasible-by-construction* MILPs are drawn as raw arrays and built
-into a :class:`Model`.  The oracles read only those arrays, so they check how
-HiGHS results are decoded (status mapping, objective sign, integer snapping)
-independently of the modelling layer:
+Random *feasible-by-construction* MILPs are drawn as raw arrays and solved as
+a :class:`~repro.solver.StandardForm`.  The oracles read only those arrays, so
+they check how HiGHS results are decoded (status mapping, objective sign,
+integer snapping):
 
 * pure-integer instances are small enough (at most 5 variables with upper
   bounds of at most 5, so at most 6**5 grid points) to enumerate exhaustively;
@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.solver import Model, OPTIMAL, solve
+from repro.solver import OPTIMAL, solve
+from tests.conftest import standard_form
 
 
 class Instance(NamedTuple):
@@ -43,7 +44,7 @@ def random_feasible_milp(seed: int, num_vars: int, num_cons: int, with_continuou
 
     An integer point ``x0`` is drawn first and every constraint's rhs is set
     so ``x0`` satisfies it, guaranteeing feasibility regardless of the drawn
-    coefficients.  Returns the model and the :class:`Instance` it was built from.
+    coefficients.  Returns the form and the :class:`Instance` it was built from.
     """
     rng = np.random.default_rng(seed)
     ub = rng.integers(1, 6, size=num_vars).astype(float)
@@ -54,21 +55,8 @@ def random_feasible_milp(seed: int, num_vars: int, num_cons: int, with_continuou
     c = rng.uniform(0.2, 3.0, size=num_vars)
     instance = Instance(A, b, c, ub, integer, bool(rng.random() < 0.5), x0)
 
-    model = Model(f"hyp-{seed}")
-    variables = [model.add_var(f"x{i}", ub=float(ub[i]), integer=bool(integer[i])) for i in range(num_vars)]
-    for r in range(num_cons):
-        expr = variables[0] * float(A[r, 0])
-        for j in range(1, num_vars):
-            expr = expr + variables[j] * float(A[r, j])
-        model.add_constraint(expr <= float(b[r]))
-    obj = variables[0] * float(c[0])
-    for j in range(1, num_vars):
-        obj = obj + variables[j] * float(c[j])
-    if instance.maximize:
-        model.maximize(obj)
-    else:
-        model.minimize(obj)
-    return model, instance
+    form = standard_form(c, A_ub=A, b_ub=b, ub=ub, integer=integer, maximize=instance.maximize)
+    return form, instance
 
 
 def enumerated_optimum(instance: Instance) -> float:
@@ -96,8 +84,8 @@ class TestPureIntegerMatchesEnumeration:
         num_cons=st.integers(min_value=1, max_value=6),
     )
     def test_objective_equals_enumerated_optimum(self, seed, num_vars, num_cons):
-        model, instance = random_feasible_milp(seed, num_vars, num_cons, with_continuous=False)
-        solution = solve(model, cache=False)
+        form, instance = random_feasible_milp(seed, num_vars, num_cons, with_continuous=False)
+        solution = solve(form, cache=False)
         assert solution.status == OPTIMAL  # feasible by construction
         assert_decoded_consistently(solution, instance)
         expected = enumerated_optimum(instance)
@@ -112,10 +100,9 @@ class TestMixedIntegerBeatsConstructionPoint:
         num_cons=st.integers(min_value=1, max_value=6),
     )
     def test_feasible_and_no_worse_than_x0(self, seed, num_vars, num_cons):
-        model, instance = random_feasible_milp(seed, num_vars, num_cons, with_continuous=True)
-        solution = solve(model, cache=False)
+        form, instance = random_feasible_milp(seed, num_vars, num_cons, with_continuous=True)
+        solution = solve(form, cache=False)
         assert solution.status == OPTIMAL
-        assert model.is_feasible_point(solution.x)
         assert_decoded_consistently(solution, instance)
         at_x0 = float(instance.c @ instance.x0)
         if instance.maximize:
@@ -133,17 +120,8 @@ class TestLokiShapedCovering:
         n = int(rng.integers(2, 5))
         throughputs = rng.uniform(5.0, 60.0, size=n)
         demand = float(rng.uniform(10.0, 150.0))
-        model = Model("cover")
-        xs = [model.add_var(f"x{i}", integer=True, ub=50) for i in range(n)]
-        served = xs[0] * float(throughputs[0])
-        total = xs[0] * 1.0
-        for x, q in zip(xs[1:], throughputs[1:]):
-            served = served + x * float(q)
-            total = total + x
-        model.add_constraint(served >= demand)
-        model.minimize(total)
-
-        solution = solve(model, cache=False)
+        form = standard_form(np.ones(n), A_ub=[-throughputs], b_ub=[-demand], ub=np.full(n, 50), integer=np.ones(n))
+        solution = solve(form, cache=False)
         assert solution.status == OPTIMAL
         assert float(np.dot(solution.x, throughputs)) >= demand - 1e-6
         assert solution.objective == pytest.approx(float(np.ceil(demand / throughputs.max())))

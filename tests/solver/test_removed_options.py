@@ -20,14 +20,12 @@ from repro.core.allocation import AllocationPlan, AllocationProblem
 from repro.core.resource_manager import ResourceManager, ResourceManagerStats
 from repro.experiments import runtime_overhead
 from repro.scenarios import get_scenario
-from repro.solver import Model, solve
+from repro.solver import solve
+from tests.conftest import standard_form
 
 
-def _model() -> Model:
-    m = Model("tiny")
-    x = m.add_var("x", ub=3, integer=True)
-    m.maximize(x * 1.0)
-    return m
+def _model():
+    return standard_form([1.0], ub=[3], integer=[1], maximize=True)
 
 
 CHANNELS = {

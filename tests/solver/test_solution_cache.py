@@ -1,33 +1,35 @@
 """Tests for the fingerprint-keyed solution cache behind :func:`repro.solver.solve`."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.solver import (
-    Model,
     SolutionCache,
     default_cache,
     fingerprint_model,
     solve,
 )
+from tests.conftest import standard_form
 
 
-def build_allocation_like_model(demand: float = 90.0, cap: int = 10) -> Model:
-    """A miniature accuracy-scaling MILP: replicas + flows, covering a demand."""
-    m = Model("alloc-mini")
+def build_allocation_like_model(demand: float = 90.0, cap: int = 10):
+    """A miniature accuracy-scaling MILP: replicas ``x0..x2`` + flows ``g0..g2``, covering a demand."""
     throughputs = [12.0, 20.0, 33.0]
     accuracies = [0.98, 0.9, 0.8]
-    xs = [m.add_var(f"x{i}", ub=cap, integer=True) for i in range(3)]
-    gs = [m.add_var(f"g{i}") for i in range(3)]
-    total_flow = gs[0] + gs[1] + gs[2]
-    m.add_constraint(total_flow == demand, name="demand")
-    for i in range(3):
-        m.add_constraint(gs[i] <= xs[i] * throughputs[i], name=f"cap{i}")
-    m.add_constraint(xs[0] + xs[1] + xs[2] <= cap, name="cluster")
-    acc = gs[0] * (accuracies[0] / demand)
-    for i in (1, 2):
-        acc = acc + gs[i] * (accuracies[i] / demand)
-    m.maximize(acc)
-    return m
+    capacity = np.hstack([-np.diag(throughputs), np.eye(3)])  # g_i <= x_i * throughput_i
+    cluster = [1, 1, 1, 0, 0, 0]
+    return standard_form(
+        [0, 0, 0] + [a / demand for a in accuracies],
+        A_ub=np.vstack([capacity, cluster]),
+        b_ub=[0, 0, 0, cap],
+        A_eq=[[0, 0, 0, 1, 1, 1]],
+        b_eq=[demand],
+        ub=[cap] * 3 + [np.inf] * 3,
+        integer=[1, 1, 1, 0, 0, 0],
+        maximize=True,
+    )
 
 
 class TestSolutionCache:
@@ -78,10 +80,23 @@ class TestSolutionCache:
         model = build_allocation_like_model()
         first = solve(model, cache=cache)
         first.info["poison"] = True
-        first.values["x0"] = -42.0
         second = solve(model, cache=cache)
-        assert "poison" not in second.info
-        assert second.values["x0"] != -42.0
+        second.info["poison"] = True
+        assert "poison" not in solve(model, cache=cache).info
+
+    def test_cached_x_is_isolated_from_caller_mutation(self):
+        cache = SolutionCache(maxsize=4)
+        model = build_allocation_like_model()
+        miss = solve(model, cache=cache)
+        expected = miss.x.copy()
+        miss.x[0] = 99.0
+        hit = solve(model, cache=cache)
+        assert hit.info["cache"] == "hit"
+        assert np.array_equal(hit.x, expected)
+        hit.x[0] = 99.0
+        again = solve(model, cache=cache)
+        assert np.array_equal(again.x, expected)
+        assert again.objective == miss.objective
 
     def test_fingerprint_is_content_addressed(self):
         a = fingerprint_model(build_allocation_like_model())
@@ -89,6 +104,12 @@ class TestSolutionCache:
         c = fingerprint_model(build_allocation_like_model(demand=91.0))
         assert a == b
         assert a != c
+
+    def test_fingerprint_includes_sense(self):
+        """The same arrays minimised and maximised report objectives of opposite sign."""
+        minimised = build_allocation_like_model()
+        maximised = replace(minimised, sense=-minimised.sense)
+        assert fingerprint_model(minimised) != fingerprint_model(maximised)
 
     def test_default_cache_exists_and_counts(self):
         before = default_cache.stats["misses"]

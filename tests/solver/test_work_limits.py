@@ -12,25 +12,24 @@ under the wall clock).
 import numpy as np
 
 from repro.core.allocation import AllocationProblem, build_accuracy_scaling_model
-from repro.solver import Model, OPTIMAL, solve
+from repro.solver import OPTIMAL, solve
+from tests.conftest import standard_form
 from repro.zoo import traffic_analysis_pipeline
 
 
-def knapsack_model(num_items: int = 14, seed: int = 3) -> Model:
-    """A dense 0/1-style knapsack MILP that needs real branching."""
+def knapsack_model(num_items: int = 14, seed: int = 3):
+    """A dense integer knapsack MILP (each item taken up to 3 times) that needs real branching."""
     rng = np.random.default_rng(seed)
-    model = Model("knapsack")
     values = rng.uniform(1.0, 10.0, size=num_items)
     weights = rng.uniform(1.0, 8.0, size=num_items)
-    xs = [model.add_var(f"x{i}", ub=3.0, integer=True) for i in range(num_items)]
-    expr = xs[0] * float(weights[0])
-    obj = xs[0] * float(values[0])
-    for i in range(1, num_items):
-        expr = expr + xs[i] * float(weights[i])
-        obj = obj + xs[i] * float(values[i])
-    model.add_constraint(expr <= float(weights.sum() * 0.9))
-    model.maximize(obj)
-    return model
+    return standard_form(
+        values,
+        A_ub=[weights],
+        b_ub=[weights.sum() * 0.9],
+        ub=np.full(num_items, 3.0),
+        integer=np.ones(num_items),
+        maximize=True,
+    )
 
 
 class TestScipyNodeLimit:
