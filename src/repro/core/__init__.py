@@ -8,6 +8,8 @@ This package implements the primary contribution of the paper:
   plus the augmented (task, variant[, batch]) graph of Section 4.1.
 * :mod:`repro.core.allocation` -- the MILP formulations for hardware scaling
   and accuracy scaling, and decoded resource-allocation plans.
+* :mod:`repro.core.validation` -- an independent check that a plan satisfies
+  the full allocation model.
 * :mod:`repro.core.resource_manager` -- the two-step Resource Manager with
   EWMA demand estimation and periodic re-allocation.
 * :mod:`repro.core.load_balancer` -- the MostAccurateFirst routing algorithm
@@ -27,6 +29,7 @@ from repro.core.allocation import (
     build_accuracy_scaling_model,
     build_hardware_scaling_model,
 )
+from repro.core.validation import PlanValidationError, validate_plan
 from repro.core.resource_manager import ResourceManager, DemandEstimator
 from repro.core.load_balancer import LoadBalancer, RoutingTable, RoutingEntry, WorkerState
 from repro.core.dropping import (
@@ -55,6 +58,8 @@ __all__ = [
     "AllocationProblem",
     "build_accuracy_scaling_model",
     "build_hardware_scaling_model",
+    "PlanValidationError",
+    "validate_plan",
     "ResourceManager",
     "DemandEstimator",
     "LoadBalancer",

@@ -62,6 +62,40 @@ variable.  Capacity rows come from a path x configuration incidence that
 carries each hop's multiplier on the configuration's designated branch,
 coupling rows are differences of incidence columns between branches, and the
 accuracy objective is the vector of path accuracies.
+
+Path reduction
+--------------
+
+The accuracy-scaling model (:meth:`AllocationProblem.solve_accuracy_scaling`)
+keeps only the *maximal* paths of each variant sequence.  A path is dominated
+when another latency-feasible path of the same branch and variant sequence
+has a batch at least as large at every hop and a larger one at some hop.
+Multipliers and path accuracy depend on the variant sequence alone, so the
+dominating path routes the same queries at the same accuracy with at least as
+much throughput per worker.  This takes the traffic-analysis model from 1,863
+paths to 218 and the social-media model from 519 to 69.  The ``x`` columns
+stay :meth:`AllocationProblem.configurations` in full, and the kept paths are
+a subsequence of the full enumeration, in its order.
+
+Dominance is checked one hop at a time, at each leaf of the enumeration: a
+feasible path is dominated iff raising a single hop to a larger allowed batch
+of the same variant keeps it within the branch's latency budget.  Latency is a
+sum over hops and the path has non-negative slack, so if every single-hop
+raise towards a dominating path overran the slack, their sum would too; the
+check is exact for any latency profile.
+
+The reduction is not exact for the MILP: a configuration shared by several
+paths packs integer replicas differently when some of those paths are gone.
+Solved to a 1e-6 gap on a grid of 1.1x-3.0x the hardware-scaling capacity
+(20 workers, utilisation target 0.75), the reduced objective is at most 0.14%
+below the full one (traffic, 2.7x) and equal at most points; the social
+pipeline loses at most 0.015%.  That is below the default 0.2% ``mip_rel_gap``
+(``tests/core/test_path_reduction.py`` bounds it at 0.15%).  Hardware
+scaling, :meth:`AllocationProblem.max_supported_demand` and
+:meth:`AllocationProblem.best_effort_plan` keep the full path set: there the
+same packing loss would shift the capacity figures (the social pipeline's
+capacity gain would fall from 9.213x to 9.170x).
+:func:`repro.core.validate_plan` checks a plan against the full model.
 """
 
 from __future__ import annotations
@@ -339,8 +373,13 @@ class AllocationProblem:
                     configs.append(Configuration(task=task_name, variant=variant, batch_size=batch))
         return configs
 
-    def config_paths(self, restrict_to_best: bool = False) -> List[ConfigPath]:
-        """Latency-feasible configuration paths (constraint (7) applied by pruning)."""
+    def config_paths(self, restrict_to_best: bool = False, maximal_only: bool = False) -> List[ConfigPath]:
+        """Latency-feasible configuration paths (constraint (7) applied by pruning).
+
+        ``maximal_only`` keeps only the paths no other feasible path of the
+        same branch and variant sequence dominates (see "Path reduction" in
+        the module docstring), as a subsequence of the full enumeration.
+        """
         paths: List[ConfigPath] = []
         registry = self.pipeline.registry
         for branch_index, task_path in enumerate(self._task_paths):
@@ -356,7 +395,7 @@ class AllocationProblem:
                     for b in self.allowed_batches(v)
                 ]
                 per_task_configs.append(task_configs)
-            self._extend_paths(paths, branch_index, task_path, per_task_configs, budget)
+            self._extend_paths(paths, branch_index, task_path, per_task_configs, budget, maximal_only)
         return paths
 
     def _extend_paths(
@@ -366,15 +405,31 @@ class AllocationProblem:
         task_path: Sequence[str],
         per_task_configs: Sequence[Sequence[Configuration]],
         budget_ms: float,
+        maximal_only: bool,
     ) -> None:
         """Depth-first enumeration with latency-based pruning.
 
         Latency, accuracy and the multiplier of each hop (the product of the
         upstream variants' multiplicative factors and the edges' branch
-        ratios) accumulate along the way, in path order.
+        ratios) accumulate along the way, in path order.  So does the
+        cheapest latency increase of raising one hop to a larger batch of its
+        variant; with ``maximal_only`` a path that can afford it is dominated
+        and dropped.
         """
         n = len(task_path)
         latencies = [[c.latency_ms for c in configs] for configs in per_task_configs]
+        raise_cost = [
+            [
+                min(
+                    (other_latency - config_latency
+                     for other, other_latency in zip(configs, task_latencies)
+                     if other.variant.name == config.variant.name and other.batch_size > config.batch_size),
+                    default=math.inf,
+                )
+                for config, config_latency in zip(configs, task_latencies)
+            ]
+            for configs, task_latencies in zip(per_task_configs, latencies)
+        ]
         branch_ratios = [self.pipeline.edge(a, b).branch_ratio for a, b in zip(task_path, task_path[1:])]
         # Lower bound on remaining latency from each position enables pruning.
         min_remaining = [0.0] * (n + 1)
@@ -382,21 +437,25 @@ class AllocationProblem:
             min_remaining[i] = min_remaining[i + 1] + min(latencies[i])
 
         def visit(position: int, chosen: Tuple[Configuration, ...], multipliers: Tuple[float, ...],
-                  accuracy: float, latency: float):
+                  accuracy: float, latency: float, cheapest_raise: float):
             if latency + min_remaining[position] > budget_ms + 1e-9:
                 return
             if position == n:
+                if maximal_only and latency + cheapest_raise <= budget_ms + 1e-9:
+                    return
                 out.append(ConfigPath(branch_index, chosen, multipliers, accuracy, latency))
                 return
             running = 1.0
             if position > 0:
                 upstream = chosen[-1].variant
                 running = multipliers[-1] * (self.multiplicative_factor(upstream) * branch_ratios[position - 1])
-            for config, config_latency in zip(per_task_configs[position], latencies[position]):
+            for config, config_latency, config_raise in zip(
+                per_task_configs[position], latencies[position], raise_cost[position]
+            ):
                 visit(position + 1, chosen + (config,), multipliers + (running,),
-                      accuracy * config.accuracy, latency + config_latency)
+                      accuracy * config.accuracy, latency + config_latency, min(cheapest_raise, config_raise))
 
-        visit(0, (), (), 1, 0.0)
+        visit(0, (), (), 1, 0.0, math.inf)
 
     # -- MILP assembly -------------------------------------------------------
     def _build_model(
@@ -417,7 +476,9 @@ class AllocationProblem:
         the problem is then structurally infeasible for this SLO.
         """
         configs = self.configurations(restrict_to_best=restrict_to_best)
-        paths = self.config_paths(restrict_to_best=restrict_to_best)
+        # Only accuracy scaling drops dominated paths: the capacity entry
+        # points stay exact (see "Path reduction" in the module docstring).
+        paths = self.config_paths(restrict_to_best=restrict_to_best, maximal_only=mode == ACCURACY_SCALING)
         num_branches = len(self._task_paths)
         branch = np.array([path.branch_index for path in paths], dtype=int)
         if len(np.unique(branch)) < num_branches:
@@ -554,9 +615,10 @@ class AllocationProblem:
     ) -> Optional[AllocationPlan]:
         """Step 2: maximise system accuracy using the whole cluster.
 
-        ``preferred_variants`` lists the variants of the incumbent plan; a
-        small stability bonus steers ties toward reusing them (fewer model
-        swaps between consecutive invocations).
+        Solved over the maximal-batch paths only ("Path reduction" in the
+        module docstring).  ``preferred_variants`` lists the variants of the
+        incumbent plan; a small stability bonus steers ties toward reusing
+        them (fewer model swaps between consecutive invocations).
         """
         built = self._build_model(
             demand_qps=demand_qps,

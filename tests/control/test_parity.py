@@ -16,6 +16,13 @@ inverse-CDF sampler consumes the RNG stream identically to the old
 ``np.searchsorted`` path, so every downstream event lands on the same
 timestamps.
 
+The Loki goldens of both figures were re-pinned once since: when the
+accuracy-scaling MILP started solving over the maximal-batch paths only (see
+"Path reduction" in :mod:`repro.core.allocation`), Loki's plans changed within
+the reduction's objective loss bound.  The InferLine and Proteus goldens did
+not move.  Every plan Loki's Resource Manager produces in these runs is also
+checked against the full model by :func:`repro.core.validate_plan`.
+
 Determinism notes baked into this configuration:
 
 * ``PYTHONHASHSEED`` independence requires the (fixed) sorted emission of MILP
@@ -34,6 +41,7 @@ import json
 
 import pytest
 
+from repro.core import AllocationProblem, validate_plan
 from repro.experiments.common import scenario_for_system
 from repro.workloads import azure_like_trace, twitter_like_trace
 from repro.zoo import social_media_pipeline, traffic_analysis_pipeline
@@ -76,16 +84,16 @@ GOLDEN = json.loads(
     "fig5": {
         "loki": {
             "total_requests": 7764.0,
-            "completed_requests": 2265.0,
-            "violated_requests": 5499.0,
-            "dropped_requests": 4564.0,
-            "late_requests": 935.0,
-            "slo_violation_ratio": 0.7082689335394127,
-            "mean_accuracy": 0.9683418755561239,
+            "completed_requests": 2744.0,
+            "violated_requests": 5020.0,
+            "dropped_requests": 3989.0,
+            "late_requests": 1031.0,
+            "slo_violation_ratio": 0.6465739309634209,
+            "mean_accuracy": 0.9699399829977385,
             "mean_workers": 16.61904761904762,
             "mean_utilization": 0.8309523809523811,
-            "mean_latency_ms": 79.08911694448823,
-            "p99_latency_ms": 233.69634858232516
+            "mean_latency_ms": 80.970430771719,
+            "p99_latency_ms": 224.82730586461935
         },
         "inferline": {
             "total_requests": 7764.0,
@@ -117,16 +125,16 @@ GOLDEN = json.loads(
     "fig6": {
         "loki": {
             "total_requests": 6321.0,
-            "completed_requests": 2608.0,
-            "violated_requests": 3713.0,
-            "dropped_requests": 3081.0,
-            "late_requests": 632.0,
-            "slo_violation_ratio": 0.587407055845594,
-            "mean_accuracy": 0.904586084784887,
+            "completed_requests": 2510.0,
+            "violated_requests": 3811.0,
+            "dropped_requests": 3156.0,
+            "late_requests": 655.0,
+            "slo_violation_ratio": 0.6029109318145863,
+            "mean_accuracy": 0.9053242285150132,
             "mean_workers": 16.227272727272727,
             "mean_utilization": 0.8113636363636364,
-            "mean_latency_ms": 66.59683656896203,
-            "p99_latency_ms": 233.1869676799154
+            "mean_latency_ms": 65.43860307689152,
+            "p99_latency_ms": 235.16962675354344
         },
         "inferline": {
             "total_requests": 6321.0,
@@ -182,11 +190,29 @@ def parity_specs(figure):
     return specs
 
 
+@pytest.fixture
+def validated_plans(monkeypatch):
+    """Validate every plan ``AllocationProblem.solve`` returns; yields the count."""
+    solve = AllocationProblem.solve
+    plans = []
+
+    def solve_and_validate(self, demand_qps, preferred_variants=None):
+        plan = solve(self, demand_qps, preferred_variants=preferred_variants)
+        validate_plan(self, plan)
+        plans.append(plan)
+        return plan
+
+    monkeypatch.setattr(AllocationProblem, "solve", solve_and_validate)
+    return plans
+
+
 @pytest.mark.parametrize("figure", ["fig5", "fig6"])
-def test_pre_refactor_figure_parity(figure):
+def test_pre_refactor_figure_parity(figure, validated_plans):
     """Loki + InferLine + Proteus reproduce the pre-refactor fig5/fig6 numbers."""
     for system, spec in parity_specs(figure).items():
         summary = spec.run(seed=0)
+        if system == "loki":
+            assert validated_plans, "Loki's Resource Manager produced no plan"
         golden = GOLDEN[figure][system]
         for field in FIELDS:
             observed = getattr(summary, field)

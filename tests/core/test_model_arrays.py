@@ -6,7 +6,11 @@ exactly.  Each case captures the :class:`~repro.solver.StandardForm` one entry
 point hands to ``solve`` (replaced by a stand-in that reports infeasibility, so
 nothing is solved) and compares the sha256 of its dense arrays with a pinned
 digest.  The digests were taken from the modelling-layer implementation these
-arrays replaced.  ``arr + 0.0`` normalises ``-0.0`` to ``+0.0``: that
+arrays replaced.  The 12 accuracy-scaling digests were re-pinned once since,
+when that model started solving over the maximal-batch paths only (see "Path
+reduction" in :mod:`repro.core.allocation`); the hardware-scaling,
+``max_supported_demand`` and Proteus digests guard that the reduction stays
+confined to accuracy scaling.  ``arr + 0.0`` normalises ``-0.0`` to ``+0.0``: that
 implementation negated whole objective vectors and left signed zeros.
 """
 
@@ -31,24 +35,24 @@ PIPELINES = {
 
 DIGESTS = {
     "traffic-hardware-120": "d21dbb2886d33218e237a8fdfcd83e9e34ae25734e5d7f4242ad824a70a80ca2",
-    "traffic-accuracy-120": "ecd88d48863baafc03982b5cb4198df5e69e2f7812ff4f3d7a3ea7373580360b",
-    "traffic-accuracy-preferred-120": "ff74564b41b92241c55d11dfb716ff46c7a8d15d4d46f9f85f6fa09730c857fc",
-    "traffic-accuracy-floor-120": "2ef21a0af14fdd2fe3011234caecbce1f4c49faf43daecd203a772dded9862d7",
+    "traffic-accuracy-120": "0e81ffd83e4eade639b2e6a6b1355aa9b39a57db5592a3e4b3c99d4f9a5e354c",
+    "traffic-accuracy-preferred-120": "271152bd2c419d37436ccd3f964903b917c55576c5d168b196780b673c416d5f",
+    "traffic-accuracy-floor-120": "5caf376c1680c57d9f826564d301ef44b39854653c346ca685523c037ddbb447",
     "traffic-hardware-742": "015c48c9dbcb58c84735977e483f80ddc0f1ac54983105d7143aed2cd33b58ca",
-    "traffic-accuracy-742": "8745015fbe5a63c8809dd58c2707016f6dc970f633fced815c6dcc66bb7c7bce",
-    "traffic-accuracy-preferred-742": "6eedf3e74f7939d8943347c44ba3c280c0c3148a496c3da881fe2cea71463036",
-    "traffic-accuracy-floor-742": "36c5817b1d67c6fd9b9e763540e3e62bb705521184b7b78ddd8abfdf4e223648",
+    "traffic-accuracy-742": "5a77b1464392d0cebede7522d45e94dbbbc26facf3dcdbe282f7fd06b8cf24b7",
+    "traffic-accuracy-preferred-742": "b294f6ee57cb0fac151169efcaab04ad21cb6611b932cc4453fcaeff5ac1a4ae",
+    "traffic-accuracy-floor-742": "fc59c46f5b361b8e108724caf15e2efacc293daf991ff42e2086a69295c21555",
     "traffic-max-demand": "c5737e929d155f2630a5129330fca64d7f3619d9c39b79918700e560c282904c",
     "traffic-max-demand-best": "3e172415e0cba473c1a9d6d82152fc0d1871f8c2c3e724a5b3e850627f786813",
     "traffic-max-demand-floor": "d8516046931a388d4749a154a12b1bfc718869437581004b4e72512034dd7f57",
     "social-hardware-90": "2aa68a35d75efa446dd5c06d7f07b0f9ea1fe2c68387c1c254b6517d9b52ed36",
-    "social-accuracy-90": "2e372b2a4dafa15b7ea3aec51a93b5e86cd9454a3e7542827de0adfd1f11c5d5",
-    "social-accuracy-preferred-90": "a3470947baa3d2b133e42b2542ce29adb13d476faa9f7791c1049f2819d11fc5",
-    "social-accuracy-floor-90": "520c0b291ff3bcf80c76d5ca8519c96443e0f8ac4471db817c160565a5531de0",
+    "social-accuracy-90": "98c9f0f689dd23a3fd4b7ba4121499f2300382519b23593c12f2cb2afa32e032",
+    "social-accuracy-preferred-90": "dae6c06cb4f6c4df6683bd2a5430f252fb1bf8eecac41f22b07c8b336ad16ab4",
+    "social-accuracy-floor-90": "6f845b44b1956e9fd2d66bc4c92a03b99a2190ed2f0c3ec699fcaa327bf4ee05",
     "social-hardware-553": "c2a4e732272e16ef51077e2da721f89a373d4e30a5a72aedf6584051ac7b2635",
-    "social-accuracy-553": "692cb855b884ec956f4a1ae6044286416c88538073f7aa2c461501e0ef0b882e",
-    "social-accuracy-preferred-553": "7def9151336b0b7d890b5a0543cd4ee6ff0f77410fd4ff83483d801abe8f4c57",
-    "social-accuracy-floor-553": "17b9348aeb6f0e251306fd9b0ee696f5cb4a83e3b47cad1b63efafb610d95ba9",
+    "social-accuracy-553": "ac848443574086347bc104ccd2f88f3fea35571c83107420d8f2fcf7b0649680",
+    "social-accuracy-preferred-553": "997ebb3c68cb4107f6571066e724ba2ddce494f2615b7d6bf2adaa63d30864b7",
+    "social-accuracy-floor-553": "806f3849993ec91daab5549f7fb5eee4ec7cc61933d28563445bc34e49a04475",
     "social-max-demand": "8071d8ebab6da76285e8819cf6d86105013a44579bf8747aa2d566611be3597a",
     "social-max-demand-best": "f69df110eff80c46b04690ad347727bf358cac3f066929945a74c2e0f7e91113",
     "social-max-demand-floor": "cd070f7430e9647632f2531ead8f53c8de9b42f7239cbdec4cdc43f800ec4081",

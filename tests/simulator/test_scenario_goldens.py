@@ -58,35 +58,35 @@ GOLDENS = {
     },
     'jsq_heterogeneous': {
         'total_requests': 3053,
-        'completed_requests': 1247,
-        'violated_requests': 1806,
+        'completed_requests': 1143,
+        'violated_requests': 1910,
         'dropped_requests': 0,
-        'late_requests': 1806,
-        'slo_violation_ratio': 0.5915492957746479,
-        'mean_accuracy': 0.9976119788054335,
-        'min_interval_accuracy': 0.9941305513576761,
-        'max_accuracy_drop': 0.00586944864232386,
+        'late_requests': 1910,
+        'slo_violation_ratio': 0.6256141500163773,
+        'mean_accuracy': 0.9984652320666192,
+        'min_interval_accuracy': 0.9964700821007442,
+        'max_accuracy_drop': 0.00352991789925583,
         'mean_utilization': 0.5677083333333333,
         'peak_workers': 12,
         'mean_workers': 6.8125,
-        'mean_latency_ms': 46.31266487665791,
-        'p99_latency_ms': 143.33489473924894,
+        'mean_latency_ms': 44.12537973971964,
+        'p99_latency_ms': 145.14729717798087,
     },
     'slo_feedback_flash_crowd': {
         'total_requests': 6376,
-        'completed_requests': 4258,
-        'violated_requests': 2118,
+        'completed_requests': 4608,
+        'violated_requests': 1768,
         'dropped_requests': 0,
-        'late_requests': 2118,
-        'slo_violation_ratio': 0.3321831869510665,
-        'mean_accuracy': 0.9936898228975077,
-        'min_interval_accuracy': 0.9917288223727941,
-        'max_accuracy_drop': 0.008271177627205861,
-        'mean_utilization': 0.9010416666666667,
+        'late_requests': 1768,
+        'slo_violation_ratio': 0.27728983688833125,
+        'mean_accuracy': 0.9937599628499668,
+        'min_interval_accuracy': 0.9921143309043582,
+        'max_accuracy_drop': 0.007885669095641812,
+        'mean_utilization': 0.8958333333333333,
         'peak_workers': 12,
-        'mean_workers': 10.8125,
-        'mean_latency_ms': 45.135845264204825,
-        'p99_latency_ms': 125.25320664774547,
+        'mean_workers': 10.75,
+        'mean_latency_ms': 45.43693898266338,
+        'p99_latency_ms': 128.33594688894252,
     },
     'smoke': {
         'total_requests': 465,
@@ -122,51 +122,51 @@ GOLDENS = {
     },
     'social_twitter_bursty': {
         'total_requests': 5100,
-        'completed_requests': 1346,
-        'violated_requests': 3754,
-        'dropped_requests': 3469,
-        'late_requests': 285,
-        'slo_violation_ratio': 0.736078431372549,
-        'mean_accuracy': 0.9031039516307994,
-        'min_interval_accuracy': 0.8810555353095885,
-        'max_accuracy_drop': 0.11894446469041153,
+        'completed_requests': 1367,
+        'violated_requests': 3733,
+        'dropped_requests': 3524,
+        'late_requests': 209,
+        'slo_violation_ratio': 0.7319607843137255,
+        'mean_accuracy': 0.9030624211588058,
+        'min_interval_accuracy': 0.8795291391572863,
+        'max_accuracy_drop': 0.12047086084271375,
         'mean_utilization': 0.7852941176470588,
         'peak_workers': 20,
         'mean_workers': 15.705882352941176,
-        'mean_latency_ms': 63.90921621690137,
-        'p99_latency_ms': 227.59108683197667,
+        'mean_latency_ms': 63.66949318152496,
+        'p99_latency_ms': 219.5554917473386,
     },
     'traffic_demand_surge': {
         'total_requests': 4497,
-        'completed_requests': 4476,
-        'violated_requests': 21,
-        'dropped_requests': 11,
-        'late_requests': 10,
-        'slo_violation_ratio': 0.004669779853235491,
-        'mean_accuracy': 0.9959957553601387,
-        'min_interval_accuracy': 0.99574992813985,
-        'max_accuracy_drop': 0.004250071860150029,
+        'completed_requests': 4455,
+        'violated_requests': 42,
+        'dropped_requests': 15,
+        'late_requests': 27,
+        'slo_violation_ratio': 0.009339559706470981,
+        'mean_accuracy': 0.9959576315365826,
+        'min_interval_accuracy': 0.9955822130313062,
+        'max_accuracy_drop': 0.004417786968693771,
         'mean_utilization': 0.9375,
         'peak_workers': 20,
         'mean_workers': 18.75,
-        'mean_latency_ms': 78.84958480921463,
-        'p99_latency_ms': 206.18654905557665,
+        'mean_latency_ms': 79.78472318951933,
+        'p99_latency_ms': 202.84964626953928,
     },
     'traffic_worker_failure': {
         'total_requests': 4048,
-        'completed_requests': 3744,
-        'violated_requests': 304,
-        'dropped_requests': 213,
-        'late_requests': 91,
-        'slo_violation_ratio': 0.07509881422924901,
-        'mean_accuracy': 0.9973589070469615,
-        'min_interval_accuracy': 0.9950215594343715,
-        'max_accuracy_drop': 0.004978440565628461,
-        'mean_utilization': 0.8823529411764706,
+        'completed_requests': 3851,
+        'violated_requests': 197,
+        'dropped_requests': 2,
+        'late_requests': 195,
+        'slo_violation_ratio': 0.048666007905138337,
+        'mean_accuracy': 0.9979880243166428,
+        'min_interval_accuracy': 0.9967759805966135,
+        'max_accuracy_drop': 0.0032240194033864578,
+        'mean_utilization': 0.9375,
         'peak_workers': 20,
-        'mean_workers': 17.647058823529413,
-        'mean_latency_ms': 84.51194810336942,
-        'p99_latency_ms': 209.9127113133826,
+        'mean_workers': 18.75,
+        'mean_latency_ms': 83.64043674238553,
+        'p99_latency_ms': 202.95984168599858,
     },
     'validation_uniform': {
         'total_requests': 2250,
