@@ -1,0 +1,143 @@
+#!/usr/bin/env python
+"""Record every builtin scenario's run summary, or compare two records.
+
+A data-plane change that should not move the simulation's RNG stream must
+leave every builtin scenario's ``SimulationSummary`` identical, field by
+field.  Write a record in a checkout of the parent commit and one in the
+change, then compare them::
+
+    PYTHONPATH=src python scripts/dataplane_identity.py --write parent.json
+    PYTHONPATH=src python scripts/dataplane_identity.py --write change.json
+    python scripts/dataplane_identity.py --compare parent.json change.json
+
+``--write`` runs each name of ``repro.scenarios.scenario_names()`` at seed 0
+with ``duration_s=15`` and stores ``dataclasses.asdict(summary)``.
+``traffic_flash_crowd`` runs under a node-limited solver budget
+(:data:`NODE_LIMIT_OVERRIDES`): under the default wall-clock ``time_limit``
+its summary depends on host speed, so two runs of one commit can differ
+(ROADMAP item 2 replaces that default).
+
+``--compare`` reports each scenario as ``identical`` or ``DIFFERENT``, with
+NaN equal to NaN.  A key only the second record has (a telemetry counter the
+change added) is listed but is not a difference; a key it lost, or a value
+that moved, is.  The exit code is 0 only when no scenario differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import math
+import sys
+import time
+
+DURATION_S = 15
+SEED = 0
+
+#: scenarios whose default solver budget is wall-clock bound, and the
+#: deterministic budget they run under here instead
+NODE_LIMIT_OVERRIDES = {
+    "traffic_flash_crowd": {"solver_options": {"time_limit": None, "node_limit": 20, "mip_rel_gap": 1e-2}},
+}
+
+
+def run_scenario(name: str) -> dict:
+    """One builtin scenario's summary at seed 0 and ``duration_s=15``, as a dict."""
+    from repro.scenarios import get_scenario
+
+    spec = get_scenario(name)
+    changes = {"trace_params": {**spec.trace_params, "duration_s": DURATION_S}}
+    if name in NODE_LIMIT_OVERRIDES:
+        changes["control_overrides"] = {**spec.control_overrides, **NODE_LIMIT_OVERRIDES[name]}
+    return dataclasses.asdict(spec.with_overrides(**changes).run(seed=SEED))
+
+
+def write_record(path: str, names=None) -> dict:
+    from repro.scenarios import scenario_names
+
+    record = {}
+    for name in names or scenario_names():
+        start = time.perf_counter()
+        record[name] = run_scenario(name)
+        note = " (node-limited solver budget)" if name in NODE_LIMIT_OVERRIDES else ""
+        print(f"{name}: {time.perf_counter() - start:.1f} s{note}", flush=True)
+    with open(path, "w") as handle:
+        # NaN is written as the JSON extension literal, which json.load reads back
+        json.dump(record, handle, indent=1, sort_keys=True)
+    return record
+
+
+def _equal(a, b) -> bool:
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(_equal(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def compare_summaries(a: dict, b: dict, prefix: str = ""):
+    """``(differences, added)``: dotted field names whose values differ or that
+    ``b`` lacks, and field names only ``b`` has."""
+    differences, added = [], []
+    for key in sorted(set(a) | set(b)):
+        name = f"{prefix}{key}"
+        if key not in b:
+            differences.append(name)
+        elif key not in a:
+            added.append(name)
+        elif isinstance(a[key], dict) and isinstance(b[key], dict):
+            sub_diff, sub_added = compare_summaries(a[key], b[key], prefix=f"{name}.")
+            differences.extend(sub_diff)
+            added.extend(sub_added)
+        elif not _equal(a[key], b[key]):
+            differences.append(name)
+    return differences, added
+
+
+def compare_records(a: dict, b: dict) -> int:
+    """Print one line per scenario; return the number of scenarios that differ."""
+    differing = 0
+    for name in sorted(set(a) | set(b)):
+        if name not in a or name not in b:
+            differing += 1
+            print(f"{name}: DIFFERENT (only in {'the first' if name in a else 'the second'} record)")
+            continue
+        differences, added = compare_summaries(a[name], b[name])
+        note = " (node-limited solver budget)" if name in NODE_LIMIT_OVERRIDES else ""
+        extra = f"; new keys: {', '.join(added)}" if added else ""
+        if differences:
+            differing += 1
+            print(f"{name}: DIFFERENT in {', '.join(differences)}{extra}{note}")
+        else:
+            print(f"{name}: identical{extra}{note}")
+    total = len(set(a) | set(b))
+    print(f"{total - differing} of {total} scenarios identical")
+    if any(name in NODE_LIMIT_OVERRIDES for name in set(a) | set(b)):
+        print(
+            "traffic_flash_crowd ran under a node-limited solver budget: under the default "
+            "wall-clock time_limit its summary depends on host speed (ROADMAP item 2)"
+        )
+    return differing
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--write", metavar="OUT", help="run every builtin scenario and write the record")
+    group.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two records")
+    args = parser.parse_args(argv)
+    if args.write:
+        write_record(args.write)
+        return 0
+    with open(args.compare[0]) as handle:
+        first = json.load(handle)
+    with open(args.compare[1]) as handle:
+        second = json.load(handle)
+    return 1 if compare_records(first, second) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -197,16 +197,20 @@ class RoutingPlan:
 
     frontend_table: RoutingTable
     worker_tables: Dict[str, RoutingTable]
-    backup_tables: Dict[str, List[BackupEntry]]
+    #: per-task backup entries, fastest first; tuples so the per-query
+    #: forwarding path can share them without copying
+    backup_tables: Dict[str, Tuple[BackupEntry, ...]]
     #: fraction of expected demand per task that could not be placed (0 when
     #: the allocation plan has enough capacity everywhere)
     unplaced_fraction: Dict[str, float] = field(default_factory=dict)
 
-    def table_for(self, worker_id: str) -> RoutingTable:
-        return self.worker_tables.get(worker_id, RoutingTable())
+    def table_for(self, worker_id: str) -> Optional[RoutingTable]:
+        """The worker's routing table, or ``None`` when the plan routes nothing from it."""
+        return self.worker_tables.get(worker_id)
 
-    def backups_for(self, task: str) -> List[BackupEntry]:
-        return list(self.backup_tables.get(task, []))
+    def backups_for(self, task: str) -> Tuple[BackupEntry, ...]:
+        """The task's backup entries (the stored tuple, not a copy)."""
+        return self.backup_tables.get(task, ())
 
 
 class RoutingPolicy:
@@ -326,9 +330,9 @@ class TrafficSplitPolicy(RoutingPolicy):
         return placed
 
 
-def _build_backups(by_task: Mapping[str, List[WorkerState]]) -> Dict[str, List[BackupEntry]]:
+def _build_backups(by_task: Mapping[str, List[WorkerState]]) -> Dict[str, Tuple[BackupEntry, ...]]:
     """Collect leftover capacity per task, fastest workers first."""
-    backups: Dict[str, List[BackupEntry]] = {}
+    backups: Dict[str, Tuple[BackupEntry, ...]] = {}
     for task_name, task_workers in by_task.items():
         entries = [
             BackupEntry(
@@ -343,7 +347,7 @@ def _build_backups(by_task: Mapping[str, List[WorkerState]]) -> Dict[str, List[B
             if w.remaining_capacity_qps > 1e-9
         ]
         entries.sort(key=lambda e: (e.latency_ms, -e.accuracy))
-        backups[task_name] = entries
+        backups[task_name] = tuple(entries)
     return backups
 
 

@@ -23,6 +23,7 @@ two agree to within ~2%.  This package is that simulator, built from scratch:
 
 from repro.simulator.engine import SimulationEngine
 from repro.simulator.events import (
+    ArrivalCursor,
     ArrivalEvent,
     BatchCompleteEvent,
     CallbackEvent,
@@ -47,6 +48,7 @@ __all__ = [
     "Event",
     "CallbackEvent",
     "ArrivalEvent",
+    "ArrivalCursor",
     "DeliveryEvent",
     "BatchCompleteEvent",
     "ModelReadyEvent",

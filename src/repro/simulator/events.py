@@ -12,6 +12,12 @@ exact references its :meth:`Event.run` needs, instead of the seed design's
 one-closure-per-event lambdas.  :class:`CallbackEvent` remains for ad-hoc
 scheduling (tests, fault injection, user extensions).
 
+A run's client arrivals are one :class:`ArrivalCursor`: a single reusable
+event that walks the trace's sorted arrival times, holding one calendar entry
+for the whole stream while keeping each arrival's ``(time, sequence)`` order
+(see its docstring).  :class:`ArrivalEvent` is the one-shot form of a single
+arrival.
+
 ``EventQueue.__len__`` is O(1): a live counter is maintained on push, pop and
 cancellation rather than recounting the heap.
 """
@@ -25,6 +31,7 @@ __all__ = [
     "Event",
     "CallbackEvent",
     "ArrivalEvent",
+    "ArrivalCursor",
     "DeliveryEvent",
     "BatchCompleteEvent",
     "ModelReadyEvent",
@@ -84,7 +91,8 @@ class CallbackEvent(Event):
 
 
 class ArrivalEvent(Event):
-    """A client request arrives at the Frontend."""
+    """One client request arrives at the Frontend (a run's arrival stream is
+    one :class:`ArrivalCursor` instead)."""
 
     __slots__ = ("frontend",)
 
@@ -98,6 +106,60 @@ class ArrivalEvent(Event):
 
     def run(self) -> None:
         self.frontend.submit()
+
+
+class ArrivalCursor(Event):
+    """Every client arrival of a trace, as one reusable event.
+
+    The calendar holds one entry for the whole arrival stream instead of one
+    :class:`ArrivalEvent` per query.  :meth:`load` reserves one sequence
+    number per arrival; when arrival ``i`` runs it submits its request and
+    pushes the cursor back at arrival ``i + 1``'s time with the sequence
+    number reserved for it.  Every arrival therefore keeps the ``(time,
+    sequence)`` position a preloaded per-arrival event would have had: after
+    events scheduled before the load, before events scheduled after it.
+    ``times`` must be sorted.
+    """
+
+    __slots__ = ("frontend", "times", "index", "base_seq", "calendar")
+
+    kind = "arrival"
+
+    def __init__(self, times: List[float], frontend):
+        self.time_s = times[0] if times else 0.0
+        self.cancelled = False
+        self._queue = None
+        self.frontend = frontend
+        self.times = times
+        self.index = 0
+        self.base_seq = 0
+        self.calendar: Optional["EventQueue"] = None
+
+    def load(self, queue: "EventQueue") -> None:
+        """Reserve the arrivals' sequence numbers in ``queue`` and push the first."""
+        times = self.times
+        if not times:
+            return
+        if times[0] < 0:
+            raise ValueError("cannot schedule an event at negative time")
+        self.calendar = queue
+        self.base_seq = queue._seq
+        queue._seq += len(times)
+        self._queue = queue
+        queue._live += 1
+        heappush(queue._heap, (self.time_s, self.base_seq + 1, self))
+
+    def run(self) -> None:
+        self.frontend.submit()
+        index = self.index + 1
+        times = self.times
+        if index < len(times):
+            self.index = index
+            self.time_s = time_s = times[index]
+            calendar = self.calendar
+            self._queue = calendar
+            calendar._live += 1
+            heappush(calendar._heap, (time_s, self.base_seq + index + 1, self))
 
 
 class DeliveryEvent(Event):

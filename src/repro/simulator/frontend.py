@@ -5,9 +5,10 @@ them to a first-task worker according to the frontend routing table produced
 by the Load Balancer, aggregates the sink results, and records the incoming
 demand so the Controller can store it in the Metadata Store (Section 3).
 
-Each client query arrives as one :class:`ArrivalEvent` whose ``run()`` calls
-:meth:`Frontend.submit`: one inverse-CDF routing draw and one network-delay
-draw per query, the RNG stream the fig5/fig6 parity goldens pin.
+A run's arrivals are one :class:`~repro.simulator.events.ArrivalCursor` that
+walks the pre-sampled arrival times and calls :meth:`Frontend.submit` once
+per client query: one inverse-CDF routing draw and one network-delay draw per
+query, the RNG stream the fig5/fig6 parity goldens pin.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ __all__ = ["Frontend"]
 class Frontend:
     """Accepts requests, routes them to root-task workers and tracks demand.
 
-    Arrivals are delivered as bulk-preloaded :class:`ArrivalEvent` objects
-    (one per client query, pre-sampled from the whole trace in a few
-    vectorized draws) whose ``run()`` calls :meth:`submit`.
+    The run's :class:`~repro.simulator.events.ArrivalCursor` calls
+    :meth:`submit` at each pre-sampled arrival time.
     """
 
     __slots__ = (
@@ -55,32 +55,33 @@ class Frontend:
     # -- client API -----------------------------------------------------------
     def submit(self) -> Request:
         """A client query arrives now; route it to a first-task worker."""
-        now = self.sim.engine.now_s
+        sim = self.sim
+        now = sim.engine.now_s
         request = Request(self._next_request_id, now, self.slo_ms)
         self._next_request_id += 1
         self.total_submitted += 1
         self._window_arrivals += 1
         self._tele_requests.value += 1
-        self.sim.metrics.record_arrival(now)
+        sim.metrics.record_arrival(now)
 
-        root_task = self.sim.pipeline.root
+        root_task = sim.pipeline.root
         request.add_outstanding(1)
-        query = self.sim.new_intermediate_query(request, root_task, now, accuracy_so_far=1.0)
+        query = sim.new_intermediate_query(request, root_task, now, accuracy_so_far=1.0)
 
-        resilience = getattr(self.sim, "resilience", None)
+        resilience = getattr(sim, "resilience", None)
         if resilience is not None and resilience.timeout_s is not None:
             resilience.arm_timeout(request)
 
-        routing = self.sim.routing_plan
-        entry = routing.frontend_table.choose(root_task, self.sim.rng) if routing is not None else None
+        routing = sim.routing_plan
+        entry = routing.frontend_table.choose(root_task, sim.rng) if routing is not None else None
         if entry is None:
             # No routing yet (e.g. before the first plan) or no root capacity at
             # all: the request cannot be served.
             self.rejected_no_plan += 1
             self._tele_rejected.value += 1
-            self.sim.notify_drop(query, reason="no frontend route available")
+            sim.notify_drop(query, reason="no frontend route available")
             return request
-        self.sim.forward_query(query, entry.worker_id)
+        sim.forward_query(query, entry.worker_id)
         return request
 
     # -- demand accounting -------------------------------------------------------

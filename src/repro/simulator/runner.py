@@ -11,18 +11,17 @@ substrate as Loki.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
 from repro.core.allocation import AllocationPlan
 from repro.core.dropping import DropPolicy, make_drop_policy
-from repro.core.load_balancer import BackupEntry, RoutingPlan, RoutingTable
+from repro.core.load_balancer import RoutingPlan
 from repro.core.pipeline import Pipeline
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import SimulationEngine
-from repro.simulator.events import ArrivalEvent, CallbackEvent, ControlTickEvent, DeliveryEvent
+from repro.simulator.events import ArrivalCursor, ControlTickEvent, DeliveryEvent
 from repro.simulator.frontend import Frontend
 from repro.simulator.metrics import MetricsCollector, SimulationSummary
 from repro.simulator.network import NetworkModel
@@ -125,6 +124,9 @@ class ServingSimulation:
         self.telemetry = TelemetryRegistry()
         self._tele_forwarded = self.telemetry.counter("queries.forwarded")
         self._tele_dropped = self.telemetry.counter("queries.dropped")
+        #: opportunistic reroutes to a backup worker (Section 5.2); always
+        #: registered, bumped by the workers' forwarding routine
+        self._tele_rerouted = self.telemetry.counter("queries.rerouted")
         self._tele_batches = self.telemetry.counter("worker.batches")
         self._tele_batch_queries = self.telemetry.counter("worker.processed_queries")
         self._tele_active_workers = self.telemetry.gauge("cluster.active_workers")
@@ -144,7 +146,6 @@ class ServingSimulation:
         self.routing_plan: Optional[RoutingPlan] = None
         self.current_plan: Optional[AllocationPlan] = None
         self._next_query_id = 0
-        self._empty_table = RoutingTable()
         self.dropped_queries = 0
         self.forwarded_queries = 0
         self.drop_reasons: Dict[str, int] = {}
@@ -179,46 +180,23 @@ class ServingSimulation:
             summary.fault_timeline = list(timeline.events)
         return summary
 
-    #: arrivals materialized into event objects per calendar load; the sampled
-    #: time array is always whole-trace (8 bytes/arrival), but the ~100-byte
-    #: Python event objects are created lazily so day-long high-rate traces
-    #: do not hold tens of millions of live events at once
-    ARRIVAL_CHUNK = 200_000
-
     def _schedule_workload(self) -> None:
-        """Pre-sample every arrival of the trace and bulk-load the calendar.
+        """Pre-sample every arrival of the trace and load the arrival cursor.
 
         The whole trace's arrival times come from a handful of vectorized RNG
-        draws (see :meth:`ArrivalProcess.sample_trace`); each arrival becomes
-        one ``__slots__`` :class:`ArrivalEvent` and the calendar is built with
-        a single heapify instead of one closure-scheduling call per query.
-        Traces beyond :attr:`ARRIVAL_CHUNK` arrivals are materialized in
-        windows: a refill callback at the last arrival of each window bulk-
-        loads the next one, keeping calendar memory bounded.
+        draws (see :meth:`ArrivalProcess.sample_trace`).  One control tick is
+        preloaded just before the end of every trace second, then one
+        :class:`ArrivalCursor` walks the arrival times: the calendar holds one
+        arrival entry at a time, and each arrival keeps the sequence number a
+        preloaded per-arrival event would have had.  The stable sort is a
+        linear pass on the already-sorted times ``sample_trace`` returns and
+        keeps equal times in their sampled order.
         """
-        self._arrival_times = self.arrival_process.sample_trace(self.trace.qps, self.rng)
-        self._arrival_cursor = 0
-        # One control tick just before the end of every trace second.
+        times = np.sort(self.arrival_process.sample_trace(self.trace.qps, self.rng), kind="stable")
         self.engine.preload(
             [ControlTickEvent(float(second + 1) - 1e-6, self) for second in range(self.trace.duration_s)]
         )
-        self._preload_arrival_chunk()
-
-    def _preload_arrival_chunk(self) -> None:
-        start = self._arrival_cursor
-        total = self._arrival_times.shape[0]
-        if start >= total:
-            return
-        end = min(start + self.ARRIVAL_CHUNK, total)
-        self._arrival_cursor = end
-        chunk = self._arrival_times[start:end].tolist()
-        # map + repeat constructs the chunk's events with C-level iteration.
-        events = list(map(ArrivalEvent, chunk, repeat(self.frontend)))
-        if end < total:
-            # Refill at this chunk's last arrival: it is appended after that
-            # arrival, so the FIFO tie-break runs it once the chunk is spent.
-            events.append(CallbackEvent(chunk[-1], self._preload_arrival_chunk))
-        self.engine.preload(events)
+        ArrivalCursor(times.tolist(), self.frontend).load(self.engine.queue)
 
     def _bootstrap(self) -> None:
         """Prime the control plane with the first trace second so a plan exists at t=0."""
@@ -266,18 +244,13 @@ class ServingSimulation:
         self._next_query_id += 1
         return query
 
-    def routing_table_for(self, logical_id: str) -> RoutingTable:
-        if self.routing_plan is None:
-            return self._empty_table
-        return self.routing_plan.table_for(logical_id)
-
-    def backups_for(self, task: str) -> List[BackupEntry]:
-        if self.routing_plan is None:
-            return []
-        return self.routing_plan.backups_for(task)
-
     def forward_query(self, query: IntermediateQuery, logical_worker_id: str) -> None:
-        """Send a query to the physical worker hosting ``logical_worker_id``."""
+        """Send a query to the physical worker hosting ``logical_worker_id``.
+
+        The data plane's one network hop: the Frontend and the workers'
+        forwarding routine send through it, and it arms the resilience
+        layer's hedges.
+        """
         worker = self.cluster.resolve(logical_worker_id)
         if worker is None:
             self.notify_drop(query, reason=f"logical worker {logical_worker_id} not hosted")

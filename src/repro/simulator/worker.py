@@ -321,9 +321,16 @@ class SimWorker:
         if now < self.available_at_s - 1e-12:
             return  # model still loading; a start is scheduled for load completion
         assignment = self.assignment
-        batch_count = min(len(self.queue), assignment.batch_size)
-        popleft = self.queue.popleft
-        batch: List[IntermediateQuery] = [popleft() for _ in range(batch_count)]
+        queue = self.queue
+        batch_count = len(queue)
+        if batch_count <= assignment.batch_size:
+            # The whole queue fits: take it in one step.
+            batch: List[IntermediateQuery] = list(queue)
+            queue.clear()
+        else:
+            batch_count = assignment.batch_size
+            popleft = queue.popleft
+            batch = [popleft() for _ in range(batch_count)]
         duration_s = assignment.variant.execution_latency_ms(batch_count) / 1000.0
         if self.slowdown != 1.0:
             duration_s *= self.slowdown
@@ -345,86 +352,94 @@ class SimWorker:
         sim._tele_batches.value += 1
         sim._tele_batch_queries.value += len(batch)
         self.processed_queries += len(batch)
-        accuracy = assignment.variant.accuracy
         child_edges = assignment.child_edges
         if child_edges is None:
             child_edges = tuple(sim.pipeline.children(assignment.task))
-        if not child_edges:
+        if child_edges:
+            self._dispatch(batch, assignment, child_edges, now)
+        else:
             # Sink fast path: no downstream fan-out to sample, every query in
             # the batch returns straight to the Frontend.
+            accuracy = assignment.variant.accuracy
             notify_sink = sim.notify_sink
             for query in batch:
                 query.accuracy_so_far *= accuracy
                 notify_sink(query)
-        else:
-            for query in batch:
-                query.accuracy_so_far *= accuracy
-                self._dispatch(query, assignment, now)
         if self.queue:
             self._maybe_start_batch()
 
     # -- forwarding ----------------------------------------------------------------
-    def _dispatch(self, query: IntermediateQuery, assignment: WorkerAssignment, now_s: float) -> None:
-        children = assignment.child_edges
-        if children is None:
-            children = tuple(self.sim.pipeline.children(assignment.task))
-        if not children:
-            self.sim.notify_sink(query)
-            return
+    def _dispatch(
+        self,
+        batch: List[IntermediateQuery],
+        assignment: WorkerAssignment,
+        child_edges: Tuple[Edge, ...],
+        now_s: float,
+    ) -> None:
+        """Forward the children of every query of a completed batch downstream.
 
-        time_in_task_ms = (now_s - query.worker_arrival_s) * 1000.0
-        request = query.request
-
-        # Sample the downstream fan-out for every outgoing edge.
-        child_counts = []
-        total_children = 0
-        for edge in children:
-            count = self.sim.content_model.sample_children(assignment.variant, edge, self.sim.rng)
-            child_counts.append((edge, count))
-            total_children += count
-        self.factor_observation_sum += total_children
-        self.factor_observation_count += 1
-
-        if total_children == 0:
-            # Nothing detected downstream; this branch of the request is done.
+        The routing table, drop policy hook and latency budget are looked up
+        once per batch: nothing on this path replaces the routing plan.  The
+        RNG stream is fixed per query: first one fan-out draw per outgoing
+        edge, then per child in edge order one routing draw, the drop
+        policy's ``on_forward`` (which draws only to break a reroute tie) and
+        one network draw in :meth:`ServingSimulation.forward_query`.
+        """
+        sim = self.sim
+        rng = sim.rng
+        sample_children = sim.content_model.sample_children
+        variant = assignment.variant
+        accuracy = variant.accuracy
+        plan = sim.routing_plan
+        table = plan.table_for(assignment.logical_id) if plan is not None else None
+        choose = table.choose if table is not None else None
+        on_forward = sim.drop_policy.on_forward
+        forward_query = sim.forward_query
+        budget_ms = assignment.latency_budget_ms
+        for query in batch:
+            query.accuracy_so_far *= accuracy
+            counts = []
+            total_children = 0
+            for edge in child_edges:
+                count = sample_children(variant, edge, rng)
+                counts.append(count)
+                total_children += count
+            self.factor_observation_sum += total_children
+            self.factor_observation_count += 1
+            request = query.request
+            if total_children:
+                request.add_outstanding(total_children)
+                time_in_task_ms = (now_s - query.worker_arrival_s) * 1000.0
+                remaining_slo_ms = (request.deadline_s - now_s) * 1000.0
+                path_accuracy = query.accuracy_so_far
+                for edge, count in zip(child_edges, counts):
+                    if not count:
+                        continue
+                    task = edge.child
+                    backups = plan.backups_for(task) if plan is not None else ()
+                    for _ in range(count):
+                        child = IntermediateQuery(sim._next_query_id, request, task, now_s, path_accuracy)
+                        sim._next_query_id += 1
+                        planned = choose(task, rng) if choose is not None else None
+                        decision = on_forward(time_in_task_ms, budget_ms, planned, backups, remaining_slo_ms, rng)
+                        action = decision.action
+                        if action is DropAction.DROP:
+                            sim.notify_drop(child, reason=decision.reason)
+                            continue
+                        if action is DropAction.REROUTE and decision.target is not None:
+                            sim._tele_rerouted.value += 1
+                            target_id = decision.target.worker_id
+                        elif planned is not None:
+                            target_id = planned.worker_id
+                        elif backups:
+                            target_id = backups[0].worker_id
+                        else:
+                            sim.notify_drop(child, reason="no downstream worker available")
+                            continue
+                        forward_query(child, target_id)
+            # The parent query itself is finished (its children, if any, carry on).
             request.record_internal_completion(now_s)
-            self.sim.check_request(request)
-            return
-
-        request.add_outstanding(total_children)
-        routing_table = self.sim.routing_table_for(assignment.logical_id)
-        for edge, count in child_counts:
-            for _ in range(count):
-                child_query = self.sim.new_intermediate_query(request, edge.child, now_s, query.accuracy_so_far)
-                self._forward(child_query, edge.child, time_in_task_ms, assignment, routing_table)
-        # The parent query itself is finished (its children carry on).
-        request.record_internal_completion(now_s)
-        self.sim.check_request(request)
-
-    def _forward(self, child_query, child_task: str, time_in_task_ms: float, assignment: WorkerAssignment, routing_table) -> None:
-        planned_entry = routing_table.choose(child_task, self.sim.rng) if routing_table is not None else None
-        backups = self.sim.backups_for(child_task)
-        decision = self.sim.drop_policy.on_forward(
-            time_in_task_ms,
-            assignment.latency_budget_ms,
-            planned_entry,
-            backups,
-            child_query.remaining_slo_ms(self.sim.engine.now_s),
-            self.sim.rng,
-        )
-        if decision.action is DropAction.DROP:
-            self.sim.notify_drop(child_query, reason=decision.reason)
-            return
-        if decision.action is DropAction.REROUTE and decision.target is not None:
-            target_id = decision.target.worker_id
-        elif planned_entry is not None:
-            target_id = planned_entry.worker_id
-        elif backups:
-            target_id = backups[0].worker_id
-        else:
-            self.sim.notify_drop(child_query, reason="no downstream worker available")
-            return
-        self.sim.forward_query(child_query, target_id)
+            sim.check_request(request)
 
     # -- heartbeats -------------------------------------------------------------------
     def heartbeat(self) -> Optional[float]:

@@ -19,7 +19,7 @@ predictions).
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -49,6 +49,9 @@ class MultiplicativeContentModel:
         Global multiplier applied to every variant's multiplicative factor,
         used to inject estimation error (the runtime then has to re-learn the
         factors from heartbeats).
+
+    Both are fixed for the model's lifetime: each (variant, edge) pair's mean
+    and whether its count is fixed are computed once and memoised.
     """
 
     def __init__(self, mode: str = "poisson", factor_scale: float = 1.0):
@@ -58,17 +61,26 @@ class MultiplicativeContentModel:
             raise ValueError("factor_scale must be positive")
         self.mode = mode
         self.factor_scale = float(factor_scale)
+        #: (id(variant), id(edge)) -> (variant, edge, fixed count or None,
+        #: mean).  Keyed by identity: hashing a frozen ModelVariant is slow,
+        #: and raises when it carries a latency-table dict.  The entry holds
+        #: both objects, so their ids cannot be reused while it exists.
+        self._fanout: Dict[Tuple[int, int], Tuple[ModelVariant, Edge, Optional[int], float]] = {}
 
     def mean_children(self, variant: ModelVariant, edge: Edge) -> float:
         return variant.multiplicative_factor * self.factor_scale * edge.branch_ratio
 
     def sample_children(self, variant: ModelVariant, edge: Edge, rng: np.random.Generator) -> int:
-        mean = self.mean_children(variant, edge)
-        # A factor of exactly one per edge (classification-style task feeding a
-        # single downstream task) is deterministic: every output image has
-        # exactly one caption request, etc.
-        if abs(mean - round(mean)) < 1e-9:
-            return int(round(mean))
-        if self.mode == "expected":
-            return int(round(mean))
-        return int(rng.poisson(mean))
+        key = (id(variant), id(edge))
+        entry = self._fanout.get(key)
+        if entry is None:
+            mean = self.mean_children(variant, edge)
+            # A factor of exactly one per edge (classification-style task
+            # feeding a single downstream task) is deterministic: every output
+            # image has exactly one caption request, etc.
+            fixed = abs(mean - round(mean)) < 1e-9 or self.mode == "expected"
+            entry = self._fanout[key] = (variant, edge, int(round(mean)) if fixed else None, mean)
+        fixed = entry[2]
+        if fixed is not None:
+            return fixed
+        return int(rng.poisson(entry[3]))

@@ -142,21 +142,6 @@ class TestDeterminism:
         spec = get_scenario("smoke")
         assert spec.run(seed=0).total_requests != spec.run(seed=1).total_requests
 
-    def test_chunked_arrival_preload_matches_single_preload(self):
-        """Long traces materialize arrival events in windows; the windowing
-        must not change a single simulated outcome."""
-        from repro.simulator.runner import ServingSimulation
-
-        spec = get_scenario("smoke")
-        baseline = spec.run(seed=5)
-        original_chunk = ServingSimulation.ARRIVAL_CHUNK
-        ServingSimulation.ARRIVAL_CHUNK = 50  # force many refills
-        try:
-            chunked = spec.run(seed=5)
-        finally:
-            ServingSimulation.ARRIVAL_CHUNK = original_chunk
-        assert dataclasses.asdict(chunked) == dataclasses.asdict(baseline)
-
 
 class TestFaults:
     def test_demand_surge_scales_trace_window(self):

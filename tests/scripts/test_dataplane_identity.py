@@ -1,0 +1,57 @@
+"""Unit tests for the data-plane identity check (scripts/dataplane_identity.py)."""
+
+import importlib.util
+import json
+import pathlib
+
+SCRIPT = pathlib.Path(__file__).resolve().parents[2] / "scripts" / "dataplane_identity.py"
+
+spec = importlib.util.spec_from_file_location("dataplane_identity", SCRIPT)
+dataplane_identity = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(dataplane_identity)
+
+SUMMARY = {
+    "total_requests": 10,
+    "mean_latency_ms": float("nan"),
+    "intervals": [{"demand": 3, "accuracy": 0.5}],
+    "fault_timeline": [[1.0, "worker_failure"]],
+    "telemetry": {"queries.dropped": 2.0},
+}
+
+
+def changed(**fields):
+    return {**json.loads(json.dumps(SUMMARY)), **fields}
+
+
+class TestCompareSummaries:
+    def test_nan_equals_nan(self):
+        assert dataplane_identity.compare_summaries(SUMMARY, changed()) == ([], [])
+
+    def test_moved_value_and_lost_key_differ(self):
+        b = changed(total_requests=11, intervals=[{"demand": 3, "accuracy": 0.25}])
+        del b["fault_timeline"]
+        differences, added = dataplane_identity.compare_summaries(SUMMARY, b)
+        assert differences == ["fault_timeline", "intervals", "total_requests"]
+        assert added == []
+
+    def test_new_telemetry_key_is_listed_not_a_difference(self):
+        b = changed(telemetry={"queries.dropped": 2.0, "queries.rerouted": 0.0})
+        assert dataplane_identity.compare_summaries(SUMMARY, b) == ([], ["telemetry.queries.rerouted"])
+
+
+def test_compare_records_counts_differing_scenarios(capsys):
+    first = {"smoke": SUMMARY, "chaos": SUMMARY}
+    second = {"smoke": changed(), "chaos": changed(total_requests=0)}
+    assert dataplane_identity.compare_records(first, second) == 1
+    out = capsys.readouterr().out
+    assert "chaos: DIFFERENT in total_requests" in out
+    assert "smoke: identical" in out
+    assert "1 of 2 scenarios identical" in out
+
+
+def test_write_then_compare_round_trips(tmp_path, monkeypatch):
+    """A record written with NaN values reads back identical to itself."""
+    monkeypatch.setattr(dataplane_identity, "run_scenario", lambda name: SUMMARY)
+    path = tmp_path / "record.json"
+    dataplane_identity.write_record(str(path), names=["smoke"])
+    assert dataplane_identity.main(["--compare", str(path), str(path)]) == 0

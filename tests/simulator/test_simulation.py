@@ -5,11 +5,14 @@ import pytest
 
 from repro.core import Controller, ControllerConfig
 from repro.core.allocation import AllocationProblem
+from repro.core.load_balancer import BackupEntry, RoutingEntry, RoutingPlan, RoutingTable
 from repro.control import ControlPlaneEngine, StaticPlanPolicy
 from repro.scenarios import get_scenario
 from repro.simulator import ServingSimulation, SimulationConfig
+from repro.simulator.events import DeliveryEvent
 from repro.simulator.network import NetworkModel
-from repro.simulator.query import Request
+from repro.simulator.query import Request, RequestStatus
+from repro.workloads.content import MultiplicativeContentModel
 from repro.workloads import constant_trace, ramp_trace
 
 
@@ -293,22 +296,90 @@ class TestEndToEndSimulation:
         assert 1.0 < estimate < 4.0
 
     def test_drop_policy_affects_outcomes(self, small_pipeline):
+        """Under a tight SLO, queueing bursts push queries past their per-task
+        budget.  Only opportunistic rerouting reacts: it sends some to a
+        faster spare worker and drops the ones no spare worker can save, and
+        fewer requests finish late.  The counts are this seeded run's."""
+
         def run_with(policy):
-            controller = loki_controller(small_pipeline, num_workers=3)
+            controller = loki_controller(small_pipeline, num_workers=4, slo_ms=80.0)
             sim = ServingSimulation(
                 small_pipeline,
                 controller,
-                constant_trace(150.0, 10),
-                SimulationConfig(num_workers=3, latency_slo_ms=150.0, seed=1, drop_policy=policy),
+                constant_trace(300.0, 10),
+                SimulationConfig(num_workers=4, latency_slo_ms=80.0, seed=1, drop_policy=policy),
             )
-            return sim.run()
+            return sim, sim.run()
 
-        no_drop = run_with("no_early_dropping")
-        rerouting = run_with("opportunistic_rerouting")
-        assert no_drop.dropped_requests == 0
-        # Opportunistic rerouting converts some would-be-late requests into drops/reroutes.
-        assert rerouting.dropped_requests >= 0
-        assert rerouting.total_requests == pytest.approx(no_drop.total_requests, rel=0.2)
+        no_drop_sim, no_drop = run_with("no_early_dropping")
+        rerouting_sim, rerouting = run_with("opportunistic_rerouting")
+        assert no_drop.telemetry["queries.rerouted"] == 0
+        assert no_drop_sim.drop_reasons == {}
+        assert (no_drop.dropped_requests, no_drop.late_requests) == (0, 8)
+        assert rerouting.telemetry["queries.rerouted"] == 19
+        assert rerouting_sim.drop_reasons == {"no backup worker can recover the overrun": 30}
+        assert (rerouting.dropped_requests, rerouting.late_requests) == (15, 1)
+        assert rerouting.total_requests == no_drop.total_requests
+
+
+class TestOverrunForwarding:
+    """A completed batch whose queries overran their per-task budget.
+
+    The planned downstream worker is too slow for the 50 ms the request has
+    left; opportunistic rerouting sends each child to a backup worker fast
+    enough to make it, or drops the child when there is none.
+    """
+
+    PLANNED_ID = "planned-but-unhosted"
+
+    def _complete_overrun_batch(self, small_pipeline, with_backup):
+        sim = ServingSimulation(
+            small_pipeline,
+            loki_controller(small_pipeline),
+            constant_trace(40.0, 5),
+            SimulationConfig(num_workers=10, latency_slo_ms=150.0, seed=1),
+            content_model=MultiplicativeContentModel(mode="expected"),
+        )
+        sim._bootstrap()
+        worker = next(w for w in sim.cluster.workers if w.assignment is not None and w.assignment.task == "detect")
+        assignment = worker.assignment
+        backup_id = next(lid for lid, w in sim.cluster.logical_map.items() if w.assignment.task == "classify")
+        table = RoutingTable()
+        # planned route: a slow worker nothing hosts, so only a reroute is delivered
+        table.add("classify", RoutingEntry(self.PLANNED_ID, 1.0, accuracy=1.0, latency_ms=100.0))
+        backups = (BackupEntry(backup_id, "classify", "classify_small", 0.85, 5.0, 50.0),) if with_backup else ()
+        sim.routing_plan = RoutingPlan(
+            frontend_table=RoutingTable(),
+            worker_tables={assignment.logical_id: table},
+            backup_tables={"classify": backups},
+        )
+        now = sim.engine.now_s
+        request = Request(0, now - 0.1, 150.0)  # arrived 100 ms ago: 50 ms left
+        request.add_outstanding(1)
+        query = sim.new_intermediate_query(request, "detect", now, 1.0)
+        query.worker_arrival_s = now - 0.1
+        assert (now - query.worker_arrival_s) * 1000.0 > assignment.latency_budget_ms
+        children = sum(sim.content_model.sample_children(assignment.variant, e, sim.rng) for e in assignment.child_edges)
+        assert children > 0
+        worker._complete_batch([query])
+        deliveries = [
+            e for _, _, e in sim.engine.queue._heap if isinstance(e, DeliveryEvent) and e.query.request is request
+        ]
+        return sim, request, children, deliveries, sim.cluster.resolve(backup_id)
+
+    def test_overrun_child_goes_to_the_backup_worker(self, small_pipeline):
+        sim, request, children, deliveries, backup_worker = self._complete_overrun_batch(small_pipeline, True)
+        assert [e.worker for e in deliveries] == [backup_worker] * children
+        assert sim.telemetry.get("queries.rerouted").value == children
+        assert sim.drop_reasons == {}
+        assert request.outstanding == children and not request.is_finished
+
+    def test_overrun_child_without_backup_is_dropped(self, small_pipeline):
+        sim, request, children, deliveries, _ = self._complete_overrun_batch(small_pipeline, False)
+        assert deliveries == []
+        assert sim.telemetry.get("queries.rerouted").value == 0
+        assert sim.drop_reasons == {"no backup worker can recover the overrun": children}
+        assert request.status is RequestStatus.DROPPED
 
 
 class TestClusterPlanApplication:

@@ -1,5 +1,7 @@
 """Tests for arrival processes and request-content models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +188,21 @@ class TestContentModel:
         model = MultiplicativeContentModel(factor_scale=2.0)
         variant = make_variant("detector", factor=1.5)
         assert model.mean_children(variant, Edge("a", "b", 1.0)) == pytest.approx(3.0)
+
+    def test_memoised_fanout_draws_like_the_formula(self):
+        """Repeated samples of one (variant, edge) pair consume the RNG exactly
+        like one ``rng.poisson(mean)`` per call, or not at all for an integral
+        mean; a variant carrying a latency table (a dict, so unhashable)
+        samples too."""
+        model = MultiplicativeContentModel()
+        variant = dataclasses.replace(make_variant("detector", factor=2.5), latency_table={1: 5.0, 4: 12.0})
+        edges = (Edge("a", "b", 0.6), Edge("a", "c", 0.4))  # means 1.5 and exactly 1
+        mean = model.mean_children(variant, edges[0])
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(200):
+            assert model.sample_children(variant, edges[0], rng) == int(reference.poisson(mean))
+            assert model.sample_children(variant, edges[1], rng) == 1
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
