@@ -1,8 +1,7 @@
 #!/usr/bin/env python
 """Run every experiment in the harness and capture the printed reports.
 
-Used to populate EXPERIMENTS.md.  Each experiment's stdout is written to
-``results/<name>.txt``.
+Each experiment's stdout is written to ``results/<name>.txt``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ The package is organised as follows:
   routing, early dropping with opportunistic rerouting, and the Controller.
 * :mod:`repro.control` -- the unified control-plane engine and the
   allocation-/routing-policy registries every serving system plugs into.
-* :mod:`repro.telemetry` -- counters, gauges and streaming-quantile
+* :mod:`repro.telemetry` -- counters, gauges and exact-quantile
   histograms collected per simulation run and aggregated across sweeps.
 * :mod:`repro.solver` -- the MILP substrate (the array form of a MILP, the
   solution cache and HiGHS in Gurobi's place).

@@ -4,16 +4,17 @@ The paper's control planes decide from *planned* capacity: the Resource
 Manager sees demand estimates and multiplier heartbeats, the Load Balancer
 sees the allocation plan.  The simulator, however, already tracks the live
 signals a real control plane would feed back on — per-worker queue depths,
-in-flight batches, streaming latency quantiles, drop counters.  This module
+in-flight batches, latency quantiles, drop counters.  This module
 defines the read-only snapshot types that expose those signals to policies:
 
 * :class:`WorkerView` / :class:`ClusterView` — one immutable snapshot of the
   worker fleet (queue depth, in-flight count, effective service rate, recent
   completions per logical worker), assembled by the cluster each control
   period and on demand by dispatch-time routing probes;
-* :class:`TelemetryWindow` — the telemetry half of the feedback loop: latency
-  quantiles (streaming P² estimates), windowed completion/drop/late counts and
-  the resulting violation rates, plus the control plane's demand estimate;
+* :class:`TelemetryWindow` — the telemetry half of the feedback loop: exact
+  latency quantiles over the last control window, windowed completion/drop/late
+  counts and the resulting violation rates, plus the control plane's demand
+  estimate;
 * :class:`ControlContext` — what :class:`~repro.control.engine.ControlPlaneEngine`
   hands to :meth:`AllocationPolicy.allocate` and the routing refresh each
   control period: ``now_s`` + ClusterView + TelemetryWindow.
@@ -149,10 +150,9 @@ class TelemetryWindow:
     latencies observed since the last committed context (falling back to the
     previous window while the current one is empty, and NaN before any
     sample).  A transient tail spike therefore decays out of ``p99`` within
-    one window of the traffic returning to normal — it no longer lingers for
-    the rest of the run the way the pre-windowing cumulative P² estimate
-    did.  All fields are plain floats/ints so windows are picklable and
-    comparable.
+    one window of the traffic returning to normal instead of lingering for
+    the rest of the run, as it would in a run-cumulative quantile.  All
+    fields are plain floats/ints so windows are picklable and comparable.
     """
 
     #: wall of the window in simulated seconds (0.0 on the first period)

@@ -188,17 +188,17 @@ class ControlPlaneEngine:
         # latencies observed *since the last committed context* (plus the
         # previous window as fallback while the current one is empty), so the
         # feedback policies see the tail of the window, not of the whole run.
-        # Registries without the windowed metric (hand-built tests, older
-        # pickles) fall back to the run-cumulative histogram.
+        # The metrics collector always registers it; a registry without it
+        # reports no latency signal (NaN).
         latency = registry.get("requests.latency_ms.window")
-        if latency is None:
-            latency = registry.get("requests.latency_ms")
-        p50 = latency.quantile(0.5) if latency is not None else math.nan
-        p99 = latency.quantile(0.99) if latency is not None else math.nan
+        p50 = p99 = math.nan
+        if isinstance(latency, WindowedHistogram):
+            p50 = latency.quantile(0.5)
+            p99 = latency.quantile(0.99)
+            if commit:
+                latency.rotate()
         if commit:
             self._window_marker = (now_s, completed, dropped, late, retries, failover, timeouts)
-            if isinstance(latency, WindowedHistogram):
-                latency.rotate()
         return TelemetryWindow(
             window_s=max(0.0, now_s - marker[0]),
             completed=int(completed - marker[1]),

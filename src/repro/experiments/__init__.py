@@ -3,8 +3,7 @@
 Every module exposes a ``run(...)`` function that returns a structured result
 object and a ``main()`` entry point that prints the same rows/series the paper
 reports.  The benchmark suite (``benchmarks/``) wraps these functions so
-``pytest benchmarks/ --benchmark-only`` regenerates every figure, and
-``EXPERIMENTS.md`` records the paper-vs-measured comparison.
+``pytest benchmarks/ --benchmark-only`` regenerates every figure.
 
 ====================  ==========================================================
 Module                Reproduces

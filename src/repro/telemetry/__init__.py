@@ -1,12 +1,12 @@
-"""Telemetry subsystem: counters, gauges and streaming-quantile histograms.
+"""Telemetry subsystem: counters, gauges and exact-quantile histograms.
 
 Replaces the ad-hoc metric attributes that used to be scattered across the
 frontend, workers and control planes with one registry per simulation run:
 
 * :class:`~repro.telemetry.metrics.Counter` / ``Gauge`` -- O(1) event and
   level tracking with ``__slots__`` objects cheap enough for per-query paths.
-* :class:`~repro.telemetry.metrics.Histogram` -- streaming distribution
-  summaries whose quantiles come from the P² algorithm (constant memory).
+* :class:`~repro.telemetry.metrics.Histogram` -- whole-run distribution
+  summaries whose quantiles are exact nearest-rank order statistics.
 * :class:`~repro.telemetry.metrics.WindowedHistogram` -- exact quantiles over
   a rotating pair of observation windows (the control plane's per-window
   tail-latency view, rotated once per committed control tick).
@@ -20,7 +20,6 @@ from repro.telemetry.metrics import (
     Counter,
     Gauge,
     Histogram,
-    P2Quantile,
     Timeline,
     WindowedHistogram,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "P2Quantile",
     "Timeline",
     "TelemetryRegistry",
     "WindowedHistogram",

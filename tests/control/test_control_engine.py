@@ -1,5 +1,7 @@
 """Unit tests for the unified control-plane engine and allocation policies."""
 
+import math
+
 import pytest
 
 from repro.control import (
@@ -128,12 +130,31 @@ class TestTelemetryWindowQuantiles:
         ctx = engine.build_context(1.0)  # nothing finished this window yet
         assert ctx.window.p50_latency_ms == 200.0
 
-    def test_falls_back_to_cumulative_histogram_when_windowed_absent(self, small_pipeline):
+    def test_window_quantiles_are_exact_order_statistics(self, small_pipeline):
         registry = TelemetryRegistry()
         engine = self._engine(small_pipeline, registry)
-        registry.histogram("requests.latency_ms").observe_many([50.0] * 20)
+        windowed = registry.windowed_histogram("requests.latency_ms.window")
+        windowed.observe_many([float(x) for x in range(100, 0, -1)])
         ctx = engine.build_context(1.0)
-        assert ctx.window.p50_latency_ms == pytest.approx(50.0)
+        assert ctx.window.p50_latency_ms == 51.0
+        assert ctx.window.p99_latency_ms == 100.0
+
+    def test_late_burst_sets_the_window_tail(self, small_pipeline):
+        """One percent of slow requests at the end of a window is its p99."""
+        registry = TelemetryRegistry()
+        engine = self._engine(small_pipeline, registry)
+        windowed = registry.windowed_histogram("requests.latency_ms.window")
+        windowed.observe_many([10.0] * 990 + [1000.0] * 10)
+        ctx = engine.build_context(1.0)
+        assert ctx.window.p50_latency_ms == 10.0
+        assert ctx.window.p99_latency_ms == 1000.0
+
+    def test_registry_without_windowed_metric_reports_no_latency_signal(self, small_pipeline):
+        registry = TelemetryRegistry()
+        engine = self._engine(small_pipeline, registry)
+        registry.histogram("requests.latency_ms").observe(50.0)  # whole-run view only
+        ctx = engine.build_context(1.0)
+        assert math.isnan(ctx.window.p50_latency_ms) and math.isnan(ctx.window.p99_latency_ms)
 
 
 class TestPlanCache:

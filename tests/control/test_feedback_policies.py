@@ -233,7 +233,7 @@ class TestSLOFeedbackPolicy:
         control.report_demand(0.0, 40.0)
         control.step(0.0, force=True)
         late = registry.counter("requests.late")
-        latency = registry.histogram("requests.latency_ms")
+        latency = registry.windowed_histogram("requests.latency_ms.window")
         latency.observe_many([500.0] * 50)
         late.value = 50  # a violation burst lands in the 1..2 s window
         control.step(2.0)  # ordinary tick, long before the 10 s interval

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simulator.engine import SimulationEngine
-from repro.simulator.events import ArrivalEvent, CallbackEvent, Event, EventQueue
+from repro.simulator.events import (
+    ArrivalEvent,
+    BatchCompleteEvent,
+    CallbackEvent,
+    DeliveryEvent,
+    Event,
+    EventQueue,
+)
 
 
 class TestEventQueue:
@@ -317,6 +324,45 @@ class TestSimulationEngine:
             return seen
 
         assert order(bulk=True) == order(bulk=False) == [4, 1, 3, 2, 0, 5]
+
+    def test_typed_event_chain_runs_every_hop(self):
+        """Preloaded arrivals flow through a two-stage worker chain: each
+        arrival costs exactly five events (arrival, then a delivery and a
+        batch completion per stage) and every one reaches the last stage."""
+
+        class Stage:
+            def __init__(self, engine, next_stage, batch_s):
+                self.engine, self.next_stage, self.batch_s = engine, next_stage, batch_s
+                self.completed = 0
+
+            def enqueue(self, query):
+                engine = self.engine
+                engine.schedule_event(BatchCompleteEvent(engine.now_s + self.batch_s, self, query))
+
+            def _complete_batch(self, query):
+                engine = self.engine
+                if self.next_stage is None:
+                    self.completed += 1
+                else:
+                    engine.schedule_event(DeliveryEvent(engine.now_s + 0.002, self.next_stage, query))
+
+        class Frontend:
+            def __init__(self, engine, stage):
+                self.engine, self.stage = engine, stage
+
+            def submit(self):
+                engine = self.engine
+                engine.schedule_event(DeliveryEvent(engine.now_s + 0.002, self.stage, None))
+
+        engine = SimulationEngine()
+        last = Stage(engine, None, 0.020)
+        frontend = Frontend(engine, Stage(engine, last, 0.030))
+        arrivals = [0.001 * i for i in range(200)]
+        engine.preload([ArrivalEvent(t, frontend) for t in arrivals])
+        engine.run()
+        assert last.completed == len(arrivals)
+        assert engine.events_processed == 5 * len(arrivals)
+        assert engine.now_s == pytest.approx(arrivals[-1] + 0.002 + 0.030 + 0.002 + 0.020)
 
 
 # ---------------------------------------------------------- order properties

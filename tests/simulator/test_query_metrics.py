@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.query import IntermediateQuery, Request, RequestStatus
+from repro.telemetry import TelemetryRegistry
 
 
 class TestRequest:
@@ -153,6 +154,33 @@ class TestMetricsCollector:
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             MetricsCollector(cluster_size=4, interval_s=0.0)
+
+    def _collector_with_latencies(self):
+        registry = TelemetryRegistry()
+        collector = MetricsCollector(cluster_size=4, telemetry=registry)
+        for i in range(98):
+            collector.record_request_finished(finished_request(0.0, 0.001 * (i + 1)))
+        collector.record_request_finished(finished_request(0.0, 0.5))  # late, 500 ms
+        collector.record_request_finished(finished_request(0.0, 0.9))  # late, 900 ms
+        collector.record_request_finished(finished_request(0.0, 5.0, dropped=True))
+        return registry
+
+    def test_telemetry_latency_quantiles_are_exact_over_completed_and_late(self):
+        registry = self._collector_with_latencies()
+        snapshot = registry.snapshot()
+        assert snapshot["requests.latency_ms.count"] == 100.0  # the drop is excluded
+        assert snapshot["requests.latency_ms.max"] == pytest.approx(900.0)
+        assert snapshot["requests.latency_ms.p50"] == pytest.approx(51.0)
+        assert snapshot["requests.latency_ms.p90"] == pytest.approx(91.0)
+        assert snapshot["requests.latency_ms.p99"] == pytest.approx(900.0)
+
+    def test_windowed_latency_sees_the_same_population(self):
+        registry = self._collector_with_latencies()
+        whole_run = registry.histogram("requests.latency_ms")
+        window = registry.windowed_histogram("requests.latency_ms.window")
+        assert window.count == whole_run.count == 100
+        for q in (0.5, 0.9, 0.99):
+            assert window.quantile(q) == whole_run.quantile(q)
 
 
 # -- Request lifecycle: property test of the bookkeeping invariants ------------

@@ -5,12 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.allocation import AllocationProblem, build_accuracy_scaling_model
 from repro.solver import (
     SolutionCache,
     default_cache,
     fingerprint_model,
     solve,
 )
+from repro.zoo import linear_pipeline
 from tests.conftest import standard_form
 
 
@@ -115,3 +117,31 @@ class TestSolutionCache:
         before = default_cache.stats["misses"]
         solve(build_allocation_like_model(demand=123.456))
         assert default_cache.stats["misses"] >= before + 1
+
+
+class TestAccuracyScalingModelCache:
+    """A real accuracy-scaling MILP, rebuilt each control period from the same
+    state, is answered from the cache with the solve's own plan."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        pipeline = linear_pipeline(num_tasks=2, variants_per_task=3, latency_slo_ms=300.0)
+        problem = AllocationProblem(
+            pipeline, num_workers=12, latency_slo_ms=300.0, utilization_target=1.0
+        )
+        demand = problem.max_supported_demand(restrict_to_best=True).max_demand_qps * 1.3
+        return build_accuracy_scaling_model(problem, demand)
+
+    def test_solves_to_optimality(self, model):
+        assert solve(model, cache=False).is_optimal
+
+    def test_repeated_solves_hit_with_the_same_plan(self, model):
+        cache = SolutionCache(maxsize=8)
+        first = solve(model, cache=cache)
+        repeats = [solve(model, cache=cache) for _ in range(3)]
+        assert first.info["cache"] == "miss"
+        assert cache.hits == 3
+        for again in repeats:
+            assert again.is_optimal and again.info["cache"] == "hit"
+            assert again.objective == first.objective
+            assert np.array_equal(again.x, first.x)

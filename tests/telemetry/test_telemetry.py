@@ -10,7 +10,6 @@ from repro.telemetry import (
     Counter,
     Gauge,
     Histogram,
-    P2Quantile,
     TelemetryRegistry,
     WindowedHistogram,
 )
@@ -53,27 +52,94 @@ class TestPrimitives:
         assert math.isnan(histogram.snapshot()["h.p50"])
 
 
-class TestP2Quantile:
+class TestExactQuantiles:
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
-    def test_tracks_normal_distribution(self, q):
+    def test_equals_nearest_rank_order_statistic(self, q):
         rng = np.random.default_rng(7)
         samples = rng.normal(100.0, 15.0, size=20000)
-        estimator = P2Quantile(q)
+        histogram = Histogram("h")
         for x in samples:
-            estimator.observe(x)
-        exact = float(np.quantile(samples, q))
-        spread = samples.max() - samples.min()
-        assert abs(estimator.value() - exact) / spread < 0.02
+            histogram.observe(x)
+        ordered = np.sort(samples)
+        expected = ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+        assert histogram.quantile(q) == expected
 
-    def test_small_sample_fallback_is_exact_order_statistic(self):
-        estimator = P2Quantile(0.5)
+    def test_step_stream_tail_is_exact(self):
+        """A late burst of slow requests sets p99 exactly (a streaming
+        estimate lags far behind on this step)."""
+        histogram = Histogram("h")
+        for _ in range(990):
+            histogram.observe(10.0)
+        for _ in range(10):
+            histogram.observe(1000.0)
+        assert histogram.quantile(0.99) == 1000.0
+        assert histogram.snapshot()["h.p99"] == 1000.0
+
+    def test_small_sample_is_exact_order_statistic(self):
+        histogram = Histogram("h")
         for x in (5.0, 1.0, 3.0):
-            estimator.observe(x)
-        assert estimator.value() == 3.0
+            histogram.observe(x)
+        assert histogram.quantile(0.5) == 3.0
 
-    def test_invalid_quantile_rejected(self):
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
+    def test_observation_after_read_is_seen(self):
+        histogram = Histogram("h")
+        histogram.observe(1.0)
+        assert histogram.quantile(0.99) == 1.0
+        histogram.observe(9.0)
+        assert histogram.quantile(0.99) == 9.0
+
+    @pytest.mark.parametrize("q", [0.0, 0.25, 0.5, 0.9, 0.99, 1.0])
+    def test_agrees_with_windowed_histogram_on_one_window(self, q):
+        """Both histograms read quantiles by the same nearest-rank rule."""
+        samples = np.random.default_rng(3).lognormal(4.0, 1.0, size=997).tolist()
+        histogram = Histogram("h")
+        windowed = WindowedHistogram("w")
+        for x in samples:
+            histogram.observe(x)
+        windowed.observe_many(samples)
+        assert histogram.quantile(q) == windowed.quantile(q)
+
+    def test_extreme_quantiles_are_min_and_max(self):
+        histogram = Histogram("h")
+        for x in (7.0, -2.0, 4.0, 11.0):
+            histogram.observe(x)
+        assert histogram.quantile(0.0) == histogram.min == -2.0
+        assert histogram.quantile(1.0) == histogram.max == 11.0
+
+    def test_arrival_order_does_not_change_quantiles(self):
+        """Exact order statistics depend on the sample set, not its order."""
+        samples = np.random.default_rng(11).exponential(50.0, size=5000)
+        forward, shuffled = Histogram("a"), Histogram("b")
+        for x in np.sort(samples):
+            forward.observe(x)
+        for x in np.random.default_rng(12).permutation(samples):
+            shuffled.observe(x)
+        for q in forward.quantiles:
+            assert forward.quantile(q) == shuffled.quantile(q)
+
+    def test_interleaved_reads_match_a_single_final_read(self):
+        samples = np.random.default_rng(5).normal(0.0, 1.0, size=300)
+        interleaved, batched = Histogram("a"), Histogram("b")
+        for x in samples:
+            interleaved.observe(x)
+            interleaved.quantile(0.9)  # caches a sorted copy, then goes stale
+            batched.observe(x)
+        assert interleaved.snapshot()["a.p90"] == batched.snapshot()["b.p90"]
+
+    def test_snapshot_keys(self):
+        histogram = Histogram("lat")
+        histogram.observe(1.0)
+        assert set(histogram.snapshot()) == {
+            f"lat.{key}" for key in ("count", "sum", "mean", "min", "max", "p50", "p90", "p99")
+        }
+
+    def test_configured_quantiles_name_the_snapshot_keys(self):
+        histogram = Histogram("h", quantiles=(0.25, 0.75))
+        for x in range(1, 101):
+            histogram.observe(float(x))
+        snapshot = histogram.snapshot()
+        assert snapshot["h.p25"] == 26.0 and snapshot["h.p75"] == 76.0
+        assert "h.p50" not in snapshot
 
 
 class TestWindowedHistogram:
@@ -108,7 +174,7 @@ class TestWindowedHistogram:
         windowed = WindowedHistogram("w")
         for x in (5.0, 1.0, 3.0):
             windowed.observe(x)
-        assert windowed.quantile(0.5) == 3.0  # same convention as P2Quantile
+        assert windowed.quantile(0.5) == 3.0  # same nearest-rank rule as Histogram
 
     def test_equal_sized_consecutive_windows_are_not_confused(self):
         """Regression: the sorted-buffer cache must invalidate on rotation
@@ -197,6 +263,12 @@ class TestSimulationWiring:
             <= smoke_summary.mean_latency_ms
             <= telemetry["requests.latency_ms.max"]
         )
+
+    def test_whole_run_latency_quantiles_are_monotone(self, smoke_summary):
+        telemetry = smoke_summary.telemetry
+        keys = ("min", "p50", "p90", "p99", "max")
+        values = [telemetry[f"requests.latency_ms.{key}"] for key in keys]
+        assert values == sorted(values)
 
     def test_baseline_control_planes_record_telemetry(self):
         summary = get_scenario("smoke").with_overrides(system="proteus").run(seed=0)
