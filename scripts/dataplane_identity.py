@@ -11,11 +11,11 @@ change, then compare them::
     python scripts/dataplane_identity.py --compare parent.json change.json
 
 ``--write`` runs each name of ``repro.scenarios.scenario_names()`` at seed 0
-with ``duration_s=15`` and stores ``dataclasses.asdict(summary)``.
-``traffic_flash_crowd`` runs under a node-limited solver budget
-(:data:`NODE_LIMIT_OVERRIDES`): under the default wall-clock ``time_limit``
-its summary depends on host speed, so two runs of one commit can differ
-(ROADMAP item 2 replaces that default).
+with ``duration_s=15`` and stores ``dataclasses.asdict(summary)``.  Every
+scenario runs exactly as registered: the default solver budget
+(:data:`repro.solver.DEFAULT_SOLVER_OPTIONS`) bounds HiGHS by branch-and-bound
+nodes, not seconds, so a record depends on the code alone and two records of
+one commit are identical even when written concurrently on a loaded host.
 
 ``--compare`` reports each scenario as ``identical`` or ``DIFFERENT``, with
 NaN equal to NaN.  A key only the second record has (a telemetry counter the
@@ -35,22 +35,14 @@ import time
 DURATION_S = 15
 SEED = 0
 
-#: scenarios whose default solver budget is wall-clock bound, and the
-#: deterministic budget they run under here instead
-NODE_LIMIT_OVERRIDES = {
-    "traffic_flash_crowd": {"solver_options": {"time_limit": None, "node_limit": 20, "mip_rel_gap": 1e-2}},
-}
-
 
 def run_scenario(name: str) -> dict:
     """One builtin scenario's summary at seed 0 and ``duration_s=15``, as a dict."""
     from repro.scenarios import get_scenario
 
     spec = get_scenario(name)
-    changes = {"trace_params": {**spec.trace_params, "duration_s": DURATION_S}}
-    if name in NODE_LIMIT_OVERRIDES:
-        changes["control_overrides"] = {**spec.control_overrides, **NODE_LIMIT_OVERRIDES[name]}
-    return dataclasses.asdict(spec.with_overrides(**changes).run(seed=SEED))
+    spec = spec.with_overrides(trace_params={**spec.trace_params, "duration_s": DURATION_S})
+    return dataclasses.asdict(spec.run(seed=SEED))
 
 
 def write_record(path: str, names=None) -> dict:
@@ -60,8 +52,7 @@ def write_record(path: str, names=None) -> dict:
     for name in names or scenario_names():
         start = time.perf_counter()
         record[name] = run_scenario(name)
-        note = " (node-limited solver budget)" if name in NODE_LIMIT_OVERRIDES else ""
-        print(f"{name}: {time.perf_counter() - start:.1f} s{note}", flush=True)
+        print(f"{name}: {time.perf_counter() - start:.1f} s", flush=True)
     with open(path, "w") as handle:
         # NaN is written as the JSON extension literal, which json.load reads back
         json.dump(record, handle, indent=1, sort_keys=True)
@@ -106,20 +97,14 @@ def compare_records(a: dict, b: dict) -> int:
             print(f"{name}: DIFFERENT (only in {'the first' if name in a else 'the second'} record)")
             continue
         differences, added = compare_summaries(a[name], b[name])
-        note = " (node-limited solver budget)" if name in NODE_LIMIT_OVERRIDES else ""
         extra = f"; new keys: {', '.join(added)}" if added else ""
         if differences:
             differing += 1
-            print(f"{name}: DIFFERENT in {', '.join(differences)}{extra}{note}")
+            print(f"{name}: DIFFERENT in {', '.join(differences)}{extra}")
         else:
-            print(f"{name}: identical{extra}{note}")
+            print(f"{name}: identical{extra}")
     total = len(set(a) | set(b))
     print(f"{total - differing} of {total} scenarios identical")
-    if any(name in NODE_LIMIT_OVERRIDES for name in set(a) | set(b)):
-        print(
-            "traffic_flash_crowd ran under a node-limited solver budget: under the default "
-            "wall-clock time_limit its summary depends on host speed (ROADMAP item 2)"
-        )
     return differing
 
 

@@ -53,10 +53,8 @@ class ControllerConfig:
     drop_policy: str = "opportunistic_rerouting"
     #: routing-table generation algorithm (see repro.control.routing)
     routing_policy: str = "most_accurate_first"
-    #: HiGHS options for the allocation MILPs (e.g. ``{"time_limit": 30.0}``);
-    #: ``None`` selects :data:`repro.solver.DEFAULT_SOLVER_OPTIONS`.  For
-    #: machine-load-independent (reproducible) plans use a deterministic work
-    #: limit instead of a wall clock: ``{"time_limit": None, "node_limit": 10_000}``.
+    #: HiGHS options for the allocation MILPs (e.g. ``{"mip_rel_gap": 1e-3}``);
+    #: ``None`` selects :data:`repro.solver.DEFAULT_SOLVER_OPTIONS`.
     solver_options: Optional[Dict[str, object]] = None
     min_demand_qps: float = 1.0
 

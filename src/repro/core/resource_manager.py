@@ -296,12 +296,6 @@ class ResourceManager:
         elif plan.mode == ACCURACY_SCALING:
             self.stats.accuracy_plans += 1
 
-    def solver_cache_stats(self) -> Dict[str, int]:
-        """Hit/miss counters of the process-wide solver solution cache."""
-        from repro.solver import default_cache
-
-        return dict(default_cache.stats)
-
     # -- capacity helpers (used by experiments) ---------------------------------
     def max_capacity_qps(self, restrict_to_best: bool = False, accuracy_floor: Optional[float] = None) -> float:
         """Maximum demand the cluster can support (Figure 1 style capacity)."""

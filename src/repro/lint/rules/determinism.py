@@ -146,18 +146,24 @@ class UnkeyedRngRule(Rule):
                 )
 
 
+def _is_none(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
 @register_rule
 class WallClockRule(Rule):
     """R002 wall-clock: simulated code must not read the host's clock.
 
     History: a B&B that stops "after 2s" returns different plans on a laptop
     vs CI, which fig5's full-batch-grid test caught as cross-machine plan
-    drift.  HiGHS's deterministic work limit (``node_limit``) avoids that,
-    but it is opt-in: ``DEFAULT_SOLVER_OPTIONS`` still carries a wall-clock
-    ``time_limit`` of 3 s, so reproducible runs pass ``node_limit`` with
-    ``time_limit=None``.  Any ``time.time`` / ``perf_counter`` /
-    ``datetime.now`` inside ``src/repro`` risks adding another host-clock
-    dependence: the simulation's only clock is ``engine.now_s``.
+    drift; later a 3 s ``time_limit`` in ``DEFAULT_SOLVER_OPTIONS`` made
+    seeded scenario runs differ under concurrent load.  Solver budgets are
+    now HiGHS's deterministic work limit (``node_limit``) only, so a
+    non-``None`` ``time_limit`` -- a dict entry or a keyword argument --
+    is flagged anywhere outside ``repro/solver/``, which defines the option.
+    Any ``time.time`` / ``perf_counter`` / ``datetime.now`` inside
+    ``src/repro`` risks adding another host-clock dependence: the
+    simulation's only clock is ``engine.now_s``.
     Measurement-only uses (reporting ``runtime_s``, never branching on it)
     are grandfathered in the baseline or suppressed inline with a
     justification; ``experiments/runtime_overhead.py`` is allow-listed
@@ -169,6 +175,8 @@ class WallClockRule(Rule):
     scope = ("src/repro/*", "src/repro/**/*")
     #: timing shims whose whole purpose is wall-clock measurement
     allow_listed = ("src/repro/experiments/runtime_overhead.py",)
+    #: the package that defines the ``time_limit`` solver option
+    solver_package = "src/repro/solver/"
 
     _TIME_FNS = {
         "time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
@@ -181,7 +189,25 @@ class WallClockRule(Rule):
             return False
         return super().applies_to(path)
 
+    def _time_limits(self, file: ParsedFile) -> Iterator[Finding]:
+        """Non-``None`` ``time_limit`` dict entries and keyword arguments."""
+        message = (
+            "time_limit makes the solver's plan depend on host speed; bound the "
+            "MILP by work (node_limit), as DEFAULT_SOLVER_OPTIONS does"
+        )
+        for node in ast.walk(file.tree):
+            if isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Constant) and key.value == "time_limit" and not _is_none(value):
+                        yield self.finding(file, key, message)
+            elif isinstance(node, ast.Call):
+                for keyword in node.keywords:
+                    if keyword.arg == "time_limit" and not _is_none(keyword.value):
+                        yield self.finding(file, keyword, message)
+
     def check(self, file: ParsedFile) -> Iterator[Finding]:
+        if not file.path.startswith(self.solver_package):
+            yield from self._time_limits(file)
         time_aliases, time_members = _module_aliases(file.tree, "time")
         dt_aliases, dt_members = _module_aliases(file.tree, "datetime")
         datetime_classes = {

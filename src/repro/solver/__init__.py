@@ -50,12 +50,19 @@ __all__ = [
     "solve",
 ]
 
-#: HiGHS options the control plane solves its allocation MILPs with.
-#: Near-capacity accuracy-scaling MILPs can take several seconds to prove
-#: optimality; a small relative gap and a time limit keep the Resource
-#: Manager's runtime close to the paper's ~500 ms while staying within a
-#: fraction of a percent of the optimum.
-DEFAULT_SOLVER_OPTIONS = types.MappingProxyType({"mip_rel_gap": 2e-3, "time_limit": 3.0})
+#: HiGHS options every control plane solves its MILPs with.  Near-capacity
+#: accuracy-scaling MILPs can take several seconds to prove optimality; a
+#: small relative gap and a branch-and-bound node budget keep the Resource
+#: Manager's runtime close to the paper's ~500 ms.  The budget bounds work,
+#: not seconds, so a seeded run's plans do not depend on host load.  The
+#: node budget is the smallest of 20, 50, 200 and 1000 that kept every
+#: scenario and parity golden.  Over the 16 builtin scenarios at full length
+#: (seed 0) its mean SLO attainment was 0.671 against 0.671-0.673 for the
+#: larger budgets, with per-scenario differences in both directions, and
+#: ``max_supported_demand`` returns the same capacities under all four.  A
+#: looser gap is not a cheaper substitute: at 1e-2, ``slo_feedback_flash_crowd``
+#: lost most of its attainment.
+DEFAULT_SOLVER_OPTIONS = types.MappingProxyType({"mip_rel_gap": 2e-3, "node_limit": 20})
 
 
 def _solve_highs(

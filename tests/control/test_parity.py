@@ -27,14 +27,11 @@ Determinism notes baked into this configuration:
 
 * ``PYTHONHASHSEED`` independence requires the (fixed) sorted emission of MILP
   coupling constraints in ``repro.core.allocation``;
-* Loki's fig5 MILPs are kept small enough (restricted batch grid) that every
-  solve terminates on the optimality gap, never on the wall-clock limit —
-  truncated solves would make results depend on machine load.  (The goldens
-  were captured with this configuration, so it is kept verbatim; new runs
-  that need the *full* batch grid can instead bound the solver with the
-  deterministic work limits — ``solver_options={"time_limit": None,
-  "node_limit": ...}`` — proven machine-independent by
-  ``tests/solver/test_work_limits.py``.)
+* every system solves under :data:`repro.solver.DEFAULT_SOLVER_OPTIONS`,
+  whose branch-and-bound node budget bounds HiGHS by work, not seconds, so
+  no result depends on machine load;
+* Loki's fig5 runs keep the restricted batch grid ``(1, 4, 16)`` the goldens
+  were captured with.
 """
 
 import json
@@ -69,13 +66,7 @@ INT_FIELDS = {
     "late_requests",
 }
 
-LOKI_OVERRIDES = {
-    "fig5": {
-        "solver_options": {"mip_rel_gap": 2e-3, "time_limit": 30.0},
-        "batch_sizes": (1, 4, 16),
-    },
-    "fig6": {"solver_options": {"mip_rel_gap": 2e-3, "time_limit": 30.0}},
-}
+LOKI_OVERRIDES = {"fig5": {"batch_sizes": (1, 4, 16)}, "fig6": {}}
 
 #: captured by scripts snapshot of the pre-refactor control plane (see module docstring)
 GOLDEN = json.loads(

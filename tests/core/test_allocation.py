@@ -275,6 +275,8 @@ class TestSolverOptionsReachHighs:
 
     @pytest.fixture
     def solve_calls(self, monkeypatch):
+        """Options of every ``solve`` call, from the allocation MILPs and Proteus's per-task MILPs."""
+        import repro.baselines.proteus as proteus
         import repro.core.allocation as allocation
 
         calls = []
@@ -285,9 +287,10 @@ class TestSolverOptionsReachHighs:
             return real(model, **kwargs)
 
         monkeypatch.setattr(allocation, "solve", spy)
+        monkeypatch.setattr(proteus, "solve", spy)
         return calls
 
-    def test_default_options_on_every_step(self, small_pipeline, solve_calls):
+    def test_default_options_on_every_milp(self, small_pipeline, solve_calls):
         from repro.solver import DEFAULT_SOLVER_OPTIONS
 
         problem = AllocationProblem(small_pipeline, num_workers=10, latency_slo_ms=150.0)
@@ -295,10 +298,20 @@ class TestSolverOptionsReachHighs:
         assert len(solve_calls) == 3
         assert all(call == dict(DEFAULT_SOLVER_OPTIONS) for call in solve_calls)
 
+    @pytest.mark.parametrize("system", ["loki", "inferline", "proteus", "slo_feedback"])
+    def test_default_options_on_every_step(self, system, solve_calls):
+        """Each serving system solves every MILP of a run under the one default budget."""
+        from repro.scenarios import get_scenario
+        from repro.solver import DEFAULT_SOLVER_OPTIONS
+
+        get_scenario("smoke").with_overrides(system=system).run(seed=0)
+        assert solve_calls, f"{system} solved no MILP"
+        assert all(call == dict(DEFAULT_SOLVER_OPTIONS) for call in solve_calls)
+
     def test_controller_config_options_reach_the_solver(self, small_pipeline, solve_calls):
         from repro.core import Controller, ControllerConfig
 
-        options = {"time_limit": None, "node_limit": 5_000, "mip_rel_gap": 1e-3}
+        options = {"node_limit": 5_000, "mip_rel_gap": 1e-3}
         controller = Controller(small_pipeline, ControllerConfig(num_workers=10, solver_options=dict(options)))
         controller.report_demand(0.0, 40.0)
         plan, _ = controller.step(0.0, force=True)

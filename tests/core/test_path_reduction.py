@@ -147,7 +147,7 @@ class TestValidatePlan:
 @pytest.mark.parametrize("name", sorted(PIPELINES))
 def test_reduction_loses_at_most_the_measured_bound(name, monkeypatch):
     """Reduced vs full accuracy-scaling objective on the demand grid, to a 1e-6 gap."""
-    problem = make_problem(name, utilization_target=0.75, solver_options={"mip_rel_gap": 1e-6, "time_limit": None})
+    problem = make_problem(name, utilization_target=0.75, solver_options={"mip_rel_gap": 1e-6})
     capacity = problem.max_supported_demand(restrict_to_best=True).max_demand_qps
     reduced = {m: problem.solve_accuracy_scaling(m * capacity) for m in GRID}
     config_paths = AllocationProblem.config_paths

@@ -9,11 +9,13 @@ case here and the registry-completeness test below.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
 
 from repro.lint import LintEngine, all_rules, get_rule
+from repro.lint.registry import ParsedFile
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -53,6 +55,22 @@ def test_good_fixture_is_clean(rule_id):
         f"{rule_id} false-positived on its good fixture: "
         + "; ".join(f"{f.line}: {f.message}" for f in findings)
     )
+
+
+def test_wall_clock_solver_budgets_are_flagged():
+    """R002 flags a wall-clock solver budget as a dict entry and as a keyword argument."""
+    findings = run_rule("R002", FIXTURES / "r002_solver_budget_bad.py")
+    assert [(f.rule, f.line) for f in findings] == [("R002", 5), ("R002", 9)]
+    assert run_rule("R002", FIXTURES / "r002_solver_budget_good.py") == []
+
+
+def test_solver_package_may_define_the_wall_clock_limit():
+    """The solver package defines the wall-clock option, so R002 leaves it alone there."""
+    text = (FIXTURES / "r002_solver_budget_bad.py").read_text()
+    parsed = ParsedFile(path="src/repro/solver/__init__.py", text=text, tree=ast.parse(text))
+    assert list(get_rule("R002").check(parsed)) == []
+    parsed = ParsedFile(path="src/repro/core/allocation.py", text=text, tree=ast.parse(text))
+    assert len(list(get_rule("R002").check(parsed))) == 2
 
 
 def test_registry_is_complete():

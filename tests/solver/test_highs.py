@@ -205,9 +205,9 @@ class TestHighsOptions:
         assert len(cache) == 0
 
     def test_default_options_are_read_only(self):
-        assert dict(DEFAULT_SOLVER_OPTIONS) == {"mip_rel_gap": 2e-3, "time_limit": 3.0}
+        assert dict(DEFAULT_SOLVER_OPTIONS) == {"mip_rel_gap": 2e-3, "node_limit": 20}
         with pytest.raises(TypeError):
-            DEFAULT_SOLVER_OPTIONS["time_limit"] = 60.0  # type: ignore[index]
+            DEFAULT_SOLVER_OPTIONS["node_limit"] = 1000  # type: ignore[index]
 
 
 class TestCacheKeys:

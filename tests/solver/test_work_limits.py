@@ -3,16 +3,15 @@
 Wall-clock limits make MILP results depend on machine load: a solve that
 terminates on ``time_limit`` returns whatever incumbent it happened to reach
 in the allotted seconds.  HiGHS's ``node_limit`` bounds the *work*, not the
-wall clock, so a budgeted solve returns the same plan on any machine — which
-is what lets full-grid fig5-style allocation MILPs run reproducibly (the
-parity suite previously had to restrict the batch grid to keep every solve
-under the wall clock).
+wall clock, so a budgeted solve returns the same plan on any machine.  The
+default budget, :data:`repro.solver.DEFAULT_SOLVER_OPTIONS`, is such a node
+limit, so full-grid fig5-style allocation MILPs run reproducibly as they are.
 """
 
 import numpy as np
 
 from repro.core.allocation import AllocationProblem, build_accuracy_scaling_model
-from repro.solver import OPTIMAL, solve
+from repro.solver import DEFAULT_SOLVER_OPTIONS, OPTIMAL, solve
 from tests.conftest import standard_form
 from repro.zoo import traffic_analysis_pipeline
 
@@ -48,50 +47,31 @@ class TestScipyNodeLimit:
 
 
 class TestFullGridAllocationDeterminism:
-    #: deterministic (wall-clock-free) HiGHS options:
-    #: the work is bounded by a node budget instead of seconds
-    DETERMINISTIC_OPTIONS = {"time_limit": None, "node_limit": 20_000, "mip_rel_gap": 2e-3}
-
     def test_full_batch_grid_fig5_milp_is_reproducible(self):
         """The fig5-shaped accuracy-scaling MILP on the *unrestricted* batch
-        grid, solved under a deterministic node budget (no wall clock),
-        returns an identical plan on repeated solves — removing the
-        machine-load dependence the parity suite's restricted-batch-grid
-        caveat worked around."""
+        grid, solved under the default budget, returns an identical plan on
+        repeated solves: the default bounds work, not seconds."""
         pipeline = traffic_analysis_pipeline(latency_slo_ms=250.0)
-        problem = AllocationProblem(
-            pipeline,
-            num_workers=20,
-            latency_slo_ms=250.0,
-            solver_options=dict(self.DETERMINISTIC_OPTIONS),
-        )
+        problem = AllocationProblem(pipeline, num_workers=20, latency_slo_ms=250.0)
         demand = problem.max_supported_demand(restrict_to_best=True).max_demand_qps * 2.5
         model = build_accuracy_scaling_model(problem, demand)
 
-        solutions = [
-            solve(model, cache=False, **self.DETERMINISTIC_OPTIONS)
-            for _ in range(2)
-        ]
+        solutions = [solve(model, cache=False, **DEFAULT_SOLVER_OPTIONS) for _ in range(2)]
         first, second = solutions
         assert first.status == OPTIMAL
         assert first.objective == second.objective
         assert np.array_equal(first.x, second.x)
 
-    def test_controller_accepts_deterministic_solver_options(self):
-        """A Controller configured with work-limited solver options produces
-        an identical full-grid plan on a rebuilt controller (end to end,
-        no wall-clock dependence)."""
+    def test_controller_plans_are_reproducible(self):
+        """A Controller under the default budget produces an identical
+        full-grid plan on a rebuilt controller (end to end, no wall-clock
+        dependence)."""
         from repro.core import Controller, ControllerConfig
 
         plans = []
         for _ in range(2):
             pipeline = traffic_analysis_pipeline(latency_slo_ms=250.0)
-            config = ControllerConfig(
-                num_workers=20,
-                latency_slo_ms=250.0,
-                solver_options=dict(self.DETERMINISTIC_OPTIONS),
-            )
-            controller = Controller(pipeline, config)
+            controller = Controller(pipeline, ControllerConfig(num_workers=20, latency_slo_ms=250.0))
             controller.report_demand(0.0, 60.0)
             plan, routing = controller.step(0.0, force=True)
             assert plan is not None and plan.allocations
