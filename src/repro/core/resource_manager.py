@@ -170,10 +170,13 @@ class ResourceManager:
     def provisioning_target_qps(self) -> float:
         """Demand the next plan should be provisioned for (quantised EWMA estimate).
 
-        The quantum is relative: at least ``demand_quantum_qps`` and at least
-        15% of the estimate.  Relative quantisation keeps the number of
-        distinct provisioning levels small during large ramps (fewer plan
-        switches, fewer model swaps) without over-provisioning at low demand.
+        The estimate ``t`` is rounded up to a multiple of the quantum
+        ``max(demand_quantum_qps, 0.15 t)``.  While ``demand_quantum_qps``
+        dominates (``t`` below ``demand_quantum_qps / 0.15``, 133 1/3 QPS at
+        the default 20) this gives a few distinct levels.  Above that,
+        ``ceil(t / 0.15 t) * 0.15 t`` is exactly ``1.05 t``: the target is
+        a fixed 5% margin over the estimate, every estimate gets its own
+        target, and the plan cache only hits on a repeated estimate.
         """
         target = max(self.estimator.estimate(), self.min_demand_qps)
         quantum = max(self.demand_quantum_qps, 0.15 * target)

@@ -294,8 +294,9 @@ class TestSolverOptionsReachHighs:
         from repro.solver import DEFAULT_SOLVER_OPTIONS
 
         problem = AllocationProblem(small_pipeline, num_workers=10, latency_slo_ms=150.0)
-        problem.solve(5_000.0)  # hardware scaling, accuracy scaling, then max throughput
-        assert len(solve_calls) == 3
+        problem.solve(800.0)  # hardware scaling, then accuracy scaling's relaxation, support MILP and full MILP
+        problem.solve(5_000.0)  # hardware scaling, an infeasible relaxation, then max throughput
+        assert len(solve_calls) == 7
         assert all(call == dict(DEFAULT_SOLVER_OPTIONS) for call in solve_calls)
 
     @pytest.mark.parametrize("system", ["loki", "inferline", "proteus", "slo_feedback"])

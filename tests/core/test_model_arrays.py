@@ -2,19 +2,24 @@
 
 Row and column order are part of HiGHS's tie-breaking between equally good
 plans, so a refactor of the model assembly must reproduce every array
-exactly.  Each case captures the :class:`~repro.solver.StandardForm` one entry
-point hands to ``solve`` (replaced by a stand-in that reports infeasibility, so
-nothing is solved) and compares the sha256 of its dense arrays with a pinned
-digest.  The digests were taken from the modelling-layer implementation these
-arrays replaced.  The 12 accuracy-scaling digests were re-pinned once since,
-when that model started solving over the maximal-batch paths only (see "Path
-reduction" in :mod:`repro.core.allocation`); the hardware-scaling,
-``max_supported_demand`` and Proteus digests guard that the reduction stays
-confined to accuracy scaling.  ``arr + 0.0`` normalises ``-0.0`` to ``+0.0``: that
-implementation negated whole objective vectors and left signed zeros.
+exactly.  Each case captures the integer :class:`~repro.solver.StandardForm`
+one entry point hands to ``solve`` and compares the sha256 of its dense arrays
+with a pinned digest.  ``solve`` is replaced by a stand-in that reports every
+MILP infeasible, so no MILP is solved; it solves LP relaxations for real, so
+accuracy scaling goes on from its relaxation to the support MILP and the full
+MILP (see "Support incumbent" in :mod:`repro.core.allocation`), whose form is
+the one pinned.  The digests were taken from the modelling-layer
+implementation these arrays replaced.  The 12 accuracy-scaling digests were
+re-pinned once since, when that model started solving over the maximal-batch
+paths only (see "Path reduction" in :mod:`repro.core.allocation`); the
+hardware-scaling, ``max_supported_demand`` and Proteus digests guard that the
+reduction stays confined to accuracy scaling.  ``arr + 0.0`` normalises
+``-0.0`` to ``+0.0``: that implementation negated whole objective vectors and
+left signed zeros.
 """
 
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,7 +27,7 @@ import pytest
 import repro.baselines.proteus as proteus
 import repro.core.allocation as allocation
 from repro.baselines import ProteusControlPlane
-from repro.solver import INFEASIBLE, Solution
+from repro.solver import INFEASIBLE, Solution, solve
 from repro.zoo import social_media_pipeline, traffic_analysis_pipeline
 
 #: pipeline -> (factory, demands, incumbent variants for the stability bonus).
@@ -96,6 +101,8 @@ def captured(monkeypatch):
 
     def capture(form, **options):
         forms.append(form)
+        if not form.integrality.any():
+            return solve(form, **options)
         return Solution(status=INFEASIBLE)
 
     monkeypatch.setattr(allocation, "solve", capture)
@@ -112,8 +119,31 @@ def problems():
 def test_allocation_model_arrays_are_pinned(case, problems, captured):
     pipeline, call = CASES[case]
     call(problems[pipeline])
-    assert len(captured) == 1
-    assert digest(captured[0]) == DIGESTS[case]
+    assert len(captured) == (3 if "-accuracy-" in case else 1)
+    assert digest(captured[-1]) == DIGESTS[case]
+
+
+def differing_fields(form, other):
+    """Names of the arrays in which two forms differ."""
+    def dense(value):
+        return value.toarray() if hasattr(value, "toarray") else value
+
+    return {
+        f.name for f in fields(form)
+        if not np.array_equal(dense(getattr(form, f.name)), dense(getattr(other, f.name)))
+    }
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if "-accuracy-" in case])
+def test_relaxation_and_support_differ_from_the_milp_only_in_integrality_and_ub(case, problems, captured):
+    pipeline, call = CASES[case]
+    call(problems[pipeline])
+    relaxation, support, milp = captured
+    assert differing_fields(relaxation, milp) == {"integrality"}
+    assert not relaxation.integrality.any()
+    assert differing_fields(support, milp) == {"ub"}
+    zeroed = support.ub != milp.ub
+    assert np.all(support.ub[zeroed] == 0.0)
 
 
 def test_proteus_model_arrays_are_pinned(captured):

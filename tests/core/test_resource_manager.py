@@ -78,6 +78,16 @@ class TestResourceManager:
         assert target % manager.demand_quantum_qps == pytest.approx(0.0)
         assert target >= 33.0
 
+    @pytest.mark.parametrize(
+        "estimate, target",
+        [(33.0, 40.0), (101.0, 120.0), (120.0, 120.0), (130.0, 140.0), (140.0, 147.0), (250.0, 262.5), (613.0, 643.65)],
+    )
+    def test_provisioning_target_mapping(self, small_pipeline, estimate, target):
+        """Multiples of the 20 QPS quantum below 133 1/3 QPS; 1.05x the estimate above it."""
+        manager = ResourceManager(small_pipeline, num_workers=10, headroom=1.0)
+        manager.observe_demand(0.0, estimate)
+        assert manager.provisioning_target_qps() == pytest.approx(target, rel=1e-12)
+
     def test_min_demand_floor(self, manager):
         manager.observe_demand(0.0, 0.0)
         assert manager.provisioning_target_qps() >= manager.min_demand_qps

@@ -72,21 +72,23 @@ GOLDENS = {
         'mean_latency_ms': 44.12537973971964,
         'p99_latency_ms': 145.14729717798087,
     },
+    # re-pinned when accuracy scaling began returning the support incumbent
+    # of repro.core.allocation: SLO feedback's plans moved within the gap
     'slo_feedback_flash_crowd': {
         'total_requests': 6376,
-        'completed_requests': 4608,
-        'violated_requests': 1768,
+        'completed_requests': 4388,
+        'violated_requests': 1988,
         'dropped_requests': 0,
-        'late_requests': 1768,
-        'slo_violation_ratio': 0.27728983688833125,
-        'mean_accuracy': 0.9937599628499668,
-        'min_interval_accuracy': 0.9921143309043582,
-        'max_accuracy_drop': 0.007885669095641812,
-        'mean_utilization': 0.8958333333333333,
+        'late_requests': 1988,
+        'slo_violation_ratio': 0.31179422835633624,
+        'mean_accuracy': 0.993402007230515,
+        'min_interval_accuracy': 0.9916963226571665,
+        'max_accuracy_drop': 0.008303677342833549,
+        'mean_utilization': 0.9010416666666667,
         'peak_workers': 12,
-        'mean_workers': 10.75,
-        'mean_latency_ms': 45.43693898266338,
-        'p99_latency_ms': 128.33594688894252,
+        'mean_workers': 10.8125,
+        'mean_latency_ms': 46.60540239618054,
+        'p99_latency_ms': 126.78580389286044,
     },
     'smoke': {
         'total_requests': 465,
