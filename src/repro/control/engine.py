@@ -119,7 +119,7 @@ class ControlPlaneEngine:
 
     # -- telemetry --------------------------------------------------------------
     def attach_telemetry(self, registry: "TelemetryRegistry") -> None:
-        """Record control-loop activity (plan churn, solves, refreshes) in ``registry``.
+        """Record control-loop activity (plan churn, solves, best-effort plans, refreshes) in ``registry``.
 
         Only deterministic quantities are recorded — wall-clock timings (e.g.
         routing-refresh latency, tracked by the LoadBalancer itself) would
@@ -129,6 +129,8 @@ class ControlPlaneEngine:
         self.telemetry = registry
         self._tele_plan_changes = registry.counter("control.plan_changes")
         self._tele_allocations = registry.counter("control.allocations")
+        #: allocation rounds that returned a best-effort plan (``feasible=False``)
+        self._tele_best_effort = registry.counter("control.best_effort_plans")
         self._tele_refreshes = registry.counter("control.routing_refreshes")
         self._tele_workers = registry.gauge("control.planned_workers")
 
@@ -261,6 +263,8 @@ class ControlPlaneEngine:
             plan = self.allocation.run_allocation(ctx)
             if self.telemetry is not None:
                 self._tele_allocations.inc()
+                if not plan.feasible:
+                    self._tele_best_effort.inc()
             if self._plan_differs(plan):
                 self.plan_changes += 1
                 self.current_workers = workers_from_plan(plan, self.pipeline)

@@ -100,30 +100,58 @@ capacity gain would fall from 9.213x to 9.170x).
 Support incumbent
 -----------------
 
-Most accuracy-scaling MILPs end at the root node, and most of their time
-goes to HiGHS's root heuristics searching for an incumbent, while the LP
+Most accuracy-scaling MILPs end at HiGHS's root node, and most of their time
+goes to its root heuristics searching for an incumbent, while the LP
 relaxation alone is within a fraction of a percent of the optimum.  So
-:meth:`AllocationProblem.solve_accuracy_scaling` makes up to three solves of
-the same form, all through :func:`repro.solver.solve` under the problem's
-``solver_options``:
+:meth:`AllocationProblem.solve_accuracy_scaling` tries two cheap incumbents
+before the full MILP, all through :func:`repro.solver.solve` under the
+problem's ``solver_options``:
 
-1. the LP relaxation (``integrality`` zeroed).  If it is infeasible, so is
+1. two LP relaxations (``integrality`` zeroed): the plain one, and the same
+   LP with the cluster-size row (3) tightened to ``S - 1`` workers
+   (:data:`ROUNDING_SLACK_WORKERS`), which leaves the slack that rounding
+   fractional worker counts up needs.  If the plain LP is infeasible, so is
    the MILP, and nothing more is solved;
 2. the *support MILP*: the form with ``ub = 0`` on every column outside the
-   LP's support, i.e. every column with a positive LP value plus the ``x``
-   column of every configuration on a path with positive LP flow.  Its
-   solution is feasible for the full form; it is returned when it lies
-   within ``mip_rel_gap`` of the LP bound, relative to its own objective as
-   HiGHS measures the gap;
-3. otherwise the full form, exactly as without steps 1 and 2.
+   union of the two LPs' supports.  An LP's support is every column with a
+   positive LP value plus the ``x`` column of every configuration on a path
+   with positive LP flow.  Its solution is feasible for the full form; it is
+   returned when it lies within ``mip_rel_gap`` of the plain LP's bound,
+   relative to its own objective as HiGHS measures the gap;
+3. otherwise the *recent MILP*, when the caller passes ``recent_configs``
+   (the Resource Manager passes the ``(task, variant, batch)`` keys of its
+   last :data:`~repro.core.resource_manager.RECENT_PLANS` solved plans) and
+   they add an ``x`` column: it keeps the support, those ``x`` columns and
+   every path whose configurations all lie in ``recent_configs``, and is
+   returned under the same test;
+4. otherwise the full form, exactly as without steps 1-3.
 
 Either way the plan is feasible for the full model and, when it comes from
-step 2, within the gap of a proven bound, the guarantee HiGHS itself gives.
-``plan.solver_info`` records ``"incumbent"`` (``"support"`` or ``"milp"``)
-and ``"lp_bound_gap"``, the plan's gap below the LP bound.  Under a 1% gap
-the support MILP (tens of milliseconds) meets the gap on most solves of the
-Fig. 5 and Fig. 6 runs, where the full solve takes hundreds of milliseconds
-to seconds.
+step 2 or 3, within the gap of a proven bound, the guarantee HiGHS itself
+gives.  ``plan.solver_info`` records ``"incumbent"`` (one of
+:data:`INCUMBENTS`: ``"support"``, ``"recent"`` or ``"milp"``) and
+``"lp_bound_gap"``, the plan's gap below the plain LP's bound.
+
+The one-worker slack and the three plans are constants chosen by replaying
+the 80 accuracy-scaling calls of fig5_loki and fig6_loki (benchmark settings,
+seeds 0-1) under variants.  The support MILP met the 1% gap on 62 calls with
+the plain LP's support alone, on 70 with the ``S - 1`` LP's added and on 68
+with an ``S - 2`` LP's added as well.  Of the 10 calls the ``S - 1`` support
+missed, the last three plans' configurations caught 6 and the last plan's
+alone 4.  The full MILP still runs where both miss: on fig5_loki these are
+the peak ticks, where the node budget, not the incumbent, ends the solve.
+
+Hardware LP check
+-----------------
+
+:meth:`AllocationProblem.solve_hardware_scaling` solves its LP relaxation
+first and returns ``None`` when it is infeasible, without the MILP.  This is
+exact: an infeasible LP means an infeasible MILP, and a feasible LP is
+followed by the same MILP as without the check.  Above the hardware-scaling
+capacity, where every Resource Manager call goes on to accuracy scaling,
+HiGHS proves the LP infeasible several times faster than the MILP.
+:attr:`AllocationProblem.hardware_lp_infeasible` counts the calls the check
+ended.
 """
 
 from __future__ import annotations
@@ -157,6 +185,14 @@ ACCURACY_SCALING = "accuracy"
 #: total system accuracy the accuracy-scaling objective credits for keeping
 #: the incumbent plan's variants (a tie-breaker, see ``_build_model``)
 STABILITY_BONUS = 0.02
+
+#: values of an accuracy-scaling plan's ``solver_info["incumbent"]``: the
+#: solve that produced it (see "Support incumbent" in the module docstring)
+INCUMBENTS = ("support", "recent", "milp")
+
+#: workers the second LP relaxation of accuracy scaling leaves free for
+#: rounding worker counts up (see "Support incumbent" in the module docstring)
+ROUNDING_SLACK_WORKERS = 1
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +395,8 @@ class AllocationProblem:
         self.utilization_target = float(utilization_target)
         self.multiplicative_factors = dict(multiplicative_factors or {})
         self.solver_options = dict(DEFAULT_SOLVER_OPTIONS if solver_options is None else solver_options)
+        #: hardware-scaling calls whose LP relaxation proved them infeasible
+        self.hardware_lp_infeasible = 0
 
         self._task_paths = pipeline.task_paths()
         self._designated_branch: Dict[str, int] = {}
@@ -624,12 +662,17 @@ class AllocationProblem:
         """Step 1: minimise workers using only the most accurate variants.
 
         Returns ``None`` when infeasible (the Resource Manager then falls back
-        to accuracy scaling).
+        to accuracy scaling); an infeasible LP relaxation ends the call
+        before the MILP ("Hardware LP check" in the module docstring).
         """
         built = self._build_model(demand_qps=demand_qps, mode=HARDWARE_SCALING, restrict_to_best=True)
         if built is None:
             return None
         form, configs, paths = built
+        if not solve(_relaxed(form), **self.solver_options).is_optimal:
+            # No LP point, so no MILP point either ("Hardware LP check").
+            self.hardware_lp_infeasible += 1
+            return None
         solution = solve(form, **self.solver_options)
         if not solution.is_optimal:
             return None
@@ -640,14 +683,17 @@ class AllocationProblem:
         demand_qps: float,
         accuracy_floor: Optional[float] = None,
         preferred_variants: Optional[Iterable[str]] = None,
+        recent_configs: Iterable[Tuple[str, str, int]] = (),
     ) -> Optional[AllocationPlan]:
         """Step 2: maximise system accuracy using the whole cluster.
 
         Solved over the maximal-batch paths only ("Path reduction" in the
-        module docstring), after the LP relaxation and the support MILP
-        ("Support incumbent").  ``preferred_variants`` lists the variants of the
-        incumbent plan; a small stability bonus steers ties toward reusing
-        them (fewer model swaps between consecutive invocations).
+        module docstring), after two LP relaxations, the support MILP and,
+        when ``recent_configs`` (``(task, variant, batch)`` keys of recent
+        plans) widen that support, the recent MILP ("Support incumbent").
+        ``preferred_variants`` lists the variants of the incumbent plan; a
+        small stability bonus steers ties toward reusing them (fewer model
+        swaps between consecutive invocations).
         """
         built = self._build_model(
             demand_qps=demand_qps,
@@ -659,14 +705,33 @@ class AllocationProblem:
         if built is None:
             return None
         form, configs, paths = built
-        relaxation = solve(replace(form, integrality=np.zeros_like(form.integrality)), **self.solver_options)
+        relaxation = solve(_relaxed(form), **self.solver_options)
         if not relaxation.is_optimal:
             return None  # no LP point, so no MILP point either
+        # The cluster-size row (3) follows the capacity rows and precedes the
+        # optional accuracy-floor row (see ``_build_model``).
+        cluster_row = form.b_ub.size - 1 - (accuracy_floor is not None)
+        b_ub = form.b_ub.copy()
+        b_ub[cluster_row] -= ROUNDING_SLACK_WORKERS
+        slack = solve(_relaxed(replace(form, b_ub=b_ub)), **self.solver_options)
+        support = self._support(relaxation, configs, paths)
+        if slack.is_optimal:
+            support |= self._support(slack, configs, paths)
+
         # ``_solve_highs`` solves to a 1e-6 gap when no ``mip_rel_gap`` is given.
         gap_tolerance = float(self.solver_options.get("mip_rel_gap", 1e-6))
-        solution = solve(self._support_form(form, relaxation, configs, paths), **self.solver_options)
+
+        def within_gap(solution: Solution) -> bool:
+            return solution.is_optimal and _relative_gap(relaxation.objective, solution.objective) <= gap_tolerance
+
+        solution = solve(_restricted(form, support), **self.solver_options)
         incumbent = "support"
-        if not solution.is_optimal or _relative_gap(relaxation.objective, solution.objective) > gap_tolerance:
+        if not within_gap(solution):
+            recent = self._recent_support(support, configs, paths, recent_configs)
+            if recent is not None:
+                solution = solve(_restricted(form, recent), **self.solver_options)
+                incumbent = "recent"
+        if not within_gap(solution):
             solution = solve(form, **self.solver_options)
             incumbent = "milp"
             if not solution.is_optimal:
@@ -677,10 +742,8 @@ class AllocationProblem:
         return plan
 
     @staticmethod
-    def _support_form(
-        form: StandardForm, relaxation: Solution, configs: List[Configuration], paths: List[ConfigPath]
-    ) -> StandardForm:
-        """``form`` with ``ub = 0`` on every column outside the LP relaxation's support.
+    def _support(relaxation: Solution, configs: List[Configuration], paths: List[ConfigPath]) -> np.ndarray:
+        """Mask of the columns in an LP relaxation's support.
 
         The support is every column with a positive value in ``relaxation``,
         plus the ``x`` column of every configuration on a path with positive
@@ -692,14 +755,37 @@ class AllocationProblem:
         for path, flowing in zip(paths, support[num_x : num_x + len(paths)].tolist()):
             if flowing:
                 support[[column[config.key] for config in path.configs]] = True
-        ub = form.ub.copy()
-        ub[~support] = 0.0
-        return replace(form, ub=ub)
+        return support
+
+    @staticmethod
+    def _recent_support(
+        support: np.ndarray,
+        configs: List[Configuration],
+        paths: List[ConfigPath],
+        recent_configs: Iterable[Tuple[str, str, int]],
+    ) -> Optional[np.ndarray]:
+        """``support`` widened by the ``x`` columns of ``recent_configs`` and every path made of them.
+
+        A path joins when each of its configurations is in
+        ``recent_configs``.  ``None`` when ``recent_configs`` adds no ``x``
+        column: there is no recent MILP then.
+        """
+        recent = set(recent_configs)
+        num_x = len(configs)
+        widened = support.copy()
+        widened[:num_x] |= [config.key in recent for config in configs]
+        if np.array_equal(widened[:num_x], support[:num_x]):
+            return None
+        widened[num_x : num_x + len(paths)] |= [
+            all(config.key in recent for config in path.configs) for path in paths
+        ]
+        return widened
 
     def solve(
         self,
         demand_qps: float,
         preferred_variants: Optional[Iterable[str]] = None,
+        recent_configs: Iterable[Tuple[str, str, int]] = (),
     ) -> AllocationPlan:
         """The Resource Manager's two-step procedure (Section 4).
 
@@ -710,7 +796,9 @@ class AllocationProblem:
         plan = self.solve_hardware_scaling(demand_qps)
         if plan is not None:
             return plan
-        plan = self.solve_accuracy_scaling(demand_qps, preferred_variants=preferred_variants)
+        plan = self.solve_accuracy_scaling(
+            demand_qps, preferred_variants=preferred_variants, recent_configs=recent_configs
+        )
         if plan is not None:
             return plan
         return self.best_effort_plan(demand_qps)
@@ -810,6 +898,18 @@ class AllocationProblem:
             total_workers=0,
             feasible=False,
         )
+
+
+def _relaxed(form: StandardForm) -> StandardForm:
+    """``form``'s LP relaxation: every column continuous."""
+    return replace(form, integrality=np.zeros_like(form.integrality))
+
+
+def _restricted(form: StandardForm, keep: np.ndarray) -> StandardForm:
+    """``form`` with ``ub = 0`` on every column outside the mask ``keep``."""
+    ub = form.ub.copy()
+    ub[~keep] = 0.0
+    return replace(form, ub=ub)
 
 
 def _relative_gap(bound: float, objective: float) -> float:

@@ -21,14 +21,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Deque, Dict, FrozenSet, Optional, Tuple
 
-from repro.core.allocation import ACCURACY_SCALING, AllocationPlan, AllocationProblem, HARDWARE_SCALING
+from repro.core.allocation import ACCURACY_SCALING, INCUMBENTS, AllocationPlan, AllocationProblem, HARDWARE_SCALING
 from repro.core.metadata import MetadataStore
 from repro.core.pipeline import Pipeline
 
 __all__ = ["DemandEstimator", "ResourceManager", "ResourceManagerStats"]
+
+#: solved plans whose configurations seed accuracy scaling's recent MILP
+#: (see "Support incumbent" in :mod:`repro.core.allocation`)
+RECENT_PLANS = 3
 
 
 class DemandEstimator:
@@ -88,6 +93,11 @@ class ResourceManagerStats:
     accuracy_plans: int = 0
     infeasible_plans: int = 0
     total_solve_time_s: float = 0.0
+    #: solved accuracy-scaling plans per ``solver_info["incumbent"]``
+    #: (``"support"``, ``"recent"``, ``"milp"``)
+    incumbents: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(INCUMBENTS, 0))
+    #: hardware-scaling calls whose LP relaxation proved them infeasible
+    hardware_lp_infeasible: int = 0
 
     @property
     def mean_solve_time_s(self) -> float:
@@ -160,6 +170,8 @@ class ResourceManager:
         self._last_invocation_s: Optional[float] = None
         self._last_planned_demand: Optional[float] = None
         self.current_plan: Optional[AllocationPlan] = None
+        #: ``(task, variant, batch)`` keys of the last solved plans, newest last
+        self._recent_configs: Deque[FrozenSet[Tuple[str, str, int]]] = deque(maxlen=RECENT_PLANS)
 
     # -- demand handling ------------------------------------------------------
     def observe_demand(self, timestamp_s: float, demand_qps: float) -> None:
@@ -272,10 +284,16 @@ class ResourceManager:
             # Bias the accuracy-scaling MILP toward the incumbent plan's
             # variants so consecutive plans stay similar (fewer model swaps).
             preferred = {a.variant_name for a in self.current_plan.allocations}
+        recent = frozenset().union(*self._recent_configs)
         start = time.perf_counter()  # reprolint: disable=R002 -- solve-time stat is reporting-only
-        plan = problem.solve(target_qps, preferred_variants=preferred)
+        plan = problem.solve(target_qps, preferred_variants=preferred, recent_configs=recent)
         self.stats.total_solve_time_s += time.perf_counter() - start  # reprolint: disable=R002 -- reporting-only
         self.stats.milp_solves += 1
+        self.stats.hardware_lp_infeasible += problem.hardware_lp_infeasible
+        incumbent = plan.solver_info.get("incumbent")
+        if incumbent is not None:
+            self.stats.incumbents[incumbent] += 1
+        self._recent_configs.append(frozenset((a.task, a.variant_name, a.batch_size) for a in plan.allocations))
         return plan
 
     def _cache_key(self, target_qps: float) -> Tuple[float, Tuple[Tuple[str, float], ...]]:

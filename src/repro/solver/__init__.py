@@ -65,6 +65,21 @@ __all__ = [
 DEFAULT_SOLVER_OPTIONS = types.MappingProxyType({"mip_rel_gap": 2e-3, "node_limit": 20})
 
 
+#: largest row violation the snapped point of a MILP may carry before its
+#: continuous columns are re-solved around the snapped integers
+SNAP_TOLERANCE = 1e-6
+
+
+def _constraints(form: StandardForm) -> list:
+    """``form``'s rows as ``scipy.optimize.LinearConstraint`` objects."""
+    constraints = []
+    if form.A_ub.shape[0]:
+        constraints.append(optimize.LinearConstraint(form.A_ub, np.full(form.A_ub.shape[0], -np.inf), form.b_ub))
+    if form.A_eq.shape[0]:
+        constraints.append(optimize.LinearConstraint(form.A_eq, form.b_eq, form.b_eq))
+    return constraints
+
+
 def _solve_highs(
     form: StandardForm,
     *,
@@ -84,12 +99,7 @@ def _solve_highs(
     if form.num_vars == 0:
         return Solution(status=OPTIMAL, objective=0.0, x=np.zeros(0))
 
-    constraints = []
-    if form.A_ub.shape[0]:
-        constraints.append(optimize.LinearConstraint(form.A_ub, np.full(form.A_ub.shape[0], -np.inf), form.b_ub))
-    if form.A_eq.shape[0]:
-        constraints.append(optimize.LinearConstraint(form.A_eq, form.b_eq, form.b_eq))
-
+    constraints = _constraints(form)
     options = {"mip_rel_gap": mip_rel_gap, "presolve": presolve}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
@@ -131,7 +141,40 @@ def _solve_highs(
     # numerical noise from the relaxation.
     integer = form.integrality != 0
     x[integer] = np.round(x[integer])
+    if integer.any() and _row_violation(form, x) > SNAP_TOLERANCE:
+        x = _refit_continuous(form, x, integer, options)
     return Solution(status=OPTIMAL, objective=form.sense * float(form.c @ x), x=x, info=info)
+
+
+def _row_violation(form: StandardForm, x: np.ndarray) -> float:
+    """Largest amount by which ``x`` violates a row of ``form`` (0 when it satisfies all)."""
+    violation = 0.0
+    if form.A_ub.shape[0]:
+        violation = max(violation, float(np.max(form.A_ub @ x - form.b_ub)))
+    if form.A_eq.shape[0]:
+        violation = max(violation, float(np.max(np.abs(form.A_eq @ x - form.b_eq))))
+    return violation
+
+
+def _refit_continuous(form: StandardForm, x: np.ndarray, integer: np.ndarray, options: dict) -> np.ndarray:
+    """Re-solve ``form``'s continuous columns with the integer columns fixed at their values in ``x``.
+
+    HiGHS's point satisfies the rows to its own tolerances with integer
+    columns a hair off integral; rounding them can then push a row past its
+    bound by more than those tolerances.  The LP over the continuous columns
+    restores feasibility when a fit exists; otherwise ``x`` is kept.
+    """
+    lb, ub = form.lb.copy(), form.ub.copy()
+    lb[integer] = ub[integer] = x[integer]
+    result = optimize.milp(
+        c=form.c, constraints=_constraints(form), integrality=np.zeros_like(form.integrality),
+        bounds=optimize.Bounds(lb, ub), options=options,
+    )
+    if result.status != 0 or result.x is None:
+        return x
+    refit = np.asarray(result.x, dtype=float)
+    refit[integer] = x[integer]
+    return refit
 
 
 def solve(form: StandardForm, cache: Union[bool, SolutionCache, None] = True, **highs_options) -> Solution:

@@ -190,8 +190,8 @@ def validated_plans(monkeypatch):
     solve = AllocationProblem.solve
     plans = []
 
-    def solve_and_validate(self, demand_qps, preferred_variants=None):
-        plan = solve(self, demand_qps, preferred_variants=preferred_variants)
+    def solve_and_validate(self, demand_qps, **kwargs):
+        plan = solve(self, demand_qps, **kwargs)
         validate_plan(self, plan)
         plans.append(plan)
         return plan

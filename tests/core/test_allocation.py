@@ -275,7 +275,10 @@ class TestSolverOptionsReachHighs:
 
     @pytest.fixture
     def solve_calls(self, monkeypatch):
-        """Options of every ``solve`` call, from the allocation MILPs and Proteus's per-task MILPs."""
+        """``(kind, optimal, options)`` of every ``solve`` call, from the allocation MILPs and Proteus's per-task MILPs.
+
+        ``kind`` is ``"milp"`` for a form with integer columns, else ``"lp"``.
+        """
         import repro.baselines.proteus as proteus
         import repro.core.allocation as allocation
 
@@ -283,8 +286,9 @@ class TestSolverOptionsReachHighs:
         real = allocation.solve
 
         def spy(model, **kwargs):
-            calls.append(kwargs)
-            return real(model, **kwargs)
+            solution = real(model, **kwargs)
+            calls.append(("milp" if model.integrality.any() else "lp", solution.is_optimal, kwargs))
+            return solution
 
         monkeypatch.setattr(allocation, "solve", spy)
         monkeypatch.setattr(proteus, "solve", spy)
@@ -294,10 +298,16 @@ class TestSolverOptionsReachHighs:
         from repro.solver import DEFAULT_SOLVER_OPTIONS
 
         problem = AllocationProblem(small_pipeline, num_workers=10, latency_slo_ms=150.0)
-        problem.solve(800.0)  # hardware scaling, then accuracy scaling's relaxation, support MILP and full MILP
-        problem.solve(5_000.0)  # hardware scaling, an infeasible relaxation, then max throughput
-        assert len(solve_calls) == 7
-        assert all(call == dict(DEFAULT_SOLVER_OPTIONS) for call in solve_calls)
+        problem.solve(800.0)
+        problem.solve(5_000.0)
+        assert [call[:2] for call in solve_calls] == [
+            # 800 qps: an infeasible hardware LP ends hardware scaling; accuracy
+            # scaling's two relaxations, its support MILP and the full MILP.
+            ("lp", False), ("lp", True), ("lp", True), ("milp", True), ("milp", True),
+            # 5,000 qps: both relaxations infeasible, then max throughput.
+            ("lp", False), ("lp", False), ("milp", True),
+        ]
+        assert all(options == dict(DEFAULT_SOLVER_OPTIONS) for *_, options in solve_calls)
 
     @pytest.mark.parametrize("system", ["loki", "inferline", "proteus", "slo_feedback"])
     def test_default_options_on_every_step(self, system, solve_calls):
@@ -307,7 +317,7 @@ class TestSolverOptionsReachHighs:
 
         get_scenario("smoke").with_overrides(system=system).run(seed=0)
         assert solve_calls, f"{system} solved no MILP"
-        assert all(call == dict(DEFAULT_SOLVER_OPTIONS) for call in solve_calls)
+        assert all(options == dict(DEFAULT_SOLVER_OPTIONS) for *_, options in solve_calls)
 
     def test_controller_config_options_reach_the_solver(self, small_pipeline, solve_calls):
         from repro.core import Controller, ControllerConfig
@@ -317,4 +327,4 @@ class TestSolverOptionsReachHighs:
         controller.report_demand(0.0, 40.0)
         plan, _ = controller.step(0.0, force=True)
         assert plan is not None and plan.feasible
-        assert solve_calls and all(call == options for call in solve_calls)
+        assert solve_calls and all(call[-1] == options for call in solve_calls)

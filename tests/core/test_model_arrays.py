@@ -2,13 +2,16 @@
 
 Row and column order are part of HiGHS's tie-breaking between equally good
 plans, so a refactor of the model assembly must reproduce every array
-exactly.  Each case captures the integer :class:`~repro.solver.StandardForm`
-one entry point hands to ``solve`` and compares the sha256 of its dense arrays
-with a pinned digest.  ``solve`` is replaced by a stand-in that reports every
-MILP infeasible, so no MILP is solved; it solves LP relaxations for real, so
-accuracy scaling goes on from its relaxation to the support MILP and the full
-MILP (see "Support incumbent" in :mod:`repro.core.allocation`), whose form is
-the one pinned.  The digests were taken from the modelling-layer
+exactly.  Each case captures the full integer
+:class:`~repro.solver.StandardForm` one entry point hands to ``solve`` and
+compares the sha256 of its dense arrays with a pinned digest.  ``solve`` is
+replaced by a stand-in that reports every MILP infeasible, so no MILP is
+solved.  It solves LP relaxations for real, so accuracy scaling goes on from
+its two relaxations to the support MILP and the full MILP (see "Support
+incumbent" in :mod:`repro.core.allocation`); an LP that is infeasible is
+reported solved at the zero point, so hardware scaling's LP check passes on
+to its MILP at every demand.  Of the integer forms captured, the full one is
+the one pinned: the restricted forms fix columns at ``ub = 0``.  The digests were taken from the modelling-layer
 implementation these arrays replaced.  The 12 accuracy-scaling digests were
 re-pinned once since, when that model started solving over the maximal-batch
 paths only (see "Path reduction" in :mod:`repro.core.allocation`); the
@@ -27,7 +30,7 @@ import pytest
 import repro.baselines.proteus as proteus
 import repro.core.allocation as allocation
 from repro.baselines import ProteusControlPlane
-from repro.solver import INFEASIBLE, Solution, solve
+from repro.solver import INFEASIBLE, OPTIMAL, Solution, solve
 from repro.zoo import social_media_pipeline, traffic_analysis_pipeline
 
 #: pipeline -> (factory, demands, incumbent variants for the stability bonus).
@@ -101,9 +104,12 @@ def captured(monkeypatch):
 
     def capture(form, **options):
         forms.append(form)
-        if not form.integrality.any():
-            return solve(form, **options)
-        return Solution(status=INFEASIBLE)
+        if form.integrality.any():
+            return Solution(status=INFEASIBLE)
+        relaxation = solve(form, **options)
+        if relaxation.is_optimal:
+            return relaxation
+        return Solution(status=OPTIMAL, objective=0.0, x=np.zeros(form.num_vars))
 
     monkeypatch.setattr(allocation, "solve", capture)
     monkeypatch.setattr(proteus, "solve", capture)
@@ -115,12 +121,23 @@ def problems():
     return {name: allocation.AllocationProblem(factory(), num_workers=20) for name, (factory, *_) in PIPELINES.items()}
 
 
+def integer_forms(captured):
+    return [form for form in captured if form.integrality.any()]
+
+
+def full_form(captured):
+    """The integer form with no column fixed at ``ub = 0``: the entry point's full MILP."""
+    return max(integer_forms(captured), key=lambda form: np.count_nonzero(form.ub))
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_allocation_model_arrays_are_pinned(case, problems, captured):
     pipeline, call = CASES[case]
     call(problems[pipeline])
-    assert len(captured) == (3 if "-accuracy-" in case else 1)
-    assert digest(captured[-1]) == DIGESTS[case]
+    # Accuracy scaling: the support MILP and the full MILP; hardware scaling
+    # and max_supported_demand: their MILP alone.
+    assert len(integer_forms(captured)) == (2 if "-accuracy-" in case else 1)
+    assert digest(full_form(captured)) == DIGESTS[case]
 
 
 def differing_fields(form, other):
@@ -135,12 +152,18 @@ def differing_fields(form, other):
 
 
 @pytest.mark.parametrize("case", [case for case in CASES if "-accuracy-" in case])
-def test_relaxation_and_support_differ_from_the_milp_only_in_integrality_and_ub(case, problems, captured):
+def test_relaxations_and_support_differ_from_the_milp_only_in_integrality_b_ub_and_ub(case, problems, captured):
     pipeline, call = CASES[case]
     call(problems[pipeline])
-    relaxation, support, milp = captured
+    relaxation, slack, support, milp = captured
     assert differing_fields(relaxation, milp) == {"integrality"}
     assert not relaxation.integrality.any()
+    # The slack relaxation leaves ROUNDING_SLACK_WORKERS of the cluster-size row free.
+    assert differing_fields(slack, relaxation) == {"b_ub"}
+    tightened = np.flatnonzero(slack.b_ub != relaxation.b_ub)
+    assert len(tightened) == 1
+    assert relaxation.b_ub[tightened[0]] == problems[pipeline].num_workers  # the cluster-size row
+    assert relaxation.b_ub[tightened[0]] - slack.b_ub[tightened[0]] == allocation.ROUNDING_SLACK_WORKERS
     assert differing_fields(support, milp) == {"ub"}
     zeroed = support.ub != milp.ub
     assert np.all(support.ub[zeroed] == 0.0)

@@ -136,6 +136,37 @@ class TestResourceManager:
         assert manager.stats.hardware_plans >= 1
         assert manager.stats.invocations >= 1
 
+    def test_stats_count_incumbents_and_hardware_lp_checks(self, manager):
+        hardware_capacity = manager.max_capacity_qps(restrict_to_best=True)
+        for t, multiple in enumerate((0.5, 1.3, 1.6, 1.9)):
+            manager.allocate(10.0 * t, demand_qps=multiple * hardware_capacity)
+        stats = manager.stats
+        assert set(stats.incumbents) == {"support", "recent", "milp"}
+        # Every solve above the hardware capacity is an accuracy plan whose
+        # hardware step ended at its LP.
+        assert sum(stats.incumbents.values()) == stats.hardware_lp_infeasible == 3
+        assert stats.milp_solves == 4
+
+    def test_last_three_plans_reach_accuracy_scaling(self, manager, monkeypatch):
+        from repro.core.allocation import AllocationProblem
+
+        received = []
+        real = AllocationProblem.solve
+
+        def spy(problem, demand_qps, preferred_variants=None, recent_configs=()):
+            received.append(set(recent_configs))
+            return real(problem, demand_qps, preferred_variants=preferred_variants, recent_configs=recent_configs)
+
+        monkeypatch.setattr(AllocationProblem, "solve", spy)
+        hardware_capacity = manager.max_capacity_qps(restrict_to_best=True)
+        plans = [
+            manager._solve(multiple * hardware_capacity) for multiple in (0.3, 0.6, 1.2, 1.5, 1.8)
+        ]
+        keys = [{(a.task, a.variant_name, a.batch_size) for a in plan.allocations} for plan in plans]
+        assert received[0] == set()
+        for k in range(1, len(plans)):
+            assert received[k] == set().union(*keys[max(0, k - 3):k])
+
     def test_max_capacity_with_accuracy_scaling_larger(self, manager):
         hardware = manager.max_capacity_qps(restrict_to_best=True)
         full = manager.max_capacity_qps()

@@ -1,14 +1,18 @@
-"""The support incumbent keeps the guarantee HiGHS gives.
+"""The support and recent incumbents keep the guarantee HiGHS gives.
 
-``AllocationProblem.solve_accuracy_scaling`` solves the LP relaxation, then
-the MILP restricted to the LP's support, and only then the full MILP (see
-"Support incumbent" in :mod:`repro.core.allocation`).  On a demand grid of
-1.1x-3.0x the hardware-scaling capacity of both paper pipelines, with and
-without the stability bonus, at the default gap and at the 1% gap, every plan
-must be valid for the full model, and a plan taken from the support MILP must
-lie within ``mip_rel_gap`` of an LP bound computed here.
+``AllocationProblem.solve_accuracy_scaling`` solves two LP relaxations, then
+the MILP restricted to their support, then (given recent plans' configurations)
+the recent MILP, and only then the full MILP (see "Support incumbent" in
+:mod:`repro.core.allocation`).  ``solve_hardware_scaling`` checks its LP
+relaxation before its MILP.  On a demand grid of 1.1x-3.0x the
+hardware-scaling capacity of both paper pipelines, walked upwards the way the
+Resource Manager passes its last three plans, with and without the stability
+bonus, at the default gap and at the 1% gap, every plan must be valid for the
+full model, and a plan taken from the support or the recent MILP must lie
+within ``mip_rel_gap`` of an LP bound computed here.
 """
 
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +34,15 @@ PIPELINES = {
 GRID = (1.1, 1.7, 2.4, 3.0)
 
 GAPS = (DEFAULT_SOLVER_OPTIONS["mip_rel_gap"], 1e-2)
+
+#: (pipeline, gap) -> the solves that produce the grid's plans; the grid as a
+#: whole reaches all three
+SOURCES = {
+    ("social", GAPS[0]): {"support", "milp"},
+    ("social", GAPS[1]): {"support", "milp"},
+    ("traffic", GAPS[0]): {"support", "milp"},
+    ("traffic", GAPS[1]): {"support", "recent", "milp"},
+}
 
 
 def make_problem(name, gap):
@@ -60,32 +73,43 @@ def objective(problem, plan, preferred):
     scope="module", params=[(name, gap) for name in sorted(PIPELINES) for gap in GAPS], ids=str
 )
 def grid(request):
-    """``(problem, gap, rows)`` with one ``(demand, preferred, plan)`` row per grid point."""
+    """``(name, problem, gap, rows)`` with one ``(demand, preferred, plan)`` row per grid point.
+
+    Each walk up the grid passes accuracy scaling the configurations of its
+    last three plans, as ``ResourceManager`` does.
+    """
     name, gap = request.param
     problem = make_problem(name, gap)
     capacity = problem.max_supported_demand(restrict_to_best=True).max_demand_qps
     rows = []
-    for multiple in GRID:
-        for preferred in (None, PIPELINES[name][1]):
+    for preferred in (None, PIPELINES[name][1]):
+        recent = deque(maxlen=3)
+        for multiple in GRID:
             demand = multiple * capacity
-            plan = problem.solve_accuracy_scaling(demand, preferred_variants=preferred)
+            plan = problem.solve_accuracy_scaling(
+                demand, preferred_variants=preferred, recent_configs=frozenset().union(*recent)
+            )
             rows.append((demand, preferred, plan))
-    return problem, gap, rows
+            recent.append({(a.task, a.variant_name, a.batch_size) for a in plan.allocations})
+    return name, problem, gap, rows
 
 
 def test_every_plan_is_valid_for_the_full_model(grid):
-    problem, _, rows = grid
+    name, problem, gap, rows = grid
     for demand, _, plan in rows:
         assert plan is not None and plan.feasible and plan.mode == ACCURACY_SCALING, demand
         validate_plan(problem, plan)
-    # The grid reaches both the support MILP and the full MILP.
-    assert {plan.solver_info["incumbent"] for _, _, plan in rows} == {"support", "milp"}
+    assert {plan.solver_info["incumbent"] for _, _, plan in rows} == SOURCES[name, gap]
 
 
-def test_support_plans_are_within_the_gap_of_the_lp_bound(grid):
-    problem, gap, rows = grid
+def test_the_grid_reaches_every_source():
+    assert set().union(*SOURCES.values()) == set(allocation.INCUMBENTS)
+
+
+def test_restricted_plans_are_within_the_gap_of_the_lp_bound(grid):
+    _, problem, gap, rows = grid
     for demand, preferred, plan in rows:
-        if plan.solver_info["incumbent"] != "support":
+        if plan.solver_info["incumbent"] == "milp":
             continue
         value = objective(problem, plan, preferred)
         bound = lp_bound(problem, demand, preferred)
@@ -108,3 +132,25 @@ def test_an_infeasible_relaxation_ends_the_solve(monkeypatch):
     assert problem.solve_accuracy_scaling(20.0 * capacity) is None
     assert len(forms) == 1
     assert not forms[0].integrality.any()
+
+
+def test_an_infeasible_hardware_relaxation_triggers_no_milp(monkeypatch):
+    problem = make_problem("traffic", DEFAULT_SOLVER_OPTIONS["mip_rel_gap"])
+    capacity = problem.max_supported_demand(restrict_to_best=True).max_demand_qps
+    forms = []
+    real = allocation.solve
+
+    def spy(form, **options):
+        forms.append(form)
+        return real(form, **options)
+
+    monkeypatch.setattr(allocation, "solve", spy)
+    assert problem.solve_hardware_scaling(1.5 * capacity) is None
+    assert len(forms) == 1
+    assert not forms[0].integrality.any()
+    assert problem.hardware_lp_infeasible == 1
+    # Below capacity the relaxation is feasible and the same MILP as before follows.
+    plan = problem.solve_hardware_scaling(0.5 * capacity)
+    assert plan is not None and plan.feasible
+    assert [form.integrality.any() for form in forms[1:]] == [False, True]
+    assert problem.hardware_lp_infeasible == 1

@@ -156,19 +156,19 @@ GOLDENS = {
     },
     'traffic_worker_failure': {
         'total_requests': 4048,
-        'completed_requests': 3851,
-        'violated_requests': 197,
-        'dropped_requests': 2,
-        'late_requests': 195,
-        'slo_violation_ratio': 0.048666007905138337,
-        'mean_accuracy': 0.9979880243166428,
-        'min_interval_accuracy': 0.9967759805966135,
-        'max_accuracy_drop': 0.0032240194033864578,
+        'completed_requests': 3846,
+        'violated_requests': 202,
+        'dropped_requests': 1,
+        'late_requests': 201,
+        'slo_violation_ratio': 0.04990118577075099,
+        'mean_accuracy': 0.9976945786372297,
+        'min_interval_accuracy': 0.9966912277832842,
+        'max_accuracy_drop': 0.003308772216715772,
         'mean_utilization': 0.9375,
         'peak_workers': 20,
         'mean_workers': 18.75,
-        'mean_latency_ms': 83.64043674238553,
-        'p99_latency_ms': 202.95984168599858,
+        'mean_latency_ms': 85.72404323000593,
+        'p99_latency_ms': 210.98463962685122,
     },
     'validation_uniform': {
         'total_requests': 2250,

@@ -242,10 +242,18 @@ class TestSimulationWiring:
             "requests.completed",
             "requests.latency_ms.count",
             "control.plan_changes",
+            "control.best_effort_plans",
             "control.routing_refreshes",
             "cluster.active_workers.peak",
         ):
             assert key in telemetry, key
+
+    def test_best_effort_plans_are_counted(self, smoke_summary):
+        assert smoke_summary.telemetry["control.best_effort_plans"] == 0.0
+        # Far beyond the 6-worker cluster's capacity (~2,300 QPS): only the
+        # best-effort max-throughput plan is left.
+        overloaded = get_scenario("smoke").with_overrides(trace_params={"qps": 5_000.0, "duration_s": 2}).run(seed=0)
+        assert overloaded.telemetry["control.best_effort_plans"] > 0
 
     def test_telemetry_consistent_with_summary(self, smoke_summary):
         telemetry = smoke_summary.telemetry
