@@ -124,13 +124,16 @@ problem's ``solver_options``:
    they add an ``x`` column: it keeps the support, those ``x`` columns and
    every path whose configurations all lie in ``recent_configs``, and is
    returned under the same test;
-4. otherwise the full form, exactly as without steps 1-3.
+4. otherwise the full form, exactly as without steps 1-3.  Its node budget
+   can end it at a worse plan than a restricted MILP it follows; the best
+   plan of the solves that ran is returned (the later one on a tie).
 
 Either way the plan is feasible for the full model and, when it comes from
-step 2 or 3, within the gap of a proven bound, the guarantee HiGHS itself
-gives.  ``plan.solver_info`` records ``"incumbent"`` (one of
-:data:`INCUMBENTS`: ``"support"``, ``"recent"`` or ``"milp"``) and
-``"lp_bound_gap"``, the plan's gap below the plain LP's bound.
+step 2 or 3 within the gap, within the gap of a proven bound, the guarantee
+HiGHS itself gives.  ``plan.solver_info`` records ``"incumbent"`` (one of
+:data:`INCUMBENTS`: ``"support"``, ``"recent"`` or ``"milp"``, the solve whose
+plan is returned) and ``"lp_bound_gap"``, the plan's gap below the plain LP's
+bound.
 
 The one-worker slack and the three plans are constants chosen by replaying
 the 80 accuracy-scaling calls of fig5_loki and fig6_loki (benchmark settings,
@@ -152,6 +155,30 @@ capacity, where every Resource Manager call goes on to accuracy scaling,
 HiGHS proves the LP infeasible several times faster than the MILP.
 :attr:`AllocationProblem.hardware_lp_infeasible` counts the calls the check
 ended.
+
+Feasibility jump
+----------------
+
+HiGHS (1.12.0, inside SciPy 1.17.1) runs its feasibility-jump primal
+heuristic on every MIP that survives presolve, whatever its size.  On the
+allocation model it is a fixed cost of 11-14 ms a solve (medians of 15
+solves, 2-core container): a 141-column social support MILP took 18.1 ms
+with it and 4.4 ms without, a 338-column traffic support MILP 17.5 and
+4.7 ms, a 15-column hardware MILP 15.4 and 3.5 ms, with equal or better
+objectives.  After the support incumbent most Resource Manager calls end at
+such small MILPs, so that fixed cost had become most of their time.  Every
+solve of :class:`AllocationProblem` (both hardware-scaling solves, the LP
+relaxations, the support, recent and full accuracy MILPs and max throughput)
+therefore passes ``feasibility_jump=False`` to :func:`repro.solver.solve`.
+Without it HiGHS may break ties between equally good plans differently (a
+hardware-scaling plan of the same worker count with other batch sizes).
+
+Proteus's per-task MILPs keep HiGHS's defaults.  With the switch on
+Proteus's solves too, its plans changed on 80 of the 120 solves of
+fig5_proteus's ten seeds (replayed on identical inputs), and its pooled SLO
+attainment fell by a quarter: 0.0939 -> 0.0660 (-29.7%) in one benchmark
+run, 0.0962 -> 0.0727 (-24.4%) in a rerun, against the benchmark's 25%
+bound.
 """
 
 from __future__ import annotations
@@ -658,6 +685,10 @@ class AllocationProblem:
         return form, configs, paths
 
     # -- solving --------------------------------------------------------------
+    def _solve(self, form: StandardForm) -> Solution:
+        """``form`` solved under ``solver_options`` without HiGHS's feasibility jump (see "Feasibility jump" in the module docstring)."""
+        return solve(form, feasibility_jump=False, **self.solver_options)
+
     def solve_hardware_scaling(self, demand_qps: float) -> Optional[AllocationPlan]:
         """Step 1: minimise workers using only the most accurate variants.
 
@@ -669,11 +700,11 @@ class AllocationProblem:
         if built is None:
             return None
         form, configs, paths = built
-        if not solve(_relaxed(form), **self.solver_options).is_optimal:
+        if not self._solve(_relaxed(form)).is_optimal:
             # No LP point, so no MILP point either ("Hardware LP check").
             self.hardware_lp_infeasible += 1
             return None
-        solution = solve(form, **self.solver_options)
+        solution = self._solve(form)
         if not solution.is_optimal:
             return None
         return self._decode(solution, configs, paths, demand_qps, HARDWARE_SCALING)
@@ -705,7 +736,7 @@ class AllocationProblem:
         if built is None:
             return None
         form, configs, paths = built
-        relaxation = solve(_relaxed(form), **self.solver_options)
+        relaxation = self._solve(_relaxed(form))
         if not relaxation.is_optimal:
             return None  # no LP point, so no MILP point either
         # The cluster-size row (3) follows the capacity rows and precedes the
@@ -713,7 +744,7 @@ class AllocationProblem:
         cluster_row = form.b_ub.size - 1 - (accuracy_floor is not None)
         b_ub = form.b_ub.copy()
         b_ub[cluster_row] -= ROUNDING_SLACK_WORKERS
-        slack = solve(_relaxed(replace(form, b_ub=b_ub)), **self.solver_options)
+        slack = self._solve(_relaxed(replace(form, b_ub=b_ub)))
         support = self._support(relaxation, configs, paths)
         if slack.is_optimal:
             support |= self._support(slack, configs, paths)
@@ -724,18 +755,20 @@ class AllocationProblem:
         def within_gap(solution: Solution) -> bool:
             return solution.is_optimal and _relative_gap(relaxation.objective, solution.objective) <= gap_tolerance
 
-        solution = solve(_restricted(form, support), **self.solver_options)
-        incumbent = "support"
+        candidates = {}
+        solution = candidates["support"] = self._solve(_restricted(form, support))
         if not within_gap(solution):
             recent = self._recent_support(support, configs, paths, recent_configs)
             if recent is not None:
-                solution = solve(_restricted(form, recent), **self.solver_options)
-                incumbent = "recent"
+                solution = candidates["recent"] = self._solve(_restricted(form, recent))
         if not within_gap(solution):
-            solution = solve(form, **self.solver_options)
-            incumbent = "milp"
-            if not solution.is_optimal:
-                return None
+            candidates["milp"] = self._solve(form)
+        # The node-limited full MILP can return a worse plan than an incumbent
+        # it follows; the best plan wins, the later solve on a tie.
+        solved = [(name, solution) for name, solution in candidates.items() if solution.is_optimal]
+        if not solved:
+            return None
+        incumbent, solution = max(reversed(solved), key=lambda candidate: candidate[1].objective)
         plan = self._decode(solution, configs, paths, demand_qps, ACCURACY_SCALING)
         plan.solver_info["incumbent"] = incumbent
         plan.solver_info["lp_bound_gap"] = _relative_gap(relaxation.objective, solution.objective)
@@ -828,7 +861,7 @@ class AllocationProblem:
         if built is None:
             return MaxDemandResult(max_demand_qps=0.0, plan=self._empty_plan(0.0))
         form, configs, paths = built
-        solution = solve(form, **self.solver_options)
+        solution = self._solve(form)
         if not solution.is_optimal:
             return MaxDemandResult(max_demand_qps=0.0, plan=self._empty_plan(0.0))
         max_demand = float(solution.x[-1])

@@ -16,9 +16,11 @@ the form's arrays to HiGHS and decodes the result into a
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 import types
+import warnings
 from typing import Optional, Union
 
 import numpy as np
@@ -47,6 +49,7 @@ __all__ = [
     "default_cache",
     "fingerprint_model",
     "DEFAULT_SOLVER_OPTIONS",
+    "FEASIBILITY_JUMP_OPTION",
     "solve",
 ]
 
@@ -69,6 +72,10 @@ DEFAULT_SOLVER_OPTIONS = types.MappingProxyType({"mip_rel_gap": 2e-3, "node_limi
 #: continuous columns are re-solved around the snapped integers
 SNAP_TOLERANCE = 1e-6
 
+#: the HiGHS option ``feasibility_jump=False`` sets: HiGHS runs its
+#: feasibility-jump primal heuristic on every MIP unless it is ``False``
+FEASIBILITY_JUMP_OPTION = "mip_heuristic_run_feasibility_jump"
+
 
 def _constraints(form: StandardForm) -> list:
     """``form``'s rows as ``scipy.optimize.LinearConstraint`` objects."""
@@ -80,6 +87,18 @@ def _constraints(form: StandardForm) -> list:
     return constraints
 
 
+@contextlib.contextmanager
+def _verbatim_options():
+    """Silence SciPy's warning that it passes an option it does not know (:data:`FEASIBILITY_JUMP_OPTION`) to HiGHS verbatim.
+
+    HiGHS's own ``OptimizeWarning`` for an option *it* does not know still
+    shows.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="Unrecognized options detected", category=RuntimeWarning)
+        yield
+
+
 def _solve_highs(
     form: StandardForm,
     *,
@@ -87,6 +106,7 @@ def _solve_highs(
     mip_rel_gap: float = 1e-6,
     presolve: bool = True,
     node_limit: Optional[int] = None,
+    feasibility_jump: bool = True,
 ) -> Solution:
     """Solve ``form`` with HiGHS.
 
@@ -95,6 +115,9 @@ def _solve_highs(
     ``time_limit`` it does not depend on machine load, so a solve bounded
     only by it returns the same plan on any machine (HiGHS is deterministic
     for a fixed option set).  ``None`` means unlimited for both.
+    ``feasibility_jump=False`` turns off HiGHS's feasibility-jump primal
+    heuristic, which costs every MIP that survives presolve a fixed ~12 ms
+    (see "Feasibility jump" in :mod:`repro.core.allocation`).
     """
     if form.num_vars == 0:
         return Solution(status=OPTIMAL, objective=0.0, x=np.zeros(0))
@@ -105,16 +128,19 @@ def _solve_highs(
         options["time_limit"] = float(time_limit)
     if node_limit is not None:
         options["node_limit"] = int(node_limit)
+    if not feasibility_jump:
+        options[FEASIBILITY_JUMP_OPTION] = False
 
     start = time.perf_counter()
     try:
-        result = optimize.milp(
-            c=form.c,
-            constraints=constraints,
-            integrality=form.integrality,
-            bounds=optimize.Bounds(form.lb, form.ub),
-            options=options,
-        )
+        with _verbatim_options():
+            result = optimize.milp(
+                c=form.c,
+                constraints=constraints,
+                integrality=form.integrality,
+                bounds=optimize.Bounds(form.lb, form.ub),
+                options=options,
+            )
     except Exception as exc:  # pragma: no cover - defensive
         raise SolverError(f"scipy.optimize.milp failed: {exc}") from exc
     info = {
@@ -166,10 +192,11 @@ def _refit_continuous(form: StandardForm, x: np.ndarray, integer: np.ndarray, op
     """
     lb, ub = form.lb.copy(), form.ub.copy()
     lb[integer] = ub[integer] = x[integer]
-    result = optimize.milp(
-        c=form.c, constraints=_constraints(form), integrality=np.zeros_like(form.integrality),
-        bounds=optimize.Bounds(lb, ub), options=options,
-    )
+    with _verbatim_options():
+        result = optimize.milp(
+            c=form.c, constraints=_constraints(form), integrality=np.zeros_like(form.integrality),
+            bounds=optimize.Bounds(lb, ub), options=options,
+        )
     if result.status != 0 or result.x is None:
         return x
     refit = np.asarray(result.x, dtype=float)
@@ -190,8 +217,9 @@ def solve(form: StandardForm, cache: Union[bool, SolutionCache, None] = True, **
         a private cache, or ``False``/``None`` to bypass caching.  Hits carry
         ``info["cache"] == "hit"``.
     highs_options:
-        ``time_limit``, ``mip_rel_gap``, ``presolve`` and ``node_limit``;
-        any other keyword raises :class:`TypeError`.
+        ``time_limit``, ``mip_rel_gap``, ``presolve``, ``node_limit`` and
+        ``feasibility_jump`` (``False`` turns HiGHS's feasibility-jump
+        heuristic off); any other keyword raises :class:`TypeError`.
 
     Returns
     -------

@@ -270,28 +270,39 @@ class TestPlanHelpers:
         assert plan.capacity_qps("detect") > 0
 
 
+#: the keyword every allocation-model solve adds to the problem's ``solver_options``
+WITHOUT_FEASIBILITY_JUMP = {"feasibility_jump": False}
+
+
 class TestSolverOptionsReachHighs:
-    """Every allocation MILP is solved with the problem's ``solver_options``."""
+    """Every allocation MILP is solved with the problem's ``solver_options``, without the feasibility jump."""
 
     @pytest.fixture
     def solve_calls(self, monkeypatch):
-        """``(kind, optimal, options)`` of every ``solve`` call, from the allocation MILPs and Proteus's per-task MILPs.
+        """``(kind, optimal, options, expected)`` of every ``solve`` call, from the allocation MILPs and Proteus's per-task MILPs.
 
         ``kind`` is ``"milp"`` for a form with integer columns, else ``"lp"``.
+        ``expected`` is the options the default budget gives the caller: the
+        allocation model adds :data:`WITHOUT_FEASIBILITY_JUMP`, Proteus keeps
+        HiGHS's defaults.
         """
         import repro.baselines.proteus as proteus
         import repro.core.allocation as allocation
+        from repro.solver import DEFAULT_SOLVER_OPTIONS
 
         calls = []
         real = allocation.solve
 
-        def spy(model, **kwargs):
-            solution = real(model, **kwargs)
-            calls.append(("milp" if model.integrality.any() else "lp", solution.is_optimal, kwargs))
-            return solution
+        def spy_for(expected):
+            def spy(model, **kwargs):
+                solution = real(model, **kwargs)
+                calls.append(("milp" if model.integrality.any() else "lp", solution.is_optimal, kwargs, expected))
+                return solution
 
-        monkeypatch.setattr(allocation, "solve", spy)
-        monkeypatch.setattr(proteus, "solve", spy)
+            return spy
+
+        monkeypatch.setattr(allocation, "solve", spy_for({**DEFAULT_SOLVER_OPTIONS, **WITHOUT_FEASIBILITY_JUMP}))
+        monkeypatch.setattr(proteus, "solve", spy_for(dict(DEFAULT_SOLVER_OPTIONS)))
         return calls
 
     def test_default_options_on_every_milp(self, small_pipeline, solve_calls):
@@ -307,17 +318,17 @@ class TestSolverOptionsReachHighs:
             # 5,000 qps: both relaxations infeasible, then max throughput.
             ("lp", False), ("lp", False), ("milp", True),
         ]
-        assert all(options == dict(DEFAULT_SOLVER_OPTIONS) for *_, options in solve_calls)
+        expected = {**DEFAULT_SOLVER_OPTIONS, **WITHOUT_FEASIBILITY_JUMP}
+        assert all(options == expected for _, _, options, _ in solve_calls)
 
     @pytest.mark.parametrize("system", ["loki", "inferline", "proteus", "slo_feedback"])
     def test_default_options_on_every_step(self, system, solve_calls):
         """Each serving system solves every MILP of a run under the one default budget."""
         from repro.scenarios import get_scenario
-        from repro.solver import DEFAULT_SOLVER_OPTIONS
 
         get_scenario("smoke").with_overrides(system=system).run(seed=0)
         assert solve_calls, f"{system} solved no MILP"
-        assert all(options == dict(DEFAULT_SOLVER_OPTIONS) for *_, options in solve_calls)
+        assert all(options == expected for _, _, options, expected in solve_calls)
 
     def test_controller_config_options_reach_the_solver(self, small_pipeline, solve_calls):
         from repro.core import Controller, ControllerConfig
@@ -327,4 +338,50 @@ class TestSolverOptionsReachHighs:
         controller.report_demand(0.0, 40.0)
         plan, _ = controller.step(0.0, force=True)
         assert plan is not None and plan.feasible
-        assert solve_calls and all(call[-1] == options for call in solve_calls)
+        assert solve_calls and all(call[2] == {**options, **WITHOUT_FEASIBILITY_JUMP} for call in solve_calls)
+
+
+class TestFeasibilityJumpReachesHighs:
+    """Allocation-model solves reach ``optimize.milp`` with HiGHS's feasibility jump off; Proteus's do not."""
+
+    @pytest.fixture
+    def milp_calls(self, monkeypatch):
+        """``(caller, options)`` of every ``optimize.milp`` call, ``caller`` the module whose ``solve`` made it."""
+        import repro.baselines.proteus as proteus
+        import repro.core.allocation as allocation
+
+        calls = []
+        callers = []
+        real_milp = optimize.milp
+
+        def milp(**kwargs):
+            calls.append((callers[-1], dict(kwargs["options"])))  # milp pops node_limit from its dict
+            return real_milp(**kwargs)
+
+        for module in (allocation, proteus):
+            def solve(form, _module=module.__name__, _real=module.solve, **options):
+                callers.append(_module)
+                try:
+                    return _real(form, cache=False, **options)  # a cache hit would skip HiGHS
+                finally:
+                    callers.pop()
+
+            monkeypatch.setattr(module, "solve", solve)
+        monkeypatch.setattr(optimize, "milp", milp)
+        return calls
+
+    @pytest.mark.parametrize("system", ["loki", "inferline", "proteus", "slo_feedback"])
+    def test_only_allocation_model_solves_drop_it(self, system, milp_calls):
+        from repro.scenarios import get_scenario
+        from repro.solver import FEASIBILITY_JUMP_OPTION
+
+        get_scenario("smoke").with_overrides(system=system).run(seed=0)
+        by_caller = {}
+        for caller, options in milp_calls:
+            by_caller.setdefault(caller, []).append(options)
+        owner = "repro.baselines.proteus" if system == "proteus" else "repro.core.allocation"
+        assert by_caller.get(owner), f"{system} made no HiGHS call"
+        for options in by_caller.get("repro.core.allocation", ()):
+            assert options[FEASIBILITY_JUMP_OPTION] is False
+        for options in by_caller.get("repro.baselines.proteus", ()):
+            assert FEASIBILITY_JUMP_OPTION not in options

@@ -9,7 +9,8 @@ hardware-scaling capacity of both paper pipelines, walked upwards the way the
 Resource Manager passes its last three plans, with and without the stability
 bonus, at the default gap and at the 1% gap, every plan must be valid for the
 full model, and a plan taken from the support or the recent MILP must lie
-within ``mip_rel_gap`` of an LP bound computed here.
+within ``mip_rel_gap`` of an LP bound computed here, or be no worse than the
+node-limited full MILP that followed it.
 """
 
 from collections import deque
@@ -40,7 +41,7 @@ GAPS = (DEFAULT_SOLVER_OPTIONS["mip_rel_gap"], 1e-2)
 SOURCES = {
     ("social", GAPS[0]): {"support", "milp"},
     ("social", GAPS[1]): {"support", "milp"},
-    ("traffic", GAPS[0]): {"support", "milp"},
+    ("traffic", GAPS[0]): {"support", "recent", "milp"},
     ("traffic", GAPS[1]): {"support", "recent", "milp"},
 }
 
@@ -106,16 +107,49 @@ def test_the_grid_reaches_every_source():
     assert set().union(*SOURCES.values()) == set(allocation.INCUMBENTS)
 
 
-def test_restricted_plans_are_within_the_gap_of_the_lp_bound(grid):
+def test_restricted_plans_are_within_the_gap_or_beat_the_full_milp(grid):
     _, problem, gap, rows = grid
     for demand, preferred, plan in rows:
         if plan.solver_info["incumbent"] == "milp":
             continue
         value = objective(problem, plan, preferred)
         bound = lp_bound(problem, demand, preferred)
-        assert bound - value <= gap * abs(value) + 1e-9, demand
+        if bound - value > gap * abs(value) + 1e-9:
+            form, _, _ = problem._build_model(
+                demand, ACCURACY_SCALING, restrict_to_best=False, preferred_variants=preferred
+            )
+            assert problem._solve(form).objective <= value + 1e-9, demand
         recorded = plan.solver_info["lp_bound_gap"]
         assert recorded == pytest.approx((bound - value) / abs(value), abs=1e-6)
+
+
+def test_a_worse_full_milp_does_not_replace_the_support_plan(monkeypatch):
+    """The node budget can end the full MILP below the incumbent that missed the gap; the better plan wins."""
+    problem = make_problem("social", DEFAULT_SOLVER_OPTIONS["mip_rel_gap"])
+    capacity = problem.max_supported_demand(restrict_to_best=True).max_demand_qps
+    solved = {}
+    real = allocation.solve
+
+    def spy(form, **options):
+        if not form.integrality.any():
+            return real(form, **options)
+        if (form.ub == 0).any():
+            solved["support"] = real(form, **options)
+            return solved["support"]
+        # The full MILP: return its least accurate plan, a valid point of the full model.
+        worst = real(replace(form, c=-form.c), **options)
+        solved["milp"] = replace(worst, objective=form.sense * float(form.c @ worst.x))
+        return solved["milp"]
+
+    monkeypatch.setattr(allocation, "solve", spy)
+    plan = problem.solve_accuracy_scaling(2.0 * capacity)
+    assert set(solved) == {"support", "milp"}, "the support MILP met the gap; pick a demand where it misses"
+    assert solved["milp"].objective < solved["support"].objective
+    assert plan.solver_info["incumbent"] == "support"
+    assert plan.expected_accuracy == pytest.approx(solved["support"].objective, abs=1e-9)
+    bound = lp_bound(problem, 2.0 * capacity, None)
+    assert plan.solver_info["lp_bound_gap"] == pytest.approx((bound - plan.expected_accuracy) / plan.expected_accuracy)
+    validate_plan(problem, plan)
 
 
 def test_an_infeasible_relaxation_ends_the_solve(monkeypatch):

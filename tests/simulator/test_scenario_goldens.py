@@ -26,101 +26,101 @@ GOLDEN_DURATION_S = 15
 GOLDENS = {
     'chaos_crash_restart': {
         'total_requests': 465,
-        'completed_requests': 101,
-        'violated_requests': 364,
-        'dropped_requests': 128,
-        'late_requests': 236,
-        'slo_violation_ratio': 0.7827956989247312,
+        'completed_requests': 84,
+        'violated_requests': 381,
+        'dropped_requests': 140,
+        'late_requests': 241,
+        'slo_violation_ratio': 0.8193548387096774,
         'mean_accuracy': 1.0,
         'min_interval_accuracy': 1.0,
         'max_accuracy_drop': 0.0,
         'mean_utilization': 0.3125,
         'peak_workers': 2,
         'mean_workers': 1.875,
-        'mean_latency_ms': 38.56095782381813,
-        'p99_latency_ms': 100.13171476010818,
+        'mean_latency_ms': 44.51362967038059,
+        'p99_latency_ms': 129.9820080235405,
     },
     'chaos_stragglers': {
         'total_requests': 465,
-        'completed_requests': 177,
-        'violated_requests': 288,
+        'completed_requests': 123,
+        'violated_requests': 342,
         'dropped_requests': 0,
-        'late_requests': 288,
-        'slo_violation_ratio': 0.6193548387096774,
+        'late_requests': 342,
+        'slo_violation_ratio': 0.7354838709677419,
         'mean_accuracy': 1.0,
         'min_interval_accuracy': 1.0,
         'max_accuracy_drop': 0.0,
         'mean_utilization': 0.3125,
         'peak_workers': 2,
         'mean_workers': 1.875,
-        'mean_latency_ms': 49.8787491150397,
-        'p99_latency_ms': 134.9788651679608,
+        'mean_latency_ms': 49.658187985666416,
+        'p99_latency_ms': 115.21895961907683,
     },
     'jsq_heterogeneous': {
         'total_requests': 3053,
-        'completed_requests': 1143,
-        'violated_requests': 1910,
+        'completed_requests': 1149,
+        'violated_requests': 1904,
         'dropped_requests': 0,
-        'late_requests': 1910,
-        'slo_violation_ratio': 0.6256141500163773,
-        'mean_accuracy': 0.9984652320666192,
-        'min_interval_accuracy': 0.9964700821007442,
-        'max_accuracy_drop': 0.00352991789925583,
+        'late_requests': 1904,
+        'slo_violation_ratio': 0.6236488699639698,
+        'mean_accuracy': 0.9984772770807798,
+        'min_interval_accuracy': 0.996467918256016,
+        'max_accuracy_drop': 0.0035320817439840058,
         'mean_utilization': 0.5677083333333333,
         'peak_workers': 12,
         'mean_workers': 6.8125,
-        'mean_latency_ms': 44.12537973971964,
-        'p99_latency_ms': 145.14729717798087,
+        'mean_latency_ms': 44.57360226987909,
+        'p99_latency_ms': 144.4197131976891,
     },
     # re-pinned when accuracy scaling began returning the support incumbent
     # of repro.core.allocation: SLO feedback's plans moved within the gap
     'slo_feedback_flash_crowd': {
         'total_requests': 6376,
-        'completed_requests': 4388,
-        'violated_requests': 1988,
+        'completed_requests': 4459,
+        'violated_requests': 1917,
         'dropped_requests': 0,
-        'late_requests': 1988,
-        'slo_violation_ratio': 0.31179422835633624,
-        'mean_accuracy': 0.993402007230515,
+        'late_requests': 1917,
+        'slo_violation_ratio': 0.30065872020075285,
+        'mean_accuracy': 0.9934596819924867,
         'min_interval_accuracy': 0.9916963226571665,
         'max_accuracy_drop': 0.008303677342833549,
         'mean_utilization': 0.9010416666666667,
         'peak_workers': 12,
         'mean_workers': 10.8125,
-        'mean_latency_ms': 46.60540239618054,
-        'p99_latency_ms': 126.78580389286044,
+        'mean_latency_ms': 47.39928460595361,
+        'p99_latency_ms': 128.28103358394523,
     },
     'smoke': {
         'total_requests': 465,
-        'completed_requests': 460,
-        'violated_requests': 5,
+        'completed_requests': 464,
+        'violated_requests': 1,
         'dropped_requests': 0,
-        'late_requests': 5,
-        'slo_violation_ratio': 0.010752688172043012,
+        'late_requests': 1,
+        'slo_violation_ratio': 0.002150537634408602,
         'mean_accuracy': 1.0,
         'min_interval_accuracy': 1.0,
         'max_accuracy_drop': 0.0,
         'mean_utilization': 0.3125,
         'peak_workers': 2,
         'mean_workers': 1.875,
-        'mean_latency_ms': 43.83245336565025,
-        'p99_latency_ms': 137.22653864066908,
+        'mean_latency_ms': 46.475765847404226,
+        'p99_latency_ms': 129.35994810960327,
     },
     'smoke_failure': {
         'total_requests': 465,
-        'completed_requests': 376,
-        'violated_requests': 89,
+        'completed_requests': 339,
+        'violated_requests': 126,
         'dropped_requests': 2,
-        'late_requests': 87,
-        'slo_violation_ratio': 0.1913978494623656,
+        'late_requests': 124,
+        'slo_violation_ratio': 0.2709677419354839,
         'mean_accuracy': 1.0,
         'min_interval_accuracy': 1.0,
         'max_accuracy_drop': 0.0,
         'mean_utilization': 0.3125,
         'peak_workers': 2,
         'mean_workers': 1.875,
-        'mean_latency_ms': 44.18089810806973,
-        'p99_latency_ms': 138.18205089003033,
+        'mean_latency_ms': 48.21360174641405,
+        'p99_latency_ms': 132.22654437727527,
     },
     'social_twitter_bursty': {
         'total_requests': 5100,
@@ -156,19 +156,19 @@ GOLDENS = {
     },
     'traffic_worker_failure': {
         'total_requests': 4048,
-        'completed_requests': 3846,
-        'violated_requests': 202,
-        'dropped_requests': 1,
-        'late_requests': 201,
-        'slo_violation_ratio': 0.04990118577075099,
-        'mean_accuracy': 0.9976945786372297,
-        'min_interval_accuracy': 0.9966912277832842,
-        'max_accuracy_drop': 0.003308772216715772,
+        'completed_requests': 3980,
+        'violated_requests': 68,
+        'dropped_requests': 2,
+        'late_requests': 66,
+        'slo_violation_ratio': 0.016798418972332016,
+        'mean_accuracy': 0.9980627227348118,
+        'min_interval_accuracy': 0.9965313822114061,
+        'max_accuracy_drop': 0.003468617788593864,
         'mean_utilization': 0.9375,
         'peak_workers': 20,
         'mean_workers': 18.75,
-        'mean_latency_ms': 85.72404323000593,
-        'p99_latency_ms': 210.98463962685122,
+        'mean_latency_ms': 86.54700370995442,
+        'p99_latency_ms': 222.87141786147572,
     },
     'validation_uniform': {
         'total_requests': 2250,

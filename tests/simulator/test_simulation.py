@@ -90,12 +90,12 @@ class TestScalarGolden:
     #: path must keep reproducing these digits exactly
     GOLDEN = {
         "total_requests": 316,
-        "completed_requests": 312,
-        "violated_requests": 4,
-        "slo_violation_ratio": 0.012658227848101266,
+        "completed_requests": 314,
+        "violated_requests": 2,
+        "slo_violation_ratio": 0.006329113924050633,
         "mean_accuracy": 1.0,
-        "mean_latency_ms": 42.93086954021579,
-        "p99_latency_ms": 129.47074337120782,
+        "mean_latency_ms": 47.182151778720176,
+        "p99_latency_ms": 127.35716176650712,
     }
 
     def test_smoke_summary_matches_golden(self):

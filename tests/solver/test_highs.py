@@ -7,15 +7,18 @@ and how the keyword options reach HiGHS and partition the solution cache.
 """
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import optimize
 
+import repro.solver as solver
 from repro.solver import (
     DEFAULT_SOLVER_OPTIONS,
     ERROR,
+    FEASIBILITY_JUMP_OPTION,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
@@ -198,6 +201,16 @@ class TestHighsOptions:
         solve(small_milp(), cache=False, time_limit=None, node_limit=None)
         assert seen_options[-1] == {"mip_rel_gap": 1e-6, "presolve": True}
 
+    def test_feasibility_jump_off_reaches_highs(self, seen_options):
+        solution = solve(small_milp(), cache=False, feasibility_jump=False)
+        assert solution.objective == pytest.approx(10.5)
+        assert seen_options[-1][FEASIBILITY_JUMP_OPTION] is False
+
+    def test_feasibility_jump_is_on_by_default(self, seen_options):
+        solve(small_milp(), cache=False, feasibility_jump=True)
+        solve(small_milp(), cache=False)
+        assert all(FEASIBILITY_JUMP_OPTION not in options for options in seen_options)
+
     def test_unknown_option_raises_and_caches_nothing(self):
         cache = SolutionCache(maxsize=4)
         with pytest.raises(TypeError):
@@ -208,6 +221,49 @@ class TestHighsOptions:
         assert dict(DEFAULT_SOLVER_OPTIONS) == {"mip_rel_gap": 2e-3, "node_limit": 20}
         with pytest.raises(TypeError):
             DEFAULT_SOLVER_OPTIONS["node_limit"] = 1000  # type: ignore[index]
+
+
+class TestNoOptionWarningEscapes:
+    """SciPy passes :data:`FEASIBILITY_JUMP_OPTION` to HiGHS verbatim, and ``solve`` keeps that quiet.
+
+    Under ``simplefilter("error")`` any warning raises, so these fail if SciPy's
+    "Unrecognized options" ``RuntimeWarning`` escapes, or if HiGHS stops
+    recognising the option and raises its own ``OptimizeWarning``.
+    """
+
+    def test_solve(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve(small_milp(), cache=False, feasibility_jump=False)
+        assert solution.status == OPTIMAL and solution.objective == pytest.approx(10.5)
+
+    def test_refit_of_the_continuous_columns(self, monkeypatch):
+        real = optimize.milp
+        calls = []
+
+        def off_integral_then_real(**kwargs):
+            calls.append(kwargs["integrality"].any())
+            if len(calls) == 1:
+                # x + y = 4.5 holds; snapping x to 3 pushes the row 1e-4 past its bound
+                return SimpleNamespace(status=0, x=np.array([2.9999, 1.5001]), message="", mip_gap=0.0)
+            return real(**kwargs)
+
+        monkeypatch.setattr(optimize, "milp", off_integral_then_real)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve(small_milp(), cache=False, feasibility_jump=False)
+        assert calls == [True, False]  # the MILP, then the LP refit
+        assert solution.x.tolist() == pytest.approx([3.0, 1.5])
+
+    def test_an_option_highs_does_not_know_still_warns(self):
+        problem = dict(
+            c=[-1.0], integrality=[1], bounds=optimize.Bounds([0.0], [3.0]),
+            options={"mip_heuristic_no_such_option": False},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with solver._verbatim_options(), pytest.raises(optimize.OptimizeWarning):
+                optimize.milp(**problem)
 
 
 class TestCacheKeys:
