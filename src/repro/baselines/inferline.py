@@ -17,6 +17,7 @@ The plan construction lives in :class:`InferLineAllocationPolicy`, an
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Mapping, Optional
 
 from repro.control.engine import ControlPlaneEngine
@@ -83,36 +84,18 @@ class InferLineAllocationPolicy(AllocationPolicy):
         problem = self._problem()
         plan = problem.solve_hardware_scaling(target_demand_qps)
         if plan is not None:
-            return self._with_original_name(plan)
+            return replace(plan, pipeline_name=self.engine.pipeline.name)
         # Demand exceeds the pinned-variant capacity of the whole cluster: the
         # system keeps serving at its maximum throughput and the excess load
         # shows up as queueing delay and SLO violations.
         capacity = problem.max_supported_demand(restrict_to_best=True)
-        best_effort = capacity.plan
-        best_effort = AllocationPlan(
+        return replace(
+            capacity.plan,
             pipeline_name=self.engine.pipeline.name,
             mode="hardware",
             demand_qps=target_demand_qps,
-            allocations=best_effort.allocations,
-            path_ratios=best_effort.path_ratios,
-            expected_accuracy=best_effort.expected_accuracy,
-            total_workers=best_effort.total_workers,
             feasible=False,
-            solver_info={**best_effort.solver_info, "max_supported_qps": capacity.max_demand_qps},
-        )
-        return best_effort
-
-    def _with_original_name(self, plan: AllocationPlan) -> AllocationPlan:
-        return AllocationPlan(
-            pipeline_name=self.engine.pipeline.name,
-            mode=plan.mode,
-            demand_qps=plan.demand_qps,
-            allocations=plan.allocations,
-            path_ratios=plan.path_ratios,
-            expected_accuracy=plan.expected_accuracy,
-            total_workers=plan.total_workers,
-            feasible=plan.feasible,
-            solver_info=plan.solver_info,
+            solver_info={**capacity.plan.solver_info, "max_supported_qps": capacity.max_demand_qps},
         )
 
 

@@ -23,10 +23,8 @@ their policies.
 
 from repro.control.context import (
     ClusterStateProvider,
-    ClusterView,
     ControlContext,
     TelemetryWindow,
-    WorkerView,
 )
 from repro.control.engine import ControlPlaneEngine
 from repro.control.policies import (
@@ -34,7 +32,6 @@ from repro.control.policies import (
     LokiAllocationPolicy,
     SLOFeedbackPolicy,
     StaticPlanPolicy,
-    multiplier_fingerprint,
 )
 from repro.control.routing import (
     ROUTING_POLICIES,
@@ -51,15 +48,14 @@ from repro.control.routing import (
     make_routing_policy,
     register_routing_policy,
 )
+from repro.core.metadata import multiplier_fingerprint
 from repro.core.sampling import CompiledSampler
 
 __all__ = [
     "ControlPlaneEngine",
     "ControlContext",
-    "ClusterView",
     "ClusterStateProvider",
     "TelemetryWindow",
-    "WorkerView",
     "AllocationPolicy",
     "LokiAllocationPolicy",
     "StaticPlanPolicy",

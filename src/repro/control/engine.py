@@ -25,7 +25,7 @@ import math
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.control.context import ClusterView, ControlContext, TelemetryWindow
+from repro.control.context import ControlContext, TelemetryWindow
 from repro.core.allocation import AllocationPlan
 from repro.core.load_balancer import LoadBalancer, RoutingPlan, WorkerState, workers_from_plan
 from repro.core.pipeline import Pipeline
@@ -107,8 +107,8 @@ class ControlPlaneEngine:
         self._plan_cache: "OrderedDict[Tuple, AllocationPlan]" = OrderedDict()
         self.allocations_performed = 0
         self.plan_changes = 0
-        #: live cluster state feeding ControlContext snapshots and the
-        #: dispatch-time routing probes (attached by the simulation runner)
+        #: live cluster state feeding the dispatch-time routing probes
+        #: (attached by the simulation runner)
         self.cluster_state: Optional["ClusterStateProvider"] = None
         #: previous-period telemetry counter readings for window deltas
         self._window_marker: Optional[Tuple[float, ...]] = None
@@ -137,11 +137,8 @@ class ControlPlaneEngine:
     def attach_cluster_state(self, provider: "ClusterStateProvider") -> None:
         """Attach the live cluster-state provider (the simulator's cluster).
 
-        The provider feeds two read paths: per-control-period
-        :class:`~repro.control.context.ClusterView` snapshots inside the
-        :class:`~repro.control.context.ControlContext`, and the
-        ``queue_snapshot`` probe that dynamic routing choosers consult per
-        draw on the dispatch hot path.
+        The provider feeds one read path: the ``queue_snapshot`` probe that
+        dynamic routing choosers consult per draw on the dispatch hot path.
         """
         self.cluster_state = provider
 
@@ -157,11 +154,8 @@ class ControlPlaneEngine:
         dashboards, curious policies) get a pure read that cannot shorten
         the window the feedback loop integrates.
         """
-        provider = self.cluster_state
-        view = provider.cluster_view(now_s) if provider is not None else ClusterView.empty(now_s)
         ctx = ControlContext(
             now_s=now_s,
-            view=view,
             window=self._telemetry_window(now_s, commit),
             latency_slo_ms=self.latency_slo_ms,
         )
@@ -180,12 +174,9 @@ class ControlPlaneEngine:
         completed = counter_value("requests.completed")
         dropped = counter_value("requests.dropped")
         late = counter_value("requests.late")
-        retries = counter_value("resilience.retries")
-        failover = counter_value("resilience.failover_requeued")
-        timeouts = counter_value("resilience.timeouts")
         marker = self._window_marker
         if marker is None:
-            marker = (now_s, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            marker = (now_s, 0.0, 0.0, 0.0)
         # Windowed quantiles: the rotating per-window histogram reflects the
         # latencies observed *since the last committed context* (plus the
         # previous window as fallback while the current one is empty), so the
@@ -200,7 +191,7 @@ class ControlPlaneEngine:
             if commit:
                 latency.rotate()
         if commit:
-            self._window_marker = (now_s, completed, dropped, late, retries, failover, timeouts)
+            self._window_marker = (now_s, completed, dropped, late)
         return TelemetryWindow(
             window_s=max(0.0, now_s - marker[0]),
             completed=int(completed - marker[1]),
@@ -209,9 +200,6 @@ class ControlPlaneEngine:
             p50_latency_ms=p50,
             p99_latency_ms=p99,
             demand_qps=self.allocation.routing_demand_qps(),
-            retries=int(retries - marker[4]),
-            failover_requeued=int(failover - marker[5]),
-            timeouts=int(timeouts - marker[6]),
         )
 
     # -- reporting API (frontend / worker heartbeats) ---------------------------
@@ -247,10 +235,9 @@ class ControlPlaneEngine:
         """Run one control-loop tick: re-allocate and/or refresh routing as needed.
 
         Each tick assembles one :class:`~repro.control.context.ControlContext`
-        (live ClusterView + telemetry window) that both the allocation policy
-        and the routing refresh consume.  Returns the (possibly new)
-        allocation plan and routing plan; either may be ``None`` when nothing
-        changed this tick.
+        (telemetry window + SLO) that the allocation policy consumes.
+        Returns the (possibly new) allocation plan and routing plan; either
+        may be ``None`` when nothing changed this tick.
         """
         ctx = self.build_context(now_s, commit=True)
         # Every policy observes every period's context (feedback loops must
@@ -284,7 +271,6 @@ class ControlPlaneEngine:
                 self.current_workers,
                 self.allocation.routing_demand_qps(),
                 self.allocation.multiplier_snapshot(),
-                view=ctx.view,
             )
             self.current_routing = new_routing
             self._bind_dynamic_choosers(new_routing)

@@ -28,6 +28,7 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.control.context import ControlContext
 from repro.core.allocation import AllocationPlan
+from repro.core.metadata import multiplier_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.control.engine import ControlPlaneEngine
@@ -38,19 +39,7 @@ __all__ = [
     "LokiAllocationPolicy",
     "StaticPlanPolicy",
     "SLOFeedbackPolicy",
-    "multiplier_fingerprint",
 ]
-
-
-def multiplier_fingerprint(estimates: Dict[str, float]) -> Tuple:
-    """Quantised snapshot of multiplier estimates for plan-cache keys.
-
-    Estimates are quantised to 0.5 (the Resource Manager's quantum) so
-    heartbeat jitter does not defeat the cache while real drift invalidates
-    stale plans — the fix for the seed bug where baseline plan caches were
-    keyed on demand alone and served stale plans forever.
-    """
-    return tuple(sorted((name, round(value * 2) / 2) for name, value in estimates.items()))
 
 
 class AllocationPolicy:

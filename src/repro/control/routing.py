@@ -106,7 +106,7 @@ class LeastLoadedRouting(TrafficSplitPolicy):
 
     name = "least_loaded"
 
-    def split(self, workers: Sequence[WorkerState], demand_qps: float, view=None) -> List[float]:
+    def split(self, workers: Sequence[WorkerState], demand_qps: float) -> List[float]:
         n = len(workers)
         loads = [w.incoming_qps for w in workers]
         spares = [max(0.0, w.remaining_capacity_qps) for w in workers]
@@ -143,7 +143,7 @@ class WeightedRandomRouting(TrafficSplitPolicy):
 
     name = "weighted_random"
 
-    def split(self, workers: Sequence[WorkerState], demand_qps: float, view=None) -> List[float]:
+    def split(self, workers: Sequence[WorkerState], demand_qps: float) -> List[float]:
         weights = [max(0.0, w.capacity_qps) for w in workers]
         return _proportional_fill(workers, weights, demand_qps)
 
@@ -163,7 +163,7 @@ class PowerOfTwoChoicesRouting(TrafficSplitPolicy):
 
     name = "power_of_two"
 
-    def split(self, workers: Sequence[WorkerState], demand_qps: float, view=None) -> List[float]:
+    def split(self, workers: Sequence[WorkerState], demand_qps: float) -> List[float]:
         n = len(workers)
         order = sorted(range(n), key=lambda i: (workers[i].remaining_capacity_qps, workers[i].worker_id))
         weights = [0.0] * n
@@ -351,9 +351,8 @@ class _DynamicTableRouting(WeightedRandomRouting):
         workers: Sequence[WorkerState],
         demand_qps: float,
         multiplicative_factors: Optional[Mapping[str, float]] = None,
-        view=None,
     ) -> RoutingPlan:
-        plan = super().build(workers, demand_qps, multiplicative_factors, view=view)
+        plan = super().build(workers, demand_qps, multiplicative_factors)
         chooser = self.chooser
         plan.frontend_table.set_dynamic(chooser)
         for table in plan.worker_tables.values():

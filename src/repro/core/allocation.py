@@ -839,18 +839,13 @@ class AllocationProblem:
     def best_effort_plan(self, demand_qps: float) -> AllocationPlan:
         """When even accuracy scaling cannot meet demand, provision the cluster
         for its maximum supportable throughput and mark the plan infeasible."""
-        capacity_plan = self.max_supported_demand()
-        plan = capacity_plan.plan
-        return AllocationPlan(
-            pipeline_name=self.pipeline.name,
+        capacity = self.max_supported_demand()
+        return replace(
+            capacity.plan,
             mode=ACCURACY_SCALING,
             demand_qps=demand_qps,
-            allocations=plan.allocations,
-            path_ratios=plan.path_ratios,
-            expected_accuracy=plan.expected_accuracy,
-            total_workers=plan.total_workers,
             feasible=False,
-            solver_info={**plan.solver_info, "max_supported_qps": capacity_plan.max_demand_qps},
+            solver_info={**capacity.plan.solver_info, "max_supported_qps": capacity.max_demand_qps},
         )
 
     def max_supported_demand(self, restrict_to_best: bool = False, accuracy_floor: Optional[float] = None):

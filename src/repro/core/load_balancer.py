@@ -214,7 +214,7 @@ class RoutingPlan:
 
 
 class RoutingPolicy:
-    """Protocol: anything with ``build(workers, demand_qps, factors, view=None) -> RoutingPlan``."""
+    """Protocol: anything with ``build(workers, demand_qps, factors) -> RoutingPlan``."""
 
     name = "routing"
 
@@ -226,7 +226,6 @@ class RoutingPolicy:
         workers: Sequence[WorkerState],
         demand_qps: float,
         multiplicative_factors: Optional[Mapping[str, float]] = None,
-        view=None,
     ) -> RoutingPlan:
         raise NotImplementedError
 
@@ -236,9 +235,7 @@ class TrafficSplitPolicy(RoutingPolicy):
 
     Subclasses implement :meth:`split`, which decides how one parcel of demand
     is divided across one task's workers given their current spare capacity,
-    as ``split(workers, demand_qps, view)``: ``view`` is the
-    :class:`~repro.control.context.ClusterView` of the control period
-    triggering the refresh (or ``None`` outside an engine).
+    as ``split(workers, demand_qps)``.
     """
 
     @staticmethod
@@ -247,7 +244,7 @@ class TrafficSplitPolicy(RoutingPolicy):
         and the order in which they propagate demand to their children."""
         return worker.worker_id
 
-    def split(self, workers: Sequence[WorkerState], demand_qps: float, view=None) -> List[float]:
+    def split(self, workers: Sequence[WorkerState], demand_qps: float) -> List[float]:
         """Amounts (aligned with ``workers``) with ``amount_i <= remaining_i``
         and ``sum(amounts) <= demand_qps``."""
         raise NotImplementedError
@@ -257,7 +254,6 @@ class TrafficSplitPolicy(RoutingPolicy):
         workers: Sequence[WorkerState],
         demand_qps: float,
         multiplicative_factors: Optional[Mapping[str, float]] = None,
-        view=None,
     ) -> RoutingPlan:
         """Produce routing tables for the given worker fleet and estimated demand."""
         multiplicative_factors = dict(multiplicative_factors or {})
@@ -273,7 +269,7 @@ class TrafficSplitPolicy(RoutingPolicy):
         unplaced: Dict[str, float] = {}
 
         root = self.pipeline.root
-        placed = self._route_parcel(frontend_table, by_task.get(root, []), root, demand_qps, view)
+        placed = self._route_parcel(frontend_table, by_task.get(root, []), root, demand_qps)
         if demand_qps > 0:
             unplaced[root] = max(0.0, (demand_qps - placed) / demand_qps)
 
@@ -288,9 +284,8 @@ class TrafficSplitPolicy(RoutingPolicy):
                     outgoing = worker.incoming_qps * factor * edge.branch_ratio
                     if outgoing <= 1e-12:
                         continue
-                    placed = self._route_parcel(
-                        table, by_task.get(edge.child, []), edge.child, outgoing, view
-                    )
+                    destinations = by_task.get(edge.child, [])
+                    placed = self._route_parcel(table, destinations, edge.child, outgoing)
                     shortfall = (outgoing - placed) / outgoing
                     unplaced[edge.child] = max(unplaced.get(edge.child, 0.0), max(0.0, shortfall))
 
@@ -307,12 +302,11 @@ class TrafficSplitPolicy(RoutingPolicy):
         destinations: List[WorkerState],
         task: str,
         demand_qps: float,
-        view=None,
     ) -> float:
         """Split one parcel across ``destinations``, append entries, return placed qps."""
         if demand_qps <= 1e-12 or not destinations:
             return 0.0
-        amounts = self.split(destinations, demand_qps, view)
+        amounts = self.split(destinations, demand_qps)
         placed = 0.0
         for worker, amount in zip(destinations, amounts):
             if amount <= 1e-12:
@@ -355,8 +349,7 @@ class MostAccurateFirst(TrafficSplitPolicy):
     """Algorithm 1: greedy accuracy-maximising routing-table generation.
 
     Each task's workers are visited most accurate first (ties: faster, then
-    by id) and every parcel saturates them in that order.  ``view`` is
-    ignored: Algorithm 1 routes from planned capacity only.
+    by id) and every parcel saturates them in that order.
     """
 
     name = "most_accurate_first"
@@ -365,7 +358,7 @@ class MostAccurateFirst(TrafficSplitPolicy):
     def worker_order(worker: WorkerState):
         return (-worker.accuracy, worker.latency_ms, worker.worker_id)
 
-    def split(self, workers: Sequence[WorkerState], demand_qps: float, view=None) -> List[float]:
+    def split(self, workers: Sequence[WorkerState], demand_qps: float) -> List[float]:
         amounts = []
         left = demand_qps
         for worker in workers:
@@ -408,12 +401,11 @@ class LoadBalancer:
         workers: Sequence[WorkerState],
         demand_qps: float,
         multiplicative_factors: Optional[Mapping[str, float]] = None,
-        view=None,
     ) -> RoutingPlan:
         import time as _time
 
         start = _time.perf_counter()  # reprolint: disable=R002 -- refresh-latency stat is reporting-only
-        plan = self.algorithm.build(workers, demand_qps, multiplicative_factors, view=view)
+        plan = self.algorithm.build(workers, demand_qps, multiplicative_factors)
         self.last_refresh_time_s = _time.perf_counter() - start  # reprolint: disable=R002 -- reporting-only
         self.total_refresh_time_s += self.last_refresh_time_s
         self.refresh_count += 1

@@ -12,11 +12,22 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List
+from typing import Deque, Dict, List, Tuple
 
 from repro.core.pipeline import Pipeline
 
-__all__ = ["MetadataStore", "DemandSample"]
+__all__ = ["MetadataStore", "DemandSample", "multiplier_fingerprint"]
+
+
+def multiplier_fingerprint(estimates: Dict[str, float]) -> Tuple[Tuple[str, float], ...]:
+    """Quantised snapshot of multiplier estimates for plan-cache keys.
+
+    Estimates are quantised to 0.5 so heartbeat jitter does not defeat the
+    cache (or trigger gratuitous re-planning) while real drift invalidates
+    stale plans — the fix for the seed bug where baseline plan caches were
+    keyed on demand alone and served stale plans forever.
+    """
+    return tuple(sorted((name, round(value * 2) / 2) for name, value in estimates.items()))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, FrozenSet, Optional, Tuple
 
 from repro.core.allocation import ACCURACY_SCALING, INCUMBENTS, AllocationPlan, AllocationProblem, HARDWARE_SCALING
-from repro.core.metadata import MetadataStore
+from repro.core.metadata import MetadataStore, multiplier_fingerprint
 from repro.core.pipeline import Pipeline
 
 __all__ = ["DemandEstimator", "ResourceManager", "ResourceManagerStats"]
@@ -297,12 +297,7 @@ class ResourceManager:
         return plan
 
     def _cache_key(self, target_qps: float) -> Tuple[float, Tuple[Tuple[str, float], ...]]:
-        # Multiplier estimates are quantised to 0.5 so heartbeat jitter does
-        # not defeat the cache (and does not trigger gratuitous re-planning).
-        multipliers = tuple(
-            sorted((name, round(value * 2) / 2) for name, value in self.metadata.multiplier_estimates().items())
-        )
-        return (round(target_qps, 3), multipliers)
+        return (round(target_qps, 3), multiplier_fingerprint(self.metadata.multiplier_estimates()))
 
     def _remember(self, key, plan: AllocationPlan) -> None:
         if len(self._plan_cache) >= self.plan_cache_size:

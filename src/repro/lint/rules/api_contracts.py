@@ -1,9 +1,9 @@
-"""API-contract rules: frozen view immutability, the one signature per policy hook.
+"""API-contract rules: frozen snapshot immutability, the one signature per policy hook.
 
 Both rules pin contracts of the feedback-control API: policies read
-*immutable* live-state snapshots, and policy hooks have exactly one
-signature (``allocate(ctx)``, ``split(workers, demand_qps, view)``), which
-the engine calls without inspecting the override.
+*immutable* per-period snapshots, and policy hooks have exactly one
+signature (``allocate(ctx)``, ``split(workers, demand_qps)``), which the
+engine calls without inspecting the override.
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ from repro.lint.registry import (
 )
 
 #: the frozen snapshot types of repro.control.context
-FROZEN_TYPES = {"ClusterView", "ControlContext", "TelemetryWindow", "WorkerView"}
+FROZEN_TYPES = {"ControlContext", "TelemetryWindow"}
 #: parameter names conventionally bound to a ControlContext
 _CTX_PARAM_NAMES = {"ctx", "context"}
-#: classmethod constructors on the frozen types
-_FROZEN_FACTORIES = {"empty", "at"}
 #: methods (on any receiver) documented to return frozen snapshots
-_SNAPSHOT_METHODS = {"cluster_view", "build_context"}
+_SNAPSHOT_METHODS = {"build_context"}
 
 
 def _frozen_names_in_scope(scope: ast.AST, body: List[ast.stmt]) -> Set[str]:
@@ -42,20 +40,10 @@ def _frozen_names_in_scope(scope: ast.AST, body: List[ast.stmt]) -> Set[str]:
                 names.add(arg.arg)
     for node in scope_walk(body):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            call = node.value
-            produced = False
-            if isinstance(call.func, ast.Name) and call.func.id in FROZEN_TYPES:
-                produced = True
-            elif isinstance(call.func, ast.Attribute):
-                if (
-                    call.func.attr in _FROZEN_FACTORIES
-                    and isinstance(call.func.value, ast.Name)
-                    and call.func.value.id in FROZEN_TYPES
-                ):
-                    produced = True
-                elif call.func.attr in _SNAPSHOT_METHODS:
-                    produced = True
-            if produced:
+            func = node.value.func
+            if (isinstance(func, ast.Name) and func.id in FROZEN_TYPES) or (
+                isinstance(func, ast.Attribute) and func.attr in _SNAPSHOT_METHODS
+            ):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         names.add(target.id)
@@ -72,13 +60,11 @@ def _attribute_root(node: ast.expr) -> ast.expr:
 class FrozenViewMutationRule(Rule):
     """R005 frozen-view-mutation: control contexts are values, not handles.
 
-    History: PR 5's whole design rests on ``ClusterView`` /
-    ``TelemetryWindow`` / ``ControlContext`` being immutable snapshots — two
-    policies consulting the same context must see identical numbers, and a
-    policy must not be able to steer the simulator by editing its view
-    (that's what the hypothesis immutability invariants in
-    ``tests/control/test_context_invariants.py`` pin at runtime).  The
-    dataclasses are ``frozen=True``, so a plain assignment raises — but only
+    History: PR 5's whole design rests on ``TelemetryWindow`` /
+    ``ControlContext`` being immutable snapshots — two policies consulting
+    the same context must see identical numbers, and a policy must not be
+    able to steer the control loop by editing its context.  The dataclasses
+    are ``frozen=True``, so a plain assignment raises — but only
     on the code path that executes, and ``object.__setattr__`` bypasses the
     guard entirely.  This rule flags attribute assignment, ``setattr`` and
     ``object.__setattr__`` on anything inferred to be one of the frozen
@@ -135,18 +121,21 @@ class LegacyPolicySignatureRule(Rule):
     """R006 legacy-policy-signature: policy hooks use their one signature.
 
     History: the feedback-control API replaced ``allocate(now_s)`` with
-    ``allocate(ctx)`` and gave ``split`` a third ``view`` argument; a
-    signature-sniffing deprecation shim bridged old overrides until it was
-    removed.  The engine now calls ``AllocationPolicy.allocate(ctx)`` with
-    the period's ``ControlContext`` and ``TrafficSplitPolicy.split(workers,
-    demand_qps, view)`` with three arguments, whatever the override
-    declares.  An ``allocate(now_s)`` override therefore silently receives a
-    ``ControlContext`` as its timestamp, and a two-argument ``split`` raises
-    ``TypeError`` at the first routing refresh.  Flags ``allocate``
-    overrides in ``AllocationPolicy`` subclasses whose first argument is not
-    a ControlContext (by name ``ctx``/``context`` or annotation), and
-    ``TrafficSplitPolicy.split`` overrides missing the third ``view``
-    parameter.
+    ``allocate(ctx)``; a signature-sniffing deprecation shim bridged old
+    overrides until it was removed.  ``split`` briefly took a third ``view``
+    argument (a per-period fleet snapshot no policy read), since deleted.
+    The engine calls ``AllocationPolicy.allocate(ctx)`` with the period's
+    ``ControlContext`` and the traversal calls
+    ``TrafficSplitPolicy.split(workers, demand_qps)`` with two arguments,
+    whatever the override declares.  An ``allocate(now_s)`` override
+    therefore silently receives a ``ControlContext`` as its timestamp, and a
+    ``split`` that still requires ``view`` raises ``TypeError`` at the first
+    routing refresh.  Flags ``allocate`` overrides in ``AllocationPolicy``
+    subclasses whose first argument is not a ControlContext (by name
+    ``ctx``/``context`` or annotation), and ``TrafficSplitPolicy.split``
+    overrides that the two-argument call cannot bind: a required third
+    positional (or keyword-only) parameter, or room for fewer than two
+    positional arguments.
     """
 
     id = "R006"
@@ -182,9 +171,9 @@ class LegacyPolicySignatureRule(Rule):
                 if is_split and item.name == "split" and self._legacy_split(item):
                     yield self.finding(
                         file, item,
-                        f"{node.name}.split is missing the third (view) parameter; "
-                        "the traversal calls split(workers, demand_qps, view), so a "
-                        "two-argument split raises TypeError at the first routing refresh",
+                        f"{node.name}.split does not bind (workers, demand_qps); the "
+                        "traversal calls split(workers, demand_qps), so this override "
+                        "raises TypeError at the first routing refresh",
                     )
 
     @staticmethod
@@ -204,7 +193,8 @@ class LegacyPolicySignatureRule(Rule):
     @staticmethod
     def _legacy_split(func: ast.FunctionDef) -> bool:
         args = func.args
-        if args.vararg is not None:
-            return False
         positional = [*args.posonlyargs, *args.args][1:]  # drop self
-        return len(positional) < 3
+        required = len(positional) - len(args.defaults)
+        if required > 2 or any(default is None for default in args.kw_defaults):
+            return True
+        return args.vararg is None and len(positional) < 2

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.control.context import ClusterView, WorkerView
 from repro.core.allocation import AllocationPlan
 from repro.core.load_balancer import WorkerState, workers_from_plan
 from repro.core.pipeline import Pipeline
@@ -43,9 +42,6 @@ class Cluster:
         #: logical plan workers the last plan wanted but no healthy physical
         #: worker could host (non-zero only while failures shrink the fleet)
         self.unhosted_logical = 0
-        #: per-physical processed-query counts at the previous ClusterView
-        #: snapshot (recent-completion deltas are computed against these)
-        self._completions_marker: Dict[str, int] = {}
 
     # -- plan application -------------------------------------------------------
     def apply_plan(self, plan: AllocationPlan, pipeline: Pipeline, now_s: float) -> List[WorkerState]:
@@ -161,8 +157,8 @@ class Cluster:
     def queue_snapshot(self, worker_ids: Sequence[str]) -> Tuple[List[float], List[float]]:
         """Dispatch-time probe: ``(backlogs, service_rates)`` per logical id.
 
-        The hot-path half of the :class:`~repro.control.context.ClusterStateProvider`
-        protocol — dynamic routing choosers call this once per draw.
+        The :class:`~repro.control.context.ClusterStateProvider` protocol —
+        dynamic routing choosers call this once per draw.
         Backlog counts queued plus executing
         queries; unhosted or failed logical ids come back as ``(inf, 0.0)``
         so queue-aware choosers route around them without special-casing.
@@ -196,50 +192,6 @@ class Cluster:
             backlogs.append(backlog)
             rates.append(rate)
         return backlogs, rates
-
-    def cluster_view(self, now_s: float) -> ClusterView:
-        """One immutable :class:`ClusterView` snapshot of the hosted fleet.
-
-        Built per control period by the engine's context assembly.  Logical
-        workers are emitted in sorted-id order (deterministic across runs).
-        ``recent_completions`` is the per-physical processed-query delta
-        since the previous ``cluster_view`` call: the delta stream belongs to
-        whoever polls this provider, so a second concurrent poller splits the
-        deltas with the control loop rather than double-counting them.  All
-        other fields are pure reads.
-        """
-        views = []
-        marker = self._completions_marker
-        for logical_id in sorted(self.logical_map):
-            worker = self.logical_map[logical_id]
-            assignment = worker.assignment
-            if assignment is None:  # pragma: no cover - map only holds assigned workers
-                continue
-            processed = worker.processed_queries
-            recent = processed - marker.get(worker.physical_id, 0)
-            marker[worker.physical_id] = processed
-            views.append(
-                WorkerView(
-                    worker_id=logical_id,
-                    physical_id=worker.physical_id,
-                    task=assignment.task,
-                    variant_name=assignment.variant.name,
-                    queue_depth=worker.queue_length,
-                    in_flight=worker.in_flight,
-                    service_rate_qps=worker.service_rate_qps,
-                    recent_completions=max(0, recent),
-                    loaded=now_s >= worker.available_at_s - 1e-12,
-                    ready_in_s=max(0.0, worker.available_at_s - now_s),
-                )
-            )
-        return ClusterView(
-            now_s=now_s,
-            workers=tuple(views),
-            num_physical=self.num_workers,
-            active_workers=self.active_workers,
-            failed_workers=self.failed_workers,
-            unhosted_logical=self.unhosted_logical,
-        )
 
     def heartbeats(self) -> Dict[str, float]:
         """Collect per-variant mean multiplicative-factor observations since the last call."""

@@ -133,8 +133,7 @@ class ServingSimulation:
         control_plane.attach_telemetry(self.telemetry)
         self.cluster = Cluster(self, self.config.num_workers)
         # Feedback-control plumbing: the cluster is the control plane's
-        # ClusterStateProvider — ControlContext snapshots each control
-        # period, queue_snapshot probes at dispatch time.
+        # ClusterStateProvider — queue_snapshot probes at dispatch time.
         control_plane.attach_cluster_state(self.cluster)
         self.frontend = Frontend(self, self.config.latency_slo_ms)
         self.metrics = MetricsCollector(

@@ -53,8 +53,8 @@ class WorkerAssignment:
     expected_latency_ms: float
     #: the task's outgoing pipeline edges, precomputed at plan application so
     #: the per-query hot paths (enqueue, batch-complete dispatch) do not
-    #: re-list them; ``None`` falls back to a live pipeline lookup
-    child_edges: Optional[Tuple[Edge, ...]] = None
+    #: re-list them
+    child_edges: Tuple[Edge, ...]
 
 
 class SimWorker:
@@ -292,14 +292,11 @@ class SimWorker:
             # No model hosted at all (should not happen when routing is consistent).
             self.sim.notify_drop(query, reason="worker has no assignment")
             return
-        child_edges = assignment.child_edges
-        if child_edges is None:
-            child_edges = tuple(self.sim.pipeline.children(assignment.task))
         on_arrival = self._on_arrival
         if on_arrival is None:
             on_arrival = self.sim.drop_policy.on_arrival
         decision = on_arrival(
-            not child_edges,
+            not assignment.child_edges,
             (query.request.deadline_s - now) * 1000.0,
             assignment.expected_latency_ms,
         )
@@ -353,8 +350,6 @@ class SimWorker:
         sim._tele_batch_queries.value += len(batch)
         self.processed_queries += len(batch)
         child_edges = assignment.child_edges
-        if child_edges is None:
-            child_edges = tuple(sim.pipeline.children(assignment.task))
         if child_edges:
             self._dispatch(batch, assignment, child_edges, now)
         else:

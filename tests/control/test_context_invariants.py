@@ -1,18 +1,22 @@
-"""Property tests: ClusterView snapshots obey conservation laws on real runs.
+"""Property tests: the physical fleet obeys conservation laws on real runs.
 
-Hypothesis drives small end-to-end simulations and checks the invariants the
-feedback-control API promises its consumers:
+Hypothesis drives small end-to-end simulations, with and without a worker
+failing mid-run, and reads every physical worker's queue at a fixed cadence:
 
-* queue depths / in-flight counts are never negative, in any snapshot taken
-  at any point of a run;
-* queries are conserved: live backlog in the view never exceeds what has been
-  submitted but not finished, and once the run drains completely the request
-  accounting closes exactly (in-flight == 0, completed + late + dropped ==
-  submitted);
-* snapshots are immutable values.
+* queue lengths and in-flight counts are never negative, at any point of a
+  run;
+* queries are conserved: the live backlog on the workers never exceeds what
+  has been submitted but not finished, and once the run drains completely
+  the request accounting closes exactly (backlog == 0, completed + late +
+  dropped == submitted).
+
+Two live reads of the control plane are pinned on the same runs: the
+per-tick telemetry windows are disjoint deltas that add up to the run's
+counters, and the dispatch-time ``queue_snapshot`` probe reports what the
+hosting workers hold.
 """
 
-import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,89 +24,146 @@ from hypothesis import given, settings, strategies as st
 from repro.scenarios import get_scenario
 from repro.simulator.events import CallbackEvent
 
+#: the plain smoke run, and the same fleet losing one worker at 4 s for 3 s
+SCENARIOS = ("smoke", "smoke_failure")
 
-def run_with_snapshots(qps: float, seed: int, duration_s: int = 6, snapshot_every_s: float = 0.5):
-    """Run a small scenario, capturing a ClusterView at a fixed cadence."""
-    spec = get_scenario("smoke").with_overrides(
+
+def run_with_samples(scenario: str, qps: float, seed: int, duration_s: int = 8, every_s=0.5):
+    """Run a small scenario, sampling every worker's ``(queue_length, in_flight)`` per tick."""
+    spec = get_scenario(scenario).with_overrides(
         trace_params={"qps": qps, "duration_s": duration_s}
     )
     sim = spec.build(seed=seed)
-    snapshots = []
+    samples = []
 
     def capture():
-        now = sim.engine.now_s
-        view = sim.cluster.cluster_view(now)
+        depths = [(worker.queue_length, worker.in_flight) for worker in sim.cluster.workers]
         finished = (
             sim.metrics.completed_requests
             + sim.metrics.late_requests
             + sim.metrics.dropped_requests
         )
-        snapshots.append((view, sim.frontend.total_submitted, finished))
+        samples.append((depths, sim.frontend.total_submitted, finished))
 
-    ticks = int(duration_s / snapshot_every_s)
-    sim.engine.preload(
-        [CallbackEvent(snapshot_every_s * (i + 1), capture) for i in range(ticks)]
-    )
+    ticks = int(duration_s / every_s)
+    sim.engine.preload([CallbackEvent(every_s * (i + 1), capture) for i in range(ticks)])
     summary = sim.run()
     capture()  # fully drained
-    return sim, summary, snapshots
+    return summary, samples
 
 
-class TestClusterViewInvariants:
+@pytest.mark.parametrize("scenario", SCENARIOS)
+class TestFleetConservation:
     @settings(max_examples=8, deadline=None)
     @given(
         qps=st.floats(min_value=5.0, max_value=60.0),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_depths_never_negative_and_backlog_conserved(self, qps, seed):
-        _, _, snapshots = run_with_snapshots(qps, seed)
-        assert snapshots
-        for view, submitted, finished in snapshots:
-            for worker in view.workers:
-                assert worker.queue_depth >= 0
-                assert worker.in_flight >= 0
-                assert worker.recent_completions >= 0
-                assert worker.service_rate_qps >= 0.0
+    def test_depths_never_negative_and_backlog_conserved(self, scenario, qps, seed):
+        _, samples = run_with_samples(scenario, qps, seed)
+        assert samples
+        for depths, submitted, finished in samples:
+            for queued, in_flight in depths:
+                assert queued >= 0
+                assert in_flight >= 0
             # whatever sits in queues or on GPUs was submitted and has not
             # finished (the difference additionally covers queries still on
             # the network between workers)
-            assert view.total_backlog <= submitted - finished
+            assert sum(queued + in_flight for queued, in_flight in depths) <= submitted - finished
 
     @settings(max_examples=8, deadline=None)
     @given(
         qps=st.floats(min_value=5.0, max_value=60.0),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_drained_run_accounting_closes(self, qps, seed):
-        sim, summary, snapshots = run_with_snapshots(qps, seed)
-        final_view, submitted, _ = snapshots[-1]
-        assert final_view.total_in_flight == 0
-        assert final_view.total_queue_depth == 0
-        # total in-flight (0 after drain) + sunk + dropped == submitted
+    def test_drained_run_accounting_closes(self, scenario, qps, seed):
+        summary, samples = run_with_samples(scenario, qps, seed)
+        final_depths, submitted, _ = samples[-1]
+        assert final_depths == [(0, 0)] * len(final_depths)
         assert (
             summary.completed_requests + summary.late_requests + summary.dropped_requests
             == submitted
             == summary.total_requests
         )
 
-    def test_snapshot_is_immutable(self):
-        _, _, snapshots = run_with_snapshots(qps=30.0, seed=0)
-        view, _, _ = snapshots[0]
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            view.num_physical = 99
-        populated = next((v for v, _, _ in snapshots if v.workers), None)
-        assert populated is not None
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            populated.workers[0].queue_depth = -1
 
-    def test_recent_completions_never_double_count(self):
-        """Per-worker completion deltas are disjoint across snapshots: their
-        sum can never exceed the cluster's total processed queries.  (It may
-        fall short — a worker deactivated between snapshots takes its last
-        delta with it, since views only cover currently hosted workers.)"""
-        sim, _, snapshots = run_with_snapshots(qps=40.0, seed=1)
-        total_recent = sum(
-            worker.recent_completions for view, _, _ in snapshots for worker in view.workers
+def run_observing_control(scenario: str, qps: float = 40.0, seed: int = 1, every_s: float = 0.5):
+    """Run a small scenario, recording every committed telemetry window and,
+    at a fixed cadence, the ``queue_snapshot`` probe next to the workers it reads."""
+    spec = get_scenario(scenario).with_overrides(trace_params={"qps": qps, "duration_s": 8})
+    sim = spec.build(seed=seed)
+    policy = sim.control_plane.allocation
+    observe = policy.on_context
+    windows = []
+
+    def record_window(ctx):
+        counters = tuple(
+            sim.telemetry.get(name).value
+            for name in ("requests.completed", "requests.dropped", "requests.late")
         )
-        total_processed = sum(worker.processed_queries for worker in sim.cluster.workers)
-        assert 0 < total_recent <= total_processed
+        windows.append((ctx.window, counters))
+        observe(ctx)
+
+    policy.on_context = record_window
+    probes = []
+
+    def probe():
+        cluster = sim.cluster
+        planned = [worker.worker_id for worker in sim.control_plane.current_workers]
+        ids = sorted(set(cluster.logical_map) | set(planned)) + ["no/such/worker"]
+        backlogs, rates = cluster.queue_snapshot(ids)
+        hosts = [cluster.resolve(worker_id) for worker_id in ids]
+        views = [
+            None
+            if host is None
+            else (host.failed, host.assignment is not None, host.queue_length, host.in_flight,
+                  host.service_rate_qps, host.available_at_s <= sim.engine.now_s)
+            for host in hosts
+        ]
+        probes.append(list(zip(ids, backlogs, rates, views)))
+
+    ticks = int(8 / every_s)
+    sim.engine.preload([CallbackEvent(every_s * (i + 1), probe) for i in range(ticks)])
+    summary = sim.run()
+    return summary, windows, probes
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+class TestLiveReads:
+    def test_window_deltas_never_double_count(self, scenario):
+        """Each committed window counts only what finished since the previous
+        one: the deltas are non-negative and their running sums equal the
+        run's counters at every tick, so no request is counted twice or lost."""
+        summary, windows, _ = run_observing_control(scenario)
+        assert len(windows) > 1
+        running = [0, 0, 0]
+        for window, counters in windows:
+            deltas = (window.completed, window.dropped, window.late)
+            assert all(delta >= 0 for delta in deltas)
+            running = [total + delta for total, delta in zip(running, deltas)]
+            assert running == [int(value) for value in counters]
+        assert 0 < running[0] <= summary.completed_requests
+        assert running[1] <= summary.dropped_requests
+        assert running[2] <= summary.late_requests
+
+    def test_queue_snapshot_reads_the_hosting_workers(self, scenario):
+        """The probe reports queued plus executing queries and the service
+        rate of each hosting worker; unhosted, failed and unknown ids come
+        back as ``(inf, 0.0)``."""
+        _, _, probes = run_observing_control(scenario)
+        assert probes
+        saw_hosted = False
+        for probe in probes:
+            for worker_id, backlog, rate, view in probe:
+                if view is None or view[0] or not view[1]:
+                    assert (backlog, rate) == (math.inf, 0.0), worker_id
+                    continue
+                saw_hosted = True
+                _, _, queued, in_flight, service_rate, loaded = view
+                assert rate == service_rate > 0.0
+                if loaded:
+                    assert backlog == queued + in_flight
+                else:  # still loading: remaining load time is extra backlog
+                    assert backlog >= queued + in_flight
+            assert probe[-1] == ("no/such/worker", math.inf, 0.0, None)
+        assert saw_hosted

@@ -1,107 +1,32 @@
 """Feedback-control API: ControlContext assembly and the one signature per hook.
 
 ``AllocationPolicy.allocate`` receives the period's ``ControlContext`` and
-``TrafficSplitPolicy.split`` takes ``(workers, demand_qps, view)``.  These
-tests pin that surface (per-step context assembly, telemetry windows,
-live-view plumbing) and that the engine calls each hook with exactly that
-signature.
+``TrafficSplitPolicy.split`` takes ``(workers, demand_qps)``.  These tests
+pin that surface (per-step context assembly, telemetry windows, frozen
+snapshots) and that the engine calls each hook with exactly that signature.
 """
 
 import dataclasses
-import math
 import warnings
 
 import pytest
 
 from repro.control import (
     AllocationPolicy,
-    ClusterView,
     ControlContext,
     ControlPlaneEngine,
+    JSQRouting,
     StaticPlanPolicy,
     TelemetryWindow,
     TrafficSplitPolicy,
-    WorkerView,
 )
 from repro.core.allocation import AllocationProblem
+from repro.core.load_balancer import workers_from_plan
 from repro.telemetry import TelemetryRegistry
 
 
 def solved_plan(pipeline, num_workers=10, demand=40.0):
     return AllocationProblem(pipeline, num_workers=num_workers, utilization_target=1.0).solve(demand)
-
-
-def make_view(now_s=0.0, depths=(2, 0)):
-    workers = tuple(
-        WorkerView(
-            worker_id=f"detect/detect_big/b1/{i}",
-            physical_id=f"w{i}",
-            task="detect",
-            variant_name="detect_big",
-            queue_depth=depth,
-            in_flight=1,
-            service_rate_qps=100.0,
-            recent_completions=5,
-        )
-        for i, depth in enumerate(depths)
-    )
-    return ClusterView(now_s=now_s, workers=workers, num_physical=2, active_workers=2)
-
-
-class FakeProvider:
-    """Minimal ClusterStateProvider for engine-level tests."""
-
-    def __init__(self, view):
-        self.view = view
-        self.snapshot_calls = 0
-
-    def cluster_view(self, now_s):
-        return dataclasses.replace(self.view, now_s=now_s)
-
-    def queue_snapshot(self, worker_ids):
-        self.snapshot_calls += 1
-        by_id = {w.worker_id: w for w in self.view.workers}
-        backlogs, rates = [], []
-        for worker_id in worker_ids:
-            worker = by_id.get(worker_id)
-            if worker is None:
-                backlogs.append(math.inf)
-                rates.append(0.0)
-            else:
-                backlogs.append(worker.backlog)
-                rates.append(worker.service_rate_qps)
-        return backlogs, rates
-
-
-class TestClusterViewValue:
-    def test_snapshot_is_immutable(self):
-        view = make_view()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            view.now_s = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            view.workers[0].queue_depth = 99
-        with pytest.raises(TypeError):
-            view.workers[0] = None
-
-    def test_lookup_and_totals(self):
-        view = make_view(depths=(3, 1))
-        assert view.total_queue_depth == 4
-        assert view.total_in_flight == 2
-        assert view.total_backlog == 6
-        assert view.worker("detect/detect_big/b1/0").queue_depth == 3
-        assert view.get("nope") is None
-        assert len(view.by_task("detect")) == 2
-        assert view.by_task("missing") == ()
-
-    def test_expected_wait_normalises_by_service_rate(self):
-        worker = make_view(depths=(9,)).workers[0]
-        assert worker.expected_wait_s == pytest.approx((9 + 1) / 100.0)
-        idle = dataclasses.replace(worker, service_rate_qps=0.0)
-        assert idle.expected_wait_s == math.inf
-
-    def test_empty_view(self):
-        view = ClusterView.empty(3.0)
-        assert view.workers == () and view.total_backlog == 0
 
 
 class TestWindow:
@@ -116,27 +41,28 @@ class TestWindow:
         assert window.finished == 0
         assert window.drop_rate == 0.0 and window.violation_rate == 0.0
 
+    def test_snapshots_are_immutable(self):
+        ctx = ControlContext(now_s=0.0, window=TelemetryWindow(completed=3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.now_s = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.window.completed = 99
+
 
 class TestContextAssembly:
     def test_engine_builds_context_each_step(self, small_pipeline):
         plan = solved_plan(small_pipeline)
         engine = ControlPlaneEngine(small_pipeline, StaticPlanPolicy(plan), num_workers=10)
-        provider = FakeProvider(make_view())
-        engine.attach_cluster_state(provider)
         engine.report_demand(0.0, 40.0)
         engine.step(0.0, force=True)
-        ctx = engine.last_context
-        assert isinstance(ctx, ControlContext)
-        assert ctx.now_s == 0.0
-        assert ctx.view.total_queue_depth == 2
-        assert ctx.latency_slo_ms == engine.latency_slo_ms
-
-    def test_context_without_provider_has_empty_view(self, small_pipeline):
-        plan = solved_plan(small_pipeline)
-        engine = ControlPlaneEngine(small_pipeline, StaticPlanPolicy(plan), num_workers=10)
-        engine.report_demand(0.0, 40.0)
-        engine.step(0.0, force=True)
-        assert engine.last_context.view.workers == ()
+        first = engine.last_context
+        assert isinstance(first, ControlContext)
+        assert first.now_s == 0.0
+        assert first.latency_slo_ms == engine.latency_slo_ms
+        assert first.window.demand_qps == engine.allocation.routing_demand_qps()
+        engine.step(1.0)
+        assert engine.last_context is not first
+        assert engine.last_context.now_s == 1.0
 
     def test_out_of_band_build_context_is_a_pure_read(self, small_pipeline):
         """Regression: only step() commits the window marker — a curious
@@ -179,6 +105,59 @@ class TestContextAssembly:
         assert window.p50_latency_ms == pytest.approx(20.0)
 
 
+class BacklogProvider:
+    """ClusterStateProvider stub: a fixed backlog per worker id, all at 100 qps."""
+
+    def __init__(self, backlogs):
+        self.backlogs = backlogs
+        self.calls = 0
+
+    def queue_snapshot(self, worker_ids):
+        self.calls += 1
+        return [self.backlogs[w] for w in worker_ids], [100.0] * len(worker_ids)
+
+
+class TestClusterStateProbe:
+    """The engine binds the attached provider's ``queue_snapshot`` to every
+    dynamic chooser at each routing refresh, and binds nothing without one."""
+
+    def jsq_engine(self, pipeline, demand=300.0):
+        """A jsq engine whose plan puts two workers on the root task."""
+        plan = solved_plan(pipeline, demand=demand)
+        engine = ControlPlaneEngine(
+            pipeline, StaticPlanPolicy(plan), JSQRouting(pipeline), num_workers=10
+        )
+        engine.report_demand(0.0, demand)
+        return engine
+
+    def test_without_cluster_state_draws_stay_static(self, small_pipeline, rng):
+        engine = self.jsq_engine(small_pipeline)
+        _, routing = engine.step(0.0, force=True)
+        table, root = routing.frontend_table, small_pipeline.root
+        ids = [entry.worker_id for entry in table.entries(root)]
+        assert len(ids) > 1
+        chooser = table.dynamic
+        assert chooser.choose_index(table.entries(root), rng) is None  # declines
+        drawn = {table.choose(root, rng).worker_id for _ in range(200)}
+        assert drawn == set(ids)  # the static draw reaches every worker
+
+    def test_attached_cluster_state_feeds_every_draw(self, small_pipeline, rng):
+        engine = self.jsq_engine(small_pipeline)
+        workers = workers_from_plan(engine.allocation.plan, small_pipeline)
+        backlogs = {w.worker_id: 50.0 for w in workers}
+        root_ids = [w.worker_id for w in workers if w.task == small_pipeline.root]
+        assert len(root_ids) > 1
+        idle = root_ids[-1]
+        backlogs[idle] = 0.0
+        provider = BacklogProvider(backlogs)
+        engine.attach_cluster_state(provider)
+        _, routing = engine.step(0.0, force=True)
+        root = small_pipeline.root
+        draws = [routing.frontend_table.choose(root, rng).worker_id for _ in range(20)]
+        assert draws == [idle] * 20
+        assert provider.calls == 20
+
+
 class RecordingAllocation(AllocationPolicy):
     """Context-aware policy that records what ``allocate`` receives."""
 
@@ -193,12 +172,19 @@ class RecordingAllocation(AllocationPolicy):
         return self.plan
 
 
-class TwoArgumentSplit(TrafficSplitPolicy):
-    """Routing policy whose split lacks the third ``view`` parameter."""
+class EvenSplit(TrafficSplitPolicy):
+    """Routing policy with the two-argument split."""
 
     def split(self, workers, demand_qps):
         share = demand_qps / len(workers)
         return [min(share, w.remaining_capacity_qps) for w in workers]
+
+
+class ThreeArgumentSplit(EvenSplit):
+    """Routing policy whose split still requires the deleted ``view`` argument."""
+
+    def split(self, workers, demand_qps, view):
+        return super().split(workers, demand_qps)
 
 
 class TestSingleSignatures:
@@ -216,11 +202,21 @@ class TestSingleSignatures:
         assert policy.calls[-1] is engine.last_context
         assert engine.current_plan is plan
 
-    def test_two_argument_split_raises_at_first_refresh(self, small_pipeline):
+    def test_two_argument_split_routes(self, small_pipeline):
         plan = solved_plan(small_pipeline)
         engine = ControlPlaneEngine(
-            small_pipeline, StaticPlanPolicy(plan), TwoArgumentSplit(small_pipeline), num_workers=10
+            small_pipeline, StaticPlanPolicy(plan), EvenSplit(small_pipeline), num_workers=10
         )
+        engine.report_demand(0.0, 40.0)
+        _, routing = engine.step(0.0, force=True)
+        assert routing is engine.current_routing
+        root = small_pipeline.root
+        assert routing.frontend_table.routed_fraction(root) == pytest.approx(1.0)
+
+    def test_split_requiring_view_raises_at_first_refresh(self, small_pipeline):
+        plan = solved_plan(small_pipeline)
+        routing = ThreeArgumentSplit(small_pipeline)
+        engine = ControlPlaneEngine(small_pipeline, StaticPlanPolicy(plan), routing, num_workers=10)
         engine.report_demand(0.0, 40.0)
         with pytest.raises(TypeError, match="split"):
             engine.step(0.0, force=True)

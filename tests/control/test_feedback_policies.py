@@ -15,7 +15,6 @@ import pytest
 
 from repro.control import (
     AdaptiveP2CChooser,
-    ClusterView,
     ControlContext,
     ControlPlaneEngine,
     JSQChooser,
@@ -153,7 +152,6 @@ def ctx_with(violation_rate=0.0, p99=math.nan, window_s=1.0, finished=100):
     violations = int(round(violation_rate * finished))
     return ControlContext(
         now_s=0.0,
-        view=ClusterView.empty(0.0),
         window=TelemetryWindow(
             window_s=window_s,
             completed=finished - violations,

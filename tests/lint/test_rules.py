@@ -64,6 +64,14 @@ def test_wall_clock_solver_budgets_are_flagged():
     assert run_rule("R002", FIXTURES / "r002_solver_budget_good.py") == []
 
 
+def test_split_must_bind_the_two_argument_call():
+    """R006 flags a split requiring a third argument (positional or keyword-only)
+    or taking fewer than two, and passes the two-argument form and optional extras."""
+    findings = run_rule("R006", FIXTURES / "r006_split_bad.py")
+    assert [(f.rule, f.line) for f in findings] == [("R006", 7), ("R006", 12), ("R006", 17)]
+    assert run_rule("R006", FIXTURES / "r006_split_good.py") == []
+
+
 def test_solver_package_may_define_the_wall_clock_limit():
     """The solver package defines the wall-clock option, so R002 leaves it alone there."""
     text = (FIXTURES / "r002_solver_budget_bad.py").read_text()

@@ -24,7 +24,6 @@ from repro.scenarios.registry import get_scenario
 from repro.simulator.network import NetworkModel
 from repro.simulator.resilience import ResilienceConfig
 from repro.simulator.runner import SimulationConfig
-from repro.control.context import TelemetryWindow
 
 import numpy as np
 
@@ -295,11 +294,6 @@ class TestResiliencePolicies:
             ResilienceConfig(request_timeout_ms=0.0)
         with pytest.raises(ValueError):
             ResilienceConfig(hedge_delay_ms=-1.0)
-
-    def test_retry_pressure_surface(self):
-        window = TelemetryWindow(completed=8, dropped=1, late=1, retries=3, failover_requeued=2)
-        assert window.retry_pressure == pytest.approx(0.5)
-        assert TelemetryWindow().retry_pressure == 0.0
 
 
 #: every policy of the layer, each alone; the counter each must move

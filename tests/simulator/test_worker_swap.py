@@ -33,6 +33,7 @@ def assignment_for(variant, task="detect"):
         batch_size=4,
         latency_budget_ms=100.0,
         expected_latency_ms=50.0,
+        child_edges=(),
     )
 
 
