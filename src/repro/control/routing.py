@@ -41,8 +41,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro.core.draws import Draws
 from repro.core.load_balancer import (
     MostAccurateFirst,
     RoutingEntry,
@@ -256,11 +255,11 @@ class DynamicChooser:
             state.waits[index] += 1.0 / rate
 
     # -- selection (subclass hook) ---------------------------------------------
-    def _pick(self, state: _TableState, rng: np.random.Generator) -> int:
+    def _pick(self, state: _TableState, rng: Draws) -> int:
         raise NotImplementedError
 
     # -- RoutingTable entry points -----------------------------------------------
-    def choose_index(self, entries: Tuple[RoutingEntry, ...], rng) -> Optional[int]:
+    def choose_index(self, entries: Tuple[RoutingEntry, ...], rng: Draws) -> Optional[int]:
         """One live draw; ``None`` defers to the table's static sampler."""
         if self._probe is None:
             return None
@@ -286,7 +285,7 @@ class JSQChooser(DynamicChooser):
 
     name = "jsq"
 
-    def _pick(self, state: _TableState, rng: np.random.Generator) -> int:
+    def _pick(self, state: _TableState, rng: Draws) -> int:
         waits = state.waits
         best = 0
         best_wait = waits[0]
@@ -318,7 +317,7 @@ class AdaptiveP2CChooser(DynamicChooser):
             raise ValueError("stale_draws must be >= 1")
         self.refresh_every = int(stale_draws)
 
-    def _pick(self, state: _TableState, rng: np.random.Generator) -> int:
+    def _pick(self, state: _TableState, rng: Draws) -> int:
         waits = state.waits
         n = len(waits)
         first = int(rng.random() * n)

@@ -29,8 +29,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
+from repro.core.draws import Draws
 from repro.core.load_balancer import BackupEntry, RoutingEntry
 
 __all__ = [
@@ -106,7 +105,7 @@ class DropPolicy:
         planned_entry: Optional[RoutingEntry],
         backups: Sequence[BackupEntry],
         remaining_slo_ms: float,
-        rng: np.random.Generator,
+        rng: Draws,
     ) -> DropDecision:
         """Decision made when a request finishes a task and is about to be forwarded."""
         return FORWARD_DECISION
@@ -141,7 +140,7 @@ class PerTaskDropping(DropPolicy):
         planned_entry: Optional[RoutingEntry],
         backups: Sequence[BackupEntry],
         remaining_slo_ms: float,
-        rng: np.random.Generator,
+        rng: Draws,
     ) -> DropDecision:
         if time_in_task_ms > budget_ms:
             return DropDecision(DropAction.DROP, reason="per-task latency budget exceeded")
@@ -180,7 +179,7 @@ class OpportunisticRerouting(DropPolicy):
         planned_entry: Optional[RoutingEntry],
         backups: Sequence[BackupEntry],
         remaining_slo_ms: float,
-        rng: np.random.Generator,
+        rng: Draws,
     ) -> DropDecision:
         overrun_ms = time_in_task_ms - budget_ms
         if overrun_ms <= 0:

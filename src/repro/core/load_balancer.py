@@ -29,6 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.allocation import AllocationPlan
+from repro.core.draws import Draws
 from repro.core.pipeline import Pipeline
 from repro.core.sampling import CompiledSampler
 
@@ -145,7 +146,7 @@ class RoutingTable:
         """Attach (or clear) the dispatch-time dynamic chooser."""
         self.dynamic = chooser
 
-    def choose(self, destination_task: str, rng: np.random.Generator) -> Optional[RoutingEntry]:
+    def choose(self, destination_task: str, rng: Draws) -> Optional[RoutingEntry]:
         """Sample a destination worker proportionally to the routing probabilities.
 
         With a dynamic chooser attached, the draw is delegated to it (live

@@ -21,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.draws import Draws
+
 __all__ = ["CompiledSampler"]
 
 
@@ -44,7 +46,7 @@ class CompiledSampler:
         self.size = int(weights.size)
 
     # -- scalar hot path -------------------------------------------------------
-    def choose_index(self, rng: np.random.Generator) -> int:
+    def choose_index(self, rng: Draws) -> int:
         """One inverse-CDF draw; consumes exactly one uniform from ``rng``.
 
         Hot-path callers may inline this (bisect over :attr:`cumulative_list`

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
+from repro.core.draws import Draws
 
 __all__ = ["NetworkModel"]
 
@@ -35,22 +35,11 @@ class NetworkModel:
         #: every sampled value bit-identical to a spike-free build
         self.delay_scale = 1.0
 
-    def sample_latency_ms(self, rng: Optional[np.random.Generator] = None) -> float:
-        """One hop's communication latency in milliseconds."""
-        if self.jitter_ms <= 0 or rng is None:
-            value = self.latency_ms
-            return value * self.delay_scale if self.delay_scale != 1.0 else value
-        jitter = self._jitter_low + self._jitter_span * rng.random()
-        value = self.latency_ms + jitter
-        value = value if value > 0.0 else 0.0
-        return value * self.delay_scale if self.delay_scale != 1.0 else value
+    def sample_delay_s(self, rng: Optional[Draws] = None) -> float:
+        """One hop's communication latency in seconds: the latency plus one
+        uniform jitter draw, floored at zero and scaled by any delay spike.
 
-    def sample_delay_s(self, rng: Optional[np.random.Generator] = None) -> float:
-        """One hop's communication latency in seconds.
-
-        Inlines :meth:`sample_latency_ms` (identical float operations, so
-        identical values) — this runs once per network hop on the simulator's
-        hot path and the extra call is measurable.
+        Runs once per network hop on the simulator's hot path.
         """
         if self.jitter_ms <= 0 or rng is None:
             if self.delay_scale != 1.0:

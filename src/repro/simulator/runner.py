@@ -16,6 +16,7 @@ from typing import Dict, Optional, Protocol, Tuple
 import numpy as np
 
 from repro.core.allocation import AllocationPlan
+from repro.core.draws import DrawStream
 from repro.core.dropping import DropPolicy, make_drop_policy
 from repro.core.load_balancer import RoutingPlan
 from repro.core.pipeline import Pipeline
@@ -111,7 +112,9 @@ class ServingSimulation:
         self.trace = trace
         self.config = config or SimulationConfig()
         self.engine = SimulationEngine()
-        self.rng = np.random.default_rng(self.config.seed)
+        #: the run's one simulation stream: every data-plane draw reads it,
+        #: scalar uniforms and small-mean Poisson counts from its block buffer
+        self.rng = DrawStream(np.random.default_rng(self.config.seed))
         self.network = NetworkModel(self.config.network_latency_ms, self.config.network_jitter_ms)
         self.content_model = content_model or MultiplicativeContentModel(mode=self.config.content_mode)
         self.arrival_process = arrival_process or make_arrival_process(
@@ -172,6 +175,7 @@ class ServingSimulation:
         self._schedule_workload()
         horizon = self.trace.duration_s + self.config.drain_s
         self.engine.run(until_s=horizon, max_events=self.config.max_events)
+        self.rng.sync()
         summary = self.metrics.summary()
         summary.telemetry = self.telemetry.snapshot()
         timeline = self.telemetry.get("faults.timeline")
@@ -191,7 +195,8 @@ class ServingSimulation:
         linear pass on the already-sorted times ``sample_trace`` returns and
         keeps equal times in their sampled order.
         """
-        times = np.sort(self.arrival_process.sample_trace(self.trace.qps, self.rng), kind="stable")
+        times = self.arrival_process.sample_trace(self.trace.qps, self.rng.generator)
+        times = np.sort(times, kind="stable")
         self.engine.preload(
             [ControlTickEvent(float(second + 1) - 1e-6, self) for second in range(self.trace.duration_s)]
         )

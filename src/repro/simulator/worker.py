@@ -72,8 +72,6 @@ class SimWorker:
         "failed",
         "fail_epoch",
         "slowdown",
-        "processed_queries",
-        "processed_batches",
         "busy_time_s",
         "factor_observation_sum",
         "factor_observation_count",
@@ -111,8 +109,6 @@ class SimWorker:
         #: straggler-fault service-rate multiplier (1.0 = nominal); batches
         #: run ``slowdown``× longer while it is raised
         self.slowdown = 1.0
-        self.processed_queries = 0
-        self.processed_batches = 0
         self.busy_time_s = 0.0
         self.factor_observation_sum = 0.0
         self.factor_observation_count = 0
@@ -345,10 +341,8 @@ class SimWorker:
                 sim.notify_drop(query, reason="assignment removed mid-batch")
             return
         now = sim.engine.now_s
-        self.processed_batches += 1
         sim._tele_batches.value += 1
         sim._tele_batch_queries.value += len(batch)
-        self.processed_queries += len(batch)
         child_edges = assignment.child_edges
         if child_edges:
             self._dispatch(batch, assignment, child_edges, now)

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Protocol, Tuple
 
-import numpy as np
-
+from repro.core.draws import Draws
 from repro.core.pipeline import Edge
 from repro.core.profiles import ModelVariant
 
@@ -32,7 +31,7 @@ __all__ = ["ContentModel", "MultiplicativeContentModel"]
 class ContentModel(Protocol):
     """Anything that can sample the downstream fan-out of one executed query."""
 
-    def sample_children(self, variant: ModelVariant, edge: Edge, rng: np.random.Generator) -> int:
+    def sample_children(self, variant: ModelVariant, edge: Edge, rng: Draws) -> int:
         ...  # pragma: no cover - protocol
 
 
@@ -70,7 +69,7 @@ class MultiplicativeContentModel:
     def mean_children(self, variant: ModelVariant, edge: Edge) -> float:
         return variant.multiplicative_factor * self.factor_scale * edge.branch_ratio
 
-    def sample_children(self, variant: ModelVariant, edge: Edge, rng: np.random.Generator) -> int:
+    def sample_children(self, variant: ModelVariant, edge: Edge, rng: Draws) -> int:
         key = (id(variant), id(edge))
         entry = self._fanout.get(key)
         if entry is None:

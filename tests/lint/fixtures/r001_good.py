@@ -5,3 +5,7 @@ import numpy as np
 
 def make_stream(seed):
     return np.random.default_rng(seed)
+
+
+def make_side_stream(seed):
+    return np.random.default_rng((seed, 0x5E51))

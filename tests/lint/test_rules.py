@@ -19,13 +19,14 @@ from repro.lint.registry import ParsedFile
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-#: every shipped rule and the line its bad fixture must be flagged on
+#: every shipped rule and the lines its bad fixture must be flagged on (R001:
+#: an unseeded stream, then a ``(seed, salt)`` key whose seed is a constant)
 EXPECTED = {
-    "R001": 7,
-    "R002": 7,
-    "R003": 7,
-    "R005": 5,
-    "R006": 7,
+    "R001": [7, 12],
+    "R002": [7],
+    "R003": [7],
+    "R005": [5],
+    "R006": [7],
 }
 
 
@@ -40,10 +41,9 @@ def test_bad_fixture_is_flagged_at_expected_line(rule_id):
     path = FIXTURES / f"{rule_id.lower()}_bad.py"
     findings = run_rule(rule_id, path)
     assert findings, f"{rule_id} did not flag its bad fixture {path.name}"
-    assert [f.rule for f in findings] == [rule_id]
-    assert findings[0].line == EXPECTED[rule_id], (
-        f"{rule_id} flagged line {findings[0].line}, expected {EXPECTED[rule_id]}: "
-        f"{findings[0].message}"
+    assert [(f.rule, f.line) for f in findings] == [(rule_id, line) for line in EXPECTED[rule_id]], (
+        f"{rule_id} flagged lines {[f.line for f in findings]}, expected {EXPECTED[rule_id]}: "
+        + "; ".join(f.message for f in findings)
     )
 
 
@@ -55,6 +55,15 @@ def test_good_fixture_is_clean(rule_id):
         f"{rule_id} false-positived on its good fixture: "
         + "; ".join(f"{f.line}: {f.message}" for f in findings)
     )
+
+
+def test_salted_stream_key_must_carry_the_seed():
+    """R001 passes a ``(seed, salt)`` side-stream key and flags the same key
+    with a constant seed, which every seed of a sweep would share."""
+    findings = run_rule("R001", FIXTURES / "r001_bad.py")
+    assert "not derived from a seed" in findings[-1].message
+    source = (FIXTURES / "r001_good.py").read_text()
+    assert "default_rng((seed, 0x5E51))" in source
 
 
 def test_wall_clock_solver_budgets_are_flagged():

@@ -231,7 +231,7 @@ class TestChaosEngine:
         base = model.sample_delay_s()
         model.delay_scale = 5.0
         assert model.sample_delay_s() == pytest.approx(5 * base)
-        assert model.sample_latency_ms() == pytest.approx(10.0)
+        assert model.sample_delay_s() * 1000.0 == pytest.approx(10.0)
         model.delay_scale = 1.0
         assert model.sample_delay_s() == base
 

@@ -31,13 +31,12 @@ def loki_controller(pipeline, num_workers=10, slo_ms=150.0):
 class TestNetworkModel:
     def test_constant_latency_without_jitter(self, rng):
         model = NetworkModel(latency_ms=3.0, jitter_ms=0.0)
-        assert model.sample_latency_ms(rng) == 3.0
-        assert model.sample_delay_s(rng) == pytest.approx(0.003)
+        assert model.sample_delay_s(rng) == 3.0 / 1000.0
 
     def test_jitter_bounded(self, rng):
         model = NetworkModel(latency_ms=3.0, jitter_ms=1.0)
-        samples = [model.sample_latency_ms(rng) for _ in range(200)]
-        assert all(2.0 - 1e-9 <= s <= 4.0 + 1e-9 for s in samples)
+        samples = [model.sample_delay_s(rng) for _ in range(200)]
+        assert all(2.0e-3 - 1e-12 <= s <= 4.0e-3 + 1e-12 for s in samples)
         assert len(set(samples)) > 1
 
     def test_invalid_parameters_rejected(self):
@@ -53,8 +52,8 @@ class TestNetworkModel:
         new = np.random.default_rng(17)
         legacy = np.random.default_rng(17)
         for _ in range(500):
-            expected = max(0.0, 3.0 + float(legacy.uniform(-1.0, 1.0)))
-            assert model.sample_latency_ms(new) == expected
+            expected = max(0.0, 3.0 + float(legacy.uniform(-1.0, 1.0))) / 1000.0
+            assert model.sample_delay_s(new) == expected
 
     @pytest.mark.parametrize("latency_ms,jitter_ms", [(3.0, 1.0), (2.0, 0.5), (0.5, 1.0)])
     def test_delay_draws_match_distribution(self, latency_ms, jitter_ms):
@@ -82,7 +81,6 @@ class TestNetworkModel:
         plain_s = model.sample_delay_s(np.random.default_rng(9))
         model.delay_scale = 4.0
         assert model.sample_delay_s(np.random.default_rng(9)) == pytest.approx(4.0 * plain_s)
-        assert model.sample_latency_ms(np.random.default_rng(9)) == pytest.approx(4000.0 * plain_s)
 
 
 class TestScalarGolden:
@@ -142,8 +140,11 @@ class TestFanoutBookkeeping:
         observations_before = worker.factor_observation_count
         observed_before = worker.factor_observation_sum
         calendar_before = len(simulation.engine.queue)
+        processed = simulation.telemetry.counter("worker.processed_queries")
+        processed_before = processed.value
         worker._complete_batch(batch)
-        return worker, assignment, batch, children_per_query, {
+        return assignment, batch, children_per_query, {
+            "processed_queries": processed.value - processed_before,
             "observations": worker.factor_observation_count - observations_before,
             "children_observed": worker.factor_observation_sum - observed_before,
             "scheduled_deliveries": len(simulation.engine.queue) - calendar_before,
@@ -151,9 +152,10 @@ class TestFanoutBookkeeping:
 
     @pytest.mark.parametrize("size", range(1, 9))
     def test_batch_fanout_bookkeeping(self, size):
-        worker, assignment, batch, children, counts = self._complete_batch(size)
+        assignment, batch, children, counts = self._complete_batch(size)
         assert children > 0
         assert counts == {
+            "processed_queries": size,
             "observations": size,
             "children_observed": size * children,
             "scheduled_deliveries": size * children,
@@ -162,7 +164,6 @@ class TestFanoutBookkeeping:
         assert not any(q.request.is_finished for q in batch)
         accuracy = assignment.variant.accuracy
         assert [q.accuracy_so_far for q in batch] == [accuracy] * size
-        assert worker.processed_queries >= size
 
 class TestEndToEndSimulation:
     def test_moderate_load_mostly_meets_slo(self, small_pipeline):
