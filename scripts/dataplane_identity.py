@@ -11,7 +11,8 @@ change, then compare them::
     python scripts/dataplane_identity.py --compare parent.json change.json
 
 ``--write`` runs each name of ``repro.scenarios.scenario_names()`` at seed 0
-with ``duration_s=15`` and stores ``dataclasses.asdict(summary)``.  Every
+with ``duration_s=15`` and stores ``dataclasses.asdict(summary)`` plus the
+engine's ``events_processed`` under the key ``engine.events_processed``.  Every
 scenario runs exactly as registered: the default solver budget
 (:data:`repro.solver.DEFAULT_SOLVER_OPTIONS`) bounds HiGHS by branch-and-bound
 nodes, not seconds, so a record depends on the code alone and two records of
@@ -20,7 +21,10 @@ one commit are identical even when written concurrently on a loaded host.
 ``--compare`` reports each scenario as ``identical`` or ``DIFFERENT``, with
 NaN equal to NaN.  A key only the second record has (a telemetry counter the
 change added) is listed but is not a difference; a key it lost, or a value
-that moved, is.  The exit code is 0 only when no scenario differs.
+that moved, is.  The event count is not part of the summary: each line
+shows it (``events A -> B`` when it moved) without making the scenario
+differ, so an event-core change shows its count beside the identity.  The
+exit code is 0 only when no scenario differs.
 """
 
 from __future__ import annotations
@@ -34,15 +38,19 @@ import time
 
 DURATION_S = 15
 SEED = 0
+#: record key of the run's engine event count, next to the summary fields
+EVENTS = "engine.events_processed"
 
 
 def run_scenario(name: str) -> dict:
-    """One builtin scenario's summary at seed 0 and ``duration_s=15``, as a dict."""
+    """One builtin scenario's summary at seed 0 and ``duration_s=15``, as a
+    dict, with the engine's event count under :data:`EVENTS`."""
     from repro.scenarios import get_scenario
 
     spec = get_scenario(name)
     spec = spec.with_overrides(trace_params={**spec.trace_params, "duration_s": DURATION_S})
-    return dataclasses.asdict(spec.run(seed=SEED))
+    sim = spec.build(seed=SEED)
+    return {**dataclasses.asdict(sim.run()), EVENTS: sim.engine.events_processed}
 
 
 def write_record(path: str, names=None) -> dict:
@@ -88,6 +96,15 @@ def compare_summaries(a: dict, b: dict, prefix: str = ""):
     return differences, added
 
 
+def _events(first, second) -> str:
+    """The event-count note of one scenario's line ('' when neither record has one)."""
+    if first is None and second is None:
+        return ""
+    if first == second:
+        return f"; events {first}"
+    return f"; events {'?' if first is None else first} -> {'?' if second is None else second}"
+
+
 def compare_records(a: dict, b: dict) -> int:
     """Print one line per scenario; return the number of scenarios that differ."""
     differing = 0
@@ -96,8 +113,11 @@ def compare_records(a: dict, b: dict) -> int:
             differing += 1
             print(f"{name}: DIFFERENT (only in {'the first' if name in a else 'the second'} record)")
             continue
-        differences, added = compare_summaries(a[name], b[name])
+        first, second = dict(a[name]), dict(b[name])
+        events = _events(first.pop(EVENTS, None), second.pop(EVENTS, None))
+        differences, added = compare_summaries(first, second)
         extra = f"; new keys: {', '.join(added)}" if added else ""
+        extra += events
         if differences:
             differing += 1
             print(f"{name}: DIFFERENT in {', '.join(differences)}{extra}")

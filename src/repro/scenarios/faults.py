@@ -40,7 +40,6 @@ from typing import List, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.simulator.events import CallbackEvent
 from repro.workloads.traces import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -233,11 +232,9 @@ def _schedule_worker_failure(sim: "ServingSimulation", fault: FaultSpec) -> None
         _rehost(sim)
         if f.duration_s > 0 and victims:
             ids = [(w.physical_id, w.fail_epoch) for w in victims]
-            sim.engine.schedule_event(
-                CallbackEvent(now + f.duration_s, lambda: _recover_guarded(sim, ids))
-            )
+            sim.engine.schedule(now + f.duration_s, lambda: _recover_guarded(sim, ids))
 
-    sim.engine.schedule_event(CallbackEvent(fault.at_s, fail))
+    sim.engine.schedule(fault.at_s, fail)
 
 
 def _schedule_crash_restart(sim: "ServingSimulation", fault: FaultSpec, index: int) -> None:
@@ -267,11 +264,9 @@ def _schedule_crash_restart(sim: "ServingSimulation", fault: FaultSpec, index: i
                 _timeline(sim).record(now, f"crash:{victims[0].physical_id}")
                 _rehost(sim)
                 ids = [(victims[0].physical_id, victims[0].fail_epoch)]
-                sim.engine.schedule_event(
-                    CallbackEvent(repair_at, lambda: _recover_guarded(sim, ids))
-                )
+                sim.engine.schedule(repair_at, lambda: _recover_guarded(sim, ids))
 
-            sim.engine.schedule_event(CallbackEvent(t, crash))
+            sim.engine.schedule(t, crash)
             t = repair_at
 
 
@@ -298,9 +293,9 @@ def _schedule_worker_slowdown(sim: "ServingSimulation", fault: FaultSpec) -> Non
                 worker.slowdown = 1.0
                 timeline.record(end, f"slowdown-end:{pid}")
 
-        sim.engine.schedule_event(CallbackEvent(now + f.duration_s, stop))
+        sim.engine.schedule(now + f.duration_s, stop)
 
-    sim.engine.schedule_event(CallbackEvent(fault.at_s, start))
+    sim.engine.schedule(fault.at_s, start)
 
 
 def _schedule_network_spike(sim: "ServingSimulation", fault: FaultSpec) -> None:
@@ -314,9 +309,9 @@ def _schedule_network_spike(sim: "ServingSimulation", fault: FaultSpec) -> None:
             sim.network.delay_scale = 1.0
             _timeline(sim).record(sim.engine.now_s, "net-spike-end")
 
-        sim.engine.schedule_event(CallbackEvent(now + f.duration_s, stop))
+        sim.engine.schedule(now + f.duration_s, stop)
 
-    sim.engine.schedule_event(CallbackEvent(fault.at_s, start))
+    sim.engine.schedule(fault.at_s, start)
 
 
 def schedule_runtime_faults(sim: "ServingSimulation", faults: Sequence[FaultSpec]) -> None:

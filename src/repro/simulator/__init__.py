@@ -5,7 +5,10 @@ a discrete-event simulator extended from Proteus, after validating that the
 two agree to within ~2%.  This package is that simulator, built from scratch:
 
 * :mod:`repro.simulator.engine` / :mod:`repro.simulator.events` -- the event
-  calendar (the one binary-heap event core) and simulation clock.
+  calendar (one binary heap of ``(time_s, seq, action, arg)`` entries; the
+  engine calls ``action(arg)``) and the simulation clock.  Nothing is
+  cancelled: an entry that a state change made stale checks its owner's
+  state when it runs.
 * :mod:`repro.simulator.query` -- client requests and the intermediate queries
   they spawn while traversing the pipeline.
 * :mod:`repro.simulator.worker` -- workers that form batches, execute them
@@ -22,18 +25,7 @@ two agree to within ~2%.  This package is that simulator, built from scratch:
 """
 
 from repro.simulator.engine import SimulationEngine
-from repro.simulator.events import (
-    ArrivalCursor,
-    ArrivalEvent,
-    BatchCompleteEvent,
-    CallbackEvent,
-    ControlTickEvent,
-    DeliveryEvent,
-    Event,
-    EventQueue,
-    ModelReadyEvent,
-    SwapCompleteEvent,
-)
+from repro.simulator.events import ArrivalCursor, EventQueue
 from repro.simulator.query import Request, IntermediateQuery, RequestStatus
 from repro.simulator.network import NetworkModel
 from repro.simulator.metrics import IntervalMetrics, MetricsCollector, SimulationSummary
@@ -45,15 +37,7 @@ from repro.simulator.runner import ServingSimulation, SimulationConfig
 
 __all__ = [
     "SimulationEngine",
-    "Event",
-    "CallbackEvent",
-    "ArrivalEvent",
     "ArrivalCursor",
-    "DeliveryEvent",
-    "BatchCompleteEvent",
-    "ModelReadyEvent",
-    "SwapCompleteEvent",
-    "ControlTickEvent",
     "EventQueue",
     "Request",
     "IntermediateQuery",

@@ -183,8 +183,8 @@ class Cluster:
             # Deliberately inlines queue_length + in_flight: this probe runs
             # once per routing draw under jsq; keep in sync with the
             # SimWorker properties of the same names.
-            batch_event = worker._batch_event
-            backlog = len(worker.queue) + (len(batch_event.batch) if batch_event else 0)
+            batch = worker.batch
+            backlog = len(worker.queue) + (len(batch) if batch is not None else 0)
             rate = worker.service_rate_qps
             pending_load_s = worker.available_at_s - now_s
             if pending_load_s > 1e-12:

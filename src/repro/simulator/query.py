@@ -128,21 +128,20 @@ class IntermediateQuery:
         "query_id",
         "request",
         "task",
-        "created_s",
         "worker_arrival_s",
         "accuracy_so_far",
-        "overrun_ms",
     )
 
-    def __init__(self, query_id: int, request: Request, task: str, created_s: float, accuracy_so_far: float = 1.0) -> None:
+    def __init__(
+        self, query_id: int, request: Request, task: str, worker_arrival_s: float, accuracy_so_far: float = 1.0
+    ) -> None:
         self.query_id = query_id
         self.request = request
         self.task = task
-        self.created_s = created_s
-        self.worker_arrival_s = created_s
+        #: when the query reached its current worker (its creation time until
+        #: a worker enqueues it); the drop policies' time-in-task starts here
+        self.worker_arrival_s = worker_arrival_s
         self.accuracy_so_far = accuracy_so_far
-        #: accumulated latency-budget overrun carried from upstream tasks (ms)
-        self.overrun_ms = 0.0
 
     def remaining_slo_ms(self, now_s: float) -> float:
         return self.request.remaining_slo_ms(now_s)

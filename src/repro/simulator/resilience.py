@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.simulator.events import CallbackEvent
 from repro.simulator.query import IntermediateQuery, Request, RequestStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -221,7 +220,7 @@ class ResilienceManager:
             sim._tele_forwarded.value += 1
             worker.enqueue(query)
 
-        sim.engine.schedule_event(CallbackEvent(time_s, land))
+        sim.engine.schedule(time_s, land)
 
     # ------------------------------------------------------------------ retries
 
@@ -280,9 +279,7 @@ class ResilienceManager:
 
     def arm_timeout(self, request: Request) -> None:
         deadline = request.arrival_s + (self.timeout_s or 0.0)
-        self.sim.engine.schedule_event(
-            CallbackEvent(deadline, lambda: self._fire_timeout(request))
-        )
+        self.sim.engine.call_at(deadline, self._fire_timeout, request)
 
     def _fire_timeout(self, request: Request) -> None:
         if request.status is not RequestStatus.IN_FLIGHT:
@@ -319,9 +316,7 @@ class ResilienceManager:
         if delay_s <= 0 or delay_s >= remaining_s:
             return  # hedging past the deadline cannot help
         self._hedge_armed[qid] = target
-        self.sim.engine.schedule_event(
-            CallbackEvent(now + delay_s, lambda: self._fire_hedge(query))
-        )
+        self.sim.engine.call_at(now + delay_s, self._fire_hedge, query)
 
     def _hedge_delay_s(self) -> float:
         if self.cfg.hedge_delay_ms is not None:

@@ -22,7 +22,7 @@ from repro.core.load_balancer import RoutingPlan
 from repro.core.pipeline import Pipeline
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import SimulationEngine
-from repro.simulator.events import ArrivalCursor, ControlTickEvent, DeliveryEvent
+from repro.simulator.events import ArrivalCursor
 from repro.simulator.frontend import Frontend
 from repro.simulator.metrics import MetricsCollector, SimulationSummary
 from repro.simulator.network import NetworkModel
@@ -191,15 +191,14 @@ class ServingSimulation:
         preloaded just before the end of every trace second, then one
         :class:`ArrivalCursor` walks the arrival times: the calendar holds one
         arrival entry at a time, and each arrival keeps the sequence number a
-        preloaded per-arrival event would have had.  The stable sort is a
+        preloaded per-arrival entry would have had.  The stable sort is a
         linear pass on the already-sorted times ``sample_trace`` returns and
         keeps equal times in their sampled order.
         """
         times = self.arrival_process.sample_trace(self.trace.qps, self.rng.generator)
         times = np.sort(times, kind="stable")
-        self.engine.preload(
-            [ControlTickEvent(float(second + 1) - 1e-6, self) for second in range(self.trace.duration_s)]
-        )
+        tick = ServingSimulation._control_tick
+        self.engine.preload([(float(second + 1) - 1e-6, tick, self) for second in range(self.trace.duration_s)])
         ArrivalCursor(times.tolist(), self.frontend).load(self.engine.queue)
 
     def _bootstrap(self) -> None:
@@ -262,7 +261,8 @@ class ServingSimulation:
         self.forwarded_queries += 1
         self._tele_forwarded.value += 1
         delay = self.network.sample_delay_s(self.rng)
-        self.engine.schedule_event(DeliveryEvent(self.engine.now_s + delay, worker, query))
+        engine = self.engine
+        engine.call_at(engine.now_s + delay, worker.enqueue, query)
         resilience = self.resilience
         if resilience is not None and resilience.hedging:
             resilience.maybe_arm_hedge(query, logical_worker_id)

@@ -11,10 +11,13 @@ configured early-dropping policy and routing tables (Section 5).
 Workers also record the multiplicative factors they observe and report them to
 the Controller through heartbeats, closing the estimation loop of Section 4.2.
 
-All worker activity is driven by typed events (:class:`ModelReadyEvent`,
-:class:`SwapCompleteEvent`, :class:`BatchCompleteEvent`) rather than closures;
-pending swap and in-flight batch events are tracked so reassignments and fault
-injection can cancel them.
+Every worker event is one calendar entry calling a worker method: a model
+load ends in ``_maybe_start_batch``, a variant swap in ``_complete_swap`` and
+a batch in ``_complete_batch``.  Nothing is cancelled.  A reassignment or a
+fault that makes a scheduled swap or batch completion stale changes the
+worker's state, and the entry checks that state when it runs: a swap installs
+its assignment only if it is still ``pending_assignment``, and a completion
+ends its batch only if it is still the executing ``batch``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from typing import Deque, List, Optional, Tuple, TYPE_CHECKING
 from repro.core.dropping import DropAction
 from repro.core.pipeline import Edge
 from repro.core.profiles import ModelVariant
-from repro.simulator.events import BatchCompleteEvent, ModelReadyEvent, SwapCompleteEvent
 from repro.simulator.query import IntermediateQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -66,7 +68,7 @@ class SimWorker:
         "assignment",
         "pending_assignment",
         "queue",
-        "busy",
+        "batch",
         "available_at_s",
         "active",
         "failed",
@@ -75,8 +77,6 @@ class SimWorker:
         "busy_time_s",
         "factor_observation_sum",
         "factor_observation_count",
-        "_pending_swap_event",
-        "_batch_event",
         "_engine",
         "_on_arrival",
     )
@@ -85,19 +85,18 @@ class SimWorker:
         self.physical_id = physical_id
         self.sim = sim
         #: hot-path caches, bound once: a run's engine and drop policy are
-        #: fixed for the simulation's lifetime, so enqueue skips two
-        #: attribute hops per delivered query.  Stub sims (unit tests) may
-        #: lack either — enqueue falls back to a live lookup when the cached
-        #: binding is None.
-        self._engine = getattr(sim, "engine", None)
-        policy = getattr(sim, "drop_policy", None)
-        self._on_arrival = policy.on_arrival if policy is not None else None
+        #: fixed for the simulation's lifetime, so the per-query and
+        #: per-batch paths skip an attribute hop each
+        self._engine = sim.engine
+        self._on_arrival = sim.drop_policy.on_arrival
         self.assignment: Optional[WorkerAssignment] = None
         #: new same-task assignment whose variant is still loading; the worker
         #: keeps serving with the old variant until the load completes
         self.pending_assignment: Optional[WorkerAssignment] = None
         self.queue: Deque[IntermediateQuery] = deque()
-        self.busy = False
+        #: the batch currently executing (None while idle); a completion of
+        #: any other batch is stale: its batch was lost to ``fail()``
+        self.batch: Optional[List[IntermediateQuery]] = None
         #: time at which the currently loading model becomes available
         self.available_at_s = 0.0
         self.active = False
@@ -112,18 +111,8 @@ class SimWorker:
         self.busy_time_s = 0.0
         self.factor_observation_sum = 0.0
         self.factor_observation_count = 0
-        #: live SwapCompleteEvent for the pending assignment (cancelled when a
-        #: newer reassignment supersedes it)
-        self._pending_swap_event: Optional[SwapCompleteEvent] = None
-        #: live BatchCompleteEvent for the batch currently executing
-        self._batch_event: Optional[BatchCompleteEvent] = None
 
     # -- assignment ------------------------------------------------------------
-    def _cancel_pending_swap(self) -> None:
-        if self._pending_swap_event is not None:
-            self._pending_swap_event.cancel()
-            self._pending_swap_event = None
-
     def assign(self, assignment: Optional[WorkerAssignment], now_s: float) -> None:
         """Apply a (possibly new) assignment.
 
@@ -140,7 +129,6 @@ class SimWorker:
             # Deactivated: drain the existing queue with the current model, then idle.
             self.active = False
             self.pending_assignment = None
-            self._cancel_pending_swap()
             return
         self.active = True
         old = self.assignment
@@ -148,40 +136,37 @@ class SimWorker:
             # Cold start: the model must be loaded before the first batch.
             self.assignment = assignment
             self.available_at_s = now_s + assignment.variant.load_time_ms / 1000.0
-            self.sim.engine.schedule_event(ModelReadyEvent(self.available_at_s, self))
+            self.sim.engine.call_at(self.available_at_s, SimWorker._maybe_start_batch, self)
             return
         if old.variant.name == assignment.variant.name:
             # Same model, possibly different batch size / budget: no reload.
             self.assignment = assignment
             self.pending_assignment = None
-            self._cancel_pending_swap()
             self._maybe_start_batch()
             return
         if old.task == assignment.task:
             # Same task, different variant: keep serving with the old variant
             # until the new one finishes loading.  A swap that is already
-            # pending is superseded: its completion event must not install the
-            # newer variant at the *older* variant's ready time.
-            self._cancel_pending_swap()
+            # pending is superseded: its completion carries the older
+            # assignment and so installs nothing.
             self.pending_assignment = assignment
             ready_at = now_s + assignment.variant.load_time_ms / 1000.0
-            self._pending_swap_event = self.sim.engine.schedule_event(SwapCompleteEvent(ready_at, self))
+            self.sim.engine.call_at(ready_at, self._complete_swap, assignment)
             return
         # Task changed: queued queries of the old task cannot be served here.
         for stale in list(self.queue):
             self.sim.notify_drop(stale, reason="worker reassigned to a different task")
         self.queue.clear()
         self.pending_assignment = None
-        self._cancel_pending_swap()
         self.assignment = assignment
         self.available_at_s = now_s + assignment.variant.load_time_ms / 1000.0
-        self.sim.engine.schedule_event(ModelReadyEvent(self.available_at_s, self))
+        self.sim.engine.call_at(self.available_at_s, SimWorker._maybe_start_batch, self)
 
-    def _complete_swap(self) -> None:
-        """The pending same-task variant finished loading; switch over."""
-        self._pending_swap_event = None
-        if self.pending_assignment is not None:
-            self.assignment = self.pending_assignment
+    def _complete_swap(self, assignment: WorkerAssignment) -> None:
+        """A same-task variant finished loading; switch over unless a later
+        reassignment, a deactivation or a failure superseded it."""
+        if assignment is self.pending_assignment:
+            self.assignment = assignment
             self.pending_assignment = None
             self._maybe_start_batch()
 
@@ -196,8 +181,8 @@ class SimWorker:
     @property
     def in_flight(self) -> int:
         """Queries in the batch currently executing (0 when idle)."""
-        batch_event = self._batch_event
-        return len(batch_event.batch) if batch_event is not None else 0
+        batch = self.batch
+        return len(batch) if batch is not None else 0
 
     @property
     def service_rate_qps(self) -> float:
@@ -236,16 +221,16 @@ class SimWorker:
         task = self.assignment.task if self.assignment is not None else None
         if resilience is not None and task is None:
             resilience = None
-        if self._batch_event is not None:
-            batch = self._batch_event.batch
-            self._batch_event.cancel()
-            self._batch_event = None
+        batch = self.batch
+        if batch is not None:
+            # Its scheduled completion finds another (or no) batch executing
+            # and returns at once.
+            self.batch = None
             if resilience is not None:
                 resilience.requeue_queries(batch, task)
             else:
                 for query in batch:
                     self.sim.notify_drop(query, reason=reason)
-        self.busy = False
         if resilience is not None:
             if self.queue:
                 resilience.requeue_queries(list(self.queue), task)
@@ -255,7 +240,6 @@ class SimWorker:
         self.queue.clear()
         self.assignment = None
         self.pending_assignment = None
-        self._cancel_pending_swap()
 
     def recover(self) -> None:
         """The worker comes back empty; the next plan application can use it.
@@ -276,10 +260,7 @@ class SimWorker:
     # -- query intake ------------------------------------------------------------
     def enqueue(self, query: IntermediateQuery) -> None:
         """A query arrives at this worker (already includes network delay)."""
-        engine = self._engine
-        if engine is None:
-            engine = self.sim.engine
-        now = engine.now_s
+        now = self._engine.now_s
         if self.failed:
             self.sim.notify_drop(query, reason="worker failed")
             return
@@ -288,10 +269,7 @@ class SimWorker:
             # No model hosted at all (should not happen when routing is consistent).
             self.sim.notify_drop(query, reason="worker has no assignment")
             return
-        on_arrival = self._on_arrival
-        if on_arrival is None:
-            on_arrival = self.sim.drop_policy.on_arrival
-        decision = on_arrival(
+        decision = self._on_arrival(
             not assignment.child_edges,
             (query.request.deadline_s - now) * 1000.0,
             assignment.expected_latency_ms,
@@ -303,14 +281,15 @@ class SimWorker:
         self.sim.task_arrivals[assignment.task] += 1
         query.worker_arrival_s = now
         self.queue.append(query)
-        if not self.busy:
+        if self.batch is None:
             self._maybe_start_batch()
 
     # -- batching ----------------------------------------------------------------
     def _maybe_start_batch(self) -> None:
-        if self.busy or not self.queue or self.assignment is None or self.failed:
+        if self.batch is not None or not self.queue or self.assignment is None or self.failed:
             return
-        now = self.sim.engine.now_s
+        engine = self._engine
+        now = engine.now_s
         if now < self.available_at_s - 1e-12:
             return  # model still loading; a start is scheduled for load completion
         assignment = self.assignment
@@ -327,20 +306,21 @@ class SimWorker:
         duration_s = assignment.variant.execution_latency_ms(batch_count) / 1000.0
         if self.slowdown != 1.0:
             duration_s *= self.slowdown
-        self.busy = True
         self.busy_time_s += duration_s
-        self._batch_event = self.sim.engine.schedule_event(BatchCompleteEvent(now + duration_s, self, batch))
+        self.batch = batch
+        engine.call_at(now + duration_s, self._complete_batch, batch)
 
     def _complete_batch(self, batch: List[IntermediateQuery]) -> None:
+        if batch is not self.batch:
+            return  # lost to fail(), which re-queued or dropped its queries
         sim = self.sim
         assignment = self.assignment
-        self.busy = False
-        self._batch_event = None
+        self.batch = None
         if assignment is None:  # pragma: no cover - defensive
             for query in batch:
                 sim.notify_drop(query, reason="assignment removed mid-batch")
             return
-        now = sim.engine.now_s
+        now = self._engine.now_s
         sim._tele_batches.value += 1
         sim._tele_batch_queries.value += len(batch)
         child_edges = assignment.child_edges

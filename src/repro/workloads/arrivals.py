@@ -8,7 +8,7 @@ Two APIs coexist:
 * :class:`ArrivalProcess` subclasses + :func:`make_arrival_process` -- the
   scenario substrate's API.  A process samples *the whole trace* in a few
   vectorized NumPy draws (:meth:`ArrivalProcess.sample_trace`), which is what
-  lets the simulator bulk-preload one typed event per query instead of
+  lets the simulator walk every arrival with one calendar entry instead of
   scheduling closures second by second.  Beyond Poisson and evenly-spaced,
   this adds the bursty processes the scenario registry composes: a two-state
   MMPP, diurnal modulation and a flash-crowd spike.

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.scenarios import get_scenario
-from repro.simulator.events import CallbackEvent
 
 #: the plain smoke run, and the same fleet losing one worker at 4 s for 3 s
 SCENARIOS = ("smoke", "smoke_failure")
@@ -46,7 +45,8 @@ def run_with_samples(scenario: str, qps: float, seed: int, duration_s: int = 8, 
         samples.append((depths, sim.frontend.total_submitted, finished))
 
     ticks = int(duration_s / every_s)
-    sim.engine.preload([CallbackEvent(every_s * (i + 1), capture) for i in range(ticks)])
+    for i in range(ticks):
+        sim.engine.schedule(every_s * (i + 1), capture)
     summary = sim.run()
     capture()  # fully drained
     return summary, samples
@@ -123,7 +123,8 @@ def run_observing_control(scenario: str, qps: float = 40.0, seed: int = 1, every
         probes.append(list(zip(ids, backlogs, rates, views)))
 
     ticks = int(8 / every_s)
-    sim.engine.preload([CallbackEvent(every_s * (i + 1), probe) for i in range(ticks)])
+    for i in range(ticks):
+        sim.engine.schedule(every_s * (i + 1), probe)
     summary = sim.run()
     return summary, windows, probes
 

@@ -55,3 +55,28 @@ def test_write_then_compare_round_trips(tmp_path, monkeypatch):
     path = tmp_path / "record.json"
     dataplane_identity.write_record(str(path), names=["smoke"])
     assert dataplane_identity.main(["--compare", str(path), str(path)]) == 0
+
+
+def test_event_count_is_shown_not_compared(capsys):
+    """The engine's event count moves with event-core changes that leave
+    every summary identical: each line shows it, no scenario differs by it."""
+    events = dataplane_identity.EVENTS
+    first = {"smoke": {**SUMMARY, events: 100}, "chaos": SUMMARY, "same": {**SUMMARY, events: 5}}
+    second = {
+        "smoke": {**changed(), events: 103},
+        "chaos": {**changed(), events: 7},
+        "same": {**changed(), events: 5},
+    }
+    assert dataplane_identity.compare_records(first, second) == 0
+    out = capsys.readouterr().out
+    assert "smoke: identical; events 100 -> 103" in out
+    assert "chaos: identical; events ? -> 7" in out
+    assert "same: identical; events 5\n" in out
+    assert "3 of 3 scenarios identical" in out
+
+
+def test_run_scenario_records_the_event_count():
+    record = dataplane_identity.run_scenario("smoke")
+    assert record["total_requests"] > 0
+    assert isinstance(record[dataplane_identity.EVENTS], int)
+    assert record[dataplane_identity.EVENTS] > record["total_requests"]

@@ -17,7 +17,7 @@ from repro.core import Controller, ControllerConfig
 from repro.scenarios import get_scenario
 from repro.simulator import ServingSimulation, SimulationConfig
 from repro.simulator.engine import SimulationEngine
-from repro.simulator.events import ArrivalCursor, CallbackEvent
+from repro.simulator.events import ArrivalCursor
 from repro.simulator.frontend import Frontend
 from repro.workloads import constant_trace
 from repro.workloads.arrivals import ArrivalProcess
@@ -52,18 +52,20 @@ def record_order(monkeypatch):
     """``record(sim, log)`` logs every arrival and control tick of ``sim`` as ``(kind, time)``."""
 
     def record(sim, log):
-        submit, tick = Frontend.submit, sim._control_tick
+        submit, tick = Frontend.submit, ServingSimulation._control_tick
 
         def logged_submit(frontend):
             log.append(("arrival", frontend.sim.engine.now_s))
             return submit(frontend)
 
-        def logged_tick():
-            log.append(("tick", sim.engine.now_s))
-            tick()
+        def logged_tick(simulation):
+            log.append(("tick", simulation.engine.now_s))
+            tick(simulation)
 
         monkeypatch.setattr(Frontend, "submit", logged_submit)
-        sim._control_tick = logged_tick
+        # The calendar's tick entries call the class's function with the sim
+        # as their argument, so the recorder patches the class.
+        monkeypatch.setattr(ServingSimulation, "_control_tick", logged_tick)
 
     return record
 
@@ -109,10 +111,10 @@ class TestRunnerOrder:
         sim._bootstrap()
         sim._schedule_workload()
         heap = sim.engine.queue._heap
-        assert sum(isinstance(entry[2], ArrivalCursor) for entry in heap) == 1
+        assert sum(isinstance(entry[3], ArrivalCursor) for entry in heap) == 1
         sim.engine.run(until_s=1.5)
-        assert sum(isinstance(entry[2], ArrivalCursor) for entry in heap) == 1
-        assert len(sim.engine.queue) == len(heap) - sum(entry[2].cancelled for entry in heap)
+        assert sum(isinstance(entry[3], ArrivalCursor) for entry in heap) == 1
+        assert len(sim.engine.queue) == len(heap)
 
     def test_trace_with_zero_arrivals_runs(self, small_pipeline, record_order):
         sim = make_simulation(small_pipeline, [])
@@ -164,7 +166,7 @@ class TestEngineContract:
     def test_sequence_numbers_are_reserved_at_load(self):
         engine = SimulationEngine()
         log = []
-        engine.preload([CallbackEvent(2.0, lambda: log.append(("preloaded", 2.0)))])
+        engine.preload([(2.0, log.append, ("preloaded", 2.0))])
         ArrivalCursor([1.0, 2.0, 2.0, 3.0], RecordingFrontend(engine, log)).load(engine.queue)
         engine.schedule(2.0, lambda: log.append(("later", 2.0)))
         assert len(engine.queue) == 3

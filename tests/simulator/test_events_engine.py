@@ -1,162 +1,113 @@
-"""Tests for the event calendar and simulation engine."""
+"""Tests for the event calendar and simulation engine.
+
+Every calendar entry is a ``(time_s, seq, action, arg)`` tuple and the engine
+calls ``action(arg)``; nothing is cancelled, so a stale entry is one whose
+action checks its owner's state and does nothing.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simulator.engine import SimulationEngine
-from repro.simulator.events import (
-    ArrivalEvent,
-    BatchCompleteEvent,
-    CallbackEvent,
-    DeliveryEvent,
-    Event,
-    EventQueue,
-)
+from repro.simulator.events import EventQueue
+
+
+def _noop(arg):
+    pass
+
+
+def drain(queue):
+    """Pop every entry of ``queue`` and run it the way the engine does."""
+    while queue:
+        _, _, action, arg = queue.pop()
+        action(arg)
 
 
 class TestEventQueue:
     def test_events_pop_in_time_order(self):
         queue = EventQueue()
         order = []
-        queue.schedule(2.0, lambda: order.append("b"))
-        queue.schedule(1.0, lambda: order.append("a"))
-        queue.schedule(3.0, lambda: order.append("c"))
-        while queue:
-            queue.pop().action()
+        queue.extend([(2.0, order.append, "b"), (1.0, order.append, "a"), (3.0, order.append, "c")])
+        drain(queue)
         assert order == ["a", "b", "c"]
 
     def test_ties_break_fifo(self):
         queue = EventQueue()
         order = []
         for name in "abc":
-            queue.schedule(1.0, lambda n=name: order.append(n))
-        while queue:
-            queue.pop().action()
-        assert order == ["a", "b", "c"]
+            queue.extend([(1.0, order.append, name)])
+        queue.extend([(1.0, order.append, name) for name in "de"])
+        drain(queue)
+        assert order == ["a", "b", "c", "d", "e"]
 
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        fired = []
-        event = queue.schedule(1.0, lambda: fired.append("x"))
-        queue.schedule(2.0, lambda: fired.append("y"))
-        event.cancel()
-        while queue:
-            queue.pop().action()
-        assert fired == ["y"]
+    def test_every_entry_has_the_one_shape(self):
+        engine = SimulationEngine()
+        engine.preload([(0.5, print, "preloaded")])
+        engine.call_at(1.0, print, "call_at")
+        engine.schedule(2.0, lambda: None)
+        assert sorted(len(entry) for entry in engine.queue._heap) == [4, 4, 4]
+        assert [entry[1] for entry in sorted(engine.queue._heap)] == [1, 2, 3]
 
     def test_negative_time_rejected(self):
+        engine = SimulationEngine()
         with pytest.raises(ValueError):
-            EventQueue().schedule(-1.0, lambda: None)
+            engine.call_at(-1.0, print, None)
+        assert len(engine.queue) == 0
+
+    def test_extend_rejects_negative_times(self):
+        with pytest.raises(ValueError):
+            EventQueue().extend([(-1.0, print, None)])
 
     def test_len_and_peek(self):
         queue = EventQueue()
         assert queue.peek_time() is None
-        queue.schedule(5.0, lambda: None)
-        event = queue.schedule(1.0, lambda: None)
+        assert not queue
+        queue.extend([(5.0, print, None), (1.0, print, None)])
         assert len(queue) == 2
         assert queue.peek_time() == 1.0
-        event.cancel()
+        assert queue.pop()[0] == 1.0
         assert queue.peek_time() == 5.0
         assert len(queue) == 1
-
-    def test_peek_time_detaches_discarded_cancelled_entries(self):
-        """Regression: peek_time() drops cancelled heads from the heap, so it
-        must also detach them exactly as pop() does — a handle kept around
-        (flag manually reset, then re-cancelled) would otherwise decrement
-        the live count for an entry that already left the heap."""
-        queue = EventQueue()
-        head = queue.schedule(1.0, lambda: None)
-        queue.schedule(2.0, lambda: None)
-        head.cancel()
-        assert queue.peek_time() == 2.0
-        assert head._queue is None  # discarded => detached
-        head.cancelled = False  # hostile flag reset
-        head.cancel()  # must be a no-op now
-        assert len(queue) == 1
-        assert queue.pop() is not None
+        assert queue.pop()[0] == 5.0
         assert queue.pop() is None
-
-    def test_cancel_after_execution_is_a_noop(self):
-        """Cancelling an already-executed handle must not corrupt the live
-        count (the seed dataclass implementation tolerated this too)."""
-        queue = EventQueue()
-        executed = queue.schedule(1.0, lambda: None)
-        queue.schedule(2.0, lambda: None)
-        queue.pop().run()
-        executed.cancel()
-        assert len(queue) == 1
-        assert bool(queue)
-        assert queue.pop() is not None
-
-    def test_cancel_after_engine_run_is_a_noop(self):
-        engine = SimulationEngine()
-        handle = engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
-        engine.run(until_s=1.5)
-        handle.cancel()
-        assert len(engine.queue) == 1
-        assert bool(engine.queue)
+        assert len(queue) == 0
 
     def test_len_is_tracked_without_scanning(self):
-        """The live count survives push/pop/cancel combinations exactly."""
-        queue = EventQueue()
-        events = [queue.schedule(float(i), lambda: None) for i in range(10)]
+        """The count survives bulk loads, single pushes, pops and a run
+        stopped at its horizon exactly."""
+        engine = SimulationEngine()
+        queue = engine.queue
+        engine.preload([(float(i), _noop, None) for i in range(1, 9)])
+        engine.call_at(0.5, _noop, None)
+        engine.schedule(9.0, lambda: None)
         assert len(queue) == 10
-        events[3].cancel()
-        events[7].cancel()
-        events[7].cancel()  # double-cancel must not decrement twice
-        assert len(queue) == 8
-        popped = 0
-        while queue.pop() is not None:
-            popped += 1
-        assert popped == 8
+        assert queue.pop()[0] == 0.5
+        assert len(queue) == 9
+        engine.run(until_s=4.5)
+        assert len(queue) == 5
+        assert engine.events_processed == 4
+        engine.run()
         assert len(queue) == 0
         assert not queue
+        assert engine.events_processed == 9
 
     def test_bulk_extend_matches_individual_pushes(self):
         fired = []
         queue = EventQueue()
-        queue.schedule(2.5, lambda: fired.append("mid"))
-        queue.extend([CallbackEvent(float(t), lambda t=t: fired.append(t)) for t in (3, 1, 2)])
-        while queue:
-            queue.pop().run()
+        queue.extend([(2.5, fired.append, "mid")])
+        queue.extend([(float(t), fired.append, t) for t in (3, 1, 2)])
+        drain(queue)
         assert fired == [1, 2, "mid", 3]
 
-    def test_extend_rejects_negative_times(self):
-        with pytest.raises(ValueError):
-            EventQueue().extend([CallbackEvent(-1.0, lambda: None)])
-
-    def test_extend_rollback_detaches_partial_batch(self):
-        """A failed bulk load must not leave handles that can corrupt the
-        live count through a later cancel()."""
+    def test_extend_rollback_leaves_calendar_untouched(self):
         queue = EventQueue()
-        kept = queue.schedule(1.0, lambda: None)
-        rolled_back = CallbackEvent(2.0, lambda: None)
+        queue.extend([(1.0, print, "kept")])
         with pytest.raises(ValueError):
-            queue.extend([rolled_back, CallbackEvent(-1.0, lambda: None)])
+            queue.extend([(2.0, print, "rolled back"), (-1.0, print, None)])
         assert len(queue) == 1
-        rolled_back.cancel()
-        assert len(queue) == 1
-        assert queue.pop() is kept
-
-    def test_typed_event_dispatches_by_kind(self):
-        class FakeFrontend:
-            def __init__(self):
-                self.submissions = 0
-
-            def submit(self):
-                self.submissions += 1
-
-        frontend = FakeFrontend()
-        queue = EventQueue()
-        event = queue.push(ArrivalEvent(1.0, frontend))
-        assert event.kind == "arrival"
-        queue.pop().run()
-        assert frontend.submissions == 1
-
-    def test_base_event_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            Event(1.0).run()
+        assert queue._seq == 1
+        assert queue.pop()[3] == "kept"
+        assert queue.pop() is None
 
 
 class TestSimulationEngine:
@@ -170,6 +121,14 @@ class TestSimulationEngine:
         assert engine.now_s == 1.5
         assert engine.events_processed == 2
 
+    def test_call_at_calls_action_with_arg(self):
+        engine = SimulationEngine()
+        seen = []
+        engine.call_at(1.0, seen.append, ("payload", 1))
+        engine.call_at(0.5, seen.append, None)
+        engine.run()
+        assert seen == [None, ("payload", 1)]
+
     def test_run_until_horizon(self):
         engine = SimulationEngine()
         fired = []
@@ -178,13 +137,25 @@ class TestSimulationEngine:
         stop_time = engine.run(until_s=5.0)
         assert fired == [1]
         assert stop_time == 5.0
-        # The later event is still pending and runs when resumed.
+        # The later entry is still pending and runs when resumed.
+        assert len(engine.queue) == 1
         engine.run()
         assert fired == [1, 10]
 
+    def test_entry_past_the_horizon_keeps_its_sequence(self):
+        """The entry popped past the horizon goes back with its own sequence
+        number, so a tie scheduled after the stop still runs after it."""
+        engine = SimulationEngine()
+        fired = []
+        engine.call_at(2.0, fired.append, "first")
+        engine.run(until_s=1.0)
+        engine.call_at(2.0, fired.append, "second")
+        engine.run()
+        assert fired == ["first", "second"]
+
     def test_horizon_authoritative_when_calendar_drains_early(self):
-        """Regression: with no event beyond the horizon the clock must still
-        land exactly on ``until_s``, not on the last processed event."""
+        """Regression: with no entry beyond the horizon the clock must still
+        land exactly on ``until_s``, not on the last processed entry."""
         engine = SimulationEngine()
         engine.schedule(1.0, lambda: None)
         stop_time = engine.run(until_s=5.0)
@@ -198,7 +169,7 @@ class TestSimulationEngine:
 
     def test_exhausted_event_budget_does_not_jump_to_horizon(self):
         """A run stopped by max_events is mid-flight: the clock stays at the
-        last processed event so the caller can resume."""
+        last processed entry so the caller can resume."""
         engine = SimulationEngine()
         for t in (1.0, 2.0, 3.0):
             engine.schedule(t, lambda: None)
@@ -220,7 +191,17 @@ class TestSimulationEngine:
         with pytest.raises(ValueError):
             engine.schedule(0.5, lambda: None)
         with pytest.raises(ValueError):
+            engine.call_at(0.5, print, None)
+        with pytest.raises(ValueError):
             engine.schedule_in(-1.0, lambda: None)
+        assert len(engine.queue) == 0
+
+    def test_call_at_clamps_rounding_error_to_now(self):
+        engine = SimulationEngine()
+        engine.schedule(1.0, lambda: None)
+        engine.run()
+        engine.call_at(1.0 - 1e-13, print, None)
+        assert engine.queue.peek_time() == 1.0
 
     def test_events_spawned_during_run_are_processed(self):
         engine = SimulationEngine()
@@ -229,9 +210,9 @@ class TestSimulationEngine:
         def cascade(depth):
             seen.append(depth)
             if depth < 3:
-                engine.schedule_in(0.1, lambda: cascade(depth + 1))
+                engine.call_at(engine.now_s + 0.1, cascade, depth + 1)
 
-        engine.schedule(0.0, lambda: cascade(0))
+        engine.call_at(0.0, cascade, 0)
         engine.run()
         assert seen == [0, 1, 2, 3]
 
@@ -241,16 +222,36 @@ class TestSimulationEngine:
             engine.schedule(float(i), lambda: None)
         engine.run(max_events=4)
         assert engine.events_processed == 4
+        assert len(engine.queue) == 6
 
     def test_step(self):
         engine = SimulationEngine()
-        engine.schedule(1.0, lambda: None)
+        seen = []
+        engine.call_at(1.0, seen.append, "x")
         assert engine.step() is True
+        assert seen == ["x"]
+        assert engine.now_s == 1.0
+        assert engine.events_processed == 1
         assert engine.step() is False
 
+    def test_step_counts_a_raising_entry_as_run_does(self):
+        def boom():
+            raise RuntimeError("boom")
+
+        stepped, ran = SimulationEngine(), SimulationEngine()
+        for engine in (stepped, ran):
+            engine.schedule(1.0, boom)
+            engine.schedule(2.0, lambda: None)
+        with pytest.raises(RuntimeError):
+            stepped.step()
+        with pytest.raises(RuntimeError):
+            ran.run()
+        assert stepped.events_processed == ran.events_processed == 1
+        assert len(stepped.queue) == len(ran.queue) == 1
+
     def test_raising_callback_keeps_queue_accounting_exact(self):
-        """A callback exception must not corrupt the live count: the popped
-        events (including the raising one) leave len(queue) consistent."""
+        """The raising entry was popped: it counts as processed and leaves the
+        calendar, and the unexecuted tail stays pending."""
         engine = SimulationEngine()
 
         def boom():
@@ -261,10 +262,10 @@ class TestSimulationEngine:
         engine.schedule(3.0, lambda: None)
         with pytest.raises(RuntimeError):
             engine.run()
-        assert engine.events_processed == 2  # first event + the raising one
+        assert engine.events_processed == 2  # first entry + the raising one
         assert len(engine.queue) == 1
         engine.run()
-        assert len(engine.queue) == 0
+        assert engine.events_processed == 3
         assert not engine.queue
 
     def test_raising_callback_leaves_unexecuted_tail_pending_in_order(self):
@@ -287,47 +288,26 @@ class TestSimulationEngine:
         assert fired == [1, 3, 4]
         assert engine.events_processed == 4
 
-    def test_step_skips_cancelled_head_and_counts(self):
-        engine = SimulationEngine()
-        fired = []
-        head = engine.schedule(1.0, lambda: fired.append(1))
-        engine.schedule(2.0, lambda: fired.append(2))
-        head.cancel()
-        assert engine.step() is True
-        assert fired == [2]
-        assert engine.now_s == 2.0
-        assert engine.events_processed == 1
-        assert engine.step() is False
-
-    def test_schedule_event_clamps_rounding_error_to_now(self):
-        engine = SimulationEngine()
-        engine.schedule(1.0, lambda: None)
-        engine.run()
-        event = engine.schedule_event(CallbackEvent(1.0 - 1e-13, lambda: None))
-        assert event.time_s == 1.0
-        with pytest.raises(ValueError):
-            engine.schedule_event(CallbackEvent(0.5, lambda: None))
-
     def test_preload_matches_individual_scheduling(self):
         times = [0.3, 0.1, 0.2, 0.1, 0.0, 0.3]
 
         def order(bulk):
             engine = SimulationEngine()
             seen = []
-            events = [CallbackEvent(t, lambda i=i: seen.append(i)) for i, t in enumerate(times)]
+            entries = [(t, seen.append, i) for i, t in enumerate(times)]
             if bulk:
-                engine.preload(events)
+                engine.preload(entries)
             else:
-                for event in events:
-                    engine.schedule_event(event)
+                for entry in entries:
+                    engine.call_at(*entry)
             engine.run()
             return seen
 
         assert order(bulk=True) == order(bulk=False) == [4, 1, 3, 2, 0, 5]
 
-    def test_typed_event_chain_runs_every_hop(self):
+    def test_entry_chain_runs_every_hop(self):
         """Preloaded arrivals flow through a two-stage worker chain: each
-        arrival costs exactly five events (arrival, then a delivery and a
+        arrival costs exactly five entries (arrival, then a delivery and a
         batch completion per stage) and every one reaches the last stage."""
 
         class Stage:
@@ -336,29 +316,23 @@ class TestSimulationEngine:
                 self.completed = 0
 
             def enqueue(self, query):
-                engine = self.engine
-                engine.schedule_event(BatchCompleteEvent(engine.now_s + self.batch_s, self, query))
+                self.engine.call_at(self.engine.now_s + self.batch_s, self.complete, query)
 
-            def _complete_batch(self, query):
-                engine = self.engine
+            def complete(self, query):
                 if self.next_stage is None:
                     self.completed += 1
                 else:
-                    engine.schedule_event(DeliveryEvent(engine.now_s + 0.002, self.next_stage, query))
-
-        class Frontend:
-            def __init__(self, engine, stage):
-                self.engine, self.stage = engine, stage
-
-            def submit(self):
-                engine = self.engine
-                engine.schedule_event(DeliveryEvent(engine.now_s + 0.002, self.stage, None))
+                    self.engine.call_at(self.engine.now_s + 0.002, self.next_stage.enqueue, query)
 
         engine = SimulationEngine()
         last = Stage(engine, None, 0.020)
-        frontend = Frontend(engine, Stage(engine, last, 0.030))
+        first = Stage(engine, last, 0.030)
+
+        def submit(query):
+            engine.call_at(engine.now_s + 0.002, first.enqueue, query)
+
         arrivals = [0.001 * i for i in range(200)]
-        engine.preload([ArrivalEvent(t, frontend) for t in arrivals])
+        engine.preload([(t, submit, i) for i, t in enumerate(arrivals)])
         engine.run()
         assert last.completed == len(arrivals)
         assert engine.events_processed == 5 * len(arrivals)
@@ -369,65 +343,60 @@ class TestSimulationEngine:
 class _ReferenceEngine:
     """Naive scheduler with the engine's documented semantics.
 
-    Every step linearly scans for the earliest live ``(time, sequence)``
-    entry, so the order is correct by construction; the heap engine must
-    reproduce it exactly.
+    Every step linearly scans for the earliest ``(time, sequence)`` entry, so
+    the order is correct by construction; the heap engine must reproduce it
+    exactly.
     """
 
     def __init__(self):
         self.now_s = 0.0
+        self.events_processed = 0
         self._pending = []
         self._seq = 0
 
-    def schedule_event(self, event):
+    def call_at(self, time_s, action, arg):
         self._seq += 1
-        self._pending.append((event.time_s, self._seq, event))
-        return event
+        self._pending.append((time_s, self._seq, action, arg))
 
     def run(self):
-        while True:
-            live = [entry for entry in self._pending if not entry[2].cancelled]
-            if not live:
-                return
-            entry = min(live, key=lambda e: (e[0], e[1]))
+        while self._pending:
+            entry = min(self._pending, key=lambda e: (e[0], e[1]))
             self._pending.remove(entry)
             self.now_s = entry[0]
-            entry[2].run()
+            self.events_processed += 1
+            entry[2](entry[3])
 
 
-def _load_schedule(engine, schedule, order):
-    """Schedule a generated workload; events append to ``order`` when run.
+def _load_schedule(engine, schedule, order, live):
+    """Schedule a generated workload; live entries append to ``order`` when run.
 
-    ``schedule`` is a list of ``(time, child_delays, cancel_targets)``: event
+    ``schedule`` is a list of ``(time, child_delays, stale_targets)``: entry
     ``i`` fires at ``time``, schedules one child per delay (at ``now +
-    delay``) and cancels the listed root events by index, so the workload
-    exercises equal-time ties, mid-run scheduling and mid-run cancellation.
+    delay``) and makes the listed root entries stale by index, so the
+    workload exercises equal-time ties, mid-run scheduling and owner-side
+    staleness.  An entry whose label left ``live`` does nothing when it runs.
     """
-    handles = {}
 
-    def make_action(label, child_delays, cancel_targets):
-        def action():
-            order.append((round(engine.now_s, 9), label))
-            for k, delay in enumerate(child_delays):
-                child = CallbackEvent(engine.now_s + delay, make_action((label, k), (), ()))
-                engine.schedule_event(child)
-            for target in cancel_targets:
-                handle = handles.get(target)
-                if handle is not None:
-                    handle.cancel()
+    def action(payload):
+        label, child_delays, stale_targets = payload
+        if label not in live:
+            return
+        order.append((round(engine.now_s, 9), label))
+        for k, delay in enumerate(child_delays):
+            child = (label, k)
+            live.add(child)
+            engine.call_at(engine.now_s + delay, action, (child, (), ()))
+        live.difference_update(stale_targets)
 
-        return action
-
-    for i, (time_s, child_delays, cancel_targets) in enumerate(schedule):
-        handles[i] = engine.schedule_event(
-            CallbackEvent(time_s, make_action(i, child_delays, cancel_targets))
-        )
-    return handles
+    for i, (time_s, child_delays, stale_targets) in enumerate(schedule):
+        live.add(i)
+        engine.call_at(time_s, action, (i, child_delays, stale_targets))
 
 
-def _run_order(engine, schedule, drive=None):
+def _run_order(engine, schedule, drive=None, live=None):
     order = []
-    _load_schedule(engine, schedule, order)
+    live = set() if live is None else live
+    _load_schedule(engine, schedule, order, live)
     (drive or (lambda e: e.run()))(engine)
     return order
 
@@ -446,19 +415,29 @@ class TestOrderProperties:
     @settings(max_examples=60, deadline=None)
     @given(_schedules)
     def test_order_matches_reference_scheduler(self, schedule):
-        assert _run_order(SimulationEngine(), schedule) == _run_order(_ReferenceEngine(), schedule)
+        engine, reference = SimulationEngine(), _ReferenceEngine()
+        assert _run_order(engine, schedule) == _run_order(reference, schedule)
+        assert engine.events_processed == reference.events_processed
 
     @settings(max_examples=40, deadline=None)
     @given(_schedules)
-    def test_cancelled_events_never_fire(self, schedule):
-        engine = SimulationEngine()
-        order = []
-        handles = _load_schedule(engine, schedule, order)
-        doomed = {i for i in handles if i % 3 == 0}
-        for i in doomed:
-            handles[i].cancel()
-        engine.run()
+    def test_stale_entries_fire_nothing_but_count(self, schedule):
+        """Entries made stale before the run do nothing when they run, yet
+        are still popped and counted, exactly as by the reference."""
+        doomed = {i for i in range(len(schedule)) if i % 3 == 0}
+
+        def run_without_doomed(engine):
+            order, live = [], set()
+            _load_schedule(engine, schedule, order, live)
+            live -= doomed
+            engine.run()
+            return order
+
+        engine, reference = SimulationEngine(), _ReferenceEngine()
+        order = run_without_doomed(engine)
+        assert order == run_without_doomed(reference)
         assert not doomed & {label for _, label in order}
+        assert engine.events_processed == reference.events_processed >= len(schedule)
         assert len(engine.queue) == 0
 
     @settings(max_examples=30, deadline=None)

@@ -9,9 +9,9 @@ from repro.core.load_balancer import BackupEntry, RoutingEntry, RoutingPlan, Rou
 from repro.control import ControlPlaneEngine, StaticPlanPolicy
 from repro.scenarios import get_scenario
 from repro.simulator import ServingSimulation, SimulationConfig
-from repro.simulator.events import DeliveryEvent
 from repro.simulator.network import NetworkModel
 from repro.simulator.query import Request, RequestStatus
+from repro.simulator.worker import SimWorker
 from repro.workloads.content import MultiplicativeContentModel
 from repro.workloads import constant_trace, ramp_trace
 
@@ -142,6 +142,7 @@ class TestFanoutBookkeeping:
         calendar_before = len(simulation.engine.queue)
         processed = simulation.telemetry.counter("worker.processed_queries")
         processed_before = processed.value
+        worker.batch = batch  # executing, as _maybe_start_batch leaves it
         worker._complete_batch(batch)
         return assignment, batch, children_per_query, {
             "processed_queries": processed.value - processed_before,
@@ -362,15 +363,19 @@ class TestOverrunForwarding:
         assert (now - query.worker_arrival_s) * 1000.0 > assignment.latency_budget_ms
         children = sum(sim.content_model.sample_children(assignment.variant, e, sim.rng) for e in assignment.child_edges)
         assert children > 0
-        worker._complete_batch([query])
+        worker.batch = [query]  # executing, as _maybe_start_batch leaves it
+        worker._complete_batch(worker.batch)
+        # a delivery entry is (time, seq, worker.enqueue, query): the receiving workers
         deliveries = [
-            e for _, _, e in sim.engine.queue._heap if isinstance(e, DeliveryEvent) and e.query.request is request
+            action.__self__
+            for _, _, action, query in sim.engine.queue._heap
+            if getattr(action, "__func__", None) is SimWorker.enqueue and query.request is request
         ]
         return sim, request, children, deliveries, sim.cluster.resolve(backup_id)
 
     def test_overrun_child_goes_to_the_backup_worker(self, small_pipeline):
         sim, request, children, deliveries, backup_worker = self._complete_overrun_batch(small_pipeline, True)
-        assert [e.worker for e in deliveries] == [backup_worker] * children
+        assert deliveries == [backup_worker] * children
         assert sim.telemetry.get("queries.rerouted").value == children
         assert sim.drop_reasons == {}
         assert request.outstanding == children and not request.is_finished

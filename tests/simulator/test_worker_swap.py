@@ -1,28 +1,49 @@
-"""Regression tests for worker variant-swap bookkeeping (make-before-break).
+"""Regression tests for a worker's scheduled swaps and batch completions.
 
-The seed bug: a second same-task reassignment while a swap was already pending
-left the earlier ``_complete_swap`` event live, so the *newer* variant was
-installed at the *older* variant's ready time -- ignoring its own load latency.
-The worker now tracks the pending swap event and cancels it when superseded.
+Nothing in the calendar is cancelled, so a swap or a batch completion that a
+later state change made stale must notice it itself when it runs.
+
+* Variant swaps (make-before-break).  The seed bug: a second same-task
+  reassignment while a swap was already pending let the earlier swap
+  complete, so the *newer* variant was installed at the *older* variant's
+  ready time -- ignoring its own load latency.  A swap's entry carries its
+  assignment and installs it only if it is still the pending one.
+* Batch completions.  A batch lost to ``fail()`` keeps its completion entry;
+  that completion must end nothing, even when the recovered worker is by
+  then executing a new batch.
 """
+
+from collections import defaultdict
 
 import pytest
 
+from repro.core.dropping import NoEarlyDropping
 from repro.simulator.engine import SimulationEngine
+from repro.simulator.query import IntermediateQuery, Request
 from repro.simulator.worker import SimWorker, WorkerAssignment
+from repro.telemetry import TelemetryRegistry
 
 from tests.conftest import make_variant
 
 
 class StubSim:
-    """Just enough of ServingSimulation for assignment-path unit tests."""
+    """Just enough of ServingSimulation for worker unit tests (sink tasks only)."""
 
     def __init__(self):
         self.engine = SimulationEngine()
+        self.drop_policy = NoEarlyDropping()
+        self.task_arrivals = defaultdict(int)
+        telemetry = TelemetryRegistry()
+        self._tele_batches = telemetry.counter("worker.batches")
+        self._tele_batch_queries = telemetry.counter("worker.processed_queries")
         self.drops = []
+        self.sinks = []
 
     def notify_drop(self, query, reason=""):
         self.drops.append(reason)
+
+    def notify_sink(self, query):
+        self.sinks.append(query)
 
 
 def assignment_for(variant, task="detect"):
@@ -115,3 +136,61 @@ class TestPendingSwapSupersession:
         sim.engine.run(until_s=2.0)
         assert worker.assignment.variant.name == "other"
         assert worker.pending_assignment is None
+
+
+def query(query_id):
+    return IntermediateQuery(query_id, Request(query_id, 0.0, 1000.0), "detect", 0.0)
+
+
+class TestLostBatchCompletion:
+    """A 100 ms model (104 ms per one-query batch) that loads in 10 ms."""
+
+    VARIANT = make_variant("slow", alpha=100.0, load_time_ms=10.0)
+
+    def start_and_lose_a_batch(self, sim, worker):
+        worker.assign(assignment_for(self.VARIANT), 0.0)
+        sim.engine.run(until_s=0.02)
+        lost = query(1)
+        worker.enqueue(lost)  # executes at once: completes at 0.124
+        assert worker.batch == [lost]
+        sim.engine.run(until_s=0.05)
+        worker.fail()
+        assert worker.batch is None and worker.in_flight == 0
+        assert sim.drops == ["worker failed"]
+        return lost
+
+    def test_stale_completion_does_not_end_the_recovered_workers_batch(self, sim, worker):
+        self.start_and_lose_a_batch(sim, worker)
+        worker.recover()
+        worker.assign(assignment_for(self.VARIANT), sim.engine.now_s)  # loaded at 0.06
+        fresh = query(2)
+        worker.enqueue(fresh)
+        sim.engine.run(until_s=0.07)
+        new_batch = worker.batch
+        assert new_batch == [fresh]  # started at 0.06, completes at 0.164
+
+        processed = sim.engine.events_processed
+        sim.engine.run(until_s=0.13)  # past the lost batch's completion at 0.124
+        assert sim.engine.events_processed == processed + 1  # popped and counted
+        assert sim.sinks == []  # the stale completion forwarded nothing
+        assert worker.batch is new_batch and worker.in_flight == 1
+        assert sim._tele_batches.value == 0
+        waiting = query(3)
+        worker.enqueue(waiting)  # the worker is still busy: it queues
+        assert list(worker.queue) == [waiting] and worker.batch is new_batch
+
+        sim.engine.run(until_s=0.2)  # the new batch completes at its own time
+        assert sim.sinks == [fresh]
+        assert worker.batch == [waiting]
+        sim.engine.run(until_s=0.5)
+        assert sim.sinks == [fresh, waiting]
+        assert sim.drops == ["worker failed"]
+        assert sim._tele_batches.value == 2
+
+    def test_stale_completion_on_a_failed_worker_does_nothing(self, sim, worker):
+        self.start_and_lose_a_batch(sim, worker)
+        sim.engine.run(until_s=0.5)
+        assert sim.sinks == []
+        assert sim.drops == ["worker failed"]  # dropped once, by fail()
+        assert worker.batch is None
+        assert sim._tele_batches.value == 0
