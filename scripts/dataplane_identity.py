@@ -12,7 +12,9 @@ change, then compare them::
 
 ``--write`` runs each name of ``repro.scenarios.scenario_names()`` at seed 0
 with ``duration_s=15`` and stores ``dataclasses.asdict(summary)`` plus the
-engine's ``events_processed`` under the key ``engine.events_processed``.  Every
+engine's ``events_processed`` under the key ``engine.events_processed`` and
+the simulation stream's final bit-generator state (after ``sim.rng.sync()``)
+under ``rng.final_state``.  Every
 scenario runs exactly as registered: the default solver budget
 (:data:`repro.solver.DEFAULT_SOLVER_OPTIONS`) bounds HiGHS by branch-and-bound
 nodes, not seconds, so a record depends on the code alone and two records of
@@ -24,7 +26,9 @@ change added) is listed but is not a difference; a key it lost, or a value
 that moved, is.  The event count is not part of the summary: each line
 shows it (``events A -> B`` when it moved) without making the scenario
 differ, so an event-core change shows its count beside the identity.  The
-exit code is 0 only when no scenario differs.
+final RNG state is compared like a summary field: a change that draws in
+another order, or draws more or less, differs there even when no summary
+field happens to move.  The exit code is 0 only when no scenario differs.
 """
 
 from __future__ import annotations
@@ -40,17 +44,23 @@ DURATION_S = 15
 SEED = 0
 #: record key of the run's engine event count, next to the summary fields
 EVENTS = "engine.events_processed"
+#: record key of the simulation stream's final bit-generator state
+RNG_STATE = "rng.final_state"
 
 
 def run_scenario(name: str) -> dict:
     """One builtin scenario's summary at seed 0 and ``duration_s=15``, as a
-    dict, with the engine's event count under :data:`EVENTS`."""
+    dict, with the engine's event count under :data:`EVENTS` and the final
+    bit-generator state of the simulation stream under :data:`RNG_STATE`."""
     from repro.scenarios import get_scenario
 
     spec = get_scenario(name)
     spec = spec.with_overrides(trace_params={**spec.trace_params, "duration_s": DURATION_S})
     sim = spec.build(seed=SEED)
-    return {**dataclasses.asdict(sim.run()), EVENTS: sim.engine.events_processed}
+    summary = dataclasses.asdict(sim.run())
+    # run() ends with sim.rng.sync(), so this is where the draws left it
+    state = sim.rng.generator.bit_generator.state
+    return {**summary, EVENTS: sim.engine.events_processed, RNG_STATE: state}
 
 
 def write_record(path: str, names=None) -> dict:

@@ -107,7 +107,15 @@ class DropPolicy:
         remaining_slo_ms: float,
         rng: Draws,
     ) -> DropDecision:
-        """Decision made when a request finishes a task and is about to be forwarded."""
+        """Decision made when a request finishes a task and is about to be forwarded.
+
+        The simulator calls it only when the parent query overran its task
+        budget (``time_in_task_ms > budget_ms``) or the child has no planned
+        entry (``planned_entry is None``).  In every other case it forwards
+        the child to ``planned_entry`` without calling the policy, so a
+        policy must return :data:`FORWARD_DECISION`, and draw nothing from
+        ``rng``, whenever the task is on time and a planned entry exists.
+        """
         return FORWARD_DECISION
 
 

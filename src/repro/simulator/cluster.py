@@ -83,16 +83,12 @@ class Cluster:
 
         # Apply assignments.
         newly_loaded = 0
-        child_edges_by_task: Dict[str, tuple] = {}
+        content_model = self.sim.content_model
         for logical_id, physical in new_map.items():
             state = desired[logical_id]
             variant = pipeline.registry.variant(state.variant_name)
             previous = physical.assignment.variant.name if physical.assignment else None
             budget_slack = getattr(getattr(self.sim, "config", None), "budget_slack", 2.0)
-            child_edges = child_edges_by_task.get(state.task)
-            if child_edges is None:
-                child_edges = tuple(pipeline.children(state.task))
-                child_edges_by_task[state.task] = child_edges
             assignment = WorkerAssignment(
                 logical_id=logical_id,
                 task=state.task,
@@ -100,7 +96,9 @@ class Cluster:
                 batch_size=state.batch_size,
                 latency_budget_ms=state.latency_ms * budget_slack,
                 expected_latency_ms=state.latency_ms,
-                child_edges=child_edges,
+                fanout=tuple(
+                    (edge.child, *content_model.fanout(variant, edge)) for edge in pipeline.children(state.task)
+                ),
             )
             physical.assign(assignment, now_s)
             if previous != variant.name:
@@ -148,10 +146,6 @@ class Cluster:
     @property
     def active_workers(self) -> int:
         return sum(1 for w in self.workers if w.active)
-
-    @property
-    def total_queue_length(self) -> int:
-        return sum(w.queue_length for w in self.workers)
 
     # -- live state (feedback-control API) ----------------------------------------
     def queue_snapshot(self, worker_ids: Sequence[str]) -> Tuple[List[float], List[float]]:

@@ -33,7 +33,6 @@ class Frontend:
     __slots__ = (
         "sim",
         "slo_ms",
-        "_next_request_id",
         "_window_arrivals",
         "total_submitted",
         "rejected_no_plan",
@@ -44,9 +43,9 @@ class Frontend:
     def __init__(self, sim: "ServingSimulation", slo_ms: float):
         self.sim = sim
         self.slo_ms = float(slo_ms)
-        self._next_request_id = 0
         #: requests observed in the current demand-reporting window
         self._window_arrivals = 0
+        #: requests submitted so far; also the id of the next request
         self.total_submitted = 0
         self.rejected_no_plan = 0
         self._tele_requests = sim.telemetry.counter("frontend.requests")
@@ -57,8 +56,7 @@ class Frontend:
         """A client query arrives now; route it to a first-task worker."""
         sim = self.sim
         now = sim.engine.now_s
-        request = Request(self._next_request_id, now, self.slo_ms)
-        self._next_request_id += 1
+        request = Request(self.total_submitted, now, self.slo_ms)
         self.total_submitted += 1
         self._window_arrivals += 1
         self._tele_requests.value += 1

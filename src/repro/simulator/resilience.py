@@ -216,7 +216,6 @@ class ResilienceManager:
             if worker is None:
                 sim.notify_drop(query, reason=f"logical worker {target} not hosted")
                 return
-            sim.forwarded_queries += 1
             sim._tele_forwarded.value += 1
             worker.enqueue(query)
 

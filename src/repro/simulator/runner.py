@@ -148,8 +148,6 @@ class ServingSimulation:
         self.routing_plan: Optional[RoutingPlan] = None
         self.current_plan: Optional[AllocationPlan] = None
         self._next_query_id = 0
-        self.dropped_queries = 0
-        self.forwarded_queries = 0
         self.drop_reasons: Dict[str, int] = {}
         #: per-task arrivals in the current demand-reporting window (consumed by
         #: pipeline-agnostic control planes through ``report_task_demand``)
@@ -240,6 +238,16 @@ class ServingSimulation:
         self.cluster.apply_plan(plan, self.pipeline, self.engine.now_s)
 
     # --------------------------------------------------------------- plumbing --
+    @property
+    def forwarded_queries(self) -> int:
+        """Network hops sent so far: the ``queries.forwarded`` counter."""
+        return int(self._tele_forwarded.value)
+
+    @property
+    def dropped_queries(self) -> int:
+        """Queries dropped so far: the ``queries.dropped`` counter."""
+        return int(self._tele_dropped.value)
+
     def new_intermediate_query(
         self, request: Request, task: str, now_s: float, accuracy_so_far: float
     ) -> IntermediateQuery:
@@ -250,15 +258,14 @@ class ServingSimulation:
     def forward_query(self, query: IntermediateQuery, logical_worker_id: str) -> None:
         """Send a query to the physical worker hosting ``logical_worker_id``.
 
-        The data plane's one network hop: the Frontend and the workers'
-        forwarding routine send through it, and it arms the resilience
-        layer's hedges.
+        The Frontend's network hop, and it arms the resilience layer's
+        hedges.  :meth:`SimWorker._dispatch` runs a copy of it inline for
+        every forwarded child; keep the two in sync.
         """
         worker = self.cluster.resolve(logical_worker_id)
         if worker is None:
             self.notify_drop(query, reason=f"logical worker {logical_worker_id} not hosted")
             return
-        self.forwarded_queries += 1
         self._tele_forwarded.value += 1
         delay = self.network.sample_delay_s(self.rng)
         engine = self.engine
@@ -267,23 +274,10 @@ class ServingSimulation:
         if resilience is not None and resilience.hedging:
             resilience.maybe_arm_hedge(query, logical_worker_id)
 
-    def notify_sink(self, query: IntermediateQuery) -> None:
-        """A query finished the last task of its path; return the result to the Frontend."""
-        resilience = self.resilience
-        if resilience is not None and resilience.absorb_sink(query):
-            return  # hedge loser or timed-out straggler: already accounted
-        delay = self.network.sample_delay_s(self.rng)
-        completion_time = self.engine.now_s + delay
-        request = query.request
-        request.record_sink_completion(completion_time, query.accuracy_so_far)
-        if request.status is not RequestStatus.IN_FLIGHT:
-            self.metrics.record_request_finished(request)
-
     def notify_drop(self, query: IntermediateQuery, reason: str = "") -> None:
         resilience = self.resilience
         if resilience is not None and resilience.on_query_drop(query, reason):
             return  # retried, hedge-masked or timed-out: not a real drop
-        self.dropped_queries += 1
         self._tele_dropped.value += 1
         if reason:
             self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
@@ -292,11 +286,4 @@ class ServingSimulation:
         request = query.request
         request.record_drop(self.engine.now_s)
         if request.status is not RequestStatus.IN_FLIGHT:
-            self.metrics.record_request_finished(request)
-
-    def check_request(self, request: Request) -> None:
-        if request.is_finished:
-            resilience = self.resilience
-            if resilience is not None and resilience.absorbed(request):
-                return  # timed out earlier: metrics already recorded once
             self.metrics.record_request_finished(request)

@@ -11,6 +11,14 @@ configured early-dropping policy and routing tables (Section 5).
 Workers also record the multiplicative factors they observe and report them to
 the Controller through heartbeats, closing the estimation loop of Section 4.2.
 
+A finished batch is one pass over its queries in ``_complete_batch`` (sink
+tasks) or ``_dispatch`` (tasks with children), which do each query's work
+inline: fan-out draws, routing, the drop policy, the network hop and the
+request bookkeeping, with no per-query helper call.  The RNG order per query
+is the one ``_dispatch`` documents.  A test-only copy of the per-helper path
+these loops replace (``tests/simulator/test_dispatch_reference.py``) must
+produce bit-identical runs; change both together.
+
 Every worker event is one calendar entry calling a worker method: a model
 load ends in ``_maybe_start_batch``, a variant swap in ``_complete_swap`` and
 a batch in ``_complete_batch``.  Nothing is cancelled.  A reassignment or a
@@ -27,9 +35,8 @@ from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.dropping import DropAction
-from repro.core.pipeline import Edge
 from repro.core.profiles import ModelVariant
-from repro.simulator.query import IntermediateQuery
+from repro.simulator.query import IntermediateQuery, RequestStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.simulator.runner import ServingSimulation
@@ -53,10 +60,11 @@ class WorkerAssignment:
     batch_size: int
     latency_budget_ms: float
     expected_latency_ms: float
-    #: the task's outgoing pipeline edges, precomputed at plan application so
-    #: the per-query hot paths (enqueue, batch-complete dispatch) do not
-    #: re-list them
-    child_edges: Tuple[Edge, ...]
+    #: one ``(child task, fixed count or None, Poisson mean)`` per outgoing
+    #: pipeline edge, in edge order (empty for a sink task), read from the
+    #: content model at plan application so a finished batch draws its
+    #: fan-out counts without a per-query lookup
+    fanout: Tuple[Tuple[str, Optional[int], float], ...]
 
 
 class SimWorker:
@@ -74,7 +82,6 @@ class SimWorker:
         "failed",
         "fail_epoch",
         "slowdown",
-        "busy_time_s",
         "factor_observation_sum",
         "factor_observation_count",
         "_engine",
@@ -108,7 +115,6 @@ class SimWorker:
         #: straggler-fault service-rate multiplier (1.0 = nominal); batches
         #: run ``slowdown``× longer while it is raised
         self.slowdown = 1.0
-        self.busy_time_s = 0.0
         self.factor_observation_sum = 0.0
         self.factor_observation_count = 0
 
@@ -169,10 +175,6 @@ class SimWorker:
             self.assignment = assignment
             self.pending_assignment = None
             self._maybe_start_batch()
-
-    @property
-    def is_loaded(self) -> bool:
-        return self.assignment is not None and self.sim.engine.now_s >= self.available_at_s - 1e-12
 
     @property
     def queue_length(self) -> int:
@@ -270,7 +272,7 @@ class SimWorker:
             self.sim.notify_drop(query, reason="worker has no assignment")
             return
         decision = self._on_arrival(
-            not assignment.child_edges,
+            not assignment.fanout,
             (query.request.deadline_s - now) * 1000.0,
             assignment.expected_latency_ms,
         )
@@ -306,7 +308,6 @@ class SimWorker:
         duration_s = assignment.variant.execution_latency_ms(batch_count) / 1000.0
         if self.slowdown != 1.0:
             duration_s *= self.slowdown
-        self.busy_time_s += duration_s
         self.batch = batch
         engine.call_at(now + duration_s, self._complete_batch, batch)
 
@@ -323,17 +324,27 @@ class SimWorker:
         now = self._engine.now_s
         sim._tele_batches.value += 1
         sim._tele_batch_queries.value += len(batch)
-        child_edges = assignment.child_edges
-        if child_edges:
-            self._dispatch(batch, assignment, child_edges, now)
+        fanout = assignment.fanout
+        if fanout:
+            self._dispatch(batch, assignment, fanout, now)
         else:
-            # Sink fast path: no downstream fan-out to sample, every query in
-            # the batch returns straight to the Frontend.
+            # Sink task: every query returns to the Frontend over one network
+            # hop.  Per query: the resilience layer's absorb check, then one
+            # network draw.
             accuracy = assignment.variant.accuracy
-            notify_sink = sim.notify_sink
+            resilience = sim.resilience
+            rng = sim.rng
+            sample_delay_s = sim.network.sample_delay_s
+            record_finished = sim.metrics.record_request_finished
+            in_flight = RequestStatus.IN_FLIGHT
             for query in batch:
                 query.accuracy_so_far *= accuracy
-                notify_sink(query)
+                if resilience is not None and resilience.absorb_sink(query):
+                    continue  # hedge loser or timed-out straggler: already accounted
+                request = query.request
+                request.record_sink_completion(now + sample_delay_s(rng), query.accuracy_so_far)
+                if request.status is not in_flight:
+                    record_finished(request)
         if self.queue:
             self._maybe_start_batch()
 
@@ -342,73 +353,98 @@ class SimWorker:
         self,
         batch: List[IntermediateQuery],
         assignment: WorkerAssignment,
-        child_edges: Tuple[Edge, ...],
+        fanout: Tuple[Tuple[str, Optional[int], float], ...],
         now_s: float,
     ) -> None:
         """Forward the children of every query of a completed batch downstream.
 
-        The routing table, drop policy hook and latency budget are looked up
-        once per batch: nothing on this path replaces the routing plan.  The
-        RNG stream is fixed per query: first one fan-out draw per outgoing
-        edge, then per child in edge order one routing draw, the drop
-        policy's ``on_forward`` (which draws only to break a reroute tie) and
-        one network draw in :meth:`ServingSimulation.forward_query`.
+        One pass: each child's routing, drop decision and network hop run
+        here, with what the run and the routing plan fix looked up once per
+        batch (nothing on this path replaces the plan or the cluster map).
+        The RNG stream is fixed per query: first one Poisson draw per edge
+        whose count is not fixed, then per child in edge order one routing
+        draw, the drop policy's ``on_forward`` (which draws only to break a
+        reroute tie) and one network draw.
+
+        ``on_forward`` is called only when the parent overran its task
+        budget or the child has no planned route: otherwise every policy
+        forwards to the planned worker (the :meth:`DropPolicy.on_forward`
+        contract).  The hop is a copy of
+        :meth:`ServingSimulation.forward_query`, which the Frontend uses;
+        keep the two in sync, and this loop in sync with its test-only
+        reference in ``tests/simulator/test_dispatch_reference.py``.
         """
         sim = self.sim
         rng = sim.rng
-        sample_children = sim.content_model.sample_children
-        variant = assignment.variant
-        accuracy = variant.accuracy
+        poisson = rng.poisson
+        accuracy = assignment.variant.accuracy
         plan = sim.routing_plan
         table = plan.table_for(assignment.logical_id) if plan is not None else None
         choose = table.choose if table is not None else None
         on_forward = sim.drop_policy.on_forward
-        forward_query = sim.forward_query
         budget_ms = assignment.latency_budget_ms
+        hosted = sim.cluster.logical_map.get
+        sample_delay_s = sim.network.sample_delay_s
+        call_at = self._engine.call_at
+        notify_drop = sim.notify_drop
+        forwarded = sim._tele_forwarded
+        resilience = sim.resilience
+        hedging = resilience is not None and resilience.hedging
+        record_finished = sim.metrics.record_request_finished
+        in_flight = RequestStatus.IN_FLIGHT
         for query in batch:
             query.accuracy_so_far *= accuracy
             counts = []
             total_children = 0
-            for edge in child_edges:
-                count = sample_children(variant, edge, rng)
+            for _, fixed, mean in fanout:
+                count = fixed if fixed is not None else poisson(mean)
                 counts.append(count)
                 total_children += count
             self.factor_observation_sum += total_children
             self.factor_observation_count += 1
             request = query.request
             if total_children:
-                request.add_outstanding(total_children)
+                request.outstanding += total_children
                 time_in_task_ms = (now_s - query.worker_arrival_s) * 1000.0
-                remaining_slo_ms = (request.deadline_s - now_s) * 1000.0
+                overrun = time_in_task_ms > budget_ms
                 path_accuracy = query.accuracy_so_far
-                for edge, count in zip(child_edges, counts):
-                    if not count:
-                        continue
-                    task = edge.child
-                    backups = plan.backups_for(task) if plan is not None else ()
+                for (task, _, _), count in zip(fanout, counts):
                     for _ in range(count):
                         child = IntermediateQuery(sim._next_query_id, request, task, now_s, path_accuracy)
                         sim._next_query_id += 1
                         planned = choose(task, rng) if choose is not None else None
-                        decision = on_forward(time_in_task_ms, budget_ms, planned, backups, remaining_slo_ms, rng)
-                        action = decision.action
-                        if action is DropAction.DROP:
-                            sim.notify_drop(child, reason=decision.reason)
-                            continue
-                        if action is DropAction.REROUTE and decision.target is not None:
-                            sim._tele_rerouted.value += 1
-                            target_id = decision.target.worker_id
-                        elif planned is not None:
+                        if planned is not None and not overrun:
                             target_id = planned.worker_id
-                        elif backups:
-                            target_id = backups[0].worker_id
                         else:
-                            sim.notify_drop(child, reason="no downstream worker available")
+                            backups = plan.backups_for(task) if plan is not None else ()
+                            remaining_slo_ms = (request.deadline_s - now_s) * 1000.0
+                            decision = on_forward(time_in_task_ms, budget_ms, planned, backups, remaining_slo_ms, rng)
+                            action = decision.action
+                            if action is DropAction.DROP:
+                                notify_drop(child, reason=decision.reason)
+                                continue
+                            if action is DropAction.REROUTE and decision.target is not None:
+                                sim._tele_rerouted.value += 1
+                                target_id = decision.target.worker_id
+                            elif planned is not None:
+                                target_id = planned.worker_id
+                            elif backups:
+                                target_id = backups[0].worker_id
+                            else:
+                                notify_drop(child, reason="no downstream worker available")
+                                continue
+                        worker = hosted(target_id)
+                        if worker is None:
+                            notify_drop(child, reason=f"logical worker {target_id} not hosted")
                             continue
-                        forward_query(child, target_id)
+                        forwarded.value += 1
+                        call_at(now_s + sample_delay_s(rng), worker.enqueue, child)
+                        if hedging:
+                            resilience.maybe_arm_hedge(child, target_id)
             # The parent query itself is finished (its children, if any, carry on).
             request.record_internal_completion(now_s)
-            sim.check_request(request)
+            if request.status is not in_flight and (resilience is None or not resilience.absorbed(request)):
+                record_finished(request)
 
     # -- heartbeats -------------------------------------------------------------------
     def heartbeat(self) -> Optional[float]:

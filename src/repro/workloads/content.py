@@ -29,7 +29,14 @@ __all__ = ["ContentModel", "MultiplicativeContentModel"]
 
 
 class ContentModel(Protocol):
-    """Anything that can sample the downstream fan-out of one executed query."""
+    """Anything that can sample the downstream fan-out of one executed query.
+
+    The simulator reads :meth:`fanout` at plan application and draws the
+    counts itself.
+    """
+
+    def fanout(self, variant: ModelVariant, edge: Edge) -> Tuple[Optional[int], float]:
+        ...  # pragma: no cover - protocol
 
     def sample_children(self, variant: ModelVariant, edge: Edge, rng: Draws) -> int:
         ...  # pragma: no cover - protocol
@@ -60,16 +67,23 @@ class MultiplicativeContentModel:
             raise ValueError("factor_scale must be positive")
         self.mode = mode
         self.factor_scale = float(factor_scale)
-        #: (id(variant), id(edge)) -> (variant, edge, fixed count or None,
-        #: mean).  Keyed by identity: hashing a frozen ModelVariant is slow,
+        #: (id(variant), id(edge)) -> (variant, edge, (fixed count or None,
+        #: mean)).  Keyed by identity: hashing a frozen ModelVariant is slow,
         #: and raises when it carries a latency-table dict.  The entry holds
         #: both objects, so their ids cannot be reused while it exists.
-        self._fanout: Dict[Tuple[int, int], Tuple[ModelVariant, Edge, Optional[int], float]] = {}
+        self._fanout: Dict[Tuple[int, int], Tuple[ModelVariant, Edge, Tuple[Optional[int], float]]] = {}
 
     def mean_children(self, variant: ModelVariant, edge: Edge) -> float:
         return variant.multiplicative_factor * self.factor_scale * edge.branch_ratio
 
-    def sample_children(self, variant: ModelVariant, edge: Edge, rng: Draws) -> int:
+    def fanout(self, variant: ModelVariant, edge: Edge) -> Tuple[Optional[int], float]:
+        """``(fixed count or None, mean)`` of the children one query of
+        ``variant`` emits on ``edge``: the fixed count when the count is
+        deterministic, else ``None`` and the Poisson mean to draw from.
+
+        The simulator reads it once per plan application and draws the
+        counts itself; :meth:`sample_children` draws through it.
+        """
         key = (id(variant), id(edge))
         entry = self._fanout.get(key)
         if entry is None:
@@ -78,8 +92,11 @@ class MultiplicativeContentModel:
             # feeding a single downstream task) is deterministic: every output
             # image has exactly one caption request, etc.
             fixed = abs(mean - round(mean)) < 1e-9 or self.mode == "expected"
-            entry = self._fanout[key] = (variant, edge, int(round(mean)) if fixed else None, mean)
-        fixed = entry[2]
+            entry = self._fanout[key] = (variant, edge, (int(round(mean)) if fixed else None, mean))
+        return entry[2]
+
+    def sample_children(self, variant: ModelVariant, edge: Edge, rng: Draws) -> int:
+        fixed, mean = self.fanout(variant, edge)
         if fixed is not None:
             return fixed
-        return int(rng.poisson(entry[3]))
+        return int(rng.poisson(mean))

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.dropping import (
+    FORWARD_DECISION,
     DropAction,
     LastTaskDropping,
     NoEarlyDropping,
@@ -216,3 +219,54 @@ class TestOpportunisticRerouting:
             decisions.add(decision.target.worker_id)
         # Random tie-break must stay within the tied candidates (and can pick either).
         assert decisions <= {"a", "b"}
+
+
+class _NoDraws:
+    """A ``Draws`` stub on which any draw fails the test."""
+
+    def random(self):
+        raise AssertionError("on_forward drew a uniform")
+
+    def poisson(self, lam):
+        raise AssertionError("on_forward drew a Poisson count")
+
+    def integers(self, high):
+        raise AssertionError("on_forward drew an integer")
+
+
+_latencies = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+_backups = st.lists(
+    st.builds(
+        backup,
+        worker_id=st.sampled_from(["a", "b", "c"]),
+        latency=_latencies,
+        accuracy=st.sampled_from([0.5, 0.9, 1.0]),
+        capacity=st.floats(min_value=-10.0, max_value=100.0, allow_nan=False),
+    ),
+    max_size=4,
+)
+
+
+class TestOnForwardContract:
+    """The simulator skips ``on_forward`` when the task is on time and a
+    planned entry exists, so in that case every built-in policy must forward
+    to the planned entry and draw nothing."""
+
+    @pytest.mark.parametrize("name", sorted(POLICY_NAMES))
+    @given(
+        time_in_task_ms=_latencies,
+        slack_ms=_latencies,
+        planned_latency_ms=_latencies,
+        backups=_backups,
+        remaining_slo_ms=st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
+    )
+    def test_on_time_with_a_planned_entry_forwards_without_a_draw(
+        self, name, time_in_task_ms, slack_ms, planned_latency_ms, backups, remaining_slo_ms
+    ):
+        budget_ms = time_in_task_ms + slack_ms
+        assert time_in_task_ms <= budget_ms
+        planned = RoutingEntry(worker_id="planned", probability=1.0, accuracy=1.0, latency_ms=planned_latency_ms)
+        decision = make_drop_policy(name).on_forward(
+            time_in_task_ms, budget_ms, planned, backups, remaining_slo_ms, _NoDraws()
+        )
+        assert decision is FORWARD_DECISION

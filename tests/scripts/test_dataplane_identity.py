@@ -4,6 +4,8 @@ import importlib.util
 import json
 import pathlib
 
+import repro.simulator.runner as runner
+
 SCRIPT = pathlib.Path(__file__).resolve().parents[2] / "scripts" / "dataplane_identity.py"
 
 spec = importlib.util.spec_from_file_location("dataplane_identity", SCRIPT)
@@ -80,3 +82,24 @@ def test_run_scenario_records_the_event_count():
     assert record["total_requests"] > 0
     assert isinstance(record[dataplane_identity.EVENTS], int)
     assert record[dataplane_identity.EVENTS] > record["total_requests"]
+
+
+def test_final_rng_state_shows_a_draw_no_summary_field_sees(monkeypatch, capsys):
+    """One extra uniform after the run moves no summary field, only the
+    recorded final state of the simulation stream."""
+    events, state = dataplane_identity.EVENTS, dataplane_identity.RNG_STATE
+    first = json.loads(json.dumps(dataplane_identity.run_scenario("smoke")))
+    assert first[state]["bit_generator"] == "PCG64"
+    run = runner.ServingSimulation.run
+
+    def run_then_draw(self):
+        summary = run(self)
+        self.rng.random()
+        return summary
+
+    monkeypatch.setattr(runner.ServingSimulation, "run", run_then_draw)
+    second = json.loads(json.dumps(dataplane_identity.run_scenario("smoke")))
+    assert dataplane_identity.compare_summaries(first, second) == ([f"{state}.state.state"], [])
+    assert dataplane_identity.compare_records({"smoke": first}, {"smoke": second}) == 1
+    out = capsys.readouterr().out
+    assert f"smoke: DIFFERENT in {state}.state.state; events {first[events]}\n" in out

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import Controller, ControllerConfig
 from repro.core.allocation import AllocationProblem
+from repro.core.dropping import FORWARD_DECISION, DropPolicy
 from repro.core.load_balancer import BackupEntry, RoutingEntry, RoutingPlan, RoutingTable
 from repro.control import ControlPlaneEngine, StaticPlanPolicy
 from repro.scenarios import get_scenario
@@ -122,7 +123,7 @@ class TestFanoutBookkeeping:
         worker = next(
             w
             for w in simulation.cluster.workers
-            if w.assignment is not None and w.assignment.child_edges
+            if w.assignment is not None and w.assignment.fanout
         )
         assignment = worker.assignment
         now = simulation.engine.now_s
@@ -135,7 +136,7 @@ class TestFanoutBookkeeping:
             batch.append(query)
         children_per_query = sum(
             simulation.content_model.sample_children(assignment.variant, edge, simulation.rng)
-            for edge in assignment.child_edges
+            for edge in simulation.pipeline.children(assignment.task)
         )
         observations_before = worker.factor_observation_count
         observed_before = worker.factor_observation_sum
@@ -361,7 +362,10 @@ class TestOverrunForwarding:
         query = sim.new_intermediate_query(request, "detect", now, 1.0)
         query.worker_arrival_s = now - 0.1
         assert (now - query.worker_arrival_s) * 1000.0 > assignment.latency_budget_ms
-        children = sum(sim.content_model.sample_children(assignment.variant, e, sim.rng) for e in assignment.child_edges)
+        children = sum(
+            sim.content_model.sample_children(assignment.variant, e, sim.rng)
+            for e in small_pipeline.children(assignment.task)
+        )
         assert children > 0
         worker.batch = [query]  # executing, as _maybe_start_batch leaves it
         worker._complete_batch(worker.batch)
@@ -386,6 +390,71 @@ class TestOverrunForwarding:
         assert sim.telemetry.get("queries.rerouted").value == 0
         assert sim.drop_reasons == {"no backup worker can recover the overrun": children}
         assert request.status is RequestStatus.DROPPED
+
+
+class SpyPolicy(DropPolicy):
+    """Records every ``on_forward`` call and forwards."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_forward(self, time_in_task_ms, budget_ms, planned_entry, backups, remaining_slo_ms, rng):
+        self.calls.append((time_in_task_ms, planned_entry))
+        return FORWARD_DECISION
+
+
+class TestOnForwardCalls:
+    """The worker asks the drop policy about a child only when the parent
+    overran its task budget or the child has no planned route, in child
+    order; on-time children with a route go straight to the planned worker."""
+
+    #: how long ago each query reached the detect worker: on time, overrun,
+    #: on time, overrun
+    AGES_MS = (0.0, 100.0, 1.0, 120.0)
+
+    def _complete_batch(self, small_pipeline, routed):
+        policy = SpyPolicy()
+        sim = ServingSimulation(
+            small_pipeline,
+            loki_controller(small_pipeline),
+            constant_trace(40.0, 5),
+            SimulationConfig(num_workers=10, latency_slo_ms=150.0, seed=1),
+            content_model=MultiplicativeContentModel(mode="expected"),
+            drop_policy=policy,
+        )
+        sim._bootstrap()
+        worker = next(w for w in sim.cluster.workers if w.assignment is not None and w.assignment.task == "detect")
+        assignment = worker.assignment
+        assert self.AGES_MS[2] <= assignment.latency_budget_ms < self.AGES_MS[1]
+        hosted = next(lid for lid, w in sim.cluster.logical_map.items() if w.assignment.task == "classify")
+        table = RoutingTable()
+        planned = RoutingEntry(hosted, 1.0, accuracy=1.0, latency_ms=5.0)
+        if routed:
+            table.add("classify", planned)
+        sim.routing_plan = RoutingPlan(
+            frontend_table=RoutingTable(), worker_tables={assignment.logical_id: table}, backup_tables={}
+        )
+        now = sim.engine.now_s
+        batch = []
+        for i, age_ms in enumerate(self.AGES_MS):
+            request = Request(i, now - age_ms / 1000.0, 150.0)
+            request.add_outstanding(1)
+            batch.append(sim.new_intermediate_query(request, "detect", now - age_ms / 1000.0, 1.0))
+        (children,) = [count for _, count, _ in assignment.fanout]
+        worker.batch = batch  # executing, as _maybe_start_batch leaves it
+        worker._complete_batch(batch)
+        return policy.calls, children, planned
+
+    def test_only_overrun_children_reach_the_policy(self, small_pipeline):
+        calls, children, planned = self._complete_batch(small_pipeline, routed=True)
+        assert children > 0
+        assert calls == [
+            (pytest.approx(age_ms), planned) for age_ms in (100.0, 120.0) for _ in range(children)
+        ]
+
+    def test_every_child_without_a_route_reaches_the_policy(self, small_pipeline):
+        calls, children, _ = self._complete_batch(small_pipeline, routed=False)
+        assert calls == [(pytest.approx(age_ms), None) for age_ms in self.AGES_MS for _ in range(children)]
 
 
 class TestClusterPlanApplication:

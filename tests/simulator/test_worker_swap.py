@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.dropping import NoEarlyDropping
 from repro.simulator.engine import SimulationEngine
+from repro.simulator.network import NetworkModel
 from repro.simulator.query import IntermediateQuery, Request
 from repro.simulator.worker import SimWorker, WorkerAssignment
 from repro.telemetry import TelemetryRegistry
@@ -36,14 +37,20 @@ class StubSim:
         telemetry = TelemetryRegistry()
         self._tele_batches = telemetry.counter("worker.batches")
         self._tele_batch_queries = telemetry.counter("worker.processed_queries")
+        self.resilience = None
+        # a hop without jitter draws nothing from the stream
+        self.network = NetworkModel(latency_ms=1.0, jitter_ms=0.0)
+        self.rng = None
+        self.metrics = self
         self.drops = []
+        #: requests finished at a sink, in completion order
         self.sinks = []
 
     def notify_drop(self, query, reason=""):
         self.drops.append(reason)
 
-    def notify_sink(self, query):
-        self.sinks.append(query)
+    def record_request_finished(self, request):
+        self.sinks.append(request)
 
 
 def assignment_for(variant, task="detect"):
@@ -54,7 +61,7 @@ def assignment_for(variant, task="detect"):
         batch_size=4,
         latency_budget_ms=100.0,
         expected_latency_ms=50.0,
-        child_edges=(),
+        fanout=(),
     )
 
 
@@ -139,7 +146,9 @@ class TestPendingSwapSupersession:
 
 
 def query(query_id):
-    return IntermediateQuery(query_id, Request(query_id, 0.0, 1000.0), "detect", 0.0)
+    request = Request(query_id, 0.0, 1000.0)
+    request.add_outstanding(1)
+    return IntermediateQuery(query_id, request, "detect", 0.0)
 
 
 class TestLostBatchCompletion:
@@ -180,10 +189,10 @@ class TestLostBatchCompletion:
         assert list(worker.queue) == [waiting] and worker.batch is new_batch
 
         sim.engine.run(until_s=0.2)  # the new batch completes at its own time
-        assert sim.sinks == [fresh]
+        assert sim.sinks == [fresh.request]
         assert worker.batch == [waiting]
         sim.engine.run(until_s=0.5)
-        assert sim.sinks == [fresh, waiting]
+        assert sim.sinks == [fresh.request, waiting.request]
         assert sim.drops == ["worker failed"]
         assert sim._tele_batches.value == 2
 
