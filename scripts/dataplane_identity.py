@@ -14,8 +14,11 @@ change, then compare them::
 with ``duration_s=15`` and stores ``dataclasses.asdict(summary)`` plus the
 engine's ``events_processed`` under the key ``engine.events_processed`` and
 the simulation stream's final bit-generator state (after ``sim.rng.sync()``)
-under ``rng.final_state``.  Every
-scenario runs exactly as registered: the default solver budget
+under ``rng.final_state``.  The builtins run only two of the four drop
+policies, and not the two whose ``on_arrival`` can drop, so the record also
+holds ``traffic_azure`` under every name of ``repro.core.dropping.POLICY_NAMES``,
+keyed ``traffic_azure@<policy>``.  Every
+scenario runs exactly as registered (apart from that policy override): the default solver budget
 (:data:`repro.solver.DEFAULT_SOLVER_OPTIONS`) bounds HiGHS by branch-and-bound
 nodes, not seconds, so a record depends on the code alone and two records of
 one commit are identical even when written concurrently on a loaded host.
@@ -46,16 +49,23 @@ SEED = 0
 EVENTS = "engine.events_processed"
 #: record key of the simulation stream's final bit-generator state
 RNG_STATE = "rng.final_state"
+#: the builtin recorded once under each drop policy, as ``<name>@<policy>``
+POLICY_SCENARIO = "traffic_azure"
 
 
 def run_scenario(name: str) -> dict:
     """One builtin scenario's summary at seed 0 and ``duration_s=15``, as a
     dict, with the engine's event count under :data:`EVENTS` and the final
-    bit-generator state of the simulation stream under :data:`RNG_STATE`."""
+    bit-generator state of the simulation stream under :data:`RNG_STATE`.
+
+    ``<scenario>@<policy>`` runs the scenario under that drop policy."""
     from repro.scenarios import get_scenario
 
-    spec = get_scenario(name)
+    scenario, _, policy = name.partition("@")
+    spec = get_scenario(scenario)
     spec = spec.with_overrides(trace_params={**spec.trace_params, "duration_s": DURATION_S})
+    if policy:
+        spec = spec.with_overrides(drop_policy=policy)
     sim = spec.build(seed=SEED)
     summary = dataclasses.asdict(sim.run())
     # run() ends with sim.rng.sync(), so this is where the draws left it
@@ -63,11 +73,17 @@ def run_scenario(name: str) -> dict:
     return {**summary, EVENTS: sim.engine.events_processed, RNG_STATE: state}
 
 
-def write_record(path: str, names=None) -> dict:
+def record_names() -> list:
+    """Every builtin, then :data:`POLICY_SCENARIO` under each drop policy."""
+    from repro.core.dropping import POLICY_NAMES
     from repro.scenarios import scenario_names
 
+    return [*scenario_names(), *(f"{POLICY_SCENARIO}@{policy}" for policy in sorted(POLICY_NAMES))]
+
+
+def write_record(path: str, names=None) -> dict:
     record = {}
-    for name in names or scenario_names():
+    for name in names or record_names():
         start = time.perf_counter()
         record[name] = run_scenario(name)
         print(f"{name}: {time.perf_counter() - start:.1f} s", flush=True)
@@ -141,7 +157,7 @@ def compare_records(a: dict, b: dict) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--write", metavar="OUT", help="run every builtin scenario and write the record")
+    group.add_argument("--write", metavar="OUT", help="run every recorded scenario and write the record")
     group.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two records")
     args = parser.parse_args(argv)
     if args.write:

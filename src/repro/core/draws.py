@@ -26,15 +26,35 @@ from collections import deque
 from itertools import chain
 from math import exp
 from operator import length_hint
-from typing import Any, Callable, Iterator, Mapping, Protocol
+from typing import Any, Callable, Iterator, Mapping, Optional, Protocol
 
 import numpy as np
 
-__all__ = ["BLOCK_SIZE", "DrawStream", "Draws"]
+__all__ = ["BLOCK_SIZE", "DrawStream", "Draws", "poisson_threshold"]
 
 #: uniforms drawn per refill; large enough to amortise the NumPy call, small
 #: enough that a rewind (which redraws the consumed part) stays cheap
 BLOCK_SIZE = 4096
+
+
+def poisson_threshold(lam: float) -> Optional[float]:
+    """``exp(-lam)`` when a Poisson draw of mean ``lam`` runs NumPy's
+    multiplication method (``0 < lam < 10``), else ``None``.
+
+    With it, the count is the number of uniforms whose running product stays
+    above the threshold, drawn from :meth:`DrawStream.random`::
+
+        count = 0
+        product = random()
+        while product > threshold:
+            count += 1
+            product *= random()
+
+    which is what :meth:`DrawStream.poisson` returns, and what
+    ``Generator.poisson`` returns and consumes.  A hot path that draws the
+    same mean repeatedly stores the threshold once and runs this loop inline.
+    """
+    return exp(-lam) if 0.0 < lam < 10.0 else None
 
 
 class Draws(Protocol):
@@ -103,12 +123,12 @@ class DrawStream:
         return self._gen
 
     def poisson(self, lam: float) -> int:
-        if 0.0 < lam < 10.0:
-            enlam = exp(-lam)
+        threshold = poisson_threshold(lam)
+        if threshold is not None:
             random = self.random
             count = 0
             product = random()
-            while product > enlam:
+            while product > threshold:
                 count += 1
                 product *= random()
             return count

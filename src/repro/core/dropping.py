@@ -95,7 +95,14 @@ class DropPolicy:
         remaining_slo_ms: float,
         expected_processing_ms: float,
     ) -> DropDecision:
-        """Decision made when a request arrives at a worker, before queueing."""
+        """Decision made when a request arrives at a worker, before queueing.
+
+        The simulator calls it only when ``remaining_slo_ms <
+        expected_processing_ms`` (the worker's expected batch latency, which
+        is always positive).  Otherwise it queues the query without calling
+        the policy, so a policy must return :data:`PROCESS_DECISION` whenever
+        the remaining SLO covers the expected processing time.
+        """
         return PROCESS_DECISION
 
     def on_forward(

@@ -137,9 +137,22 @@ class RoutingTable:
         self._compiled[destination_task] = compiled
         return compiled
 
+    def compiled(
+        self, destination_task: str
+    ) -> Optional[Tuple[List[float], Tuple[RoutingEntry, ...], int, CompiledSampler]]:
+        """One destination's compiled draw: ``(cumulative list, entries, last
+        index, sampler)``, or ``None`` when no entry has a positive weight.
+
+        ``entries[min(bisect_right(cumulative, rng.random()), last)]`` is the
+        static draw of :meth:`choose`.  The simulator's hot paths bind this
+        once per batch or per routing plan and bisect inline; a published
+        plan's tables are not changed afterwards.
+        """
+        return self._compiled.get(destination_task) or self._compile(destination_task)
+
     def sampler_for(self, destination_task: str) -> Optional[CompiledSampler]:
         """The compiled (renormalised) sampler for one destination task."""
-        compiled = self._compiled.get(destination_task) or self._compile(destination_task)
+        compiled = self.compiled(destination_task)
         return compiled[3] if compiled is not None else None
 
     def set_dynamic(self, chooser) -> None:

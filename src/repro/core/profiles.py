@@ -97,6 +97,8 @@ class ModelVariant:
         if not self.batch_sizes:
             raise ValueError(f"variant {self.name!r}: needs at least one batch size")
         if self.latency_table is not None:
+            if not all(latency > 0 for latency in self.latency_table.values()):
+                raise ValueError(f"variant {self.name!r}: latency table values must be positive")
             object.__setattr__(self, "latency_table", dict(self.latency_table))
 
     # -- profile queries ---------------------------------------------------

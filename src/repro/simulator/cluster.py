@@ -15,6 +15,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.allocation import AllocationPlan
+from repro.core.draws import poisson_threshold
 from repro.core.load_balancer import WorkerState, workers_from_plan
 from repro.core.pipeline import Pipeline
 from repro.simulator.worker import SimWorker, WorkerAssignment
@@ -89,6 +90,10 @@ class Cluster:
             variant = pipeline.registry.variant(state.variant_name)
             previous = physical.assignment.variant.name if physical.assignment else None
             budget_slack = getattr(getattr(self.sim, "config", None), "budget_slack", 2.0)
+            fanout = []
+            for edge in pipeline.children(state.task):
+                fixed, mean = content_model.fanout(variant, edge)
+                fanout.append((edge.child, fixed, mean, poisson_threshold(mean) if fixed is None else None))
             assignment = WorkerAssignment(
                 logical_id=logical_id,
                 task=state.task,
@@ -96,9 +101,7 @@ class Cluster:
                 batch_size=state.batch_size,
                 latency_budget_ms=state.latency_ms * budget_slack,
                 expected_latency_ms=state.latency_ms,
-                fanout=tuple(
-                    (edge.child, *content_model.fanout(variant, edge)) for edge in pipeline.children(state.task)
-                ),
+                fanout=tuple(fanout),
             )
             physical.assign(assignment, now_s)
             if previous != variant.name:

@@ -40,6 +40,13 @@ class SimulationEngine:
 
         A time below ``now_s`` by rounding error (at most 1e-12 s) is clamped
         to ``now_s``; anything earlier is a scheduling bug and raises.
+
+        The data plane's per-query paths push their entries onto the heap
+        themselves, with the same sequence counter and entry shape, where the
+        delay is non-negative by construction so this check could never
+        fire: the arrival cursor, the Frontend's hop, a worker's batch starts
+        (``enqueue`` and ``_maybe_start_batch``) and its fan-out hops.
+        Everything else schedules through here.
         """
         now = self.now_s
         if time_s < now:

@@ -7,15 +7,19 @@ demand so the Controller can store it in the Metadata Store (Section 3).
 
 A run's arrivals are one :class:`~repro.simulator.events.ArrivalCursor` that
 walks the pre-sampled arrival times and calls :meth:`Frontend.submit` once
-per client query: one inverse-CDF routing draw and one network-delay draw per
-query, the RNG stream the fig5/fig6 parity goldens pin.
+per client query.  A submit is one pass: the arrival tally, the root query,
+one inverse-CDF routing draw and then one network-delay draw, the RNG order
+per arrival that the fig5/fig6 parity goldens pin.  A test-only copy of the per-helper path it replaces
+(``tests/simulator/test_dispatch_reference.py``) must produce bit-identical
+runs, as must the workers' loops; change both together.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING
 
-from repro.simulator.query import Request
+from repro.simulator.query import IntermediateQuery, Request
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.runner import ServingSimulation
@@ -38,6 +42,9 @@ class Frontend:
         "rejected_no_plan",
         "_tele_requests",
         "_tele_rejected",
+        "_engine",
+        "_calendar",
+        "_root",
     )
 
     def __init__(self, sim: "ServingSimulation", slo_ms: float):
@@ -50,28 +57,37 @@ class Frontend:
         self.rejected_no_plan = 0
         self._tele_requests = sim.telemetry.counter("frontend.requests")
         self._tele_rejected = sim.telemetry.counter("frontend.rejected_no_route")
+        self._engine = sim.engine
+        self._calendar = sim.engine.queue
+        self._root = sim.pipeline.root
 
     # -- client API -----------------------------------------------------------
     def submit(self) -> Request:
-        """A client query arrives now; route it to a first-task worker."""
+        """A client query arrives now; route it to a first-task worker.
+
+        The arrival is tallied, the root query built and the route drawn,
+        then the hop is pushed onto the calendar: one routing draw, then one
+        network draw.
+        """
         sim = self.sim
-        now = sim.engine.now_s
+        now = self._engine.now_s
         request = Request(self.total_submitted, now, self.slo_ms)
         self.total_submitted += 1
         self._window_arrivals += 1
         self._tele_requests.value += 1
         sim.metrics.record_arrival(now)
 
-        root_task = sim.pipeline.root
-        request.add_outstanding(1)
-        query = sim.new_intermediate_query(request, root_task, now, accuracy_so_far=1.0)
+        request.outstanding = 1
+        query = IntermediateQuery(sim._next_query_id, request, self._root, now, 1.0)
+        sim._next_query_id += 1
 
-        resilience = getattr(sim, "resilience", None)
+        resilience = sim.resilience
         if resilience is not None and resilience.timeout_s is not None:
             resilience.arm_timeout(request)
 
         routing = sim.routing_plan
-        entry = routing.frontend_table.choose(root_task, sim.rng) if routing is not None else None
+        rng = sim.rng
+        entry = routing.frontend_table.choose(self._root, rng) if routing is not None else None
         if entry is None:
             # No routing yet (e.g. before the first plan) or no root capacity at
             # all: the request cannot be served.
@@ -79,7 +95,18 @@ class Frontend:
             self._tele_rejected.value += 1
             sim.notify_drop(query, reason="no frontend route available")
             return request
-        sim.forward_query(query, entry.worker_id)
+        worker_id = entry.worker_id
+        worker = sim.cluster.logical_map.get(worker_id)
+        if worker is None:
+            sim.notify_drop(query, reason=f"logical worker {worker_id} not hosted")
+            return request
+        sim._tele_forwarded.value += 1
+        # call_at without its past-time check: the delay is >= 0
+        calendar = self._calendar
+        calendar._seq = seq = calendar._seq + 1
+        heappush(calendar._heap, (now + sim.network.sample_delay_s(rng), seq, worker.enqueue, query))
+        if resilience is not None and resilience.hedging:
+            resilience.maybe_arm_hedge(query, worker_id)
         return request
 
     # -- demand accounting -------------------------------------------------------

@@ -30,23 +30,49 @@ class NetworkModel:
         #: keeping simulations byte-identical with previous releases
         self._jitter_low = -self.jitter_ms
         self._jitter_span = self.jitter_ms - self._jitter_low
-        #: transient multiplier on every hop, driven by ``network_delay_spike``
-        #: chaos faults; 1.0 (the default) takes guarded fast paths that leave
-        #: every sampled value bit-identical to a spike-free build
         self.delay_scale = 1.0
+
+    @property
+    def delay_scale(self) -> float:
+        """Transient multiplier on every hop, driven by ``network_delay_spike``
+        chaos faults; 1.0 (the default) takes guarded fast paths that leave
+        every sampled value bit-identical to a spike-free build."""
+        return self._delay_scale
+
+    @delay_scale.setter
+    def delay_scale(self, scale: float) -> None:
+        self._delay_scale = scale
+        #: what a loop sending many hops at one instant binds once:
+        #: ``(fixed_s, latency_ms, low, span, scale)``.  ``fixed_s`` is every
+        #: hop's delay when a hop draws nothing (no jitter); otherwise it is
+        #: ``None`` and each hop repeats :meth:`sample_delay_s`'s float
+        #: operations in its order: ``latency_ms + (low + span *
+        #: rng.random())``, floored at zero, times ``scale`` when that is not
+        #: 1.0, over 1000.  Kept current by this setter (latency and jitter
+        #: are fixed at construction).
+        self.hop_terms = (
+            self.sample_delay_s() if self.jitter_ms <= 0 else None,
+            self.latency_ms,
+            self._jitter_low,
+            self._jitter_span,
+            scale,
+        )
 
     def sample_delay_s(self, rng: Optional[Draws] = None) -> float:
         """One hop's communication latency in seconds: the latency plus one
         uniform jitter draw, floored at zero and scaled by any delay spike.
 
-        Runs once per network hop on the simulator's hot path.
+        Runs once per hop of the Frontend and the resilience layer; a
+        worker's sink and fan-out loops repeat it inline from
+        :attr:`hop_terms`.
         """
+        scale = self._delay_scale
         if self.jitter_ms <= 0 or rng is None:
-            if self.delay_scale != 1.0:
-                return self.latency_ms * self.delay_scale / 1000.0
+            if scale != 1.0:
+                return self.latency_ms * scale / 1000.0
             return self.latency_ms / 1000.0
         value = self.latency_ms + (self._jitter_low + self._jitter_span * rng.random())
         value = value if value > 0.0 else 0.0
-        if self.delay_scale != 1.0:
-            value *= self.delay_scale
+        if scale != 1.0:
+            value *= scale
         return value / 1000.0

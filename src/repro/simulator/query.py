@@ -72,10 +72,6 @@ class Request:
         self.drops += 1
         self._finish_one(time_s)
 
-    def record_internal_completion(self, time_s: float) -> None:
-        """A derived query finished without producing further work (e.g. zero detections)."""
-        self._finish_one(time_s)
-
     def _finish_one(self, time_s: float) -> None:
         self.outstanding -= 1
         if self.outstanding < 0:
@@ -88,6 +84,11 @@ class Request:
                 self.status = RequestStatus.COMPLETED
             else:
                 self.status = RequestStatus.LATE
+
+    #: a derived query finished without producing further work (e.g. zero
+    #: detections); an alias, not a wrapper, as it runs once per query that
+    #: fans out
+    record_internal_completion = _finish_one
 
     # -- metrics --------------------------------------------------------------
     @property

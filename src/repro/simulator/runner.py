@@ -6,6 +6,14 @@ anything exposing the small Controller protocol (``report_demand``,
 ``report_multiplier``, ``step``) can drive the cluster, which is how the
 InferLine- and Proteus-style baselines are simulated on exactly the same
 substrate as Loki.
+
+The data plane draws every per-query value from the run's one stream,
+:attr:`ServingSimulation.rng`.  Per client arrival the Frontend draws the
+route, then the network delay; per finished query a worker draws in the
+order :meth:`SimWorker._dispatch <repro.simulator.worker.SimWorker._dispatch>`
+documents.  Both run inline, one pass per query, and a test-only copy of the
+per-helper paths they replace (``tests/simulator/test_dispatch_reference.py``)
+must give bit-identical runs.
 """
 
 from __future__ import annotations
@@ -254,25 +262,6 @@ class ServingSimulation:
         query = IntermediateQuery(self._next_query_id, request, task, now_s, accuracy_so_far)
         self._next_query_id += 1
         return query
-
-    def forward_query(self, query: IntermediateQuery, logical_worker_id: str) -> None:
-        """Send a query to the physical worker hosting ``logical_worker_id``.
-
-        The Frontend's network hop, and it arms the resilience layer's
-        hedges.  :meth:`SimWorker._dispatch` runs a copy of it inline for
-        every forwarded child; keep the two in sync.
-        """
-        worker = self.cluster.resolve(logical_worker_id)
-        if worker is None:
-            self.notify_drop(query, reason=f"logical worker {logical_worker_id} not hosted")
-            return
-        self._tele_forwarded.value += 1
-        delay = self.network.sample_delay_s(self.rng)
-        engine = self.engine
-        engine.call_at(engine.now_s + delay, worker.enqueue, query)
-        resilience = self.resilience
-        if resilience is not None and resilience.hedging:
-            resilience.maybe_arm_hedge(query, logical_worker_id)
 
     def notify_drop(self, query: IntermediateQuery, reason: str = "") -> None:
         resilience = self.resilience

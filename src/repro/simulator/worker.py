@@ -11,13 +11,22 @@ configured early-dropping policy and routing tables (Section 5).
 Workers also record the multiplicative factors they observe and report them to
 the Controller through heartbeats, closing the estimation loop of Section 4.2.
 
-A finished batch is one pass over its queries in ``_complete_batch`` (sink
-tasks) or ``_dispatch`` (tasks with children), which do each query's work
-inline: fan-out draws, routing, the drop policy, the network hop and the
-request bookkeeping, with no per-query helper call.  The RNG order per query
-is the one ``_dispatch`` documents.  A test-only copy of the per-helper path
-these loops replace (``tests/simulator/test_dispatch_reference.py``) must
-produce bit-identical runs; change both together.
+Both sides of a worker are one pass per query, with no per-query helper
+call.  On arrival, ``enqueue`` runs the drop policy only when the query
+cannot finish in time (the :meth:`DropPolicy.on_arrival` contract) and, when
+the worker is idle and ready, starts the query's batch itself: the duration
+comes from the assignment's ``batch_durations_s`` table and the completion
+goes straight onto the calendar.  A finished batch is one pass over its
+queries in ``_complete_batch`` (sink tasks) or ``_dispatch`` (tasks with
+children): fan-out draws, routing, the drop policy, the network hop and the
+request bookkeeping run inline, and a non-empty queue restarts through
+``_maybe_start_batch``.  Each hop repeats :meth:`NetworkModel.sample_delay_s`
+inline from :attr:`NetworkModel.hop_terms`, read once per batch.  The RNG
+order per finished query is the one ``_dispatch`` documents; per client arrival the
+Frontend draws the route, then the network delay.  A test-only copy of the
+per-helper paths these loops replace, on both the arrival and the completion
+side (``tests/simulator/test_dispatch_reference.py``), must produce
+bit-identical runs; change both together.
 
 Every worker event is one calendar entry calling a worker method: a model
 load ends in ``_maybe_start_batch``, a variant swap in ``_complete_swap`` and
@@ -30,8 +39,10 @@ ends its batch only if it is still the executing ``batch``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Deque, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.dropping import DropAction
@@ -51,7 +62,10 @@ class WorkerAssignment:
     ``expected_latency_ms`` is the profiled execution time of one batch at the
     configured batch size; ``latency_budget_ms`` additionally includes the
     waiting-time allowance and is what the early-dropping policies compare the
-    observed time-in-task against.
+    observed time-in-task against.  ``expected_latency_ms`` must be positive:
+    a worker asks the drop policy about an arriving query only when its
+    remaining SLO is below it, which keeps every policy's decisions (see
+    :meth:`DropPolicy.on_arrival`).
     """
 
     logical_id: str
@@ -60,11 +74,24 @@ class WorkerAssignment:
     batch_size: int
     latency_budget_ms: float
     expected_latency_ms: float
-    #: one ``(child task, fixed count or None, Poisson mean)`` per outgoing
-    #: pipeline edge, in edge order (empty for a sink task), read from the
-    #: content model at plan application so a finished batch draws its
-    #: fan-out counts without a per-query lookup
-    fanout: Tuple[Tuple[str, Optional[int], float], ...]
+    #: one ``(child task, fixed count or None, Poisson mean, Poisson
+    #: threshold or None)`` per outgoing pipeline edge, in edge order (empty
+    #: for a sink task), read from the content model at plan application so
+    #: a finished batch draws its fan-out counts without a per-query lookup;
+    #: the threshold is :func:`repro.core.draws.poisson_threshold` of the mean
+    fanout: Tuple[Tuple[str, Optional[int], float, Optional[float]], ...]
+    #: ``variant.execution_latency_ms(n) / 1000.0`` at index ``n - 1``, for
+    #: ``n = 1 .. batch_size``: the duration of every batch this assignment
+    #: can run, derived once so a batch start is one lookup
+    batch_durations_s: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.expected_latency_ms > 0.0:
+            raise ValueError(f"expected_latency_ms must be positive, got {self.expected_latency_ms}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        durations = tuple(self.variant.execution_latency_ms(n) / 1000.0 for n in range(1, self.batch_size + 1))
+        object.__setattr__(self, "batch_durations_s", durations)
 
 
 class SimWorker:
@@ -85,16 +112,18 @@ class SimWorker:
         "factor_observation_sum",
         "factor_observation_count",
         "_engine",
+        "_calendar",
         "_on_arrival",
     )
 
     def __init__(self, physical_id: str, sim: "ServingSimulation"):
         self.physical_id = physical_id
         self.sim = sim
-        #: hot-path caches, bound once: a run's engine and drop policy are
-        #: fixed for the simulation's lifetime, so the per-query and
-        #: per-batch paths skip an attribute hop each
+        #: hot-path caches, bound once: a run's engine, calendar and drop
+        #: policy are fixed for the simulation's lifetime, so the per-query
+        #: and per-batch paths skip an attribute hop each
         self._engine = sim.engine
+        self._calendar = sim.engine.queue
         self._on_arrival = sim.drop_policy.on_arrival
         self.assignment: Optional[WorkerAssignment] = None
         #: new same-task assignment whose variant is still loading; the worker
@@ -261,7 +290,14 @@ class SimWorker:
 
     # -- query intake ------------------------------------------------------------
     def enqueue(self, query: IntermediateQuery) -> None:
-        """A query arrives at this worker (already includes network delay)."""
+        """A query arrives at this worker (already includes network delay).
+
+        The drop policy is asked only when the remaining SLO is below the
+        expected processing time (the :meth:`DropPolicy.on_arrival`
+        contract).  An idle, ready worker with an empty queue runs the query
+        at once as a batch of one, started inline as ``_maybe_start_batch``
+        would; every other case queues it and defers to that method.
+        """
         now = self._engine.now_s
         if self.failed:
             self.sim.notify_drop(query, reason="worker failed")
@@ -271,27 +307,41 @@ class SimWorker:
             # No model hosted at all (should not happen when routing is consistent).
             self.sim.notify_drop(query, reason="worker has no assignment")
             return
-        decision = self._on_arrival(
-            not assignment.fanout,
-            (query.request.deadline_s - now) * 1000.0,
-            assignment.expected_latency_ms,
-        )
-        if decision.action is DropAction.DROP:
-            self.sim.notify_drop(query, reason=decision.reason)
-            return
+        remaining_slo_ms = (query.request.deadline_s - now) * 1000.0
+        if remaining_slo_ms < assignment.expected_latency_ms:
+            decision = self._on_arrival(not assignment.fanout, remaining_slo_ms, assignment.expected_latency_ms)
+            if decision.action is DropAction.DROP:
+                self.sim.notify_drop(query, reason=decision.reason)
+                return
         # every pipeline task is pre-seeded in sim.task_arrivals
         self.sim.task_arrivals[assignment.task] += 1
         query.worker_arrival_s = now
-        self.queue.append(query)
+        queue = self.queue
+        if self.batch is None and not queue and now >= self.available_at_s - 1e-12:
+            batch = [query]
+            duration_s = assignment.batch_durations_s[0]
+            if self.slowdown != 1.0:
+                duration_s *= self.slowdown
+            self.batch = batch
+            # call_at without its past-time check: the duration is >= 0
+            calendar = self._calendar
+            calendar._seq = seq = calendar._seq + 1
+            heappush(calendar._heap, (now + duration_s, seq, self._complete_batch, batch))
+            return
+        queue.append(query)
         if self.batch is None:
             self._maybe_start_batch()
 
     # -- batching ----------------------------------------------------------------
     def _maybe_start_batch(self) -> None:
+        """Start a batch from the queue if the worker is idle and its model loaded.
+
+        Called when a batch completes, at a load's completion, a swap and the
+        bootstrap; ``enqueue`` starts a batch of one inline the same way.
+        """
         if self.batch is not None or not self.queue or self.assignment is None or self.failed:
             return
-        engine = self._engine
-        now = engine.now_s
+        now = self._engine.now_s
         if now < self.available_at_s - 1e-12:
             return  # model still loading; a start is scheduled for load completion
         assignment = self.assignment
@@ -305,11 +355,14 @@ class SimWorker:
             batch_count = assignment.batch_size
             popleft = queue.popleft
             batch = [popleft() for _ in range(batch_count)]
-        duration_s = assignment.variant.execution_latency_ms(batch_count) / 1000.0
+        duration_s = assignment.batch_durations_s[batch_count - 1]
         if self.slowdown != 1.0:
             duration_s *= self.slowdown
         self.batch = batch
-        engine.call_at(now + duration_s, self._complete_batch, batch)
+        # call_at without its past-time check: the duration is >= 0
+        calendar = self._calendar
+        calendar._seq = seq = calendar._seq + 1
+        heappush(calendar._heap, (now + duration_s, seq, self._complete_batch, batch))
 
     def _complete_batch(self, batch: List[IntermediateQuery]) -> None:
         if batch is not self.batch:
@@ -330,20 +383,47 @@ class SimWorker:
         else:
             # Sink task: every query returns to the Frontend over one network
             # hop.  Per query: the resilience layer's absorb check, then one
-            # network draw.
+            # network draw, then the request's bookkeeping (a copy of
+            # Request.record_sink_completion).
             accuracy = assignment.variant.accuracy
             resilience = sim.resilience
             rng = sim.rng
-            sample_delay_s = sim.network.sample_delay_s
+            fixed_hop_s, latency_ms, jitter_low, jitter_span, delay_scale = sim.network.hop_terms
+            random = rng.random if fixed_hop_s is None else None
             record_finished = sim.metrics.record_request_finished
             in_flight = RequestStatus.IN_FLIGHT
             for query in batch:
-                query.accuracy_so_far *= accuracy
+                path_accuracy = query.accuracy_so_far * accuracy
+                query.accuracy_so_far = path_accuracy
                 if resilience is not None and resilience.absorb_sink(query):
                     continue  # hedge loser or timed-out straggler: already accounted
+                if fixed_hop_s is None:
+                    delay_ms = latency_ms + (jitter_low + jitter_span * random())
+                    if not delay_ms > 0.0:
+                        delay_ms = 0.0
+                    if delay_scale != 1.0:
+                        delay_ms *= delay_scale
+                    time_s = now + delay_ms / 1000.0
+                else:
+                    time_s = now + fixed_hop_s
                 request = query.request
-                request.record_sink_completion(now + sample_delay_s(rng), query.accuracy_so_far)
-                if request.status is not in_flight:
+                request.sink_results += 1
+                request.accuracy_sum += path_accuracy
+                request.accuracy_count += 1
+                outstanding = request.outstanding - 1
+                request.outstanding = outstanding
+                if outstanding == 0:
+                    request.completion_s = time_s
+                    if request.drops > 0:
+                        request.status = RequestStatus.DROPPED
+                    elif time_s <= request.deadline_s + 1e-9:
+                        request.status = RequestStatus.COMPLETED
+                    else:
+                        request.status = RequestStatus.LATE
+                    record_finished(request)
+                elif outstanding < 0:
+                    raise RuntimeError(f"request {request.request_id}: completion bookkeeping underflow")
+                elif request.status is not in_flight:
                     record_finished(request)
         if self.queue:
             self._maybe_start_batch()
@@ -353,41 +433,57 @@ class SimWorker:
         self,
         batch: List[IntermediateQuery],
         assignment: WorkerAssignment,
-        fanout: Tuple[Tuple[str, Optional[int], float], ...],
+        fanout: Tuple[Tuple[str, Optional[int], float, Optional[float]], ...],
         now_s: float,
     ) -> None:
         """Forward the children of every query of a completed batch downstream.
 
         One pass: each child's routing, drop decision and network hop run
         here, with what the run and the routing plan fix looked up once per
-        batch (nothing on this path replaces the plan or the cluster map).
-        The RNG stream is fixed per query: first one Poisson draw per edge
-        whose count is not fixed, then per child in edge order one routing
-        draw, the drop policy's ``on_forward`` (which draws only to break a
-        reroute tie) and one network draw.
+        batch (nothing on this path replaces the plan or the cluster map):
+        each child task's compiled route, the network's constants and the
+        calendar.  The RNG stream is fixed per query: first one Poisson draw
+        per edge whose count is not fixed (NumPy's multiplication method run
+        inline over the stream's uniforms for a mean in ``(0, 10)``), then
+        per child in edge order one routing draw, the drop policy's
+        ``on_forward`` (which draws only to break a reroute tie) and one
+        network draw.
 
         ``on_forward`` is called only when the parent overran its task
         budget or the child has no planned route: otherwise every policy
         forwards to the planned worker (the :meth:`DropPolicy.on_forward`
-        contract).  The hop is a copy of
-        :meth:`ServingSimulation.forward_query`, which the Frontend uses;
-        keep the two in sync, and this loop in sync with its test-only
-        reference in ``tests/simulator/test_dispatch_reference.py``.
+        contract).  The query-id counter and the forwarded tally are kept in
+        locals and written back before every call that could read them
+        (``notify_drop``, ``on_forward``, ``maybe_arm_hedge``) and at the end
+        of the batch.  Each hop repeats :meth:`NetworkModel.sample_delay_s`
+        from :attr:`NetworkModel.hop_terms`.  Keep this loop in sync with its
+        test-only reference in ``tests/simulator/test_dispatch_reference.py``.
         """
         sim = self.sim
         rng = sim.rng
+        random = rng.random
         poisson = rng.poisson
         accuracy = assignment.variant.accuracy
         plan = sim.routing_plan
         table = plan.table_for(assignment.logical_id) if plan is not None else None
-        choose = table.choose if table is not None else None
+        if table is None or table.dynamic is not None:
+            # no table: no planned route and no draw; a dynamic chooser
+            # draws through RoutingTable.choose
+            choose = table.choose if table is not None else None
+            routes = [(task, None) for task, _, _, _ in fanout]
+        else:
+            choose = None
+            routes = [(task, table.compiled(task)) for task, _, _, _ in fanout]
         on_forward = sim.drop_policy.on_forward
         budget_ms = assignment.latency_budget_ms
         hosted = sim.cluster.logical_map.get
-        sample_delay_s = sim.network.sample_delay_s
-        call_at = self._engine.call_at
+        fixed_hop_s, latency_ms, jitter_low, jitter_span, delay_scale = sim.network.hop_terms
+        calendar = self._calendar
+        heap = calendar._heap
         notify_drop = sim.notify_drop
         forwarded = sim._tele_forwarded
+        next_id = sim._next_query_id
+        sent = 0  # hops not yet added to the forwarded tally
         resilience = sim.resilience
         hedging = resilience is not None and resilience.hedging
         record_finished = sim.metrics.record_request_finished
@@ -396,8 +492,17 @@ class SimWorker:
             query.accuracy_so_far *= accuracy
             counts = []
             total_children = 0
-            for _, fixed, mean in fanout:
-                count = fixed if fixed is not None else poisson(mean)
+            for _, fixed, mean, threshold in fanout:
+                if fixed is not None:
+                    count = fixed
+                elif threshold is not None:
+                    count = 0
+                    product = random()
+                    while product > threshold:
+                        count += 1
+                        product *= random()
+                else:
+                    count = poisson(mean)
                 counts.append(count)
                 total_children += count
             self.factor_observation_sum += total_children
@@ -408,14 +513,25 @@ class SimWorker:
                 time_in_task_ms = (now_s - query.worker_arrival_s) * 1000.0
                 overrun = time_in_task_ms > budget_ms
                 path_accuracy = query.accuracy_so_far
-                for (task, _, _), count in zip(fanout, counts):
+                for (task, route), count in zip(routes, counts):
+                    if route is not None:
+                        cumulative, entries, last, _ = route
                     for _ in range(count):
-                        child = IntermediateQuery(sim._next_query_id, request, task, now_s, path_accuracy)
-                        sim._next_query_id += 1
-                        planned = choose(task, rng) if choose is not None else None
+                        child = IntermediateQuery(next_id, request, task, now_s, path_accuracy)
+                        next_id += 1
+                        if route is not None:
+                            index = bisect_right(cumulative, random())
+                            planned = entries[index if index < last else last]
+                        elif choose is not None:
+                            planned = choose(task, rng)
+                        else:
+                            planned = None
                         if planned is not None and not overrun:
                             target_id = planned.worker_id
                         else:
+                            sim._next_query_id = next_id
+                            forwarded.value += sent
+                            sent = 0
                             backups = plan.backups_for(task) if plan is not None else ()
                             remaining_slo_ms = (request.deadline_s - now_s) * 1000.0
                             decision = on_forward(time_in_task_ms, budget_ms, planned, backups, remaining_slo_ms, rng)
@@ -435,16 +551,35 @@ class SimWorker:
                                 continue
                         worker = hosted(target_id)
                         if worker is None:
+                            sim._next_query_id = next_id
+                            forwarded.value += sent
+                            sent = 0
                             notify_drop(child, reason=f"logical worker {target_id} not hosted")
                             continue
-                        forwarded.value += 1
-                        call_at(now_s + sample_delay_s(rng), worker.enqueue, child)
+                        sent += 1
+                        if fixed_hop_s is None:
+                            delay_ms = latency_ms + (jitter_low + jitter_span * random())
+                            if not delay_ms > 0.0:
+                                delay_ms = 0.0
+                            if delay_scale != 1.0:
+                                delay_ms *= delay_scale
+                            arrival_s = now_s + delay_ms / 1000.0
+                        else:
+                            arrival_s = now_s + fixed_hop_s
+                        # call_at without its past-time check: the delay is >= 0
+                        calendar._seq = seq = calendar._seq + 1
+                        heappush(heap, (arrival_s, seq, worker.enqueue, child))
                         if hedging:
+                            sim._next_query_id = next_id
+                            forwarded.value += sent
+                            sent = 0
                             resilience.maybe_arm_hedge(child, target_id)
             # The parent query itself is finished (its children, if any, carry on).
             request.record_internal_completion(now_s)
             if request.status is not in_flight and (resilience is None or not resilience.absorbed(request)):
                 record_finished(request)
+        sim._next_query_id = next_id
+        forwarded.value += sent
 
     # -- heartbeats -------------------------------------------------------------------
     def heartbeat(self) -> Optional[float]:

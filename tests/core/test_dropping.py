@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.dropping import (
     FORWARD_DECISION,
+    PROCESS_DECISION,
     DropAction,
     LastTaskDropping,
     NoEarlyDropping,
@@ -270,3 +271,21 @@ class TestOnForwardContract:
             time_in_task_ms, budget_ms, planned, backups, remaining_slo_ms, _NoDraws()
         )
         assert decision is FORWARD_DECISION
+
+
+class TestOnArrivalContract:
+    """The simulator skips ``on_arrival`` when the remaining SLO covers the
+    expected processing time, so in that case every built-in policy must
+    process the query."""
+
+    @pytest.mark.parametrize("name", sorted(POLICY_NAMES))
+    @pytest.mark.parametrize("is_last_task", [False, True])
+    @given(
+        expected_processing_ms=st.floats(min_value=0.0, max_value=1e4, allow_nan=False, exclude_min=True),
+        slack_ms=_latencies,
+    )
+    def test_enough_time_left_processes(self, name, is_last_task, expected_processing_ms, slack_ms):
+        remaining_slo_ms = expected_processing_ms + slack_ms
+        assert remaining_slo_ms >= expected_processing_ms > 0
+        decision = make_drop_policy(name).on_arrival(is_last_task, remaining_slo_ms, expected_processing_ms)
+        assert decision is PROCESS_DECISION

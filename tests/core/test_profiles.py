@@ -27,6 +27,20 @@ class TestModelVariant:
         assert v.latency_ms(2) == pytest.approx(15.0)
         assert v.throughput_qps(4) == pytest.approx(1000.0 * 4 / 28.0)
 
+    @pytest.mark.parametrize("latency", [0.0, -5.0, float("nan")])
+    def test_non_positive_latency_table_entry_rejected(self, latency):
+        # a bad profile fails when it is built, not at a plan application
+        with pytest.raises(ValueError, match="latency table"):
+            ModelVariant(
+                name="bad",
+                family="f",
+                accuracy=0.9,
+                base_latency_ms=1.0,
+                per_item_latency_ms=1.0,
+                batch_sizes=(1, 2),
+                latency_table={1: 10.0, 2: latency},
+            )
+
     def test_disallowed_batch_size_rejected(self):
         v = make_variant("v", batch_sizes=(1, 2))
         with pytest.raises(ValueError):

@@ -103,3 +103,27 @@ def test_final_rng_state_shows_a_draw_no_summary_field_sees(monkeypatch, capsys)
     assert dataplane_identity.compare_records({"smoke": first}, {"smoke": second}) == 1
     out = capsys.readouterr().out
     assert f"smoke: DIFFERENT in {state}.state.state; events {first[events]}\n" in out
+
+
+def test_record_holds_traffic_azure_under_every_drop_policy():
+    from repro.core.dropping import POLICY_NAMES
+    from repro.scenarios import scenario_names
+
+    names = dataplane_identity.record_names()
+    assert names[: len(scenario_names())] == list(scenario_names())
+    assert names[len(scenario_names()) :] == [f"traffic_azure@{policy}" for policy in sorted(POLICY_NAMES)]
+    assert "last_task_dropping" in POLICY_NAMES and "per_task_dropping" in POLICY_NAMES
+
+
+def test_policy_key_runs_the_scenario_under_that_policy(monkeypatch):
+    built = []
+    make_drop_policy = runner.make_drop_policy
+
+    def recording(name):
+        built.append(name)
+        return make_drop_policy(name)
+
+    monkeypatch.setattr(runner, "make_drop_policy", recording)
+    record = dataplane_identity.run_scenario("smoke@per_task_dropping")
+    assert built == ["per_task_dropping"]
+    assert record["total_requests"] > 0

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.simulator.runner as runner
-from repro.core.draws import BLOCK_SIZE, DrawStream
+from repro.core.draws import BLOCK_SIZE, DrawStream, poisson_threshold
 from repro.scenarios import get_scenario
 
 BIT_GENERATORS = [np.random.PCG64, np.random.SFC64]
@@ -115,6 +115,39 @@ class TestExactness:
         assert counts == [int(plain.poisson(2.4)) for _ in range(1000)]
         assert stream.poisson(0.0) == 0
         _apply(("checkpoint",), plain, stream)
+
+
+#: fan-out means at the edges of the inline Poisson loop's range
+THRESHOLD_MEANS = [1e-9, 0.5, 2.78, 9.999]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("lam", THRESHOLD_MEANS)
+def test_inline_poisson_loop_with_the_stored_threshold_matches_generator(bit_generator, lam):
+    """A worker's fan-out loop draws each Poisson count inline, from the
+    threshold stored at plan application: the same counts as
+    ``Generator.poisson`` and, after ``sync()``, the same generator state."""
+    plain, stream = _pair(bit_generator)
+    threshold = poisson_threshold(lam)
+    assert threshold == math.exp(-lam)
+    random = stream.random
+    counts = []
+    for _ in range(2000):
+        count = 0
+        product = random()
+        while product > threshold:
+            count += 1
+            product *= random()
+        counts.append(count)
+    assert counts == [int(plain.poisson(lam)) for _ in range(2000)]
+    stream.sync()
+    assert _same(stream.generator.bit_generator.state, plain.bit_generator.state)
+
+
+@pytest.mark.parametrize("lam", [0.0, 10.0, 37.5])
+def test_no_threshold_outside_the_multiplication_range(lam):
+    # a mean of 0, or of 10 or more, goes through DrawStream.poisson
+    assert poisson_threshold(lam) is None
 
 
 class _PassThrough:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import Controller, ControllerConfig
 from repro.core.allocation import AllocationProblem
+from repro.core.draws import poisson_threshold
 from repro.core.dropping import FORWARD_DECISION, DropPolicy
 from repro.core.load_balancer import BackupEntry, RoutingEntry, RoutingPlan, RoutingTable
 from repro.control import ControlPlaneEngine, StaticPlanPolicy
@@ -440,7 +441,7 @@ class TestOnForwardCalls:
             request = Request(i, now - age_ms / 1000.0, 150.0)
             request.add_outstanding(1)
             batch.append(sim.new_intermediate_query(request, "detect", now - age_ms / 1000.0, 1.0))
-        (children,) = [count for _, count, _ in assignment.fanout]
+        (children,) = [count for _, count, _, _ in assignment.fanout]
         worker.batch = batch  # executing, as _maybe_start_batch leaves it
         worker._complete_batch(batch)
         return policy.calls, children, planned
@@ -499,3 +500,27 @@ class TestClusterPlanApplication:
         loads_before = sim.cluster.model_loads
         sim.cluster.apply_plan(plan, small_pipeline, sim.engine.now_s)
         assert sim.cluster.model_loads == loads_before
+
+    def test_assignments_carry_fanout_thresholds_and_batch_durations(self, branching_pipeline):
+        sim = ServingSimulation(
+            branching_pipeline,
+            loki_controller(branching_pipeline, slo_ms=200.0),
+            constant_trace(40.0, 2),
+            SimulationConfig(num_workers=10, latency_slo_ms=200.0, seed=1),
+        )
+        sim._bootstrap()
+        assignments = [w.assignment for w in sim.cluster.workers if w.assignment is not None]
+        assert {a.task for a in assignments} == {"detect", "classify_a", "classify_b"}
+        poisson_edges = 0
+        for assignment in assignments:
+            variant = assignment.variant
+            assert assignment.batch_durations_s == tuple(
+                variant.execution_latency_ms(n) / 1000.0 for n in range(1, assignment.batch_size + 1)
+            )
+            for edge, (child, fixed, mean, threshold) in zip(
+                branching_pipeline.children(assignment.task), assignment.fanout
+            ):
+                assert (child, fixed, mean) == (edge.child, *sim.content_model.fanout(variant, edge))
+                assert threshold == (poisson_threshold(mean) if fixed is None else None)
+                poisson_edges += fixed is None
+        assert poisson_edges > 0

@@ -13,6 +13,7 @@ later state change made stale must notice it itself when it runs.
   then executing a new batch.
 """
 
+import dataclasses
 from collections import defaultdict
 
 import pytest
@@ -73,6 +74,22 @@ def sim():
 @pytest.fixture
 def worker(sim):
     return SimWorker("w0", sim)
+
+
+class TestWorkerAssignment:
+    def test_batch_durations_follow_the_latency_curve(self):
+        variant = make_variant("v", alpha=3.0, beta=1.5)
+        assignment = assignment_for(variant)
+        assert assignment.batch_durations_s == tuple(
+            variant.execution_latency_ms(n) / 1000.0 for n in range(1, assignment.batch_size + 1)
+        )
+
+    @pytest.mark.parametrize("expected_latency_ms", [0.0, -1.0, float("nan")])
+    def test_non_positive_expected_latency_is_rejected(self, expected_latency_ms):
+        # a worker skips on_arrival while the remaining SLO covers this
+        # latency, which keeps every policy's decisions only when it is > 0
+        with pytest.raises(ValueError):
+            dataclasses.replace(assignment_for(make_variant("v")), expected_latency_ms=expected_latency_ms)
 
 
 class TestPendingSwapSupersession:
