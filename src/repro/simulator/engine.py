@@ -44,8 +44,8 @@ class SimulationEngine:
         The data plane's per-query paths push their entries onto the heap
         themselves, with the same sequence counter and entry shape, where the
         delay is non-negative by construction so this check could never
-        fire: the arrival cursor, the Frontend's hop, a worker's batch starts
-        (``enqueue`` and ``_maybe_start_batch``) and its fan-out hops.
+        fire: the arrival cursor, the Frontend's hop, a worker's batch start
+        (``_maybe_start_batch``) and its fan-out hops.
         Everything else schedules through here.
         """
         now = self.now_s

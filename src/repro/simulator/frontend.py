@@ -7,11 +7,14 @@ demand so the Controller can store it in the Metadata Store (Section 3).
 
 A run's arrivals are one :class:`~repro.simulator.events.ArrivalCursor` that
 walks the pre-sampled arrival times and calls :meth:`Frontend.submit` once
-per client query.  A submit is one pass: the arrival tally, the root query,
-one inverse-CDF routing draw and then one network-delay draw, the RNG order
-per arrival that the fig5/fig6 parity goldens pin.  A test-only copy of the per-helper path it replaces
-(``tests/simulator/test_dispatch_reference.py``) must produce bit-identical
-runs, as must the workers' loops; change both together.
+per client query.  A submit is one pass that calls each decision's one home:
+the arrival tally (:meth:`MetricsCollector.record_arrival`), the root query,
+one routing draw (:meth:`RoutingTable.choose`) and then one network-delay
+draw (:meth:`NetworkModel.sample_delay_s`), the RNG order per arrival that
+the fig5/fig6 parity goldens pin; only the root query's construction and the
+calendar push are inline.  A test-only copy of the per-helper path it
+replaces (``tests/simulator/test_dispatch_reference.py``) must produce
+bit-identical runs, as must the workers' loops; change both together.
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ class Request:
         "accuracy_sum",
         "accuracy_count",
         "drops",
-        "sink_results",
     )
 
     def __init__(self, request_id: int, arrival_s: float, slo_ms: float) -> None:
@@ -54,7 +53,6 @@ class Request:
         self.accuracy_sum = 0.0
         self.accuracy_count = 0
         self.drops = 0
-        self.sink_results = 0
 
     # -- bookkeeping ---------------------------------------------------------
     def add_outstanding(self, count: int = 1) -> None:
@@ -62,7 +60,6 @@ class Request:
 
     def record_sink_completion(self, time_s: float, path_accuracy: float) -> None:
         """One derived query reached a sink."""
-        self.sink_results += 1
         self.accuracy_sum += path_accuracy
         self.accuracy_count += 1
         self._finish_one(time_s)

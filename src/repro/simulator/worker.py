@@ -11,21 +11,20 @@ configured early-dropping policy and routing tables (Section 5).
 Workers also record the multiplicative factors they observe and report them to
 the Controller through heartbeats, closing the estimation loop of Section 4.2.
 
-Both sides of a worker are one pass per query, with no per-query helper
-call.  On arrival, ``enqueue`` runs the drop policy only when the query
-cannot finish in time (the :meth:`DropPolicy.on_arrival` contract) and, when
-the worker is idle and ready, starts the query's batch itself: the duration
-comes from the assignment's ``batch_durations_s`` table and the completion
-goes straight onto the calendar.  A finished batch is one pass over its
-queries in ``_complete_batch`` (sink tasks) or ``_dispatch`` (tasks with
-children): fan-out draws, routing, the drop policy, the network hop and the
-request bookkeeping run inline, and a non-empty queue restarts through
-``_maybe_start_batch``.  Each hop repeats :meth:`NetworkModel.sample_delay_s`
-inline from :attr:`NetworkModel.hop_terms`, read once per batch.  The RNG
-order per finished query is the one ``_dispatch`` documents; per client arrival the
-Frontend draws the route, then the network delay.  A test-only copy of the
-per-helper paths these loops replace, on both the arrival and the completion
-side (``tests/simulator/test_dispatch_reference.py``), must produce
+Each data-plane decision has one home, which these loops call.  On arrival,
+``enqueue`` runs the drop policy only when the query cannot finish in time
+(the :meth:`DropPolicy.on_arrival` contract), queues the query and calls
+``_maybe_start_batch``, which reads the batch's duration from the
+assignment's ``batch_durations_s`` table.  A finished batch is one pass over
+its queries in ``_complete_batch`` (sink tasks) or ``_dispatch`` (tasks with
+children): a route is :meth:`RoutingTable.choose`, a hop
+:meth:`NetworkModel.sample_delay_s` and a sink's bookkeeping
+:meth:`Request.record_sink_completion`.  What stays inline is the fan-out
+loop's Poisson draw, the drop-policy skip and the query-id and forwarded
+counters kept in locals.  The RNG order per finished query is the one
+``_dispatch`` documents; per client arrival the Frontend draws the route,
+then the network delay.  A test-only copy of the per-helper paths these
+loops replace (``tests/simulator/test_dispatch_reference.py``) must produce
 bit-identical runs; change both together.
 
 Every worker event is one calendar entry calling a worker method: a model
@@ -39,7 +38,6 @@ ends its batch only if it is still the executing ``batch``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush
@@ -239,7 +237,11 @@ class SimWorker:
     def fail(self, reason: str = "worker failed") -> None:
         """Hard failure: everything queued or executing here is lost --
         unless the resilience layer's failover is on, in which case queued
-        and in-flight queries are re-queued to surviving replicas."""
+        and in-flight queries are re-queued to surviving replicas.
+
+        This is the only place that clears ``assignment``, and it clears
+        ``batch`` first, so a batch completion that finds its batch still
+        executing always has an assignment."""
         if self.failed:
             return
         self.failed = True
@@ -294,9 +296,7 @@ class SimWorker:
 
         The drop policy is asked only when the remaining SLO is below the
         expected processing time (the :meth:`DropPolicy.on_arrival`
-        contract).  An idle, ready worker with an empty queue runs the query
-        at once as a batch of one, started inline as ``_maybe_start_batch``
-        would; every other case queues it and defers to that method.
+        contract); a kept query is queued and an idle worker starts a batch.
         """
         now = self._engine.now_s
         if self.failed:
@@ -316,19 +316,7 @@ class SimWorker:
         # every pipeline task is pre-seeded in sim.task_arrivals
         self.sim.task_arrivals[assignment.task] += 1
         query.worker_arrival_s = now
-        queue = self.queue
-        if self.batch is None and not queue and now >= self.available_at_s - 1e-12:
-            batch = [query]
-            duration_s = assignment.batch_durations_s[0]
-            if self.slowdown != 1.0:
-                duration_s *= self.slowdown
-            self.batch = batch
-            # call_at without its past-time check: the duration is >= 0
-            calendar = self._calendar
-            calendar._seq = seq = calendar._seq + 1
-            heappush(calendar._heap, (now + duration_s, seq, self._complete_batch, batch))
-            return
-        queue.append(query)
+        self.queue.append(query)
         if self.batch is None:
             self._maybe_start_batch()
 
@@ -336,8 +324,8 @@ class SimWorker:
     def _maybe_start_batch(self) -> None:
         """Start a batch from the queue if the worker is idle and its model loaded.
 
-        Called when a batch completes, at a load's completion, a swap and the
-        bootstrap; ``enqueue`` starts a batch of one inline the same way.
+        Called on an arrival at an idle worker, when a batch completes, at a
+        load's completion, a swap and the bootstrap.
         """
         if self.batch is not None or not self.queue or self.assignment is None or self.failed:
             return
@@ -370,10 +358,6 @@ class SimWorker:
         sim = self.sim
         assignment = self.assignment
         self.batch = None
-        if assignment is None:  # pragma: no cover - defensive
-            for query in batch:
-                sim.notify_drop(query, reason="assignment removed mid-batch")
-            return
         now = self._engine.now_s
         sim._tele_batches.value += 1
         sim._tele_batch_queries.value += len(batch)
@@ -383,13 +367,11 @@ class SimWorker:
         else:
             # Sink task: every query returns to the Frontend over one network
             # hop.  Per query: the resilience layer's absorb check, then one
-            # network draw, then the request's bookkeeping (a copy of
-            # Request.record_sink_completion).
+            # network draw, then the request's bookkeeping.
             accuracy = assignment.variant.accuracy
             resilience = sim.resilience
             rng = sim.rng
-            fixed_hop_s, latency_ms, jitter_low, jitter_span, delay_scale = sim.network.hop_terms
-            random = rng.random if fixed_hop_s is None else None
+            sample_delay_s = sim.network.sample_delay_s
             record_finished = sim.metrics.record_request_finished
             in_flight = RequestStatus.IN_FLIGHT
             for query in batch:
@@ -397,33 +379,9 @@ class SimWorker:
                 query.accuracy_so_far = path_accuracy
                 if resilience is not None and resilience.absorb_sink(query):
                     continue  # hedge loser or timed-out straggler: already accounted
-                if fixed_hop_s is None:
-                    delay_ms = latency_ms + (jitter_low + jitter_span * random())
-                    if not delay_ms > 0.0:
-                        delay_ms = 0.0
-                    if delay_scale != 1.0:
-                        delay_ms *= delay_scale
-                    time_s = now + delay_ms / 1000.0
-                else:
-                    time_s = now + fixed_hop_s
                 request = query.request
-                request.sink_results += 1
-                request.accuracy_sum += path_accuracy
-                request.accuracy_count += 1
-                outstanding = request.outstanding - 1
-                request.outstanding = outstanding
-                if outstanding == 0:
-                    request.completion_s = time_s
-                    if request.drops > 0:
-                        request.status = RequestStatus.DROPPED
-                    elif time_s <= request.deadline_s + 1e-9:
-                        request.status = RequestStatus.COMPLETED
-                    else:
-                        request.status = RequestStatus.LATE
-                    record_finished(request)
-                elif outstanding < 0:
-                    raise RuntimeError(f"request {request.request_id}: completion bookkeeping underflow")
-                elif request.status is not in_flight:
+                request.record_sink_completion(now + sample_delay_s(rng), path_accuracy)
+                if request.status is not in_flight:
                     record_finished(request)
         if self.queue:
             self._maybe_start_batch()
@@ -438,16 +396,16 @@ class SimWorker:
     ) -> None:
         """Forward the children of every query of a completed batch downstream.
 
-        One pass: each child's routing, drop decision and network hop run
-        here, with what the run and the routing plan fix looked up once per
+        One pass: what the run and the routing plan fix is looked up once per
         batch (nothing on this path replaces the plan or the cluster map):
-        each child task's compiled route, the network's constants and the
-        calendar.  The RNG stream is fixed per query: first one Poisson draw
-        per edge whose count is not fixed (NumPy's multiplication method run
-        inline over the stream's uniforms for a mean in ``(0, 10)``), then
-        per child in edge order one routing draw, the drop policy's
-        ``on_forward`` (which draws only to break a reroute tie) and one
-        network draw.
+        the worker's routing table, the network model and the calendar.  The
+        RNG stream is fixed per query: first one Poisson draw per edge whose
+        count is not fixed (NumPy's multiplication method run inline over the
+        stream's uniforms for a mean in ``(0, 10)``), then per child in edge
+        order one routing draw (:meth:`RoutingTable.choose`; none without a
+        table), the drop policy's ``on_forward`` (which draws only to break a
+        reroute tie) and one network draw
+        (:meth:`NetworkModel.sample_delay_s`).
 
         ``on_forward`` is called only when the parent overran its task
         budget or the child has no planned route: otherwise every policy
@@ -455,9 +413,8 @@ class SimWorker:
         contract).  The query-id counter and the forwarded tally are kept in
         locals and written back before every call that could read them
         (``notify_drop``, ``on_forward``, ``maybe_arm_hedge``) and at the end
-        of the batch.  Each hop repeats :meth:`NetworkModel.sample_delay_s`
-        from :attr:`NetworkModel.hop_terms`.  Keep this loop in sync with its
-        test-only reference in ``tests/simulator/test_dispatch_reference.py``.
+        of the batch.  Keep this loop in sync with its test-only reference in
+        ``tests/simulator/test_dispatch_reference.py``.
         """
         sim = self.sim
         rng = sim.rng
@@ -466,18 +423,11 @@ class SimWorker:
         accuracy = assignment.variant.accuracy
         plan = sim.routing_plan
         table = plan.table_for(assignment.logical_id) if plan is not None else None
-        if table is None or table.dynamic is not None:
-            # no table: no planned route and no draw; a dynamic chooser
-            # draws through RoutingTable.choose
-            choose = table.choose if table is not None else None
-            routes = [(task, None) for task, _, _, _ in fanout]
-        else:
-            choose = None
-            routes = [(task, table.compiled(task)) for task, _, _, _ in fanout]
+        choose = table.choose if table is not None else None
         on_forward = sim.drop_policy.on_forward
         budget_ms = assignment.latency_budget_ms
         hosted = sim.cluster.logical_map.get
-        fixed_hop_s, latency_ms, jitter_low, jitter_span, delay_scale = sim.network.hop_terms
+        sample_delay_s = sim.network.sample_delay_s
         calendar = self._calendar
         heap = calendar._heap
         notify_drop = sim.notify_drop
@@ -496,6 +446,13 @@ class SimWorker:
                 if fixed is not None:
                     count = fixed
                 elif threshold is not None:
+                    # DrawStream.poisson's multiplication loop, kept inline:
+                    # calling rng.poisson here read 1.079x run_cpu_s on
+                    # steady_dataplane (10 alternating pairs, the call faster
+                    # in 2, median gap 0.30 s against the parent's 0.19 s
+                    # IQR; by difference across two sessions).  Two direct
+                    # 10-pair sets on a 2-core host read 0.997x (5 of 10) and
+                    # 1.047x (3 of 10): no pair-rule win either way.
                     count = 0
                     product = random()
                     while product > threshold:
@@ -513,19 +470,11 @@ class SimWorker:
                 time_in_task_ms = (now_s - query.worker_arrival_s) * 1000.0
                 overrun = time_in_task_ms > budget_ms
                 path_accuracy = query.accuracy_so_far
-                for (task, route), count in zip(routes, counts):
-                    if route is not None:
-                        cumulative, entries, last, _ = route
+                for (task, _, _, _), count in zip(fanout, counts):
                     for _ in range(count):
                         child = IntermediateQuery(next_id, request, task, now_s, path_accuracy)
                         next_id += 1
-                        if route is not None:
-                            index = bisect_right(cumulative, random())
-                            planned = entries[index if index < last else last]
-                        elif choose is not None:
-                            planned = choose(task, rng)
-                        else:
-                            planned = None
+                        planned = choose(task, rng) if choose is not None else None
                         if planned is not None and not overrun:
                             target_id = planned.worker_id
                         else:
@@ -557,18 +506,9 @@ class SimWorker:
                             notify_drop(child, reason=f"logical worker {target_id} not hosted")
                             continue
                         sent += 1
-                        if fixed_hop_s is None:
-                            delay_ms = latency_ms + (jitter_low + jitter_span * random())
-                            if not delay_ms > 0.0:
-                                delay_ms = 0.0
-                            if delay_scale != 1.0:
-                                delay_ms *= delay_scale
-                            arrival_s = now_s + delay_ms / 1000.0
-                        else:
-                            arrival_s = now_s + fixed_hop_s
                         # call_at without its past-time check: the delay is >= 0
                         calendar._seq = seq = calendar._seq + 1
-                        heappush(heap, (arrival_s, seq, worker.enqueue, child))
+                        heappush(heap, (now_s + sample_delay_s(rng), seq, worker.enqueue, child))
                         if hedging:
                             sim._next_query_id = next_id
                             forwarded.value += sent

@@ -1,29 +1,33 @@
-"""The inlined data-plane loops match the per-helper paths they replaced.
+"""The data-plane loops match the per-helper paths they replaced.
 
-Both sides of the data plane run one pass per query.  On the arrival side
-``Frontend.submit`` builds the root query and pushes its hop inline, and
-``SimWorker.enqueue`` asks the drop policy only when it can act and starts
-an idle worker's batch itself.  On the completion side
-``SimWorker._complete_batch`` and ``SimWorker._dispatch`` do each query's
-sink, fan-out, routing, drop decision, network hop and request bookkeeping
-inline.
+Both sides of the data plane run one pass per query, calling one home per
+decision: a route is ``RoutingTable.choose``, a hop
+``NetworkModel.sample_delay_s``, a sink's bookkeeping
+``Request.record_sink_completion`` and a batch start
+``SimWorker._maybe_start_batch``.  What is still inline: ``Frontend.submit``
+builds the root query and pushes its hop onto the calendar itself;
+``SimWorker.enqueue`` asks the drop policy only when it can act;
+``_maybe_start_batch`` reads the batch duration from the assignment's table
+and pushes the completion itself; ``SimWorker._dispatch`` draws Poisson
+fan-out counts by NumPy's multiplication loop over the stream's uniforms,
+asks the drop policy only about overrun or unrouted children, builds the
+children directly and keeps the query-id counter and forwarded tally in
+locals, pushing each hop onto the calendar itself.
 
 This module keeps the paths they replaced as a test-only reference: a
 ``submit`` through ``record_arrival``, ``new_intermediate_query``,
 ``RoutingTable.choose`` and ``forward_query``; an ``enqueue`` that always
 asks the drop policy and calls a ``_maybe_start_batch`` that reads the
 variant's latency curve and schedules through ``call_at``; the per-child
-helpers ``forward_query``, ``notify_sink`` (through
-``Request.record_sink_completion``) and ``check_request``, each hop drawn by
-``NetworkModel.sample_delay_s``; a sink loop calling ``notify_sink``; and a
-dispatch loop that samples each (query, edge) pair through
-``MultiplicativeContentModel.sample_children`` and asks the drop policy
-about every child.  The only change to the copy is that the forwarded and
-dropped counts live in the telemetry counters alone.  All of it is
-monkeypatched in together.
+helpers ``forward_query``, ``notify_sink`` and ``check_request``; a sink
+loop calling ``notify_sink``; and a dispatch loop that samples each (query,
+edge) pair through ``MultiplicativeContentModel.sample_children`` and asks
+the drop policy about every child.  The only change to the copy is that the
+forwarded and dropped counts live in the telemetry counters alone.  All of
+it is monkeypatched in together.
 
 Each builtin-scenario run with the reference patched in must match the run
-of the inlined loops bit for bit: the summary, the telemetry snapshot, the
+of the data-plane loops bit for bit: the summary, the telemetry snapshot, the
 engine's event count, the drop reasons, the query-id counter and the
 simulation stream's final generator state.  Crafted runs cover what the
 builtins reach rarely or never (a worker still loading, a straggler, a delay

@@ -51,7 +51,7 @@ class TestRequest:
             request.record_sink_completion(0.02 + 0.01 * i, path_accuracy=0.8)
         assert request.status is RequestStatus.COMPLETED
         assert request.mean_accuracy == pytest.approx(0.8)
-        assert request.sink_results == 3
+        assert request.accuracy_count == 3
 
     def test_zero_detection_request_completes_without_accuracy(self):
         request = Request(0, 0.0, 100.0)
@@ -237,7 +237,7 @@ class TestRequestLifecycleProperty:
                 assert request.completion_s is None and request.latency_ms is None
 
         assert terminal_transitions <= 1
-        assert request.sink_results == request.accuracy_count == len(sink_accuracies)
+        assert request.accuracy_count == len(sink_accuracies)
         assert request.mean_accuracy == pytest.approx(
             sum(sink_accuracies) / len(sink_accuracies) if sink_accuracies else 0.0
         )
