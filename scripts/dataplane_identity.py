@@ -17,8 +17,11 @@ the simulation stream's final bit-generator state (after ``sim.rng.sync()``)
 under ``rng.final_state``.  The builtins run only two of the four drop
 policies, and not the two whose ``on_arrival`` can drop, so the record also
 holds ``traffic_azure`` under every name of ``repro.core.dropping.POLICY_NAMES``,
-keyed ``traffic_azure@<policy>``.  Every
-scenario runs exactly as registered (apart from that policy override): the default solver budget
+keyed ``traffic_azure@<policy>``.  The builtins run no baseline either, so it
+also holds ``traffic_azure`` under the ``inferline`` and ``proteus`` systems
+of ``repro.scenarios.spec.SYSTEM_FACTORIES``, keyed ``traffic_azure@<system>``
+(each with its own default drop policy): a baseline change shows there.  Every
+scenario runs exactly as registered (apart from that policy or system override): the default solver budget
 (:data:`repro.solver.DEFAULT_SOLVER_OPTIONS`) bounds HiGHS by branch-and-bound
 nodes, not seconds, so a record depends on the code alone and two records of
 one commit are identical even when written concurrently on a loaded host.
@@ -49,8 +52,11 @@ SEED = 0
 EVENTS = "engine.events_processed"
 #: record key of the simulation stream's final bit-generator state
 RNG_STATE = "rng.final_state"
-#: the builtin recorded once under each drop policy, as ``<name>@<policy>``
+#: the builtin recorded once under each drop policy, as ``<name>@<policy>``,
+#: and once under each baseline system, as ``<name>@<system>``
 POLICY_SCENARIO = "traffic_azure"
+#: the systems the builtins do not run
+BASELINE_SYSTEMS = ("inferline", "proteus")
 
 
 def run_scenario(name: str) -> dict:
@@ -58,14 +64,17 @@ def run_scenario(name: str) -> dict:
     dict, with the engine's event count under :data:`EVENTS` and the final
     bit-generator state of the simulation stream under :data:`RNG_STATE`.
 
-    ``<scenario>@<policy>`` runs the scenario under that drop policy."""
+    ``<scenario>@<policy>`` runs the scenario under that drop policy and
+    ``<scenario>@<system>`` under that serving system."""
     from repro.scenarios import get_scenario
 
-    scenario, _, policy = name.partition("@")
+    scenario, _, override = name.partition("@")
     spec = get_scenario(scenario)
     spec = spec.with_overrides(trace_params={**spec.trace_params, "duration_s": DURATION_S})
-    if policy:
-        spec = spec.with_overrides(drop_policy=policy)
+    if override in BASELINE_SYSTEMS:
+        spec = spec.with_overrides(system=override)
+    elif override:
+        spec = spec.with_overrides(drop_policy=override)
     sim = spec.build(seed=SEED)
     summary = dataclasses.asdict(sim.run())
     # run() ends with sim.rng.sync(), so this is where the draws left it
@@ -74,11 +83,13 @@ def run_scenario(name: str) -> dict:
 
 
 def record_names() -> list:
-    """Every builtin, then :data:`POLICY_SCENARIO` under each drop policy."""
+    """Every builtin, then :data:`POLICY_SCENARIO` under each drop policy and
+    each of :data:`BASELINE_SYSTEMS`."""
     from repro.core.dropping import POLICY_NAMES
     from repro.scenarios import scenario_names
 
-    return [*scenario_names(), *(f"{POLICY_SCENARIO}@{policy}" for policy in sorted(POLICY_NAMES))]
+    overrides = [*sorted(POLICY_NAMES), *BASELINE_SYSTEMS]
+    return [*scenario_names(), *(f"{POLICY_SCENARIO}@{override}" for override in overrides)]
 
 
 def write_record(path: str, names=None) -> dict:

@@ -22,6 +22,24 @@ and no server savings at off-peak times.
 The plan construction lives in :class:`ProteusAllocationPolicy`, an
 :class:`~repro.control.policies.AllocationPolicy`;
 :class:`ProteusControlPlane` is the control-plane engine built with it.
+
+Configuration reduction
+-----------------------
+The allocation MILP has one ``(x, f)`` column pair -- integer replicas and
+served QPS -- per ``(task, variant)``, at the one batch :func:`proteus_batch`
+picks: the highest-throughput batch whose latency fits the per-model budget.
+This is exact.  Every batch of a variant has the variant's accuracy, so a
+batch's ``f`` column has the same objective coefficient and the same
+served-demand row whatever the batch.  Given any feasible point of the model
+over *all* latency-feasible batches, move each variant's replicas and flow
+onto its highest-throughput batch: the replica total (the cluster row) and
+the flow (the demand rows and the objective) are unchanged, and the moved
+flow still fits, since each replica now serves at least as many QPS as
+before.  So the reduced model is feasible exactly when the all-batches model
+is, with the same optimum.  On the traffic pipeline that is 40 columns
+instead of 196 (20 variants against 98 latency-feasible batches at the
+default 250 ms SLO).  ``tests/baselines/test_proteus_reduction.py`` checks
+the equality against the all-batches model.
 """
 
 from __future__ import annotations
@@ -39,7 +57,21 @@ from repro.core.pipeline import Pipeline
 from repro.core.profiles import ModelVariant
 from repro.solver import DEFAULT_SOLVER_OPTIONS, StandardForm, solve
 
-__all__ = ["ProteusAllocationPolicy", "ProteusControlPlane"]
+__all__ = ["ProteusAllocationPolicy", "ProteusControlPlane", "proteus_batch"]
+
+
+def proteus_batch(variant: ModelVariant, budget_ms: float) -> Optional[int]:
+    """The batch Proteus serves ``variant`` at: the highest-throughput batch
+    whose latency fits ``budget_ms``, the smaller one on equal throughput.
+
+    ``None`` when no batch fits.  Highest throughput, not largest batch, so
+    the choice stays exact (see "Configuration reduction" above) for any
+    latency table.
+    """
+    fitting = [batch for batch in variant.batch_sizes if variant.latency_ms(batch) <= budget_ms]
+    if not fitting:
+        return None
+    return max(fitting, key=lambda batch: (variant.throughput_qps(batch), -batch))
 
 
 class ProteusAllocationPolicy(AllocationPolicy):
@@ -101,15 +133,17 @@ class ProteusAllocationPolicy(AllocationPolicy):
         budget_ms = engine.latency_slo_ms / self.slo_slack_factor
 
         # Columns interleave x (instances, integer) and f (served QPS) per
-        # (task, variant, batch) configuration, task by task.
+        # (task, variant) at the variant's proteus_batch, task by task; a
+        # variant with no batch inside the per-model budget (the only latency
+        # awareness Proteus has) gets no columns.
         configs: List[Tuple[Tuple[str, str, int], ModelVariant, float, float]] = []
         for task in tasks:
             for variant in pipeline.registry.variants(task):
-                for batch in variant.batch_sizes:
-                    latency = variant.latency_ms(batch)
-                    if latency > budget_ms:
-                        continue  # the only latency awareness Proteus has is per model
-                    configs.append(((task, variant.name, batch), variant, variant.throughput_qps(batch), latency))
+                batch = proteus_batch(variant, budget_ms)
+                if batch is not None:
+                    configs.append(
+                        ((task, variant.name, batch), variant, variant.throughput_qps(batch), variant.latency_ms(batch))
+                    )
         feasible_tasks = [task for task in tasks if any(key[0] == task for key, *_ in configs)]
         num_configs = len(configs)
         num_vars = 2 * num_configs
@@ -221,7 +255,7 @@ class ProteusAllocationPolicy(AllocationPolicy):
                 )
             else:
                 variant = engine.pipeline.registry.most_accurate(task)
-                batch = variant.best_batch_for_latency(budget_ms) or min(variant.batch_sizes)
+                batch = proteus_batch(variant, budget_ms) or min(variant.batch_sizes)
                 key = (task, variant.name, batch)
                 by_key[key] = VariantAllocation(
                     task=task,
@@ -255,7 +289,7 @@ class ProteusAllocationPolicy(AllocationPolicy):
             if budget_workers <= 0:
                 continue
             variant = pipeline.registry.least_accurate(task)
-            batch = variant.best_batch_for_latency(budget_ms) or min(variant.batch_sizes)
+            batch = proteus_batch(variant, budget_ms) or min(variant.batch_sizes)
             allocations.append(
                 VariantAllocation(
                     task=task,

@@ -154,14 +154,6 @@ class ModelVariant:
         """Latency at batch size 1 (the smallest possible processing time)."""
         return self.latency_ms(min(self.batch_sizes))
 
-    def best_batch_for_latency(self, latency_budget_ms: float) -> Optional[int]:
-        """Largest allowed batch size whose execution latency fits the budget.
-
-        Returns ``None`` when even batch size 1 exceeds the budget.
-        """
-        feasible = [b for b in self.batch_sizes if self.latency_ms(b) <= latency_budget_ms]
-        return max(feasible) if feasible else None
-
     def __repr__(self):  # pragma: no cover - debug helper
         return f"ModelVariant({self.name!r}, acc={self.accuracy:.3f}, r={self.multiplicative_factor:g})"
 

@@ -16,7 +16,9 @@ implementation these arrays replaced.  The 12 accuracy-scaling digests were
 re-pinned once since, when that model started solving over the maximal-batch
 paths only (see "Path reduction" in :mod:`repro.core.allocation`); the
 hardware-scaling, ``max_supported_demand`` and Proteus digests guard that the
-reduction stays confined to accuracy scaling.  ``arr + 0.0`` normalises
+reduction stays confined to accuracy scaling.  The Proteus digest was
+re-pinned once, when its model started carrying one batch per variant (see
+"Configuration reduction" in :mod:`repro.baselines.proteus`).  ``arr + 0.0`` normalises
 ``-0.0`` to ``+0.0``: that implementation negated whole objective vectors and
 left signed zeros.
 """
@@ -64,7 +66,7 @@ DIGESTS = {
     "social-max-demand": "8071d8ebab6da76285e8819cf6d86105013a44579bf8747aa2d566611be3597a",
     "social-max-demand-best": "f69df110eff80c46b04690ad347727bf358cac3f066929945a74c2e0f7e91113",
     "social-max-demand-floor": "cd070f7430e9647632f2531ead8f53c8de9b42f7239cbdec4cdc43f800ec4081",
-    "traffic-proteus-742": "fb536139ad9c12755e59e7be0cff9789891c5d507cd34af0d5c409fd4e8b10de",
+    "traffic-proteus-742": "176bfaa9b441512356dacab7a6627ad8ffadf7deb2e1d04b6be771e7305305a6",
 }
 
 

@@ -72,12 +72,6 @@ class TestModelVariant:
         assert 10.0 < v.execution_latency_ms(2) < 40.0
         assert v.execution_latency_ms(8) == pytest.approx(40.0)  # clamped to the largest measurement
 
-    def test_best_batch_for_latency(self):
-        v = make_variant("v", alpha=2.0, beta=4.0, batch_sizes=(1, 2, 4, 8))
-        assert v.best_batch_for_latency(35.0) == 8
-        assert v.best_batch_for_latency(12.0) == 2
-        assert v.best_batch_for_latency(1.0) is None
-
     def test_min_latency_and_max_throughput(self):
         v = make_variant("v", alpha=2.0, beta=4.0, batch_sizes=(1, 2, 4))
         assert v.min_latency_ms() == pytest.approx(6.0)

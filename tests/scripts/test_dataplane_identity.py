@@ -105,14 +105,21 @@ def test_final_rng_state_shows_a_draw_no_summary_field_sees(monkeypatch, capsys)
     assert f"smoke: DIFFERENT in {state}.state.state; events {first[events]}\n" in out
 
 
-def test_record_holds_traffic_azure_under_every_drop_policy():
+def test_record_holds_traffic_azure_under_every_drop_policy_and_baseline():
     from repro.core.dropping import POLICY_NAMES
     from repro.scenarios import scenario_names
+    from repro.scenarios.spec import SYSTEM_FACTORIES
 
     names = dataplane_identity.record_names()
     assert names[: len(scenario_names())] == list(scenario_names())
-    assert names[len(scenario_names()) :] == [f"traffic_azure@{policy}" for policy in sorted(POLICY_NAMES)]
+    assert names[len(scenario_names()) :] == [
+        *(f"traffic_azure@{policy}" for policy in sorted(POLICY_NAMES)),
+        "traffic_azure@inferline",
+        "traffic_azure@proteus",
+    ]
     assert "last_task_dropping" in POLICY_NAMES and "per_task_dropping" in POLICY_NAMES
+    assert set(dataplane_identity.BASELINE_SYSTEMS) <= set(SYSTEM_FACTORIES) - {"loki"}
+    assert not set(dataplane_identity.BASELINE_SYSTEMS) & set(POLICY_NAMES)
 
 
 def test_policy_key_runs_the_scenario_under_that_policy(monkeypatch):
@@ -126,4 +133,21 @@ def test_policy_key_runs_the_scenario_under_that_policy(monkeypatch):
     monkeypatch.setattr(runner, "make_drop_policy", recording)
     record = dataplane_identity.run_scenario("smoke@per_task_dropping")
     assert built == ["per_task_dropping"]
+    assert record["total_requests"] > 0
+
+
+def test_system_key_runs_the_scenario_under_that_system(monkeypatch):
+    from repro.scenarios import spec as scenario_spec
+
+    built = []
+    factory = scenario_spec.SYSTEM_FACTORIES["proteus"]
+
+    def recording(*args, **kwargs):
+        control_plane = factory(*args, **kwargs)
+        built.append(type(control_plane).__name__)
+        return control_plane
+
+    monkeypatch.setitem(scenario_spec.SYSTEM_FACTORIES, "proteus", recording)
+    record = dataplane_identity.run_scenario("smoke@proteus")
+    assert built == ["ProteusControlPlane"]
     assert record["total_requests"] > 0

@@ -180,10 +180,6 @@ def reference_complete_batch(self, batch):
     sim = self.sim
     assignment = self.assignment
     self.batch = None
-    if assignment is None:  # pragma: no cover - defensive, as in the worker
-        for query in batch:
-            sim.notify_drop(query, reason="assignment removed mid-batch")
-        return
     now = self._engine.now_s
     sim._tele_batches.value += 1
     sim._tele_batch_queries.value += len(batch)
