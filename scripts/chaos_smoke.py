@@ -1,12 +1,16 @@
 #!/usr/bin/env python
 """Chaos smoke: run the builtin chaos scenarios and check accounting closure.
 
-CI runs this as an advisory job.  Both chaos scenarios (crash/restart cycles
+CI runs this as a blocking step.  Both chaos scenarios (crash/restart cycles
 with retries + failover, stragglers + a network spike with hedging) must keep
-the request books balanced -- ``completed + dropped + late == submitted`` --
-no matter how many retries, hedges and crash/repair cycles raced over each
-request.  The script prints a markdown table of the fault/resilience counters
-(suitable for ``$GITHUB_STEP_SUMMARY``) and exits non-zero on any leak.
+the request books balanced no matter how many retries, hedges and
+crash/repair cycles raced over each request: ``completed + dropped + late ==
+submitted``, the ``frontend.requests`` counter equals the submitted count,
+and for each outcome the per-interval sum and the ``requests.*`` counter
+equal the summary total (the checks of the e2e benchmark's
+``accounting_problems``).  The script prints a markdown table of the
+fault/resilience counters (suitable for ``$GITHUB_STEP_SUMMARY``) and exits
+non-zero on any leak.
 
 Usage::
 
@@ -36,6 +40,27 @@ COUNTERS = (
 )
 
 
+def closure_problems(summary) -> list:
+    """Every way the run's request tallies fail to agree (empty when closed)."""
+    submitted = summary.total_requests
+    problems = []
+    finished = summary.completed_requests + summary.dropped_requests + summary.late_requests
+    if finished != submitted:
+        problems.append(f"{finished} finished != {submitted} submitted")
+    requests = summary.telemetry.get("frontend.requests", 0)
+    if requests != submitted:
+        problems.append(f"frontend.requests={requests:g} != {submitted} submitted")
+    for kind in ("completed", "dropped", "late"):
+        total = getattr(summary, f"{kind}_requests")
+        interval_sum = sum(getattr(interval, kind) for interval in summary.intervals)
+        if interval_sum != total:
+            problems.append(f"interval {kind}={interval_sum} but the summary has {total}")
+        counter = summary.telemetry.get(f"requests.{kind}", 0)
+        if counter != total:
+            problems.append(f"requests.{kind}={counter:g} but the summary has {total}")
+    return problems
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="0,1", help="comma-separated seeds")
@@ -51,17 +76,9 @@ def main(argv=None) -> int:
         spec = get_scenario(name)
         for seed in seeds:
             summary = spec.run(seed=seed)
-            finished = (
-                summary.completed_requests
-                + summary.dropped_requests
-                + summary.late_requests
-            )
-            if finished != summary.total_requests:
-                leaks.append(
-                    f"{name} seed={seed}: {finished} finished != "
-                    f"{summary.total_requests} submitted"
-                )
-            rows.append((name, seed, summary, finished))
+            problems = closure_problems(summary)
+            leaks.extend(f"{name} seed={seed}: {problem}" for problem in problems)
+            rows.append((name, seed, summary, not problems))
 
     if args.markdown:
         print("### Chaos smoke")
@@ -71,25 +88,22 @@ def main(argv=None) -> int:
         ]
         print("| " + " | ".join(header) + " |")
         print("|" + "---|" * len(header))
-        for name, seed, summary, finished in rows:
+        for name, seed, summary, closed in rows:
             cells = [name, str(seed), str(summary.total_requests)]
-            cells.append("yes" if finished == summary.total_requests else "**LEAK**")
+            cells.append("yes" if closed else "**LEAK**")
             for counter in COUNTERS:
                 cells.append(str(int(summary.telemetry.get(counter, 0))))
             print("| " + " | ".join(cells) + " |")
         print()
     else:
-        for name, seed, summary, finished in rows:
+        for name, seed, summary, closed in rows:
             counters = {
                 c: int(summary.telemetry.get(c, 0))
                 for c in COUNTERS
                 if summary.telemetry.get(c, 0)
             }
-            status = "ok" if finished == summary.total_requests else "LEAK"
-            print(
-                f"{name} seed={seed}: {status} "
-                f"({finished}/{summary.total_requests}) {counters}"
-            )
+            status = "ok" if closed else "LEAK"
+            print(f"{name} seed={seed}: {status} ({summary.total_requests} submitted) {counters}")
 
     if leaks:
         print("ACCOUNTING LEAKS:", file=sys.stderr)

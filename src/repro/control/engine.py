@@ -21,7 +21,6 @@ overrides :meth:`ControlPlaneEngine.step`.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -30,7 +29,6 @@ from repro.core.allocation import AllocationPlan
 from repro.core.load_balancer import LoadBalancer, RoutingPlan, WorkerState, workers_from_plan
 from repro.core.pipeline import Pipeline
 from repro.core.resource_manager import DemandEstimator
-from repro.telemetry.metrics import WindowedHistogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.control.context import ClusterStateProvider
@@ -133,6 +131,8 @@ class ControlPlaneEngine:
         self._tele_best_effort = registry.counter("control.best_effort_plans")
         self._tele_refreshes = registry.counter("control.routing_refreshes")
         self._tele_workers = registry.gauge("control.planned_workers")
+        #: the run's request latencies; its control window feeds the context
+        self._latency = registry.histogram("requests.latency_ms")
 
     def attach_cluster_state(self, provider: "ClusterStateProvider") -> None:
         """Attach the live cluster-state provider (the simulator's cluster).
@@ -177,20 +177,16 @@ class ControlPlaneEngine:
         marker = self._window_marker
         if marker is None:
             marker = (now_s, 0.0, 0.0, 0.0)
-        # Windowed quantiles: the rotating per-window histogram reflects the
-        # latencies observed *since the last committed context* (plus the
-        # previous window as fallback while the current one is empty), so the
+        # Windowed quantiles: the latency histogram's control window holds the
+        # latencies observed *since the last committed context* (or the
+        # previous non-empty window while the current one is empty), so the
         # feedback policies see the tail of the window, not of the whole run.
-        # The metrics collector always registers it; a registry without it
-        # reports no latency signal (NaN).
-        latency = registry.get("requests.latency_ms.window")
-        p50 = p99 = math.nan
-        if isinstance(latency, WindowedHistogram):
-            p50 = latency.quantile(0.5)
-            p99 = latency.quantile(0.99)
-            if commit:
-                latency.rotate()
+        # Before any latency is recorded they read NaN: no latency signal.
+        latency = self._latency
+        p50 = latency.window_quantile(0.5)
+        p99 = latency.window_quantile(0.99)
         if commit:
+            latency.close_window()
             self._window_marker = (now_s, completed, dropped, late)
         return TelemetryWindow(
             window_s=max(0.0, now_s - marker[0]),

@@ -85,11 +85,11 @@ class Cluster:
         # Apply assignments.
         newly_loaded = 0
         content_model = self.sim.content_model
+        budget_slack = self.sim.config.budget_slack
         for logical_id, physical in new_map.items():
             state = desired[logical_id]
             variant = pipeline.registry.variant(state.variant_name)
             previous = physical.assignment.variant.name if physical.assignment else None
-            budget_slack = getattr(getattr(self.sim, "config", None), "budget_slack", 2.0)
             fanout = []
             for edge in pipeline.children(state.task):
                 fixed, mean = content_model.fanout(variant, edge)

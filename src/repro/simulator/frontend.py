@@ -41,8 +41,6 @@ class Frontend:
         "sim",
         "slo_ms",
         "_window_arrivals",
-        "total_submitted",
-        "rejected_no_plan",
         "_tele_requests",
         "_tele_rejected",
         "_engine",
@@ -56,8 +54,6 @@ class Frontend:
         #: requests observed in the current demand-reporting window
         self._window_arrivals = 0
         #: requests submitted so far; also the id of the next request
-        self.total_submitted = 0
-        self.rejected_no_plan = 0
         self._tele_requests = sim.telemetry.counter("frontend.requests")
         self._tele_rejected = sim.telemetry.counter("frontend.rejected_no_route")
         self._engine = sim.engine
@@ -74,10 +70,10 @@ class Frontend:
         """
         sim = self.sim
         now = self._engine.now_s
-        request = Request(self.total_submitted, now, self.slo_ms)
-        self.total_submitted += 1
+        submitted = self._tele_requests
+        request = Request(int(submitted.value), now, self.slo_ms)
+        submitted.value += 1
         self._window_arrivals += 1
-        self._tele_requests.value += 1
         sim.metrics.record_arrival(now)
 
         request.outstanding = 1
@@ -94,7 +90,6 @@ class Frontend:
         if entry is None:
             # No routing yet (e.g. before the first plan) or no root capacity at
             # all: the request cannot be served.
-            self.rejected_no_plan += 1
             self._tele_rejected.value += 1
             sim.notify_drop(query, reason="no frontend route available")
             return request
@@ -113,6 +108,11 @@ class Frontend:
         return request
 
     # -- demand accounting -------------------------------------------------------
+    @property
+    def total_submitted(self) -> int:
+        """Requests submitted so far: the ``frontend.requests`` counter."""
+        return int(self._tele_requests.value)
+
     def drain_window_demand(self) -> int:
         """Arrivals since the last call (the Frontend's demand report)."""
         count = self._window_arrivals

@@ -16,15 +16,14 @@ summarised over the whole run for the headline comparisons.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.simulator.query import Request, RequestStatus
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.telemetry import TelemetryRegistry
+from repro.telemetry import TelemetryRegistry
 
 __all__ = ["IntervalMetrics", "MetricsCollector", "SimulationSummary"]
 
@@ -95,14 +94,25 @@ class SimulationSummary:
 
 
 class MetricsCollector:
-    """Accumulates per-interval and per-request metrics during a simulation."""
+    """Accumulates per-interval and per-request metrics during a simulation.
+
+    Each request fact is written once at each granularity: an arrival to its
+    interval's ``demand``; an outcome to its interval and to one run-total
+    counter of the telemetry registry (``requests.completed``,
+    ``requests.dropped``, ``requests.late``); and the latency of a request
+    that produced results (completed or late) to the ``requests.latency_ms``
+    histogram, whose control window the control plane and hedging read.  The
+    run totals, the accuracy count and the completed-only latencies of the
+    summary are derived from those records on read.  Without a ``telemetry``
+    registry the collector records into one of its own.
+    """
 
     def __init__(
         self,
         cluster_size: int,
         interval_s: float = 1.0,
         max_pipeline_accuracy: float = 1.0,
-        telemetry: Optional["TelemetryRegistry"] = None,
+        telemetry: Optional[TelemetryRegistry] = None,
     ):
         if interval_s <= 0:
             raise ValueError("interval must be positive")
@@ -114,32 +124,18 @@ class MetricsCollector:
         #: in the same interval, so this short-circuits the dict lookup
         self._last_index: Optional[int] = None
         self._last_interval: Optional[IntervalMetrics] = None
-        self._latencies_ms: List[float] = []
-        self.total_requests = 0
-        self.completed_requests = 0
-        self.dropped_requests = 0
-        self.late_requests = 0
+        #: kept as a running sum: adding up the interval sums instead would
+        #: reorder the float additions and move mean_accuracy in its last bits
         self._accuracy_sum = 0.0
-        self._accuracy_count = 0
-        self.telemetry = telemetry
-        if telemetry is not None:
-            self._tele_completed = telemetry.counter("requests.completed")
-            self._tele_dropped = telemetry.counter("requests.dropped")
-            self._tele_late = telemetry.counter("requests.late")
-            #: covers every request that produced results (completed + late),
-            #: the same population as the accuracy accounting; the summary's
-            #: mean/p99_latency_ms cover completed requests only
-            self._tele_latency = telemetry.histogram("requests.latency_ms")
-            #: same population, but quantiles rotate per control window — the
-            #: control plane reads this one for TelemetryWindow.p50/p99 and
-            #: rotates it every tick (the cumulative histogram above keeps
-            #: the whole-run view for summaries and pinned snapshots)
-            self._tele_latency_window = telemetry.windowed_histogram(
-                "requests.latency_ms.window"
-            )
-        else:
-            self._tele_latency = None
-            self._tele_latency_window = None
+        self.telemetry = telemetry = telemetry if telemetry is not None else TelemetryRegistry()
+        self._tele_completed = telemetry.counter("requests.completed")
+        self._tele_dropped = telemetry.counter("requests.dropped")
+        self._tele_late = telemetry.counter("requests.late")
+        #: completed and late requests' latencies in completion order; the
+        #: summary's mean/p99_latency_ms skip the late ones, which sit at
+        #: ``_late_positions`` (machine ints: most of an overloaded run is late)
+        self.latency = telemetry.histogram("requests.latency_ms")
+        self._late_positions = array("q")
 
     # -- recording -----------------------------------------------------------
     def _interval(self, time_s: float) -> IntervalMetrics:
@@ -155,7 +151,6 @@ class MetricsCollector:
         return interval
 
     def record_arrival(self, time_s: float) -> None:
-        self.total_requests += 1
         self._interval(time_s).demand += 1
 
     def record_active_workers(self, time_s: float, active_workers: int) -> None:
@@ -168,60 +163,61 @@ class MetricsCollector:
         if not request.is_finished or completion_s is None:
             raise ValueError("request has not finished yet")
         interval = self._interval(completion_s)
-        telemetry = self.telemetry
-        # request.latency_ms inlined (completion_s is known to be set here).
-        latency_ms = (completion_s - request.arrival_s) * 1000.0
-        if request.status is RequestStatus.COMPLETED:
-            self.completed_requests += 1
+        status = request.status
+        if status is RequestStatus.DROPPED:
+            interval.violations += 1
+            interval.dropped += 1
+            self._tele_dropped.value += 1
+            return
+        if status is RequestStatus.COMPLETED:
             interval.completed += 1
-            if telemetry is not None:
-                self._tele_completed.value += 1
-                self._tele_latency.observe(latency_ms)
-                self._tele_latency_window.observe(latency_ms)
-            # Requests that legitimately produced no sink results (e.g. zero
-            # objects detected in the frame) completed successfully but have no
-            # accuracy to report, so they are excluded from the accuracy average.
-            if request.accuracy_count:
-                mean_accuracy = request.mean_accuracy
-                interval.accuracy_sum += mean_accuracy
-                interval.accuracy_count += 1
-                self._accuracy_sum += mean_accuracy
-                self._accuracy_count += 1
-            self._latencies_ms.append(latency_ms)
+            self._tele_completed.value += 1
         else:
             interval.violations += 1
-            if request.status is RequestStatus.DROPPED:
-                self.dropped_requests += 1
-                interval.dropped += 1
-                if telemetry is not None:
-                    self._tele_dropped.value += 1
-            else:
-                self.late_requests += 1
-                interval.late += 1
-                if telemetry is not None:
-                    self._tele_late.value += 1
-                    self._tele_latency.observe(latency_ms)
-                    self._tele_latency_window.observe(latency_ms)
-                # Late requests still produced results; their accuracy counts
-                # toward the achieved-accuracy average.
-                if request.accuracy_count:
-                    mean_accuracy = request.mean_accuracy
-                    interval.accuracy_sum += mean_accuracy
-                    interval.accuracy_count += 1
-                    self._accuracy_sum += mean_accuracy
-                    self._accuracy_count += 1
+            interval.late += 1
+            self._tele_late.value += 1
+            self._late_positions.append(self.latency.count)
+        # request.latency_ms inlined (completion_s is known to be set here).
+        self.latency.observe((completion_s - request.arrival_s) * 1000.0)
+        # Late requests still produced results, so their accuracy counts toward
+        # the achieved-accuracy average.  Requests that legitimately produced
+        # no sink results (e.g. zero objects detected in the frame) have no
+        # accuracy to report and are left out of it.
+        if request.accuracy_count:
+            mean_accuracy = request.mean_accuracy
+            interval.accuracy_sum += mean_accuracy
+            interval.accuracy_count += 1
+            self._accuracy_sum += mean_accuracy
 
-    # -- summaries ------------------------------------------------------------
+    # -- run totals, read from the records ------------------------------------
+    @property
+    def total_requests(self) -> int:
+        return sum(interval.demand for interval in self.intervals.values())
+
+    @property
+    def completed_requests(self) -> int:
+        return int(self._tele_completed.value)
+
+    @property
+    def dropped_requests(self) -> int:
+        return int(self._tele_dropped.value)
+
+    @property
+    def late_requests(self) -> int:
+        return int(self._tele_late.value)
+
     @property
     def violated_requests(self) -> int:
         return self.dropped_requests + self.late_requests
 
+    # -- summaries ------------------------------------------------------------
     def slo_violation_ratio(self) -> float:
         finished = self.completed_requests + self.violated_requests
         return self.violated_requests / finished if finished else 0.0
 
     def mean_accuracy(self) -> float:
-        return self._accuracy_sum / self._accuracy_count if self._accuracy_count else 0.0
+        count = sum(interval.accuracy_count for interval in self.intervals.values())
+        return self._accuracy_sum / count if count else 0.0
 
     def summary(self) -> SimulationSummary:
         intervals = [self.intervals[k] for k in sorted(self.intervals)]
@@ -229,7 +225,7 @@ class MetricsCollector:
         min_interval_accuracy = min(accuracy_series) if accuracy_series else 0.0
         utilizations = [i.utilization for i in intervals]
         workers = [i.active_workers for i in intervals]
-        latencies = np.asarray(self._latencies_ms, dtype=float)
+        latencies = np.delete(np.asarray(self.latency.samples, dtype=float), self._late_positions)
         return SimulationSummary(
             total_requests=self.total_requests,
             completed_requests=self.completed_requests,

@@ -163,6 +163,8 @@ class ResilienceManager:
         self._tele_hedge_wins = registry.counter("resilience.hedge_wins")
         self._tele_hedge_absorbed = registry.counter("resilience.hedge_absorbed")
         self._tele_timeouts = registry.counter("resilience.timeouts")
+        #: request latencies; hedging waits its control window's p99
+        self._latency = registry.histogram("requests.latency_ms")
 
     # ------------------------------------------------------------------ routing
 
@@ -320,8 +322,7 @@ class ResilienceManager:
     def _hedge_delay_s(self) -> float:
         if self.cfg.hedge_delay_ms is not None:
             return self.cfg.hedge_delay_ms / 1000.0
-        hist = self.sim.telemetry.windowed_histogram("requests.latency_ms.window")
-        p99 = hist.quantile(0.99)
+        p99 = self._latency.window_quantile(0.99)
         if p99 != p99 or p99 <= 0:  # NaN before any completion lands
             p99 = self.sim.config.latency_slo_ms / 4.0
         return p99 / 1000.0

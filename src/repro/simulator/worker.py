@@ -247,7 +247,7 @@ class SimWorker:
         self.failed = True
         self.fail_epoch += 1
         self.active = False
-        resilience = getattr(self.sim, "resilience", None)
+        resilience = self.sim.resilience
         if resilience is not None and not resilience.failover_active():
             resilience = None
         # The assignment is nulled below; failover needs the task to re-route.

@@ -5,24 +5,18 @@ frontend, workers and control planes with one registry per simulation run:
 
 * :class:`~repro.telemetry.metrics.Counter` / ``Gauge`` -- O(1) event and
   level tracking with ``__slots__`` objects cheap enough for per-query paths.
-* :class:`~repro.telemetry.metrics.Histogram` -- whole-run distribution
-  summaries whose quantiles are exact nearest-rank order statistics.
-* :class:`~repro.telemetry.metrics.WindowedHistogram` -- exact quantiles over
-  a rotating pair of observation windows (the control plane's per-window
-  tail-latency view, rotated once per committed control tick).
+* :class:`~repro.telemetry.metrics.Histogram` -- distribution summaries
+  whose quantiles are exact nearest-rank order statistics, over the whole run
+  and over the control window: a pair of marks into the same sample list
+  (the control plane's per-window tail-latency view, closed once per
+  committed control tick).
 * :class:`~repro.telemetry.registry.TelemetryRegistry` -- named create-or-get
   surface whose ``snapshot()`` is a picklable flat dict, shipped through
   :class:`~repro.simulator.metrics.SimulationSummary` and aggregated across
   seeds by the sweep runner.
 """
 
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    Timeline,
-    WindowedHistogram,
-)
+from repro.telemetry.metrics import Counter, Gauge, Histogram, Timeline
 from repro.telemetry.registry import TelemetryRegistry
 
 __all__ = [
@@ -31,5 +25,4 @@ __all__ = [
     "Histogram",
     "Timeline",
     "TelemetryRegistry",
-    "WindowedHistogram",
 ]

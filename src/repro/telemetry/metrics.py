@@ -3,7 +3,8 @@
 The simulator's hot paths (per-query dispatch, per-batch completion) touch
 these on every event, so the primitives are deliberately tiny: ``__slots__``
 objects whose update is a float add or a list append.  Histograms keep every
-sample and sort on read, so their quantiles are exact order statistics.
+sample and sort on read, so their quantiles, over the whole run and over the
+control window, are exact order statistics.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "Timeline", "WindowedHistogram"]
+__all__ = ["Counter", "Gauge", "Histogram", "Timeline"]
 
 
 class Counter:
@@ -70,16 +71,34 @@ def _nearest_rank(ordered: List[float], q: float) -> float:
 
 
 class Histogram:
-    """Whole-run distribution summary: count/sum/mean/min/max plus quantiles.
+    """Distribution summary of one sample list: the whole run and the control window.
 
     :meth:`observe` is one list append on the simulator's per-request hot
     path.  Readers compute everything from the stored samples, and the
     quantiles are exact nearest-rank order statistics of them: the sorted
     copy is built on the first read after new observations and reused until
     the next one, so a snapshot sorts at most once.
+
+    The control window is a pair of marks into the same list.
+    :meth:`close_window` ends the active window (the control plane calls it
+    once per committed tick); :meth:`window_quantile` reads the active
+    window when it has samples and the last non-empty window otherwise, so
+    an empty window reports the most recent real distribution instead of
+    the run-cumulative one, and NaN before any sample at all, which readers
+    must treat as "no signal".  Its sorted copy is kept until the window's
+    bounds change.
     """
 
-    __slots__ = ("name", "quantiles", "_samples", "_sorted")
+    __slots__ = (
+        "name",
+        "quantiles",
+        "_samples",
+        "_sorted",
+        "_window_start",
+        "_last_start",
+        "_sorted_bounds",
+        "_window_sorted",
+    )
 
     DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
 
@@ -88,9 +107,20 @@ class Histogram:
         self.quantiles = tuple(quantiles)
         self._samples: List[float] = []
         self._sorted: List[float] = []
+        #: first sample of the active window, and of the last non-empty one
+        self._window_start = 0
+        self._last_start = 0
+        #: the window bounds ``_window_sorted`` was sorted from
+        self._sorted_bounds: Tuple[int, int] = (0, 0)
+        self._window_sorted: List[float] = []
 
     def observe(self, x: float) -> None:
         self._samples.append(float(x))
+
+    @property
+    def samples(self) -> List[float]:
+        """Every observation in arrival order (the stored list; do not mutate)."""
+        return self._samples
 
     @property
     def count(self) -> int:
@@ -118,6 +148,33 @@ class Histogram:
             self._sorted = sorted(self._samples)
         return _nearest_rank(self._sorted, q)
 
+    # -- the control window ------------------------------------------------------
+    def close_window(self) -> None:
+        """End the active window; an empty one keeps the previous fallback."""
+        end = len(self._samples)
+        if end > self._window_start:
+            self._last_start = self._window_start
+            self._window_start = end
+
+    def _window_bounds(self) -> Tuple[int, int]:
+        start = self._window_start
+        end = len(self._samples)
+        return (start, end) if end > start else (self._last_start, start)
+
+    @property
+    def window_count(self) -> int:
+        """Observations in the window :meth:`window_quantile` currently reads."""
+        start, end = self._window_bounds()
+        return end - start
+
+    def window_quantile(self, q: float) -> float:
+        bounds = self._window_bounds()
+        # Samples only ever grow, so equal bounds mean the same slice.
+        if bounds != self._sorted_bounds:
+            self._window_sorted = sorted(self._samples[bounds[0] : bounds[1]])
+            self._sorted_bounds = bounds
+        return _nearest_rank(self._window_sorted, q)
+
     def snapshot(self) -> Dict[str, float]:
         out = {
             f"{self.name}.count": float(self.count),
@@ -128,84 +185,13 @@ class Histogram:
         }
         for q in self.quantiles:
             out[f"{self.name}.p{round(q * 100)}"] = self.quantile(q)
+        out[f"{self.name}.window.count"] = float(self.window_count)
+        out[f"{self.name}.window.p50"] = self.window_quantile(0.5)
+        out[f"{self.name}.window.p99"] = self.window_quantile(0.99)
         return out
 
     def __repr__(self):  # pragma: no cover - debug helper
         return f"Histogram({self.name}, n={self.count}, mean={self.mean:.3f})"
-
-
-class WindowedHistogram:
-    """Exact quantiles over a rotating pair of observation windows.
-
-    :class:`Histogram` answers "what does the whole run look like so far";
-    this answers "what did the *last control window* look like".  Observations
-    accumulate in the active window's raw buffer; :meth:`rotate` closes the
-    window (the active buffer becomes the completed window, a fresh buffer
-    starts).  :meth:`quantile` reads the active window when it has samples and
-    falls back to the last completed window otherwise, so an empty window
-    reports the most recent real distribution instead of a stale
-    run-cumulative estimate — and NaN before any sample at all, which readers
-    must treat as "no signal".
-
-    Quantiles are exact (sorted-buffer indexing by the same nearest-rank rule
-    as :class:`Histogram`): a control window holds at most a few
-    thousand latencies and is read once or twice per tick, so sorting on
-    demand beats streaming estimation and has no warm-up distortion.  The
-    sorted buffer is cached until the next observation.
-    """
-
-    __slots__ = ("name", "_active", "_last", "_cache_key", "_cache_sorted", "windows")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._active: List[float] = []
-        self._last: List[float] = []
-        self._cache_key: Tuple[int, int] = (-1, -1)
-        self._cache_sorted: List[float] = []
-        #: completed windows so far (rotate() calls)
-        self.windows = 0
-
-    def observe(self, x: float) -> None:
-        self._active.append(float(x))
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        if type(values) is list:
-            self._active.extend(values)
-        else:
-            self._active.extend(map(float, values))
-
-    def rotate(self) -> None:
-        """Close the active window; it becomes the fallback for empty reads."""
-        if self._active:
-            self._last = self._active
-            self._active = []
-            self._cache_key = (-1, -1)
-        self.windows += 1
-
-    @property
-    def count(self) -> int:
-        """Observations in the window :meth:`quantile` currently reads."""
-        return len(self._active) or len(self._last)
-
-    def quantile(self, q: float) -> float:
-        samples = self._active or self._last
-        # Buffers only ever grow between rotations and rotate() invalidates
-        # outright, so the (active, last) length pair uniquely keys the cache.
-        key = (len(self._active), len(self._last))
-        if key != self._cache_key:
-            self._cache_sorted = sorted(samples)
-            self._cache_key = key
-        return _nearest_rank(self._cache_sorted, q)
-
-    def snapshot(self) -> Dict[str, float]:
-        return {
-            f"{self.name}.count": float(self.count),
-            f"{self.name}.p50": self.quantile(0.5),
-            f"{self.name}.p99": self.quantile(0.99),
-        }
-
-    def __repr__(self):  # pragma: no cover - debug helper
-        return f"WindowedHistogram({self.name}, n={self.count}, windows={self.windows})"
 
 
 class Timeline:

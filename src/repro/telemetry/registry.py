@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Union
 
-from repro.telemetry.metrics import Counter, Gauge, Histogram, Timeline, WindowedHistogram
+from repro.telemetry.metrics import Counter, Gauge, Histogram, Timeline
 
 __all__ = ["TelemetryRegistry"]
 
-Metric = Union[Counter, Gauge, Histogram, Timeline, WindowedHistogram]
+Metric = Union[Counter, Gauge, Histogram, Timeline]
 
 
 class TelemetryRegistry:
@@ -45,9 +45,6 @@ class TelemetryRegistry:
     def histogram(self, name: str, quantiles: Optional[Iterable[float]] = None) -> Histogram:
         quantiles = tuple(quantiles) if quantiles is not None else Histogram.DEFAULT_QUANTILES
         return self._get(name, lambda: Histogram(name, quantiles), Histogram)
-
-    def windowed_histogram(self, name: str) -> WindowedHistogram:
-        return self._get(name, lambda: WindowedHistogram(name), WindowedHistogram)
 
     def timeline(self, name: str) -> Timeline:
         return self._get(name, lambda: Timeline(name), Timeline)

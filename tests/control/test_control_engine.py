@@ -22,6 +22,11 @@ def solved_plan(pipeline, num_workers=10, demand=40.0):
     return AllocationProblem(pipeline, num_workers=num_workers, utilization_target=1.0).solve(demand)
 
 
+def observe_all(histogram, samples):
+    for x in samples:
+        histogram.observe(x)
+
+
 class CountingPolicy(AllocationPolicy):
     """Allocation policy that counts plan builds."""
 
@@ -92,7 +97,7 @@ class TestEngineLoop:
 
 
 class TestTelemetryWindowQuantiles:
-    """The context's p50/p99 come from the rotating per-window histogram."""
+    """The context's p50/p99 come from the latency histogram's control window."""
 
     def _engine(self, small_pipeline, registry):
         plan = solved_plan(small_pipeline)
@@ -102,39 +107,43 @@ class TestTelemetryWindowQuantiles:
         engine.report_demand(0.0, 40.0)
         return engine
 
-    def test_committed_ticks_rotate_the_window(self, small_pipeline):
+    def test_committed_ticks_close_the_window(self, small_pipeline):
         registry = TelemetryRegistry()
         engine = self._engine(small_pipeline, registry)
-        windowed = registry.windowed_histogram("requests.latency_ms.window")
-        windowed.observe_many([900.0] * 50)  # spike during the first window
+        latency = registry.histogram("requests.latency_ms")
+        observe_all(latency, [900.0] * 50)  # spike during the first window
         engine.step(0.0, force=True)  # commits: spike window closes
-        windowed.observe_many([10.0] * 50)  # traffic back to normal
+        observe_all(latency, [10.0] * 50)  # traffic back to normal
         ctx = engine.build_context(1.0)
         assert ctx.window.p99_latency_ms == 10.0  # spike no longer visible
 
-    def test_pure_reads_do_not_rotate(self, small_pipeline):
+    def test_pure_reads_do_not_close_the_window(self, small_pipeline):
         registry = TelemetryRegistry()
         engine = self._engine(small_pipeline, registry)
-        windowed = registry.windowed_histogram("requests.latency_ms.window")
-        windowed.observe_many([500.0] * 10)
+        latency = registry.histogram("requests.latency_ms")
+        observe_all(latency, [500.0] * 10)
         engine.build_context(0.5)  # out-of-band read, no commit
-        assert windowed.windows == 0
+        observe_all(latency, [5.0] * 10)
+        # a closed window would leave only the 5 ms samples in view
         assert engine.build_context(0.6).window.p99_latency_ms == 500.0
+        assert latency.window_count == 20
 
     def test_empty_window_reports_previous_window_not_run_cumulative(self, small_pipeline):
         registry = TelemetryRegistry()
         engine = self._engine(small_pipeline, registry)
-        windowed = registry.windowed_histogram("requests.latency_ms.window")
-        windowed.observe_many([100.0, 200.0])
+        latency = registry.histogram("requests.latency_ms")
+        observe_all(latency, [900.0])
         engine.step(0.0, force=True)
-        ctx = engine.build_context(1.0)  # nothing finished this window yet
+        observe_all(latency, [100.0, 200.0])
+        engine.step(1.0, force=True)
+        ctx = engine.build_context(2.0)  # nothing finished this window yet
         assert ctx.window.p50_latency_ms == 200.0
+        assert ctx.window.p99_latency_ms == 200.0  # the 900 ms run tail is out of view
 
     def test_window_quantiles_are_exact_order_statistics(self, small_pipeline):
         registry = TelemetryRegistry()
         engine = self._engine(small_pipeline, registry)
-        windowed = registry.windowed_histogram("requests.latency_ms.window")
-        windowed.observe_many([float(x) for x in range(100, 0, -1)])
+        observe_all(registry.histogram("requests.latency_ms"), [float(x) for x in range(100, 0, -1)])
         ctx = engine.build_context(1.0)
         assert ctx.window.p50_latency_ms == 51.0
         assert ctx.window.p99_latency_ms == 100.0
@@ -143,16 +152,14 @@ class TestTelemetryWindowQuantiles:
         """One percent of slow requests at the end of a window is its p99."""
         registry = TelemetryRegistry()
         engine = self._engine(small_pipeline, registry)
-        windowed = registry.windowed_histogram("requests.latency_ms.window")
-        windowed.observe_many([10.0] * 990 + [1000.0] * 10)
+        observe_all(registry.histogram("requests.latency_ms"), [10.0] * 990 + [1000.0] * 10)
         ctx = engine.build_context(1.0)
         assert ctx.window.p50_latency_ms == 10.0
         assert ctx.window.p99_latency_ms == 1000.0
 
-    def test_registry_without_windowed_metric_reports_no_latency_signal(self, small_pipeline):
+    def test_no_latency_yet_reports_no_latency_signal(self, small_pipeline):
         registry = TelemetryRegistry()
         engine = self._engine(small_pipeline, registry)
-        registry.histogram("requests.latency_ms").observe(50.0)  # whole-run view only
         ctx = engine.build_context(1.0)
         assert math.isnan(ctx.window.p50_latency_ms) and math.isnan(ctx.window.p99_latency_ms)
 

@@ -231,8 +231,9 @@ class TestSLOFeedbackPolicy:
         control.report_demand(0.0, 40.0)
         control.step(0.0, force=True)
         late = registry.counter("requests.late")
-        latency = registry.windowed_histogram("requests.latency_ms.window")
-        latency.observe_many([500.0] * 50)
+        latency = registry.histogram("requests.latency_ms")
+        for _ in range(50):
+            latency.observe(500.0)
         late.value = 50  # a violation burst lands in the 1..2 s window
         control.step(2.0)  # ordinary tick, long before the 10 s interval
         policy = control.allocation

@@ -23,8 +23,8 @@ helpers ``forward_query``, ``notify_sink`` and ``check_request``; a sink
 loop calling ``notify_sink``; and a dispatch loop that samples each (query,
 edge) pair through ``MultiplicativeContentModel.sample_children`` and asks
 the drop policy about every child.  The only change to the copy is that the
-forwarded and dropped counts live in the telemetry counters alone.  All of
-it is monkeypatched in together.
+submitted, rejected, forwarded and dropped counts live in the telemetry
+counters alone.  All of it is monkeypatched in together.
 
 Each builtin-scenario run with the reference patched in must match the run
 of the data-plane loops bit for bit: the summary, the telemetry snapshot, the
@@ -67,7 +67,6 @@ def reference_submit(self):
     sim = self.sim
     now = sim.engine.now_s
     request = Request(self.total_submitted, now, self.slo_ms)
-    self.total_submitted += 1
     self._window_arrivals += 1
     self._tele_requests.value += 1
     sim.metrics.record_arrival(now)
@@ -83,7 +82,6 @@ def reference_submit(self):
     routing = sim.routing_plan
     entry = routing.frontend_table.choose(root_task, sim.rng) if routing is not None else None
     if entry is None:
-        self.rejected_no_plan += 1
         self._tele_rejected.value += 1
         sim.notify_drop(query, reason="no frontend route available")
         return request

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,13 +175,37 @@ class TestMetricsCollector:
         assert snapshot["requests.latency_ms.p90"] == pytest.approx(91.0)
         assert snapshot["requests.latency_ms.p99"] == pytest.approx(900.0)
 
-    def test_windowed_latency_sees_the_same_population(self):
+    def test_control_window_sees_the_same_population(self):
         registry = self._collector_with_latencies()
-        whole_run = registry.histogram("requests.latency_ms")
-        window = registry.windowed_histogram("requests.latency_ms.window")
-        assert window.count == whole_run.count == 100
+        latency = registry.histogram("requests.latency_ms")
+        assert latency.window_count == latency.count == 100
         for q in (0.5, 0.9, 0.99):
-            assert window.quantile(q) == whole_run.quantile(q)
+            assert latency.window_quantile(q) == latency.quantile(q)
+        snapshot = registry.snapshot()
+        assert snapshot["requests.latency_ms.window.count"] == 100.0
+        assert snapshot["requests.latency_ms.window.p99"] == pytest.approx(900.0)
+
+    def test_summary_latencies_skip_late_requests_in_order(self):
+        """The summary's latency figures read the one latency record without
+        its late samples: late requests land between completed ones."""
+        collector = MetricsCollector(cluster_size=4)
+        for completion in (0.01, 0.5, 0.02, 0.9, 0.03):  # two late (slo 100 ms)
+            collector.record_request_finished(finished_request(0.0, completion))
+        summary = collector.summary()
+        assert summary.completed_requests == 3 and summary.late_requests == 2
+        assert summary.mean_latency_ms == pytest.approx(20.0)
+        assert summary.p99_latency_ms == pytest.approx(np.percentile([10.0, 20.0, 30.0], 99))
+        assert collector.latency.count == 5
+
+    def test_run_totals_are_the_telemetry_counters(self):
+        registry = TelemetryRegistry()
+        collector = MetricsCollector(cluster_size=4, telemetry=registry)
+        collector.record_request_finished(finished_request(0.0, 0.05))
+        collector.record_request_finished(finished_request(0.0, 0.5))
+        collector.record_request_finished(finished_request(0.0, 0.05, dropped=True))
+        assert registry.counter("requests.completed").value == collector.completed_requests == 1
+        assert registry.counter("requests.late").value == collector.late_requests == 1
+        assert registry.counter("requests.dropped").value == collector.dropped_requests == 1
 
 
 # -- Request lifecycle: property test of the bookkeeping invariants ------------

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.scenarios import SweepRunner, get_scenario
-from repro.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    TelemetryRegistry,
-    WindowedHistogram,
-)
+from repro.telemetry import Counter, Gauge, Histogram, TelemetryRegistry
 
 
 class TestPrimitives:
@@ -89,15 +83,14 @@ class TestExactQuantiles:
         assert histogram.quantile(0.99) == 9.0
 
     @pytest.mark.parametrize("q", [0.0, 0.25, 0.5, 0.9, 0.99, 1.0])
-    def test_agrees_with_windowed_histogram_on_one_window(self, q):
-        """Both histograms read quantiles by the same nearest-rank rule."""
+    def test_window_agrees_with_whole_run_on_one_window(self, q):
+        """Both views read quantiles by the same nearest-rank rule."""
         samples = np.random.default_rng(3).lognormal(4.0, 1.0, size=997).tolist()
         histogram = Histogram("h")
-        windowed = WindowedHistogram("w")
         for x in samples:
             histogram.observe(x)
-        windowed.observe_many(samples)
-        assert histogram.quantile(q) == windowed.quantile(q)
+        assert histogram.window_count == histogram.count
+        assert histogram.quantile(q) == histogram.window_quantile(q)
 
     def test_extreme_quantiles_are_min_and_max(self):
         histogram = Histogram("h")
@@ -130,7 +123,11 @@ class TestExactQuantiles:
         histogram = Histogram("lat")
         histogram.observe(1.0)
         assert set(histogram.snapshot()) == {
-            f"lat.{key}" for key in ("count", "sum", "mean", "min", "max", "p50", "p90", "p99")
+            f"lat.{key}"
+            for key in (
+                "count", "sum", "mean", "min", "max", "p50", "p90", "p99",
+                "window.count", "window.p50", "window.p99",
+            )
         }
 
     def test_configured_quantiles_name_the_snapshot_keys(self):
@@ -142,67 +139,68 @@ class TestExactQuantiles:
         assert "h.p50" not in snapshot
 
 
-class TestWindowedHistogram:
+def observe_all(histogram, samples):
+    for x in samples:
+        histogram.observe(x)
+
+
+class TestControlWindow:
     def test_quantiles_reflect_only_the_active_window(self):
-        windowed = WindowedHistogram("w")
-        windowed.observe_many([900.0] * 100)  # a transient spike
-        windowed.rotate()
-        windowed.observe_many([10.0] * 100)  # traffic back to normal
-        assert windowed.quantile(0.99) == 10.0  # the spike is gone
+        histogram = Histogram("h")
+        observe_all(histogram, [900.0] * 100)  # a transient spike
+        histogram.close_window()
+        observe_all(histogram, [10.0] * 100)  # traffic back to normal
+        assert histogram.window_quantile(0.99) == 10.0  # the spike is gone
+        assert histogram.quantile(0.99) == 900.0  # the whole run still has it
 
     def test_empty_active_window_falls_back_to_last_completed(self):
-        windowed = WindowedHistogram("w")
-        windowed.observe_many([1.0, 2.0, 3.0, 4.0])
-        windowed.rotate()
-        assert windowed.quantile(0.5) == 3.0
-        assert windowed.count == 4
+        histogram = Histogram("h")
+        observe_all(histogram, [1.0, 2.0, 3.0, 4.0])
+        histogram.close_window()
+        assert histogram.window_quantile(0.5) == 3.0
+        assert histogram.window_count == 4
 
     def test_no_samples_at_all_is_nan(self):
-        windowed = WindowedHistogram("w")
-        assert math.isnan(windowed.quantile(0.99))
-        windowed.rotate()
-        assert math.isnan(windowed.quantile(0.5))
+        histogram = Histogram("h")
+        assert math.isnan(histogram.window_quantile(0.99))
+        histogram.close_window()
+        assert math.isnan(histogram.window_quantile(0.5))
+        assert histogram.window_count == 0
 
-    def test_observation_after_rotation_supersedes_fallback(self):
-        windowed = WindowedHistogram("w")
-        windowed.observe_many([100.0, 200.0])
-        windowed.rotate()
-        windowed.observe(7.0)
-        assert windowed.quantile(0.5) == 7.0
+    def test_observation_after_closing_supersedes_fallback(self):
+        histogram = Histogram("h")
+        observe_all(histogram, [100.0, 200.0])
+        histogram.close_window()
+        histogram.observe(7.0)
+        assert histogram.window_quantile(0.5) == 7.0
 
-    def test_quantile_matches_small_sample_order_statistic(self):
-        windowed = WindowedHistogram("w")
-        for x in (5.0, 1.0, 3.0):
-            windowed.observe(x)
-        assert windowed.quantile(0.5) == 3.0  # same nearest-rank rule as Histogram
+    def test_observation_after_read_is_seen(self):
+        histogram = Histogram("h")
+        histogram.observe(1.0)
+        assert histogram.window_quantile(0.99) == 1.0
+        histogram.observe(9.0)
+        assert histogram.window_quantile(0.99) == 9.0
 
     def test_equal_sized_consecutive_windows_are_not_confused(self):
-        """Regression: the sorted-buffer cache must invalidate on rotation
+        """Regression: the sorted copy must be rebuilt when the window moves,
         even when consecutive windows hold the same number of samples."""
-        windowed = WindowedHistogram("w")
-        windowed.observe_many([1.0, 2.0])
-        windowed.rotate()
-        assert windowed.quantile(0.5) == 2.0  # caches the first window
-        windowed.observe_many([80.0, 90.0])
-        windowed.rotate()
-        assert windowed.quantile(0.5) == 90.0
+        histogram = Histogram("h")
+        observe_all(histogram, [1.0, 2.0])
+        histogram.close_window()
+        assert histogram.window_quantile(0.5) == 2.0  # caches the first window
+        observe_all(histogram, [80.0, 90.0])
+        histogram.close_window()
+        assert histogram.window_quantile(0.5) == 90.0
 
-    def test_snapshot_and_rotation_count(self):
-        windowed = WindowedHistogram("w")
-        windowed.observe_many([10.0, 20.0])
-        windowed.rotate()
-        windowed.rotate()  # empty window keeps the fallback
-        snapshot = windowed.snapshot()
-        assert snapshot["w.count"] == 2.0
-        assert snapshot["w.p50"] == 20.0
-        assert windowed.windows == 2
-
-    def test_registry_factory(self):
-        registry = TelemetryRegistry()
-        metric = registry.windowed_histogram("lat.window")
-        assert registry.windowed_histogram("lat.window") is metric
-        with pytest.raises(TypeError):
-            registry.histogram("lat.window")
+    def test_empty_windows_keep_the_last_non_empty_one(self):
+        histogram = Histogram("h")
+        observe_all(histogram, [10.0, 20.0])
+        histogram.close_window()
+        histogram.close_window()  # an empty window keeps the fallback
+        snapshot = histogram.snapshot()
+        assert snapshot["h.window.count"] == 2.0
+        assert snapshot["h.window.p50"] == 20.0
+        assert snapshot["h.window.p99"] == 20.0
 
 
 class TestRegistry:
