@@ -103,9 +103,9 @@ Support incumbent
 Most accuracy-scaling MILPs end at HiGHS's root node, and most of their time
 goes to its root heuristics searching for an incumbent, while the LP
 relaxation alone is within a fraction of a percent of the optimum.  So
-:meth:`AllocationProblem.solve_accuracy_scaling` tries two cheap incumbents
-before the full MILP, all through :func:`repro.solver.solve` under the
-problem's ``solver_options``:
+:meth:`AllocationProblem.solve_accuracy_scaling` solves MILPs restricted to a
+few columns, and the full MILP only as a fallback, all through
+:func:`repro.solver.solve` under the problem's ``solver_options``:
 
 1. two LP relaxations (``integrality`` zeroed): the plain one, and the same
    LP with the cluster-size row (3) tightened to ``S - 1`` workers
@@ -122,18 +122,32 @@ problem's ``solver_options``:
    (the Resource Manager passes the ``(task, variant, batch)`` keys of its
    last :data:`~repro.core.resource_manager.RECENT_PLANS` solved plans) and
    they add an ``x`` column: it keeps the support, those ``x`` columns and
-   every path whose configurations all lie in ``recent_configs``, and is
-   returned under the same test;
-4. otherwise the full form, exactly as without steps 1-3.  Its node budget
-   can end it at a worse plan than a restricted MILP it follows; the best
-   plan of the solves that ran is returned (the later one on a tie).
+   every path whose configurations all lie in that widened ``x`` set;
+4. the full form, exactly as without steps 1-3, only when neither restricted
+   MILP returned a plan.  Otherwise the better restricted plan is returned
+   (the recent one on a tie).
 
-Either way the plan is feasible for the full model and, when it comes from
-step 2 or 3 within the gap, within the gap of a proven bound, the guarantee
-HiGHS itself gives.  ``plan.solver_info`` records ``"incumbent"`` (one of
-:data:`INCUMBENTS`: ``"support"``, ``"recent"`` or ``"milp"``, the solve whose
-plan is returned) and ``"lp_bound_gap"``, the plan's gap below the plain LP's
-bound.
+Every plan is feasible for the full model.  A plan within the gap of the
+plain LP's bound keeps the guarantee HiGHS itself gives; a plan outside it is
+the best restricted plan, not a certified one.  ``plan.solver_info`` records
+``"incumbent"`` (one of :data:`INCUMBENTS`: ``"support"``, ``"recent"`` or
+``"milp"``, the solve whose plan is returned) and ``"lp_bound_gap"``, the
+plan's gap below the plain LP's bound.
+
+The full MILP no longer follows a restricted plan that misses the gap.  On
+fig5_loki (benchmark budget, seeds 0-1) it ran at the two peak ticks of each
+seed, took 250-650 ms of CPU a solve on a 2-core container, set the slowest
+control tick, and stopped at 0.93% and 2.6% of HiGHS's own bound.
+On a grid of 160 points (1.1x-3.0x the hardware-scaling capacity in steps of
+0.1, both paper pipelines, the 0.2% and 1% gaps, with and without the
+stability bonus) the returned plan lies 0.05-0.09% below the full MILP's
+objective on average and 0.61% at worst; ``tests/core/test_support_incumbent.py``
+bounds it at 1%.  Step 3 keeps every path of the widened ``x`` set, not only
+the paths made of recent configurations: on the grid the two read the same,
+but on the builtin ``traffic_azure_mmpp`` at the default gap (seeds 0-1) the
+narrower recent MILP left mean accuracy 1.6% and 2.3% below what solving
+the full MILP after every missed gap gave, against 1.2% and 1.3% with the
+wider one.
 
 The one-worker slack and the three plans are constants chosen by replaying
 the 80 accuracy-scaling calls of fig5_loki and fig6_loki (benchmark settings,
@@ -141,8 +155,7 @@ seeds 0-1) under variants.  The support MILP met the 1% gap on 62 calls with
 the plain LP's support alone, on 70 with the ``S - 1`` LP's added and on 68
 with an ``S - 2`` LP's added as well.  Of the 10 calls the ``S - 1`` support
 missed, the last three plans' configurations caught 6 and the last plan's
-alone 4.  The full MILP still runs where both miss: on fig5_loki these are
-the peak ticks, where the node budget, not the incumbent, ends the solve.
+alone 4.
 
 Hardware LP check
 -----------------
@@ -719,9 +732,10 @@ class AllocationProblem:
         """Step 2: maximise system accuracy using the whole cluster.
 
         Solved over the maximal-batch paths only ("Path reduction" in the
-        module docstring), after two LP relaxations, the support MILP and,
-        when ``recent_configs`` (``(task, variant, batch)`` keys of recent
-        plans) widen that support, the recent MILP ("Support incumbent").
+        module docstring): two LP relaxations, the support MILP and, when
+        ``recent_configs`` (``(task, variant, batch)`` keys of recent plans)
+        widen that support, the recent MILP; the full MILP only when neither
+        restricted MILP finds a plan ("Support incumbent").
         ``preferred_variants`` lists the variants of the incumbent plan; a
         small stability bonus steers ties toward reusing them (fewer model
         swaps between consecutive invocations).
@@ -760,14 +774,15 @@ class AllocationProblem:
         if not within_gap(solution):
             recent = self._recent_support(support, configs, paths, recent_configs)
             if recent is not None:
-                solution = candidates["recent"] = self._solve(_restricted(form, recent))
-        if not within_gap(solution):
-            candidates["milp"] = self._solve(form)
-        # The node-limited full MILP can return a worse plan than an incumbent
-        # it follows; the best plan wins, the later solve on a tie.
+                candidates["recent"] = self._solve(_restricted(form, recent))
         solved = [(name, solution) for name, solution in candidates.items() if solution.is_optimal]
         if not solved:
-            return None
+            # The full MILP is the fallback for when no restricted MILP found a plan.
+            solution = self._solve(form)
+            if not solution.is_optimal:
+                return None
+            solved = [("milp", solution)]
+        # The better restricted plan wins, the recent one on a tie.
         incumbent, solution = max(reversed(solved), key=lambda candidate: candidate[1].objective)
         plan = self._decode(solution, configs, paths, demand_qps, ACCURACY_SCALING)
         plan.solver_info["incumbent"] = incumbent
@@ -797,9 +812,9 @@ class AllocationProblem:
         paths: List[ConfigPath],
         recent_configs: Iterable[Tuple[str, str, int]],
     ) -> Optional[np.ndarray]:
-        """``support`` widened by the ``x`` columns of ``recent_configs`` and every path made of them.
+        """``support`` widened by the ``x`` columns of ``recent_configs`` and every path made of widened ``x`` columns.
 
-        A path joins when each of its configurations is in
+        A path joins when each of its configurations is in the support or in
         ``recent_configs``.  ``None`` when ``recent_configs`` adds no ``x``
         column: there is no recent MILP then.
         """
@@ -809,8 +824,9 @@ class AllocationProblem:
         widened[:num_x] |= [config.key in recent for config in configs]
         if np.array_equal(widened[:num_x], support[:num_x]):
             return None
+        kept = {config.key for config, keep in zip(configs, widened[:num_x].tolist()) if keep}
         widened[num_x : num_x + len(paths)] |= [
-            all(config.key in recent for config in path.configs) for path in paths
+            all(config.key in kept for config in path.configs) for path in paths
         ]
         return widened
 

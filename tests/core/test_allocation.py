@@ -1,6 +1,8 @@
 """Tests for the hardware/accuracy-scaling MILP formulations (Section 4)."""
 
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from scipy import optimize
 
@@ -305,18 +307,33 @@ class TestSolverOptionsReachHighs:
         monkeypatch.setattr(proteus, "solve", spy_for(dict(DEFAULT_SOLVER_OPTIONS)))
         return calls
 
-    def test_default_options_on_every_milp(self, small_pipeline, solve_calls):
+    def test_default_options_on_every_milp(self, small_pipeline, solve_calls, monkeypatch):
+        import repro.core.allocation as allocation
         from repro.solver import DEFAULT_SOLVER_OPTIONS
 
         problem = AllocationProblem(small_pipeline, num_workers=10, latency_slo_ms=150.0)
         problem.solve(800.0)
         problem.solve(5_000.0)
+        # The full MILP runs only when no restricted MILP finds a plan: make
+        # the support MILP infeasible to reach it.
+        spy = allocation.solve
+
+        def infeasible_support(form, **kwargs):
+            if form.integrality.any() and (form.ub == 0).any():
+                form = replace(form, ub=np.zeros_like(form.ub))
+            return spy(form, **kwargs)
+
+        monkeypatch.setattr(allocation, "solve", infeasible_support)
+        plan = problem.solve_accuracy_scaling(800.0)
+        assert plan.solver_info["incumbent"] == "milp"
         assert [call[:2] for call in solve_calls] == [
             # 800 qps: an infeasible hardware LP ends hardware scaling; accuracy
-            # scaling's two relaxations, its support MILP and the full MILP.
-            ("lp", False), ("lp", True), ("lp", True), ("milp", True), ("milp", True),
+            # scaling's two relaxations and its support MILP.
+            ("lp", False), ("lp", True), ("lp", True), ("milp", True),
             # 5,000 qps: both relaxations infeasible, then max throughput.
             ("lp", False), ("lp", False), ("milp", True),
+            # 800 qps, support MILP infeasible: the full MILP.
+            ("lp", True), ("lp", True), ("milp", False), ("milp", True),
         ]
         expected = {**DEFAULT_SOLVER_OPTIONS, **WITHOUT_FEASIBILITY_JUMP}
         assert all(options == expected for _, _, options, _ in solve_calls)

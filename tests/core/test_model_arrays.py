@@ -7,8 +7,9 @@ exactly.  Each case captures the full integer
 compares the sha256 of its dense arrays with a pinned digest.  ``solve`` is
 replaced by a stand-in that reports every MILP infeasible, so no MILP is
 solved.  It solves LP relaxations for real, so accuracy scaling goes on from
-its two relaxations to the support MILP and the full MILP (see "Support
-incumbent" in :mod:`repro.core.allocation`); an LP that is infeasible is
+its two relaxations to the support MILP and then, as no restricted MILP
+found a plan, the full MILP (see "Support incumbent" in
+:mod:`repro.core.allocation`); an LP that is infeasible is
 reported solved at the zero point, so hardware scaling's LP check passes on
 to its MILP at every demand.  Of the integer forms captured, the full one is
 the one pinned: the restricted forms fix columns at ``ub = 0``.  The digests were taken from the modelling-layer
