@@ -4,10 +4,10 @@ This package implements the primary contribution of the paper:
 
 * :mod:`repro.core.profiles` -- model-variant performance profiles
   (accuracy, throughput vs. batch size, multiplicative factors).
-* :mod:`repro.core.pipeline` -- inference pipelines as directed rooted trees
-  plus the augmented (task, variant[, batch]) graph of Section 4.1.
+* :mod:`repro.core.pipeline` -- inference pipelines as directed rooted trees.
 * :mod:`repro.core.allocation` -- the MILP formulations for hardware scaling
-  and accuracy scaling, and decoded resource-allocation plans.
+  and accuracy scaling over the augmented (task, variant, batch) paths of
+  Section 4.1, and decoded resource-allocation plans.
 * :mod:`repro.core.validation` -- an independent check that a plan satisfies
   the full allocation model.
 * :mod:`repro.core.resource_manager` -- the two-step Resource Manager with
@@ -21,14 +21,8 @@ This package implements the primary contribution of the paper:
 """
 
 from repro.core.profiles import ModelVariant, ProfileRegistry, BatchProfile
-from repro.core.pipeline import Pipeline, Task, Edge, AugmentedGraph, PathKey
-from repro.core.allocation import (
-    AllocationPlan,
-    VariantAllocation,
-    AllocationProblem,
-    build_accuracy_scaling_model,
-    build_hardware_scaling_model,
-)
+from repro.core.pipeline import Pipeline, Task, Edge, PathKey
+from repro.core.allocation import AllocationPlan, VariantAllocation, AllocationProblem
 from repro.core.validation import PlanValidationError, validate_plan
 from repro.core.resource_manager import ResourceManager, DemandEstimator
 from repro.core.load_balancer import LoadBalancer, RoutingTable, RoutingEntry, WorkerState
@@ -51,13 +45,10 @@ __all__ = [
     "Pipeline",
     "Task",
     "Edge",
-    "AugmentedGraph",
     "PathKey",
     "AllocationPlan",
     "VariantAllocation",
     "AllocationProblem",
-    "build_accuracy_scaling_model",
-    "build_hardware_scaling_model",
     "PlanValidationError",
     "validate_plan",
     "ResourceManager",

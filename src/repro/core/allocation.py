@@ -213,8 +213,6 @@ __all__ = [
     "VariantAllocation",
     "AllocationPlan",
     "AllocationProblem",
-    "build_hardware_scaling_model",
-    "build_accuracy_scaling_model",
     "HARDWARE_SCALING",
     "ACCURACY_SCALING",
 ]
@@ -970,24 +968,3 @@ class MaxDemandResult:
 
     max_demand_qps: float
     plan: AllocationPlan
-
-
-# ---------------------------------------------------------------------------
-# Convenience functions used by tests and the experiment harness
-# ---------------------------------------------------------------------------
-def build_hardware_scaling_model(problem: AllocationProblem, demand_qps: float) -> Optional[StandardForm]:
-    """Return the raw MILP of the hardware-scaling step (for inspection/tests).
-
-    ``None`` when the latency budget prunes every path of some branch.
-    """
-    built = problem._build_model(demand_qps=demand_qps, mode=HARDWARE_SCALING, restrict_to_best=True)
-    return None if built is None else built[0]
-
-
-def build_accuracy_scaling_model(problem: AllocationProblem, demand_qps: float) -> Optional[StandardForm]:
-    """Return the raw MILP of the accuracy-scaling step (for inspection/tests).
-
-    ``None`` when the latency budget prunes every path of some branch.
-    """
-    built = problem._build_model(demand_qps=demand_qps, mode=ACCURACY_SCALING, restrict_to_best=False)
-    return None if built is None else built[0]

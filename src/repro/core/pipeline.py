@@ -1,4 +1,4 @@
-"""Inference pipelines as directed rooted trees, and their augmented graphs.
+"""Inference pipelines as directed rooted trees.
 
 Section 2.1 of the paper defines an inference pipeline as a directed rooted
 tree: each node is a task, the root is the source that receives client
@@ -8,27 +8,23 @@ cars go to the car classifier, detected persons to the facial-recognition
 model); the fraction of intermediate queries following each outgoing edge is
 the edge's *branch ratio*.
 
-Section 4.1 additionally defines the *augmented graph*: for every task vertex
-``i`` and every variant ``k`` of that task, the augmented graph has a vertex
-``(i, k)``, and ``(i, k) -> (j, k')`` is an edge iff ``(i, j)`` is an edge in
-the pipeline graph.  Root-to-sink paths through the augmented graph are the
-units the MILP routes traffic over (the ``c(p)`` variables).
-
-This module implements both graphs, root-to-sink path enumeration, per-path
-end-to-end accuracy, and the per-path request-multiplication factors
-``m(p, i, k)`` of Equation (1).
+This module implements the pipeline graph, root-to-sink task paths and
+per-path end-to-end accuracy.  Section 4.1's augmented graph, which has a
+vertex per ``(task, variant)``, is enumerated where the MILP routes over it:
+:meth:`repro.core.allocation.AllocationProblem.config_paths` walks its
+root-to-sink paths at configuration granularity, with the per-hop
+request-multiplication factors ``m(p, i, k)`` of Equation (1).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.profiles import ModelVariant, ProfileRegistry
 
-__all__ = ["Edge", "Task", "Pipeline", "AugmentedGraph", "AugmentedPath", "PathKey", "PipelineError"]
+__all__ = ["Edge", "Task", "Pipeline", "PathKey", "PipelineError"]
 
 #: A root-to-sink path through the augmented graph, as a tuple of
 #: ``(task_name, variant_name)`` pairs ordered root-first.
@@ -208,14 +204,6 @@ class Pipeline:
         visit(self.root, [])
         return paths
 
-    def path_branch_probability(self, task_path: Sequence[str]) -> float:
-        """Product of branch ratios along a task path (probability a query's
-        intermediate output follows this sink branch)."""
-        prob = 1.0
-        for parent, child in zip(task_path, task_path[1:]):
-            prob *= self.edge(parent, child).branch_ratio
-        return prob
-
     # -- accuracy ------------------------------------------------------------
     def path_accuracy(self, variant_by_task: Mapping[str, ModelVariant], task_path: Sequence[str]) -> float:
         """End-to-end accuracy of one root-to-sink path, ``Â(p)``.
@@ -259,131 +247,5 @@ class Pipeline:
             best = min(best, total)
         return best
 
-    def augmented(self, batch_sizes: Optional[Sequence[int]] = None) -> "AugmentedGraph":
-        """Build the augmented graph for this pipeline (Section 4.1)."""
-        return AugmentedGraph(self, batch_sizes=batch_sizes)
-
     def __repr__(self):  # pragma: no cover - debug helper
         return f"Pipeline({self.name!r}, tasks={list(self.tasks)}, root={self.root!r})"
-
-
-@dataclass(frozen=True)
-class AugmentedPath:
-    """A root-to-sink path through the augmented graph.
-
-    Attributes
-    ----------
-    key:
-        The ``((task, variant), ...)`` tuple identifying the path.
-    branch_probability:
-        Product of the branch ratios of the traversed pipeline edges.
-    accuracy:
-        End-to-end accuracy ``Â(p)`` of the path.
-    multipliers:
-        ``m(p, i, k)`` of Equation (1): for every ``(task, variant)`` vertex on
-        the path, the expected number of requests reaching that vertex per
-        request entering the path (product of the multiplicative factors of
-        all *upstream* vertices, scaled by upstream branch ratios).
-    """
-
-    key: PathKey
-    branch_probability: float
-    accuracy: float
-    multipliers: Tuple[float, ...]
-
-    @property
-    def tasks(self) -> Tuple[str, ...]:
-        return tuple(task for task, _ in self.key)
-
-    @property
-    def variants(self) -> Tuple[str, ...]:
-        return tuple(variant for _, variant in self.key)
-
-    def multiplier_for(self, task_name: str) -> float:
-        for (task, _), mult in zip(self.key, self.multipliers):
-            if task == task_name:
-                return mult
-        raise KeyError(f"task {task_name!r} not on path {self.key}")
-
-
-class AugmentedGraph:
-    """The augmented graph: every combination of model variants along each path.
-
-    ``paths()`` enumerates all root-to-sink paths; the count is the product of
-    the per-task variant counts along each task path, so for Loki's pipelines
-    (2 tasks, ≤8 variants each) it stays small.  The MILP in
-    :mod:`repro.core.allocation` attaches a routing variable ``c(p)`` to each
-    of these paths.
-    """
-
-    def __init__(self, pipeline: Pipeline, batch_sizes: Optional[Sequence[int]] = None):
-        self.pipeline = pipeline
-        self.batch_sizes = tuple(batch_sizes) if batch_sizes is not None else None
-        self._paths: Optional[List[AugmentedPath]] = None
-
-    def vertices(self) -> List[Tuple[str, str]]:
-        """All ``(task, variant)`` vertices."""
-        result = []
-        for task_name in self.pipeline.topological_order():
-            for variant in self.pipeline.registry.variants(task_name):
-                result.append((task_name, variant.name))
-        return result
-
-    def paths(self) -> List[AugmentedPath]:
-        """All root-to-sink augmented paths (cached)."""
-        if self._paths is None:
-            self._paths = self._enumerate_paths()
-        return self._paths
-
-    def _enumerate_paths(self) -> List[AugmentedPath]:
-        registry = self.pipeline.registry
-        result: List[AugmentedPath] = []
-        for task_path in self.pipeline.task_paths():
-            branch_probability = self.pipeline.path_branch_probability(task_path)
-            variant_lists = [registry.variants(task_name) for task_name in task_path]
-            for combo in itertools.product(*variant_lists):
-                key = tuple((task, variant.name) for task, variant in zip(task_path, combo))
-                accuracy = self.pipeline.path_accuracy(
-                    {task: variant for task, variant in zip(task_path, combo)}, task_path
-                )
-                multipliers = self._path_multipliers(task_path, combo)
-                result.append(
-                    AugmentedPath(
-                        key=key,
-                        branch_probability=branch_probability,
-                        accuracy=accuracy,
-                        multipliers=multipliers,
-                    )
-                )
-        return result
-
-    def _path_multipliers(self, task_path: Sequence[str], combo: Sequence[ModelVariant]) -> Tuple[float, ...]:
-        """``m(p, i, k)`` for every vertex on the path.
-
-        The first task receives exactly the requests entering the path
-        (multiplier 1).  Each subsequent task receives the upstream multiplier
-        times the upstream variant's multiplicative factor times the branch
-        ratio of the traversed edge.
-        """
-        multipliers: List[float] = []
-        running = 1.0
-        for position, (task_name, variant) in enumerate(zip(task_path, combo)):
-            if position > 0:
-                upstream_variant = combo[position - 1]
-                edge = self.pipeline.edge(task_path[position - 1], task_name)
-                running *= upstream_variant.multiplicative_factor * edge.branch_ratio
-            multipliers.append(running)
-        return tuple(multipliers)
-
-    def paths_through(self, task_name: str, variant_name: str) -> List[AugmentedPath]:
-        """``P_{i,k}``: augmented paths containing vertex ``(task, variant)``."""
-        return [p for p in self.paths() if (task_name, variant_name) in p.key]
-
-    def num_paths(self) -> int:
-        return len(self.paths())
-
-    def max_path_accuracy(self) -> float:
-        return max(p.accuracy for p in self.paths())
-
-    def min_path_accuracy(self) -> float:
-        return min(p.accuracy for p in self.paths())

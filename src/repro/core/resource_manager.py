@@ -311,11 +311,3 @@ class ResourceManager:
             self.stats.hardware_plans += 1
         elif plan.mode == ACCURACY_SCALING:
             self.stats.accuracy_plans += 1
-
-    # -- capacity helpers (used by experiments) ---------------------------------
-    def max_capacity_qps(self, restrict_to_best: bool = False, accuracy_floor: Optional[float] = None) -> float:
-        """Maximum demand the cluster can support (Figure 1 style capacity)."""
-        result = self._problem().max_supported_demand(
-            restrict_to_best=restrict_to_best, accuracy_floor=accuracy_floor
-        )
-        return result.max_demand_qps

@@ -89,7 +89,6 @@ class SimulationConfig:
     seed: int = 0
     #: extra simulated time after the trace ends so in-flight requests can drain
     drain_s: float = 5.0
-    max_events: Optional[int] = None
     #: per-task latency budgets for early dropping are the configured batch
     #: execution time multiplied by this slack, matching the SLO/2 queueing
     #: allowance of Section 4.1 (waiting time assumed equal to processing time)
@@ -180,7 +179,7 @@ class ServingSimulation:
         self._bootstrap()
         self._schedule_workload()
         horizon = self.trace.duration_s + self.config.drain_s
-        self.engine.run(until_s=horizon, max_events=self.config.max_events)
+        self.engine.run(until_s=horizon)
         self.rng.sync()
         summary = self.metrics.summary()
         summary.telemetry = self.telemetry.snapshot()

@@ -33,8 +33,6 @@ from repro.workloads.arrivals import (
     MMPPProcess,
     PoissonProcess,
     UniformProcess,
-    arrivals_for_second,
-    arrivals_from_trace,
     make_arrival_process,
 )
 from repro.workloads.content import ContentModel, MultiplicativeContentModel
@@ -47,8 +45,6 @@ __all__ = [
     "constant_trace",
     "step_trace",
     "scale_trace_to_capacity",
-    "arrivals_for_second",
-    "arrivals_from_trace",
     "ARRIVAL_PROCESSES",
     "ArrivalProcess",
     "PoissonProcess",

@@ -1,17 +1,11 @@
 """Arrival processes: turn a per-second rate trace into individual arrival times.
 
-Two APIs coexist:
-
-* :func:`arrivals_for_second` -- the original one-second sampler (Poisson or
-  deterministic evenly-spaced), kept for callers that drive the simulator a
-  second at a time.
-* :class:`ArrivalProcess` subclasses + :func:`make_arrival_process` -- the
-  scenario substrate's API.  A process samples *the whole trace* in a few
-  vectorized NumPy draws (:meth:`ArrivalProcess.sample_trace`), which is what
-  lets the simulator walk every arrival with one calendar entry instead of
-  scheduling closures second by second.  Beyond Poisson and evenly-spaced,
-  this adds the bursty processes the scenario registry composes: a two-state
-  MMPP, diurnal modulation and a flash-crowd spike.
+An :class:`ArrivalProcess` (built by name with :func:`make_arrival_process`)
+samples *the whole trace* in a few vectorized NumPy draws
+(:meth:`ArrivalProcess.sample_trace`), which is what lets the simulator walk
+every arrival with one calendar entry.  Beyond Poisson and evenly-spaced
+arrivals, the registry holds the bursty processes the scenario registry
+composes: a two-state MMPP, diurnal modulation and a flash-crowd spike.
 
 Modulated processes (``mmpp``, ``diurnal``, ``flash_crowd``) reshape the
 per-second rate vector and then draw a Poisson process at the modulated rate
@@ -21,15 +15,11 @@ while the short-term structure becomes bursty.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Type
+from typing import Dict, Optional, Type
 
 import numpy as np
 
-from repro.workloads.traces import Trace
-
 __all__ = [
-    "arrivals_for_second",
-    "arrivals_from_trace",
     "ArrivalProcess",
     "PoissonProcess",
     "UniformProcess",
@@ -39,54 +29,6 @@ __all__ = [
     "ARRIVAL_PROCESSES",
     "make_arrival_process",
 ]
-
-
-def arrivals_for_second(
-    rate_qps: float,
-    second_start_s: float,
-    rng: np.random.Generator,
-    process: str = "poisson",
-) -> np.ndarray:
-    """Arrival times within ``[second_start_s, second_start_s + 1)``.
-
-    ``process`` selects between a Poisson process (the count is Poisson
-    distributed and arrivals are uniform within the second) and a
-    deterministic evenly-spaced process (useful for the simulator-validation
-    experiment, where removing arrival randomness isolates control-plane
-    differences).
-    """
-    if rate_qps < 0:
-        raise ValueError("rate cannot be negative")
-    if rate_qps == 0:
-        return np.empty(0)
-    if process == "poisson":
-        count = int(rng.poisson(rate_qps))
-        if count == 0:
-            return np.empty(0)
-        offsets = np.sort(rng.uniform(0.0, 1.0, size=count))
-    elif process == "uniform":
-        count = int(round(rate_qps))
-        if count == 0:
-            return np.empty(0)
-        offsets = (np.arange(count) + 0.5) / count
-    else:
-        raise ValueError(f"unknown arrival process {process!r}")
-    return second_start_s + offsets
-
-
-def arrivals_from_trace(
-    trace: Trace,
-    rng: np.random.Generator,
-    process: str = "poisson",
-) -> Iterator[np.ndarray]:
-    """Yield the arrival times of each trace second in order."""
-    for second, rate in enumerate(trace.qps):
-        yield arrivals_for_second(float(rate), float(second), rng, process=process)
-
-
-# --------------------------------------------------------------------------- #
-# Vectorized whole-trace arrival processes
-# --------------------------------------------------------------------------- #
 
 
 def _poisson_times(rates: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -1,18 +1,14 @@
 """Tests for the hardware/accuracy-scaling MILP formulations (Section 4)."""
 
+import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from repro.core.allocation import (
-    ACCURACY_SCALING,
-    HARDWARE_SCALING,
-    AllocationProblem,
-    build_accuracy_scaling_model,
-    build_hardware_scaling_model,
-)
+from repro.core.allocation import ACCURACY_SCALING, HARDWARE_SCALING, AllocationProblem
 
 
 @pytest.fixture
@@ -41,6 +37,81 @@ class TestConfigurationEnumeration:
         budget = problem.effective_budget_ms(2)
         for path in problem.config_paths():
             assert path.latency_ms <= budget + 1e-9
+
+    def test_config_path_multipliers_follow_upstream_factors(self, branching_problem, branching_pipeline):
+        """``m(p, i, k)`` of Equation (1): the first hop carries the requests
+        entering the path, each later hop the upstream multiplier times the
+        upstream variant's factor times the traversed edge's branch ratio."""
+        paths = branching_problem.config_paths()
+        assert paths
+        for path in paths:
+            assert path.multipliers[0] == 1.0
+            for hop in range(1, len(path.configs)):
+                upstream = path.configs[hop - 1]
+                ratio = branching_pipeline.edge(upstream.task, path.configs[hop].task).branch_ratio
+                expected = path.multipliers[hop - 1] * upstream.variant.multiplicative_factor * ratio
+                assert path.multipliers[hop] == pytest.approx(expected)
+        by_variants = {path.variant_key: path.multipliers for path in paths}
+        # det_hi factor 2.5 x branch ratio 0.6; det_lo factor 2.0 x branch ratio 0.4
+        assert by_variants[(("detect", "det_hi"), ("classify_a", "clsa_hi"))] == (1.0, pytest.approx(1.5))
+        assert by_variants[(("detect", "det_lo"), ("classify_b", "clsb_lo"))] == (1.0, pytest.approx(0.8))
+
+    def test_config_path_accuracy_is_product_of_variant_accuracies(self, branching_problem):
+        paths = branching_problem.config_paths()
+        assert paths
+        for path in paths:
+            assert path.accuracy == pytest.approx(math.prod(c.variant.accuracy for c in path.configs))
+
+    @pytest.mark.parametrize("pipeline_name", ["small_pipeline", "branching_pipeline"])
+    def test_unpruned_path_count_is_product_of_configuration_counts(self, pipeline_name, request):
+        pipeline = request.getfixturevalue(pipeline_name)
+        problem = AllocationProblem(pipeline, num_workers=4, latency_slo_ms=1e6)
+        per_task = Counter(c.task for c in problem.configurations())
+        per_branch = Counter(path.branch_index for path in problem.config_paths())
+        assert per_branch == {
+            branch: math.prod(per_task[task] for task in task_path)
+            for branch, task_path in enumerate(pipeline.task_paths())
+        }
+
+    def test_unpruned_config_paths_visit_every_variant(self, small_pipeline):
+        problem = AllocationProblem(small_pipeline, num_workers=4, latency_slo_ms=1e6)
+        visited = {hop for path in problem.config_paths() for hop in path.variant_key}
+        assert visited == {
+            ("detect", "detect_big"),
+            ("detect", "detect_small"),
+            ("classify", "classify_big"),
+            ("classify", "classify_small"),
+        }
+
+    def test_config_path_accuracy_extremes(self, small_pipeline):
+        problem = AllocationProblem(small_pipeline, num_workers=4, latency_slo_ms=1e6)
+        accuracies = [path.accuracy for path in problem.config_paths()]
+        assert max(accuracies) == pytest.approx(1.0)
+        assert min(accuracies) == pytest.approx(0.8 * 0.85)
+
+    def test_config_path_tasks_follow_their_branch(self, branching_problem, branching_pipeline):
+        task_paths = branching_pipeline.task_paths()
+        for path in branching_problem.config_paths():
+            assert path.tasks == tuple(task_paths[path.branch_index])
+            assert len(path.variant_key) == len(path.key) == len(path.multipliers) == len(path.tasks)
+
+    def test_config_path_multipliers_carry_branch_probability(self, branching_problem):
+        """Dividing the sink hop's multiplier by the upstream factors leaves
+        the branch's probability: 0.6 to ``classify_a``, 0.4 to ``classify_b``."""
+        probabilities = {}
+        for path in branching_problem.config_paths():
+            factors = math.prod(c.variant.multiplicative_factor for c in path.configs[:-1])
+            probabilities.setdefault(path.tasks, set()).add(round(path.multipliers[-1] / factors, 9))
+        assert probabilities == {("detect", "classify_a"): {0.6}, ("detect", "classify_b"): {0.4}}
+
+    def test_unpruned_config_paths_through_a_variant(self, branching_pipeline):
+        problem = AllocationProblem(branching_pipeline, num_workers=4, latency_slo_ms=1e6)
+        per_variant = Counter((c.task, c.variant.name) for c in problem.configurations())
+        through = [p for p in problem.config_paths() if ("detect", "det_hi") in p.variant_key]
+        # Each branch pairs every det_hi configuration with every configuration of its classifier.
+        per_task = Counter(c.task for c in problem.configurations())
+        assert len(through) == per_variant[("detect", "det_hi")] * (per_task["classify_a"] + per_task["classify_b"])
+        assert {p.branch_index for p in through} == {0, 1}
 
     def test_effective_budget_subtracts_communication(self, small_pipeline):
         p = AllocationProblem(
@@ -99,7 +170,7 @@ class TestHardwareScaling:
         assert plan is None
 
     def test_raw_model_is_minimisation(self, problem):
-        form = build_hardware_scaling_model(problem, 50.0)
+        form, _, _ = problem._build_model(demand_qps=50.0, mode=HARDWARE_SCALING, restrict_to_best=True)
         assert form.sense == 1
         assert form.num_vars > 0
 
@@ -143,7 +214,7 @@ class TestAccuracyScaling:
             assert plan.expected_accuracy >= 0.9 - 1e-6
 
     def test_raw_model_is_maximisation(self, problem):
-        form = build_accuracy_scaling_model(problem, 50.0)
+        form, _, _ = problem._build_model(demand_qps=50.0, mode=ACCURACY_SCALING, restrict_to_best=False)
         assert form.sense == -1
 
 
@@ -240,8 +311,8 @@ class TestInfeasibleSLO:
 
     def test_unreachable_slo_yields_no_paths(self, problem):
         assert problem.config_paths() == []
-        assert build_hardware_scaling_model(problem, 10.0) is None
-        assert build_accuracy_scaling_model(problem, 10.0) is None
+        assert problem._build_model(demand_qps=10.0, mode=HARDWARE_SCALING, restrict_to_best=True) is None
+        assert problem._build_model(demand_qps=10.0, mode=ACCURACY_SCALING, restrict_to_best=False) is None
 
     def test_scaling_steps_return_none(self, problem, milp_calls):
         assert problem.solve_hardware_scaling(10.0) is None

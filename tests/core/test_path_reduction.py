@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import AllocationProblem, PlanValidationError, validate_plan
-from repro.core.allocation import VariantAllocation, build_accuracy_scaling_model
+from repro.core.allocation import ACCURACY_SCALING, VariantAllocation
 from repro.zoo import social_media_pipeline, traffic_analysis_pipeline
 
 #: pipeline -> (factory, paths of the full model, maximal paths)
@@ -90,7 +90,8 @@ class TestStructure:
     def test_only_the_accuracy_scaling_model_is_reduced(self, reduction):
         _, problem, full, kept = reduction
         num_x = len(problem.configurations())
-        assert build_accuracy_scaling_model(problem, 100.0).c.size == num_x + len(kept)
+        form, _, _ = problem._build_model(demand_qps=100.0, mode=ACCURACY_SCALING, restrict_to_best=False)
+        assert form.c.size == num_x + len(kept)
         _, configs, paths = problem._build_model(demand_qps=None, mode="max_throughput", restrict_to_best=False)
         assert (len(configs), len(paths)) == (num_x, len(full))
 

@@ -1,6 +1,4 @@
-"""Tests for pipeline graphs and the augmented graph."""
-
-import math
+"""Tests for pipeline graphs."""
 
 import pytest
 
@@ -38,10 +36,6 @@ class TestPipelineStructure:
     def test_single_task_pipeline_path(self, single_pipeline):
         assert single_pipeline.task_paths() == [[single_pipeline.root]]
         assert single_pipeline.sinks == [single_pipeline.root]
-
-    def test_branch_probability(self, branching_pipeline):
-        assert branching_pipeline.path_branch_probability(["detect", "classify_a"]) == pytest.approx(0.6)
-        assert branching_pipeline.path_branch_probability(["detect", "classify_b"]) == pytest.approx(0.4)
 
     def test_edge_lookup(self, branching_pipeline):
         edge = branching_pipeline.edge("detect", "classify_a")
@@ -120,62 +114,3 @@ class TestAccuracyComposition:
     def test_min_path_latency(self, small_pipeline):
         # Fastest variants at batch 1: detect_small 2+2=4, classify_small 2+1.5=3.5.
         assert small_pipeline.min_path_latency_ms() == pytest.approx(7.5)
-
-
-class TestAugmentedGraph:
-    def test_vertex_enumeration(self, small_pipeline):
-        augmented = small_pipeline.augmented()
-        assert set(augmented.vertices()) == {
-            ("detect", "detect_big"),
-            ("detect", "detect_small"),
-            ("classify", "classify_big"),
-            ("classify", "classify_small"),
-        }
-
-    def test_path_count_is_product_of_variant_counts(self, small_pipeline, branching_pipeline):
-        assert small_pipeline.augmented().num_paths() == 4
-        # Two branches, each with 2 (detect) x 2 (classify) combinations.
-        assert branching_pipeline.augmented().num_paths() == 8
-
-    def test_paths_are_cached(self, small_pipeline):
-        augmented = small_pipeline.augmented()
-        assert augmented.paths() is augmented.paths()
-
-    def test_path_accuracy_and_branch_probability(self, branching_pipeline):
-        augmented = branching_pipeline.augmented()
-        for path in augmented.paths():
-            expected = math.prod(
-                branching_pipeline.registry.variant(variant).accuracy for _, variant in path.key
-            )
-            assert path.accuracy == pytest.approx(expected)
-            assert path.branch_probability in (pytest.approx(0.6), pytest.approx(0.4))
-
-    def test_multipliers_follow_upstream_factors(self, branching_pipeline):
-        augmented = branching_pipeline.augmented()
-        path = next(
-            p
-            for p in augmented.paths()
-            if p.key == (("detect", "det_hi"), ("classify_a", "clsa_hi"))
-        )
-        assert path.multipliers[0] == pytest.approx(1.0)
-        # det_hi factor 2.5 x branch ratio 0.6
-        assert path.multipliers[1] == pytest.approx(1.5)
-        assert path.multiplier_for("classify_a") == pytest.approx(1.5)
-        with pytest.raises(KeyError):
-            path.multiplier_for("classify_b")
-
-    def test_paths_through_vertex(self, branching_pipeline):
-        augmented = branching_pipeline.augmented()
-        through = augmented.paths_through("detect", "det_hi")
-        assert len(through) == 4  # 2 branches x 2 downstream variants
-        assert all(("detect", "det_hi") in p.key for p in through)
-
-    def test_accuracy_extremes(self, small_pipeline):
-        augmented = small_pipeline.augmented()
-        assert augmented.max_path_accuracy() == pytest.approx(1.0)
-        assert augmented.min_path_accuracy() == pytest.approx(0.8 * 0.85)
-
-    def test_path_properties(self, small_pipeline):
-        path = small_pipeline.augmented().paths()[0]
-        assert path.tasks == ("detect", "classify")
-        assert len(path.variants) == 2

@@ -74,11 +74,13 @@ class TestPipelineAccuracyProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(factor=factor_strategy, accuracy=accuracy_strategy)
-    def test_augmented_multipliers_scale_with_upstream_factor(self, factor, accuracy):
+    def test_config_path_multipliers_scale_with_upstream_factor(self, factor, accuracy):
         pipeline = build_chain_pipeline([[accuracy], [1.0]], [[2.0], [2.0]], [factor, 1.0])
-        paths = pipeline.augmented().paths()
-        assert len(paths) == 1
-        assert paths[0].multipliers == (1.0, pytest.approx(factor))
+        paths = AllocationProblem(pipeline, num_workers=4).config_paths()
+        # One variant per task, four batch sizes each, none pruned by the budget.
+        assert len(paths) == 16
+        for path in paths:
+            assert path.multipliers == (1.0, pytest.approx(factor))
 
 
 class TestAllocationProperties:

@@ -7,6 +7,11 @@ from repro.core.metadata import MetadataStore
 from repro.core.resource_manager import DemandEstimator, ResourceManager
 
 
+def max_capacity_qps(manager, restrict_to_best=False):
+    """The largest demand ``manager``'s cluster supports (Figure 1 style capacity)."""
+    return manager._problem().max_supported_demand(restrict_to_best=restrict_to_best).max_demand_qps
+
+
 class TestDemandEstimator:
     def test_first_observation_sets_estimate(self):
         estimator = DemandEstimator(alpha=0.5, headroom=1.0)
@@ -115,7 +120,7 @@ class TestResourceManager:
         assert manager.stats.cache_hits >= 1
 
     def test_mode_switches_to_accuracy_scaling_at_high_demand(self, manager):
-        hardware_capacity = manager.max_capacity_qps(restrict_to_best=True)
+        hardware_capacity = max_capacity_qps(manager, restrict_to_best=True)
         manager.observe_demand(0.0, hardware_capacity * 1.5)
         plan = manager.allocate(0.0)
         assert plan.mode == ACCURACY_SCALING
@@ -137,7 +142,7 @@ class TestResourceManager:
         assert manager.stats.invocations >= 1
 
     def test_stats_count_incumbents_and_hardware_lp_checks(self, manager):
-        hardware_capacity = manager.max_capacity_qps(restrict_to_best=True)
+        hardware_capacity = max_capacity_qps(manager, restrict_to_best=True)
         for t, multiple in enumerate((0.5, 1.3, 1.6, 1.9)):
             manager.allocate(10.0 * t, demand_qps=multiple * hardware_capacity)
         stats = manager.stats
@@ -158,7 +163,7 @@ class TestResourceManager:
             return real(problem, demand_qps, preferred_variants=preferred_variants, recent_configs=recent_configs)
 
         monkeypatch.setattr(AllocationProblem, "solve", spy)
-        hardware_capacity = manager.max_capacity_qps(restrict_to_best=True)
+        hardware_capacity = max_capacity_qps(manager, restrict_to_best=True)
         plans = [
             manager._solve(multiple * hardware_capacity) for multiple in (0.3, 0.6, 1.2, 1.5, 1.8)
         ]
@@ -168,8 +173,8 @@ class TestResourceManager:
             assert received[k] == set().union(*keys[max(0, k - 3):k])
 
     def test_max_capacity_with_accuracy_scaling_larger(self, manager):
-        hardware = manager.max_capacity_qps(restrict_to_best=True)
-        full = manager.max_capacity_qps()
+        hardware = max_capacity_qps(manager, restrict_to_best=True)
+        full = max_capacity_qps(manager)
         assert full >= hardware
 
 

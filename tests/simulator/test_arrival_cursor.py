@@ -127,28 +127,40 @@ class TestRunnerOrder:
         assert sim.engine.now_s == sim.trace.duration_s + sim.config.drain_s
 
 
-def run_in_slices(sim, max_events):
-    """``ServingSimulation.run`` with the engine resumed every ``max_events`` events."""
+def run_in_slices(sim, slice_edges):
+    """``ServingSimulation.run`` with the engine stopped at each time of
+    ``slice_edges(sim)`` (read once the workload is loaded) and resumed."""
     sim._bootstrap()
     sim._schedule_workload()
     horizon = sim.trace.duration_s + sim.config.drain_s
-    while True:
-        before = sim.engine.events_processed
-        sim.engine.run(until_s=horizon, max_events=max_events)
-        if sim.engine.events_processed - before < max_events:
-            break
+    for edge_s in slice_edges(sim):
+        assert sim.engine.run(until_s=edge_s) == edge_s
+    sim.engine.run(until_s=horizon)
     summary = sim.metrics.summary()
     summary.telemetry = sim.telemetry.snapshot()
     return summary
 
 
-@pytest.mark.parametrize("max_events", [1, 97])
-def test_resumed_runs_match_one_run(max_events):
+def quarter_seconds(sim):
+    return [0.25 * k for k in range(1, 4 * sim.trace.duration_s)]
+
+
+def arrivals_and_ticks(sim):
+    """Every control tick's time and about every 40th arrival's, exactly."""
+    heap = sim.engine.queue._heap
+    cursor = next(entry[3] for entry in heap if isinstance(entry[3], ArrivalCursor))
+    ticks = [entry[0] for entry in heap if entry[2] is ServingSimulation._control_tick]
+    assert ticks
+    return sorted(set(cursor.times[:: max(1, len(cursor.times) // 40)]) | set(ticks))
+
+
+@pytest.mark.parametrize("slice_edges", [quarter_seconds, arrivals_and_ticks])
+def test_resumed_runs_match_one_run(slice_edges):
     spec = get_scenario("smoke")
     whole = spec.build(seed=2)
     expected = whole.run()
     sliced = spec.build(seed=2)
-    assert dataclasses.asdict(run_in_slices(sliced, max_events)) == dataclasses.asdict(expected)
+    assert dataclasses.asdict(run_in_slices(sliced, slice_edges)) == dataclasses.asdict(expected)
     assert sliced.engine.events_processed == whole.engine.events_processed
     assert sliced.engine.now_s == whole.engine.now_s
 
@@ -182,14 +194,14 @@ class TestEngineContract:
         assert engine.events_processed == 6
         assert len(engine.queue) == 0
 
-    def test_step_walks_the_cursor(self):
+    def test_run_walks_the_cursor(self):
         engine = SimulationEngine()
         log = []
         ArrivalCursor([0.5, 1.5], RecordingFrontend(engine, log)).load(engine.queue)
-        assert engine.step() and engine.step()
-        assert not engine.step()
+        engine.run()
         assert log == [("arrival", 0.5), ("arrival", 1.5)]
         assert engine.events_processed == 2
+        assert len(engine.queue) == 0
 
     def test_arrivals_past_the_horizon_stay_pending(self):
         engine = SimulationEngine()

@@ -167,23 +167,6 @@ class TestSimulationEngine:
         assert engine.run(until_s=3.0) == 3.0
         assert engine.now_s == 3.0
 
-    def test_exhausted_event_budget_does_not_jump_to_horizon(self):
-        """A run stopped by max_events is mid-flight: the clock stays at the
-        last processed entry so the caller can resume."""
-        engine = SimulationEngine()
-        for t in (1.0, 2.0, 3.0):
-            engine.schedule(t, lambda: None)
-        stop_time = engine.run(until_s=10.0, max_events=2)
-        assert stop_time == 2.0
-        assert engine.now_s == 2.0
-        assert engine.run(until_s=10.0) == 10.0
-
-    def test_schedule_in_relative_delay(self):
-        engine = SimulationEngine()
-        engine.schedule(1.0, lambda: engine.schedule_in(0.5, lambda: None))
-        engine.run()
-        assert engine.now_s == pytest.approx(1.5)
-
     def test_scheduling_in_past_rejected(self):
         engine = SimulationEngine()
         engine.schedule(1.0, lambda: None)
@@ -192,8 +175,6 @@ class TestSimulationEngine:
             engine.schedule(0.5, lambda: None)
         with pytest.raises(ValueError):
             engine.call_at(0.5, print, None)
-        with pytest.raises(ValueError):
-            engine.schedule_in(-1.0, lambda: None)
         assert len(engine.queue) == 0
 
     def test_call_at_clamps_rounding_error_to_now(self):
@@ -216,38 +197,17 @@ class TestSimulationEngine:
         engine.run()
         assert seen == [0, 1, 2, 3]
 
-    def test_max_events_budget(self):
-        engine = SimulationEngine()
-        for i in range(10):
-            engine.schedule(float(i), lambda: None)
-        engine.run(max_events=4)
-        assert engine.events_processed == 4
-        assert len(engine.queue) == 6
-
-    def test_step(self):
-        engine = SimulationEngine()
-        seen = []
-        engine.call_at(1.0, seen.append, "x")
-        assert engine.step() is True
-        assert seen == ["x"]
-        assert engine.now_s == 1.0
-        assert engine.events_processed == 1
-        assert engine.step() is False
-
-    def test_step_counts_a_raising_entry_as_run_does(self):
+    def test_raising_first_entry_counts_as_processed(self):
         def boom():
             raise RuntimeError("boom")
 
-        stepped, ran = SimulationEngine(), SimulationEngine()
-        for engine in (stepped, ran):
-            engine.schedule(1.0, boom)
-            engine.schedule(2.0, lambda: None)
+        engine = SimulationEngine()
+        engine.schedule(1.0, boom)
+        engine.schedule(2.0, lambda: None)
         with pytest.raises(RuntimeError):
-            stepped.step()
-        with pytest.raises(RuntimeError):
-            ran.run()
-        assert stepped.events_processed == ran.events_processed == 1
-        assert len(stepped.queue) == len(ran.queue) == 1
+            engine.run()
+        assert engine.events_processed == 1
+        assert len(engine.queue) == 1
 
     def test_raising_callback_keeps_queue_accounting_exact(self):
         """The raising entry was popped: it counts as processed and leaves the
@@ -280,7 +240,7 @@ class TestSimulationEngine:
         engine.schedule(3.0, lambda: fired.append(3))
         engine.schedule(4.0, lambda: fired.append(4))
         with pytest.raises(RuntimeError):
-            engine.run(max_events=10)
+            engine.run()
         assert fired == [1]
         assert engine.now_s == 2.0
         assert len(engine.queue) == 2
@@ -440,39 +400,37 @@ class TestOrderProperties:
         assert engine.events_processed == reference.events_processed >= len(schedule)
         assert len(engine.queue) == 0
 
-    @settings(max_examples=30, deadline=None)
-    @given(_schedules)
-    def test_stepping_matches_run(self, schedule):
-        def step_all(engine):
-            while engine.step():
-                pass
-
-        assert _run_order(SimulationEngine(), schedule, step_all) == _run_order(
-            SimulationEngine(), schedule
-        )
-
-    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize(
+        "splits_s",
+        # The last case resumes at every 1/8 s, where entries and their children fall.
+        [(0.0,), (0.6,), (1.25,), (2.0,), (3.1,), tuple(k * 0.125 for k in range(41))],
+        ids=["0.0", "0.6", "1.25", "2.0", "3.1", "every_eighth"],
+    )
     @settings(max_examples=30, deadline=None)
     @given(schedule=_schedules)
-    def test_budgeted_resumption_keeps_order(self, budget, schedule):
-        def in_slices(engine):
-            while len(engine.queue):
-                before = engine.events_processed
-                engine.run(max_events=budget)
-                assert engine.events_processed - before <= budget
-
-        assert _run_order(SimulationEngine(), schedule, in_slices) == _run_order(
-            SimulationEngine(), schedule
-        )
-
-    @pytest.mark.parametrize("split_s", [0.0, 0.6, 1.25, 2.0, 3.1])
-    @settings(max_examples=30, deadline=None)
-    @given(schedule=_schedules)
-    def test_horizon_split_keeps_order(self, split_s, schedule):
+    def test_horizon_split_keeps_order(self, splits_s, schedule):
         def split(engine):
-            assert engine.run(until_s=split_s) == split_s
+            for split_s in splits_s:
+                assert engine.run(until_s=split_s) == split_s
             engine.run()
 
         assert _run_order(SimulationEngine(), schedule, split) == _run_order(
             SimulationEngine(), schedule
         )
+
+    @pytest.mark.parametrize("every", [1, 2, 3, 5, 8])
+    @settings(max_examples=30, deadline=None)
+    @given(schedule=_schedules)
+    def test_resuming_at_entry_times_keeps_order(self, every, schedule):
+        """Stopping exactly at the time of every ``every``-th entry that one
+        uninterrupted run fires, where equal-time ties and children scheduled
+        for that time meet the horizon, leaves the order unchanged."""
+        expected = _run_order(SimulationEngine(), schedule)
+        edges = sorted({time_s for time_s, _ in expected[every - 1 :: every]})
+
+        def in_slices(engine):
+            for edge_s in edges:
+                assert engine.run(until_s=edge_s) == edge_s
+            engine.run()
+
+        assert _run_order(SimulationEngine(), schedule, in_slices) == expected

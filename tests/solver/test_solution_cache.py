@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.allocation import AllocationProblem, build_accuracy_scaling_model
+from repro.core.allocation import ACCURACY_SCALING, AllocationProblem
 from repro.solver import (
     SolutionCache,
     default_cache,
@@ -130,7 +130,7 @@ class TestAccuracyScalingModelCache:
             pipeline, num_workers=12, latency_slo_ms=300.0, utilization_target=1.0
         )
         demand = problem.max_supported_demand(restrict_to_best=True).max_demand_qps * 1.3
-        return build_accuracy_scaling_model(problem, demand)
+        return problem._build_model(demand_qps=demand, mode=ACCURACY_SCALING, restrict_to_best=False)[0]
 
     def test_solves_to_optimality(self, model):
         assert solve(model, cache=False).is_optimal

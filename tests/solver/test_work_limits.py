@@ -10,7 +10,7 @@ limit, so full-grid fig5-style allocation MILPs run reproducibly as they are.
 
 import numpy as np
 
-from repro.core.allocation import AllocationProblem, build_accuracy_scaling_model
+from repro.core.allocation import ACCURACY_SCALING, AllocationProblem
 from repro.solver import DEFAULT_SOLVER_OPTIONS, OPTIMAL, solve
 from tests.conftest import standard_form
 from repro.zoo import traffic_analysis_pipeline
@@ -54,7 +54,7 @@ class TestFullGridAllocationDeterminism:
         pipeline = traffic_analysis_pipeline(latency_slo_ms=250.0)
         problem = AllocationProblem(pipeline, num_workers=20, latency_slo_ms=250.0)
         demand = problem.max_supported_demand(restrict_to_best=True).max_demand_qps * 2.5
-        model = build_accuracy_scaling_model(problem, demand)
+        model = problem._build_model(demand_qps=demand, mode=ACCURACY_SCALING, restrict_to_best=False)[0]
 
         solutions = [solve(model, cache=False, **DEFAULT_SOLVER_OPTIONS) for _ in range(2)]
         first, second = solutions

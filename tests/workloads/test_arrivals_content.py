@@ -9,61 +9,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core.pipeline import Edge
 from repro.workloads import (
     MultiplicativeContentModel,
-    arrivals_for_second,
-    arrivals_from_trace,
     constant_trace,
     make_arrival_process,
 )
 from repro.workloads.arrivals import ARRIVAL_PROCESSES
 
 from tests.conftest import make_variant
-
-
-class TestArrivals:
-    def test_poisson_arrivals_within_second(self, rng):
-        times = arrivals_for_second(50.0, 10.0, rng, process="poisson")
-        assert np.all(times >= 10.0)
-        assert np.all(times < 11.0)
-        assert np.all(np.diff(times) >= 0)  # sorted
-
-    def test_poisson_mean_count(self):
-        rng = np.random.default_rng(0)
-        counts = [len(arrivals_for_second(40.0, 0.0, rng)) for _ in range(300)]
-        assert np.mean(counts) == pytest.approx(40.0, rel=0.1)
-
-    def test_uniform_arrivals_deterministic_count(self, rng):
-        times = arrivals_for_second(10.0, 5.0, rng, process="uniform")
-        assert len(times) == 10
-        assert np.all((times >= 5.0) & (times < 6.0))
-        # Evenly spaced
-        assert np.allclose(np.diff(times), 0.1)
-
-    def test_zero_rate_yields_no_arrivals(self, rng):
-        assert arrivals_for_second(0.0, 0.0, rng).size == 0
-
-    def test_negative_rate_rejected(self, rng):
-        with pytest.raises(ValueError):
-            arrivals_for_second(-1.0, 0.0, rng)
-
-    def test_unknown_process_rejected(self, rng):
-        with pytest.raises(ValueError):
-            arrivals_for_second(1.0, 0.0, rng, process="bursty")
-
-    def test_arrivals_from_trace_cover_every_second(self, rng):
-        trace = constant_trace(5.0, 4)
-        batches = list(arrivals_from_trace(trace, rng, process="uniform"))
-        assert len(batches) == 4
-        for second, batch in enumerate(batches):
-            assert np.all((batch >= second) & (batch < second + 1))
-
-    @settings(max_examples=30, deadline=None)
-    @given(rate=st.floats(min_value=0.0, max_value=200.0), second=st.integers(min_value=0, max_value=100))
-    def test_arrival_times_always_inside_their_second(self, rate, second):
-        rng = np.random.default_rng(1)
-        times = arrivals_for_second(rate, float(second), rng)
-        if times.size:
-            assert times.min() >= second
-            assert times.max() < second + 1
 
 
 class TestArrivalProcesses:
@@ -81,12 +32,44 @@ class TestArrivalProcesses:
         times = make_arrival_process("poisson").sample_trace(np.full(20, 50.0), rng)
         assert np.all(np.diff(times) >= 0)
         assert times.min() >= 0.0 and times.max() < 20.0
-        assert len(times) == pytest.approx(20 * 50.0, rel=0.1)
+        # The mean count per second is the rate.
+        assert np.bincount(times.astype(int), minlength=20).mean() == pytest.approx(50.0, rel=0.1)
 
-    def test_poisson_negative_rate_rejected(self):
+    def test_poisson_mean_count_per_second_is_the_rate(self):
+        rng = np.random.default_rng(0)
+        times = make_arrival_process("poisson").sample_trace(np.full(300, 40.0), rng)
+        counts = np.bincount(times.astype(int), minlength=300)
+        assert len(counts) == 300
+        assert counts.mean() == pytest.approx(40.0, rel=0.1)
+
+    def test_poisson_arrivals_of_one_second_are_sorted_inside_it(self):
+        qps = np.zeros(12)
+        qps[10] = 50.0
+        times = make_arrival_process("poisson").sample_trace(qps, np.random.default_rng(0))
+        assert times.size
+        assert np.all((times >= 10.0) & (times < 11.0))
+        assert np.all(np.diff(times) >= 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rate=st.floats(min_value=0.0, max_value=200.0), second=st.integers(min_value=0, max_value=100))
+    def test_poisson_arrival_times_stay_inside_their_second(self, rate, second):
+        qps = np.zeros(second + 1)
+        qps[second] = rate
+        times = make_arrival_process("poisson").sample_trace(qps, np.random.default_rng(1))
+        if times.size:
+            assert times.min() >= second
+            assert times.max() < second + 1
+
+    @pytest.mark.parametrize("name", ["poisson", "uniform"])
+    def test_negative_rate_rejected(self, name):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            make_arrival_process("poisson").sample_trace(np.array([1.0, -1.0]), rng)
+            make_arrival_process(name).sample_trace(np.array([1.0, -1.0]), rng)
+
+    @pytest.mark.parametrize("name", sorted(ARRIVAL_PROCESSES))
+    def test_zero_rate_yields_no_arrivals(self, name):
+        rng = np.random.default_rng(0)
+        assert make_arrival_process(name).sample_trace(np.zeros(5), rng).size == 0
 
     def test_uniform_trace_sampling_exact_counts(self):
         rng = np.random.default_rng(0)
@@ -94,6 +77,21 @@ class TestArrivalProcesses:
         assert len(times) == 6
         assert np.all((times[:4] >= 0.0) & (times[:4] < 1.0))
         assert np.all((times[4:] >= 2.0) & (times[4:] < 3.0))
+        # Arrival k of a second with ``count`` arrivals sits at (k + 0.5) / count into it.
+        assert np.allclose(times, [0.125, 0.375, 0.625, 0.875, 2.25, 2.75])
+
+    def test_uniform_arrivals_are_evenly_spaced_inside_their_second(self):
+        qps = np.zeros(6)
+        qps[5] = 10.0
+        times = make_arrival_process("uniform").sample_trace(qps, np.random.default_rng(0))
+        assert len(times) == 10
+        assert np.all((times >= 5.0) & (times < 6.0))
+        assert np.allclose(np.diff(times), 0.1)
+
+    def test_uniform_constant_trace_fills_every_second(self):
+        trace = constant_trace(5.0, 4)
+        times = make_arrival_process("uniform").sample_trace(trace.qps, np.random.default_rng(0))
+        assert np.bincount(times.astype(int), minlength=4).tolist() == [5, 5, 5, 5]
 
     def test_mmpp_preserves_mean_but_adds_burstiness(self):
         """The MMPP's stationary mean multiplier is 1, so total demand follows
