@@ -56,6 +56,7 @@ class InferLineAllocationPolicy(AllocationPolicy):
         self._requested_selection = variant_selection
         self.variant_selection: Dict[str, str] = {}
         self.restricted_pipeline: Optional[Pipeline] = None
+        self.problem: Optional[AllocationProblem] = None
         self.communication_latency_ms = float(communication_latency_ms)
 
     def bind(self, engine) -> None:
@@ -68,20 +69,17 @@ class InferLineAllocationPolicy(AllocationPolicy):
         else:
             self.variant_selection = dict(self._requested_selection)
         self.restricted_pipeline = restrict_pipeline_to_variants(pipeline, self.variant_selection)
-
-    def _problem(self) -> AllocationProblem:
-        engine = self.engine
-        return AllocationProblem(
+        self.problem = AllocationProblem(
             pipeline=self.restricted_pipeline,
             num_workers=engine.num_workers,
             latency_slo_ms=engine.latency_slo_ms,
             communication_latency_ms=self.communication_latency_ms,
-            multiplicative_factors=engine.multiplier_estimates,
         )
 
     def build_plan(self, target_demand_qps: float) -> AllocationPlan:
         """Minimise workers for the pinned variants; fall back to max-throughput provisioning."""
-        problem = self._problem()
+        problem = self.problem
+        problem.multiplicative_factors = dict(self.engine.multiplier_estimates)
         plan = problem.solve_hardware_scaling(target_demand_qps)
         if plan is not None:
             return replace(plan, pipeline_name=self.engine.pipeline.name)

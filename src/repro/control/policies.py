@@ -27,7 +27,7 @@ import math
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.control.context import ControlContext
-from repro.core.allocation import AllocationPlan
+from repro.core.allocation import AllocationPlan, AllocationProblem
 from repro.core.metadata import multiplier_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -239,6 +239,16 @@ class SLOFeedbackPolicy(AllocationPolicy):
         self.error = 0.0
         self.integral = 0.0
         self.scale = 1.0
+        self.problem: Optional[AllocationProblem] = None
+
+    def bind(self, engine: "ControlPlaneEngine") -> None:
+        super().bind(engine)
+        self.problem = AllocationProblem(
+            pipeline=engine.pipeline,
+            num_workers=engine.num_workers,
+            latency_slo_ms=engine.latency_slo_ms,
+            communication_latency_ms=self.communication_latency_ms,
+        )
 
     # -- feedback loop ---------------------------------------------------------
     def on_context(self, ctx: ControlContext) -> None:
@@ -295,14 +305,5 @@ class SLOFeedbackPolicy(AllocationPolicy):
         return (round(self.scale, 2), multiplier_fingerprint(self.engine.multiplier_estimates))
 
     def build_plan(self, target_demand_qps: float) -> AllocationPlan:
-        from repro.core.allocation import AllocationProblem
-
-        engine = self.engine
-        problem = AllocationProblem(
-            pipeline=engine.pipeline,
-            num_workers=engine.num_workers,
-            latency_slo_ms=engine.latency_slo_ms,
-            communication_latency_ms=self.communication_latency_ms,
-            multiplicative_factors=engine.multiplier_estimates,
-        )
-        return problem.solve(target_demand_qps)
+        self.problem.multiplicative_factors = dict(self.engine.multiplier_estimates)
+        return self.problem.solve(target_demand_qps)

@@ -63,6 +63,14 @@ carries each hop's multiplier on the configuration's designated branch,
 coupling rows are differences of incidence columns between branches, and the
 accuracy objective is the vector of path accuracies.
 
+Between calls only the factor estimates and the demand move, so an
+:class:`AllocationProblem` keeps the rest per path set: the configurations,
+the pruned paths with each hop's upstream variant and branch ratio, the
+incidence and the constant rows.  A build multiplies the hop multipliers out
+in path order and fills in the capacity rows' multipliers, the right-hand
+sides and the objective.  Each control plane keeps one problem and assigns
+its ``multiplicative_factors`` before every solve.
+
 Path reduction
 --------------
 
@@ -157,15 +165,23 @@ with an ``S - 2`` LP's added as well.  Of the 10 calls the ``S - 1`` support
 missed, the last three plans' configurations caught 6 and the last plan's
 alone 4.
 
-Hardware LP check
------------------
+Hardware capacity check
+-----------------------
 
-:meth:`AllocationProblem.solve_hardware_scaling` solves its LP relaxation
-first and returns ``None`` when it is infeasible, without the MILP.  This is
-exact: an infeasible LP means an infeasible MILP, and a feasible LP is
-followed by the same MILP as without the check.  Above the hardware-scaling
-capacity, where every Resource Manager call goes on to accuracy scaling,
-HiGHS proves the LP infeasible several times faster than the MILP.
+:meth:`AllocationProblem.solve_hardware_scaling` returns ``None`` without a
+MILP when the demand exceeds ``D*``, the best-variant model's LP capacity
+(its max-throughput LP relaxation).  The problem keeps ``D*`` with the
+factors it was solved at.  Scale every hop multiplier down by ``s <= 1`` and
+every feasible flow scaled by ``s`` stays feasible, so with ``s`` the
+product of ``min(1, f_now / f_ref)`` over the best variants, ``D*`` now is at
+most ``D* / s``.  A demand above that bound (by a relative 1e-6) ends the
+call with no build and no solve.  Otherwise one capacity LP at the current
+factors replaces the reference, and at or below the fresh ``D*`` the same
+MILP as without the check follows.  This is exact: a demand above the LP
+capacity has no LP point, so no MILP point either.  No call solves more
+than the LP and the MILP an LP check alone solved.  On fig5_loki (benchmark
+settings, seeds 0-1) 46 of the 70 hardware-scaling calls are infeasible, and
+the bound ends all 46 with no solve.
 :attr:`AllocationProblem.hardware_lp_infeasible` counts the calls the check
 ended.
 
@@ -376,6 +392,25 @@ class AllocationPlan:
         return "\n".join(lines)
 
 
+@dataclass
+class _Structure:
+    """The part of one model that neither the factor estimates nor the demand move (see "Array form").
+
+    ``paths`` holds ``(branch, configurations, hops, accuracy, latency)`` per
+    path, ``hops`` the ``(upstream variant, branch ratio)`` of each hop after
+    the first.  The arrays stay ``None`` when the SLO prunes a whole branch.
+    """
+
+    configs: List[Configuration]
+    paths: List[tuple]
+    #: capacity rows (2) and the cluster-size row (3), multipliers left at zero
+    capacity: Optional[np.ndarray] = None
+    #: ``(row, column, hop)``: where each designated hop's multiplier goes
+    multiplier_entries: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    #: demand and coupling rows
+    eq: Optional[np.ndarray] = None
+
+
 # ---------------------------------------------------------------------------
 # Problem construction
 # ---------------------------------------------------------------------------
@@ -433,8 +468,12 @@ class AllocationProblem:
         self.utilization_target = float(utilization_target)
         self.multiplicative_factors = dict(multiplicative_factors or {})
         self.solver_options = dict(DEFAULT_SOLVER_OPTIONS if solver_options is None else solver_options)
-        #: hardware-scaling calls whose LP relaxation proved them infeasible
+        #: hardware-scaling calls whose capacity check proved them infeasible
         self.hardware_lp_infeasible = 0
+        self._configurations: Dict[bool, List[Configuration]] = {}
+        self._structures: Dict[Tuple[bool, bool], _Structure] = {}
+        #: factors (task -> best variant's) of the last capacity LP, and its LP capacity
+        self._capacity: Optional[Tuple[Dict[str, float], float]] = None
 
         self._task_paths = pipeline.task_paths()
         self._designated_branch: Dict[str, int] = {}
@@ -466,16 +505,18 @@ class AllocationProblem:
 
     # -- configuration-level path enumeration -------------------------------
     def configurations(self, restrict_to_best: bool = False) -> List[Configuration]:
-        """All (task, variant, batch) configurations, optionally only the most accurate variants."""
-        configs: List[Configuration] = []
-        for task_name in self.pipeline.topological_order():
-            variants = self.pipeline.registry.variants(task_name)
-            if restrict_to_best:
-                variants = variants[:1]
-            for variant in variants:
-                for batch in self.allowed_batches(variant):
-                    configs.append(Configuration(task=task_name, variant=variant, batch_size=batch))
-        return configs
+        """All (task, variant, batch) configurations, optionally only the most accurate variants (shared: read-only)."""
+        if restrict_to_best not in self._configurations:
+            configs: List[Configuration] = []
+            for task_name in self.pipeline.topological_order():
+                variants = self.pipeline.registry.variants(task_name)
+                if restrict_to_best:
+                    variants = variants[:1]
+                for variant in variants:
+                    for batch in self.allowed_batches(variant):
+                        configs.append(Configuration(task=task_name, variant=variant, batch_size=batch))
+            self._configurations[restrict_to_best] = configs
+        return self._configurations[restrict_to_best]
 
     def config_paths(self, restrict_to_best: bool = False, maximal_only: bool = False) -> List[ConfigPath]:
         """Latency-feasible configuration paths (constraint (7) applied by pruning).
@@ -483,28 +524,19 @@ class AllocationProblem:
         ``maximal_only`` keeps only the paths no other feasible path of the
         same branch and variant sequence dominates (see "Path reduction" in
         the module docstring), as a subsequence of the full enumeration.
+        The hop multipliers are those of the current ``multiplicative_factors``.
         """
-        paths: List[ConfigPath] = []
-        registry = self.pipeline.registry
-        for branch_index, task_path in enumerate(self._task_paths):
-            budget = self.effective_budget_ms(len(task_path))
-            per_task_configs: List[List[Configuration]] = []
-            for task_name in task_path:
-                variants = registry.variants(task_name)
-                if restrict_to_best:
-                    variants = variants[:1]
-                task_configs = [
-                    Configuration(task=task_name, variant=v, batch_size=b)
-                    for v in variants
-                    for b in self.allowed_batches(v)
-                ]
-                per_task_configs.append(task_configs)
-            self._extend_paths(paths, branch_index, task_path, per_task_configs, budget, maximal_only)
+        paths = []
+        for branch_index, configs, hops, accuracy, latency in self._structure(restrict_to_best, maximal_only).paths:
+            multipliers = [1.0]
+            for upstream, branch_ratio in hops:
+                multipliers.append(multipliers[-1] * (self.multiplicative_factor(upstream) * branch_ratio))
+            paths.append(ConfigPath(branch_index, configs, tuple(multipliers), accuracy, latency))
         return paths
 
     def _extend_paths(
         self,
-        out: List[ConfigPath],
+        out: List[tuple],
         branch_index: int,
         task_path: Sequence[str],
         per_task_configs: Sequence[Sequence[Configuration]],
@@ -513,12 +545,12 @@ class AllocationProblem:
     ) -> None:
         """Depth-first enumeration with latency-based pruning.
 
-        Latency, accuracy and the multiplier of each hop (the product of the
-        upstream variants' multiplicative factors and the edges' branch
-        ratios) accumulate along the way, in path order.  So does the
-        cheapest latency increase of raising one hop to a larger batch of its
-        variant; with ``maximal_only`` a path that can afford it is dominated
-        and dropped.
+        Latency, accuracy and the upstream variant and edge branch ratio of
+        each hop after the first accumulate along the way, in path order;
+        :meth:`config_paths` multiplies them into the hop multipliers.  So
+        does the cheapest latency increase of raising one hop to a larger
+        batch of its variant; with ``maximal_only`` a path that can afford it
+        is dominated and dropped.
         """
         n = len(task_path)
         latencies = [[c.latency_ms for c in configs] for configs in per_task_configs]
@@ -540,28 +572,94 @@ class AllocationProblem:
         for i in range(n - 1, -1, -1):
             min_remaining[i] = min_remaining[i + 1] + min(latencies[i])
 
-        def visit(position: int, chosen: Tuple[Configuration, ...], multipliers: Tuple[float, ...],
+        def visit(position: int, chosen: Tuple[Configuration, ...], hops: Tuple[Tuple[ModelVariant, float], ...],
                   accuracy: float, latency: float, cheapest_raise: float):
             if latency + min_remaining[position] > budget_ms + 1e-9:
                 return
             if position == n:
                 if maximal_only and latency + cheapest_raise <= budget_ms + 1e-9:
                     return
-                out.append(ConfigPath(branch_index, chosen, multipliers, accuracy, latency))
+                out.append((branch_index, chosen, hops, accuracy, latency))
                 return
-            running = 1.0
             if position > 0:
-                upstream = chosen[-1].variant
-                running = multipliers[-1] * (self.multiplicative_factor(upstream) * branch_ratios[position - 1])
+                hops = hops + ((chosen[-1].variant, branch_ratios[position - 1]),)
             for config, config_latency, config_raise in zip(
                 per_task_configs[position], latencies[position], raise_cost[position]
             ):
-                visit(position + 1, chosen + (config,), multipliers + (running,),
+                visit(position + 1, chosen + (config,), hops,
                       accuracy * config.accuracy, latency + config_latency, min(cheapest_raise, config_raise))
 
         visit(0, (), (), 1, 0.0, math.inf)
 
     # -- MILP assembly -------------------------------------------------------
+    def _structure(self, restrict_to_best: bool, maximal_only: bool) -> _Structure:
+        """The part of a model that neither the factor estimates nor the demand move, built once (see "Array form")."""
+        key = (restrict_to_best, maximal_only)
+        if key in self._structures:
+            return self._structures[key]
+        configs = self.configurations(restrict_to_best)
+        structure = self._structures[key] = _Structure(configs, [])
+        for branch_index, task_path in enumerate(self._task_paths):
+            per_task_configs = [[c for c in configs if c.task == task] for task in task_path]
+            budget = self.effective_budget_ms(len(task_path))
+            self._extend_paths(structure.paths, branch_index, task_path, per_task_configs, budget, maximal_only)
+        paths = structure.paths
+        num_branches = len(self._task_paths)
+        branch = np.array([path[0] for path in paths], dtype=int)
+        if len(np.unique(branch)) < num_branches:
+            return structure
+        num_x, num_g = len(configs), len(paths)
+        num_vars = num_x + num_g + 1  # sliced off at build time unless D is a variable
+        g = slice(num_x, num_x + num_g)
+
+        # Path x configuration incidence, one entry per hop in path order.
+        column = {config.key: j for j, config in enumerate(configs)}
+        rows = np.array([p for p, path in enumerate(paths) for _ in path[1]], dtype=int)
+        cols = np.array([column[config.key] for path in paths for config in path[1]], dtype=int)
+        on_path = np.zeros((num_g, num_x), dtype=bool)
+        on_path[rows, cols] = True
+        designated_branch = np.array([self._designated_branch[config.task] for config in configs])
+        designated = on_path & (designated_branch[None, :] == branch[:, None])
+
+        # Capacity constraint (2): load on each configuration from its
+        # designated branch must fit the provisioned throughput, then the
+        # cluster size constraint (3).  The designated hops' multipliers are
+        # filled in per build, at (configuration's row, path's g column).
+        loaded = designated.any(axis=0)
+        throughput = np.array([self.effective_throughput_qps(config) for config in configs])
+        structure.capacity = np.zeros((int(loaded.sum()) + 1, num_vars))
+        structure.capacity[:-1, :num_x] = np.diag(-throughput)[loaded]
+        structure.capacity[-1, :num_x] = 1.0
+        hop_designated = designated[rows, cols]
+        structure.multiplier_entries = (
+            (np.cumsum(loaded) - 1)[cols[hop_designated]], num_x + rows[hop_designated], np.flatnonzero(hop_designated)
+        )
+
+        # Demand coverage per branch, Σ_{p in branch} g(p) = D, then the
+        # shared-prefix coupling (see module docstring): per configuration of
+        # a shared task, the flow of the first branch through it equals that
+        # of every other branch.  Configurations are sorted so the row order
+        # (and therefore solver tie-breaks between equally optimal plans) does
+        # not depend on PYTHONHASHSEED.
+        in_branch = (branch[None, :] == np.arange(num_branches)[:, None]).astype(float)
+        demand = np.zeros((num_branches, num_vars))
+        demand[:, g] = in_branch
+        demand[:, -1] = -1.0
+        eq_rows = [demand]
+        used = on_path.any(axis=0)
+        for task in dict.fromkeys(task for task_path in self._task_paths for task in task_path):
+            reference, *others = [b for b, task_path in enumerate(self._task_paths) if task in task_path]
+            if not others:
+                continue
+            task_columns = [j for j, config in enumerate(configs) if config.task == task and used[j]]
+            for j in sorted(task_columns, key=lambda j: configs[j].key):
+                for other in others:
+                    row = np.zeros((1, num_vars))
+                    row[0, g] = on_path[:, j] * (in_branch[reference] - in_branch[other])
+                    eq_rows.append(row)
+        structure.eq = np.vstack(eq_rows)
+        return structure
+
     def _build_model(
         self,
         demand_qps: Optional[float],
@@ -577,44 +675,29 @@ class AllocationProblem:
         ``demand_qps`` is ``None`` (the demand becomes an optimisation
         variable, used to compute the maximum supportable demand).  Returns
         ``None`` when the latency budget prunes every path of some branch:
-        the problem is then structurally infeasible for this SLO.
+        the problem is then structurally infeasible for this SLO.  Only the
+        multipliers, the demand and the objective are filled in per call
+        (see "Array form" in the module docstring).
         """
-        configs = self.configurations(restrict_to_best=restrict_to_best)
         # Only accuracy scaling drops dominated paths: the capacity entry
         # points stay exact (see "Path reduction" in the module docstring).
-        paths = self.config_paths(restrict_to_best=restrict_to_best, maximal_only=mode == ACCURACY_SCALING)
-        num_branches = len(self._task_paths)
-        branch = np.array([path.branch_index for path in paths], dtype=int)
-        if len(np.unique(branch)) < num_branches:
+        maximal_only = mode == ACCURACY_SCALING
+        structure = self._structure(restrict_to_best, maximal_only)
+        if structure.eq is None:
             return None
+        configs = structure.configs
+        paths = self.config_paths(restrict_to_best, maximal_only)
+        num_branches = len(self._task_paths)
         num_x, num_g = len(configs), len(paths)
         num_vars = num_x + num_g + (demand_qps is None)
         g = slice(num_x, num_x + num_g)
-
-        # Path x configuration incidence with the multiplier of each hop.
-        column = {config.key: j for j, config in enumerate(configs)}
-        rows = [p for p, path in enumerate(paths) for _ in path.configs]
-        cols = [column[config.key] for path in paths for config in path.configs]
-        on_path = np.zeros((num_g, num_x), dtype=bool)
-        on_path[rows, cols] = True
-        multiplier = np.zeros((num_g, num_x))
-        multiplier[rows, cols] = [m for path in paths for m in path.multipliers]
-        designated_branch = np.array([self._designated_branch[config.task] for config in configs])
-        designated = on_path & (designated_branch[None, :] == branch[:, None])
         accuracy = np.array([path.accuracy for path in paths])
 
-        # Capacity constraint (2): load on each configuration from its
-        # designated branch must fit the provisioned throughput.  Then the
-        # cluster size constraint (3) and the optional accuracy floor.
-        loaded = designated.any(axis=0)
-        throughput = np.array([self.effective_throughput_qps(config) for config in configs])
-        capacity = np.zeros((int(loaded.sum()), num_vars))
-        capacity[:, :num_x] = np.diag(-throughput)[loaded]
-        capacity[:, g] = np.where(designated, multiplier, 0.0).T[loaded]
-        cluster = np.zeros((1, num_vars))
-        cluster[0, :num_x] = 1.0
-        ub_rows = [capacity, cluster]
-        b_ub = [0.0] * len(capacity) + [float(self.num_workers)]
+        capacity = structure.capacity[:, :num_vars].copy()
+        rows, columns, hops = structure.multiplier_entries
+        capacity[rows, columns] = np.array([m for path in paths for m in path.multipliers])[hops]
+        ub_rows = [capacity]
+        b_ub = [0.0] * (len(capacity) - 1) + [float(self.num_workers)]
         if accuracy_floor is not None and (demand_qps is None or demand_qps > 0):
             floor = np.zeros((1, num_vars))
             if demand_qps is None:
@@ -625,31 +708,8 @@ class AllocationProblem:
                 floor[0, g] = -(accuracy / (num_branches * demand_qps))
                 b_ub.append(-accuracy_floor)
             ub_rows.append(floor)
-
-        # Demand coverage per branch, Σ_{p in branch} g(p) = D, then the
-        # shared-prefix coupling (see module docstring): per configuration of
-        # a shared task, the flow of the first branch through it equals that
-        # of every other branch.  Configurations are sorted so the row order
-        # (and therefore solver tie-breaks between equally optimal plans) does
-        # not depend on PYTHONHASHSEED.
-        in_branch = (branch[None, :] == np.arange(num_branches)[:, None]).astype(float)
-        demand = np.zeros((num_branches, num_vars))
-        demand[:, g] = in_branch
-        if demand_qps is None:
-            demand[:, -1] = -1.0
-        eq_rows = [demand]
-        used = on_path.any(axis=0)
-        for task in dict.fromkeys(task for task_path in self._task_paths for task in task_path):
-            reference, *others = [b for b, task_path in enumerate(self._task_paths) if task in task_path]
-            if not others:
-                continue
-            task_columns = [j for j, config in enumerate(configs) if config.task == task and used[j]]
-            for j in sorted(task_columns, key=lambda j: configs[j].key):
-                for other in others:
-                    row = np.zeros((1, num_vars))
-                    row[0, g] = on_path[:, j] * (in_branch[reference] - in_branch[other])
-                    eq_rows.append(row)
-        b_eq = [0.0 if demand_qps is None else float(demand_qps)] * num_branches + [0.0] * (len(eq_rows) - 1)
+        eq = structure.eq[:, :num_vars]
+        b_eq = [0.0 if demand_qps is None else float(demand_qps)] * num_branches + [0.0] * (len(eq) - num_branches)
 
         c = np.zeros(num_vars)
         sense = -1
@@ -686,7 +746,7 @@ class AllocationProblem:
             c=c,
             A_ub=sparse.csr_matrix(np.vstack(ub_rows)),
             b_ub=np.array(b_ub),
-            A_eq=sparse.csr_matrix(np.vstack(eq_rows)),
+            A_eq=sparse.csr_matrix(eq),
             b_eq=np.array(b_eq),
             lb=np.zeros(num_vars),
             ub=ub,
@@ -704,21 +764,38 @@ class AllocationProblem:
         """Step 1: minimise workers using only the most accurate variants.
 
         Returns ``None`` when infeasible (the Resource Manager then falls back
-        to accuracy scaling); an infeasible LP relaxation ends the call
-        before the MILP ("Hardware LP check" in the module docstring).
+        to accuracy scaling); a demand above the best-variant LP capacity ends
+        the call before the MILP ("Hardware capacity check" in the module
+        docstring).
         """
-        built = self._build_model(demand_qps=demand_qps, mode=HARDWARE_SCALING, restrict_to_best=True)
-        if built is None:
+        structure = self._structure(True, False)
+        if structure.eq is None:
             return None
-        form, configs, paths = built
-        if not self._solve(_relaxed(form)).is_optimal:
-            # No LP point, so no MILP point either ("Hardware LP check").
+        factors = {config.task: self.multiplicative_factor(config.variant) for config in structure.configs}
+        if not self._above_capacity(demand_qps, factors):
+            # The bound cannot decide: one capacity LP at the current factors.
+            relaxation = self._solve(_relaxed(self._build_model(None, "max_throughput", True)[0]))
+            self._capacity = factors, float(relaxation.x[-1]) if relaxation.is_optimal else math.inf
+        if self._above_capacity(demand_qps, factors):
+            # No LP point, so no MILP point either ("Hardware capacity check").
             self.hardware_lp_infeasible += 1
             return None
+        form, configs, paths = self._build_model(demand_qps=demand_qps, mode=HARDWARE_SCALING, restrict_to_best=True)
         solution = self._solve(form)
         if not solution.is_optimal:
             return None
         return self._decode(solution, configs, paths, demand_qps, HARDWARE_SCALING)
+
+    def _above_capacity(self, demand_qps: float, factors: Mapping[str, float]) -> bool:
+        """Whether the last capacity LP proves ``demand_qps`` above the LP capacity at ``factors`` (task -> best variant's factor).
+
+        See "Hardware capacity check" in the module docstring for the bound.
+        """
+        if self._capacity is None:
+            return False
+        reference, capacity = self._capacity
+        scale = math.prod(min(1.0, factors[task] / reference[task]) for task in factors if reference[task] > 0)
+        return demand_qps * scale > capacity * (1.0 + 1e-6)
 
     def solve_accuracy_scaling(
         self,

@@ -96,7 +96,7 @@ class ResourceManagerStats:
     #: solved accuracy-scaling plans per ``solver_info["incumbent"]``
     #: (``"support"``, ``"recent"``, ``"milp"``)
     incumbents: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(INCUMBENTS, 0))
-    #: hardware-scaling calls whose LP relaxation proved them infeasible
+    #: hardware-scaling calls whose capacity check proved them infeasible
     hardware_lp_infeasible: int = 0
 
     @property
@@ -172,6 +172,7 @@ class ResourceManager:
         self.current_plan: Optional[AllocationPlan] = None
         #: ``(task, variant, batch)`` keys of the last solved plans, newest last
         self._recent_configs: Deque[FrozenSet[Tuple[str, str, int]]] = deque(maxlen=RECENT_PLANS)
+        self._allocation_problem: Optional[AllocationProblem] = None
 
     # -- demand handling ------------------------------------------------------
     def observe_demand(self, timestamp_s: float, demand_qps: float) -> None:
@@ -266,19 +267,23 @@ class ResourceManager:
 
     # -- internals ------------------------------------------------------------
     def _problem(self) -> AllocationProblem:
-        return AllocationProblem(
-            pipeline=self.pipeline,
-            num_workers=self.num_workers,
-            latency_slo_ms=self.latency_slo_ms,
-            communication_latency_ms=self.communication_latency_ms,
-            batch_sizes=self.batch_sizes,
-            utilization_target=self.utilization_target,
-            multiplicative_factors=self.metadata.multiplier_estimates(),
-            solver_options=self.solver_options,
-        )
+        """The one allocation problem of this manager, at the Metadata Store's current multiplier estimates."""
+        if self._allocation_problem is None:
+            self._allocation_problem = AllocationProblem(
+                pipeline=self.pipeline,
+                num_workers=self.num_workers,
+                latency_slo_ms=self.latency_slo_ms,
+                communication_latency_ms=self.communication_latency_ms,
+                batch_sizes=self.batch_sizes,
+                utilization_target=self.utilization_target,
+                solver_options=self.solver_options,
+            )
+        self._allocation_problem.multiplicative_factors = self.metadata.multiplier_estimates()
+        return self._allocation_problem
 
     def _solve(self, target_qps: float) -> AllocationPlan:
         problem = self._problem()
+        ended_before = problem.hardware_lp_infeasible
         preferred = None
         if self.current_plan is not None:
             # Bias the accuracy-scaling MILP toward the incumbent plan's
@@ -289,7 +294,7 @@ class ResourceManager:
         plan = problem.solve(target_qps, preferred_variants=preferred, recent_configs=recent)
         self.stats.total_solve_time_s += time.perf_counter() - start  # reprolint: disable=R002 -- reporting-only
         self.stats.milp_solves += 1
-        self.stats.hardware_lp_infeasible += problem.hardware_lp_infeasible
+        self.stats.hardware_lp_infeasible += problem.hardware_lp_infeasible - ended_before
         incumbent = plan.solver_info.get("incumbent")
         if incumbent is not None:
             self.stats.incumbents[incumbent] += 1

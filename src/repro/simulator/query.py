@@ -55,9 +55,6 @@ class Request:
         self.drops = 0
 
     # -- bookkeeping ---------------------------------------------------------
-    def add_outstanding(self, count: int = 1) -> None:
-        self.outstanding += count
-
     def record_sink_completion(self, time_s: float, path_accuracy: float) -> None:
         """One derived query reached a sink."""
         self.accuracy_sum += path_accuracy

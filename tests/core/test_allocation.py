@@ -398,11 +398,12 @@ class TestSolverOptionsReachHighs:
         plan = problem.solve_accuracy_scaling(800.0)
         assert plan.solver_info["incumbent"] == "milp"
         assert [call[:2] for call in solve_calls] == [
-            # 800 qps: an infeasible hardware LP ends hardware scaling; accuracy
-            # scaling's two relaxations and its support MILP.
-            ("lp", False), ("lp", True), ("lp", True), ("milp", True),
-            # 5,000 qps: both relaxations infeasible, then max throughput.
-            ("lp", False), ("lp", False), ("milp", True),
+            # 800 qps: the capacity LP puts the demand above the hardware
+            # capacity; accuracy scaling's two relaxations and its support MILP.
+            ("lp", True), ("lp", True), ("lp", True), ("milp", True),
+            # 5,000 qps: the kept capacity ends hardware scaling with no solve;
+            # accuracy scaling's relaxation is infeasible, then max throughput.
+            ("lp", False), ("milp", True),
             # 800 qps, support MILP infeasible: the full MILP.
             ("lp", True), ("lp", True), ("milp", False), ("milp", True),
         ]

@@ -10,8 +10,12 @@ solved.  It solves LP relaxations for real, so accuracy scaling goes on from
 its two relaxations to the support MILP and then, as no restricted MILP
 found a plan, the full MILP (see "Support incumbent" in
 :mod:`repro.core.allocation`); an LP that is infeasible is
-reported solved at the zero point, so hardware scaling's LP check passes on
-to its MILP at every demand.  Of the integer forms captured, the full one is
+reported solved at the zero point.  Hardware scaling's capacity LP is
+feasible and solved for real, so above the hardware capacity its capacity
+check ends the call before the MILP is built (see "Hardware capacity check"):
+the ``*-hardware-742`` and ``*-hardware-553`` forms are therefore built
+through ``_build_model`` and handed to ``solve`` directly, with their digests
+unchanged.  Of the integer forms captured, the full one is
 the one pinned: the restricted forms fix columns at ``ub = 0``.  The digests were taken from the modelling-layer
 implementation these arrays replaced.  The 12 accuracy-scaling digests were
 re-pinned once since, when that model started solving over the maximal-batch
@@ -81,12 +85,20 @@ def digest(form) -> str:
     return h.hexdigest()
 
 
+def hand_hardware_milp_to_solve(problem, demand):
+    """What ``solve_hardware_scaling(demand)`` solved before its capacity check ended the call: its MILP."""
+    form, _, _ = problem._build_model(demand_qps=demand, mode=allocation.HARDWARE_SCALING, restrict_to_best=True)
+    allocation.solve(form)
+
+
 def allocation_cases():
     """Case name -> ``(pipeline, call)``; ``call`` runs one entry point of the pipeline's problem."""
     cases = {}
     for name, (_, demands, preferred) in PIPELINES.items():
+        low, high = demands
+        cases[f"{name}-hardware-{low:g}"] = name, lambda p, d=low: p.solve_hardware_scaling(d)
+        cases[f"{name}-hardware-{high:g}"] = name, lambda p, d=high: hand_hardware_milp_to_solve(p, d)
         for d in demands:
-            cases[f"{name}-hardware-{d:g}"] = name, lambda p, d=d: p.solve_hardware_scaling(d)
             cases[f"{name}-accuracy-{d:g}"] = name, lambda p, d=d: p.solve_accuracy_scaling(d)
             cases[f"{name}-accuracy-preferred-{d:g}"] = name, lambda p, d=d, preferred=preferred: (
                 p.solve_accuracy_scaling(d, preferred_variants=preferred)

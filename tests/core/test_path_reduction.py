@@ -151,11 +151,12 @@ def test_reduction_loses_at_most_the_measured_bound(name, monkeypatch):
     problem = make_problem(name, utilization_target=0.75, solver_options={"mip_rel_gap": 1e-6})
     capacity = problem.max_supported_demand(restrict_to_best=True).max_demand_qps
     reduced = {m: problem.solve_accuracy_scaling(m * capacity) for m in GRID}
-    config_paths = AllocationProblem.config_paths
+    # The full path set: accuracy scaling's model built without the reduction.
+    structure = AllocationProblem._structure
     monkeypatch.setattr(
         AllocationProblem,
-        "config_paths",
-        lambda self, restrict_to_best=False, maximal_only=False: config_paths(self, restrict_to_best),
+        "_structure",
+        lambda self, restrict_to_best, maximal_only: structure(self, restrict_to_best, False),
     )
     full = {m: problem.solve_accuracy_scaling(m * capacity) for m in GRID}
     for m in GRID:

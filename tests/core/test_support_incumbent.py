@@ -6,8 +6,8 @@ recent plans' configurations widen the support) the recent MILP, and the full
 MILP only when neither restricted MILP returned a plan (see "Support
 incumbent" in :mod:`repro.core.allocation`).  A plan outside the gap is the
 best restricted plan, not a certified one, so its quality is pinned against
-the full MILP here.  ``solve_hardware_scaling`` checks its LP relaxation
-before its MILP.
+the full MILP here.  ``solve_hardware_scaling`` checks the best-variant LP
+capacity before its MILP.
 
 On a demand grid of 1.1x-3.0x the hardware-scaling capacity of both paper
 pipelines, walked upwards the way the Resource Manager passes its last three
@@ -252,11 +252,16 @@ def test_an_infeasible_hardware_relaxation_triggers_no_milp(monkeypatch):
 
     monkeypatch.setattr(allocation, "solve", spy)
     assert problem.solve_hardware_scaling(1.5 * capacity) is None
+    # With no capacity known yet, one capacity LP (the demand a variable) decides.
     assert len(forms) == 1
-    assert not forms[0].integrality.any()
+    assert not forms[0].integrality.any() and forms[0].c[-1] == -1.0
     assert problem.hardware_lp_infeasible == 1
-    # Below capacity the relaxation is feasible and the same MILP as before follows.
+    # At the same factors the kept capacity ends the call with no solve.
+    assert problem.solve_hardware_scaling(1.5 * capacity) is None
+    assert len(forms) == 1
+    assert problem.hardware_lp_infeasible == 2
+    # Below capacity the bound cannot decide: a capacity LP, then the same MILP as before.
     plan = problem.solve_hardware_scaling(0.5 * capacity)
     assert plan is not None and plan.feasible
     assert [form.integrality.any() for form in forms[1:]] == [False, True]
-    assert problem.hardware_lp_infeasible == 1
+    assert problem.hardware_lp_infeasible == 2

@@ -72,7 +72,7 @@ def reference_submit(self):
     sim.metrics.record_arrival(now)
 
     root_task = sim.pipeline.root
-    request.add_outstanding(1)
+    request.outstanding += 1
     query = sim.new_intermediate_query(request, root_task, now, accuracy_so_far=1.0)
 
     resilience = sim.resilience
@@ -216,7 +216,7 @@ def reference_dispatch(self, batch, assignment, child_edges, now_s):
         self.factor_observation_count += 1
         request = query.request
         if total_children:
-            request.add_outstanding(total_children)
+            request.outstanding += total_children
             time_in_task_ms = (now_s - query.worker_arrival_s) * 1000.0
             remaining_slo_ms = (request.deadline_s - now_s) * 1000.0
             path_accuracy = query.accuracy_so_far
@@ -464,7 +464,7 @@ def _crafted_run(monkeypatch, pipeline, case, reference, drop_policy="opportunis
             worker.available_at_s = LOADED_AT_S
             sim.engine.call_at(LOADED_AT_S, SimWorker._maybe_start_batch, worker)
             request = Request(-1, 0.0, 150.0)
-            request.add_outstanding(1)
+            request.outstanding += 1
             worker.batch = [sim.new_intermediate_query(request, "detect", 0.0, 1.0)]
             sim.engine.call_at(LOADED_AT_S / 2, worker._complete_batch, worker.batch)
         elif case == "straggler":
@@ -595,7 +595,7 @@ def _complete_one_batch(pipeline, case, reference):
     batch = []
     for i, age in enumerate(AGES_S):
         request = Request(i, now - age, 150.0)
-        request.add_outstanding(1)
+        request.outstanding += 1
         query = sim.new_intermediate_query(request, "detect", now - age, 1.0)
         batch.append(query)
     if case == "resilience":

@@ -20,7 +20,7 @@ class TestRequest:
 
     def test_single_sink_completion_before_deadline(self):
         request = Request(0, 0.0, 100.0)
-        request.add_outstanding(1)
+        request.outstanding += 1
         request.record_sink_completion(0.05, path_accuracy=0.9)
         assert request.status is RequestStatus.COMPLETED
         assert not request.violates_slo
@@ -29,14 +29,14 @@ class TestRequest:
 
     def test_late_completion_marks_violation(self):
         request = Request(0, 0.0, 100.0)
-        request.add_outstanding(1)
+        request.outstanding += 1
         request.record_sink_completion(0.2, path_accuracy=1.0)
         assert request.status is RequestStatus.LATE
         assert request.violates_slo
 
     def test_any_drop_marks_request_dropped(self):
         request = Request(0, 0.0, 100.0)
-        request.add_outstanding(2)
+        request.outstanding += 2
         request.record_sink_completion(0.01, path_accuracy=1.0)
         request.record_drop(0.02)
         assert request.status is RequestStatus.DROPPED
@@ -44,8 +44,8 @@ class TestRequest:
 
     def test_fanout_completion_requires_all_children(self):
         request = Request(0, 0.0, 200.0)
-        request.add_outstanding(1)  # root query
-        request.add_outstanding(3)  # three detections
+        request.outstanding += 1  # root query
+        request.outstanding += 3  # three detections
         request.record_internal_completion(0.01)  # root query done
         assert request.status is RequestStatus.IN_FLIGHT
         for i in range(3):
@@ -56,7 +56,7 @@ class TestRequest:
 
     def test_zero_detection_request_completes_without_accuracy(self):
         request = Request(0, 0.0, 100.0)
-        request.add_outstanding(1)
+        request.outstanding += 1
         request.record_internal_completion(0.01)
         assert request.status is RequestStatus.COMPLETED
         assert request.accuracy_count == 0
@@ -78,7 +78,7 @@ class TestRequest:
 
 def finished_request(arrival, completion, slo_ms=100.0, accuracy=1.0, dropped=False):
     request = Request(0, arrival, slo_ms)
-    request.add_outstanding(1)
+    request.outstanding += 1
     if dropped:
         request.record_drop(completion)
     else:
@@ -110,7 +110,7 @@ class TestMetricsCollector:
         collector = MetricsCollector(cluster_size=4)
         collector.record_request_finished(finished_request(0.0, 0.05, accuracy=0.8))
         empty = Request(1, 0.0, 100.0)
-        empty.add_outstanding(1)
+        empty.outstanding += 1
         empty.record_internal_completion(0.01)
         collector.record_request_finished(empty)
         assert collector.mean_accuracy() == pytest.approx(0.8)
@@ -231,7 +231,7 @@ class TestRequestLifecycleProperty:
     @settings(max_examples=200, deadline=None)
     def test_bookkeeping_invariants(self, arrival, slo_ms, ops):
         request = Request(0, arrival, slo_ms)
-        request.add_outstanding(1)
+        request.outstanding += 1
         now = arrival
         terminal_transitions = 0
         sink_accuracies = []
@@ -239,7 +239,7 @@ class TestRequestLifecycleProperty:
             if kind == "add":
                 if request.is_finished:
                     continue
-                request.add_outstanding(a)
+                request.outstanding += a
                 continue
             now += a
             if request.is_finished:

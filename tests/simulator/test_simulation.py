@@ -131,7 +131,7 @@ class TestFanoutBookkeeping:
         batch = []
         for i in range(size):
             request = Request(i, now, simulation.pipeline.latency_slo_ms)
-            request.add_outstanding(1)  # the parent query itself, as on intake
+            request.outstanding += 1  # the parent query itself, as on intake
             query = simulation.new_intermediate_query(request, assignment.task, now, 1.0)
             query.worker_arrival_s = now
             batch.append(query)
@@ -359,7 +359,7 @@ class TestOverrunForwarding:
         )
         now = sim.engine.now_s
         request = Request(0, now - 0.1, 150.0)  # arrived 100 ms ago: 50 ms left
-        request.add_outstanding(1)
+        request.outstanding += 1
         query = sim.new_intermediate_query(request, "detect", now, 1.0)
         query.worker_arrival_s = now - 0.1
         assert (now - query.worker_arrival_s) * 1000.0 > assignment.latency_budget_ms
@@ -439,7 +439,7 @@ class TestOnForwardCalls:
         batch = []
         for i, age_ms in enumerate(self.AGES_MS):
             request = Request(i, now - age_ms / 1000.0, 150.0)
-            request.add_outstanding(1)
+            request.outstanding += 1
             batch.append(sim.new_intermediate_query(request, "detect", now - age_ms / 1000.0, 1.0))
         (children,) = [count for _, count, _, _ in assignment.fanout]
         worker.batch = batch  # executing, as _maybe_start_batch leaves it

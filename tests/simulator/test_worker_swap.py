@@ -164,7 +164,7 @@ class TestPendingSwapSupersession:
 
 def query(query_id):
     request = Request(query_id, 0.0, 1000.0)
-    request.add_outstanding(1)
+    request.outstanding += 1
     return IntermediateQuery(query_id, request, "detect", 0.0)
 
 
