@@ -48,8 +48,7 @@ def main(duration_s: int = 90) -> None:
     print(f"mean accuracy: {summary.mean_accuracy:.4f} (max possible 1.0)")
     print(f"mean workers: {summary.mean_workers:.1f} / 20, peak workers: {summary.peak_workers}")
     print(f"resource manager invocations: {controller.resource_manager.stats.invocations}, "
-          f"MILP solves: {controller.resource_manager.stats.milp_solves}, "
-          f"mean solve time: {1000 * controller.resource_manager.stats.mean_solve_time_s:.0f} ms")
+          f"MILP solves: {controller.resource_manager.stats.milp_solves}")
 
     print("\n time   demand   workers   interval accuracy   violations")
     intervals = summary.intervals

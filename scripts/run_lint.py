@@ -1,11 +1,15 @@
 #!/usr/bin/env python
 """Run the repo's static-analysis gauntlet: repro.lint, then ruff, then mypy.
 
-This is the single verify-path entry point CI and developers share::
+Run it locally before pushing::
 
     PYTHONPATH=src python scripts/run_lint.py            # all three
     PYTHONPATH=src python scripts/run_lint.py --only repro.lint
     PYTHONPATH=src python scripts/run_lint.py --markdown  # job-summary table
+
+CI does not call this script: its ``lint`` job (``.github/workflows/ci.yml``)
+runs ``python -m repro.lint src tests``, ruff and mypy directly, one step
+each, so a change here does not change CI.
 
 ``repro.lint`` always runs (it ships with the repo).  ``ruff`` and ``mypy``
 run when installed and are *skipped with a notice* when absent, so the

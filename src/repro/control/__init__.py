@@ -13,8 +13,8 @@ and differ only in the policy decisions inside it.  This package factors that sk
   allocator and static plans are all implementations;
 * :mod:`~repro.control.routing` — *where to send queries*: the paper's
   MostAccurateFirst plus least-loaded, weighted-random and
-  power-of-two-choices, all compiled into O(1) per-query samplers
-  (:mod:`repro.core.sampling`).
+  power-of-two-choices, all compiled into per-query inverse-CDF draws
+  (``RoutingTable.choose``).
 
 ``repro.core.controller.Controller`` and the control planes in
 ``repro.baselines`` are ``ControlPlaneEngine`` subclasses that only build
@@ -49,7 +49,6 @@ from repro.control.routing import (
     register_routing_policy,
 )
 from repro.core.metadata import multiplier_fingerprint
-from repro.core.sampling import CompiledSampler
 
 __all__ = [
     "ControlPlaneEngine",
@@ -74,5 +73,4 @@ __all__ = [
     "ROUTING_POLICIES",
     "register_routing_policy",
     "make_routing_policy",
-    "CompiledSampler",
 ]

@@ -175,9 +175,10 @@ factors it was solved at.  Scale every hop multiplier down by ``s <= 1`` and
 every feasible flow scaled by ``s`` stays feasible, so with ``s`` the
 product of ``min(1, f_now / f_ref)`` over the best variants, ``D*`` now is at
 most ``D* / s``.  A demand above that bound (by a relative 1e-6) ends the
-call with no build and no solve.  Otherwise one capacity LP at the current
-factors replaces the reference, and at or below the fresh ``D*`` the same
-MILP as without the check follows.  This is exact: a demand above the LP
+call with no build and no solve.  Otherwise, unless the reference factors are
+exactly the current ones (the kept ``D*`` then is the LP capacity), one
+capacity LP at the current factors replaces the reference; at or below
+``D*`` the same MILP as without the check follows.  This is exact: a demand above the LP
 capacity has no LP point, so no MILP point either.  No call solves more
 than the LP and the MILP an LP check alone solved.  On fig5_loki (benchmark
 settings, seeds 0-1) 46 of the 70 hardware-scaling calls are infeasible, and
@@ -772,8 +773,10 @@ class AllocationProblem:
         if structure.eq is None:
             return None
         factors = {config.task: self.multiplicative_factor(config.variant) for config in structure.configs}
-        if not self._above_capacity(demand_qps, factors):
-            # The bound cannot decide: one capacity LP at the current factors.
+        kept = self._capacity
+        if (kept is None or kept[0] != factors) and not self._above_capacity(demand_qps, factors):
+            # The kept D* is from other factors and their bound cannot decide:
+            # one capacity LP at the current ones.
             relaxation = self._solve(_relaxed(self._build_model(None, "max_throughput", True)[0]))
             self._capacity = factors, float(relaxation.x[-1]) if relaxation.is_optimal else math.inf
         if self._above_capacity(demand_qps, factors):

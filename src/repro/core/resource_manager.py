@@ -20,7 +20,6 @@ and the "significant change between periodic invocations" trigger.
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, FrozenSet, Optional, Tuple
@@ -70,10 +69,6 @@ class DemandEstimator:
         return self._estimate * self.headroom
 
     @property
-    def raw_estimate(self) -> float:
-        return self._estimate
-
-    @property
     def num_observations(self) -> int:
         return self._observations
 
@@ -92,16 +87,11 @@ class ResourceManagerStats:
     hardware_plans: int = 0
     accuracy_plans: int = 0
     infeasible_plans: int = 0
-    total_solve_time_s: float = 0.0
     #: solved accuracy-scaling plans per ``solver_info["incumbent"]``
     #: (``"support"``, ``"recent"``, ``"milp"``)
     incumbents: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(INCUMBENTS, 0))
     #: hardware-scaling calls whose capacity check proved them infeasible
     hardware_lp_infeasible: int = 0
-
-    @property
-    def mean_solve_time_s(self) -> float:
-        return self.total_solve_time_s / self.milp_solves if self.milp_solves else 0.0
 
 
 class ResourceManager:
@@ -290,9 +280,7 @@ class ResourceManager:
             # variants so consecutive plans stay similar (fewer model swaps).
             preferred = {a.variant_name for a in self.current_plan.allocations}
         recent = frozenset().union(*self._recent_configs)
-        start = time.perf_counter()  # reprolint: disable=R002 -- solve-time stat is reporting-only
         plan = problem.solve(target_qps, preferred_variants=preferred, recent_configs=recent)
-        self.stats.total_solve_time_s += time.perf_counter() - start  # reprolint: disable=R002 -- reporting-only
         self.stats.milp_solves += 1
         self.stats.hardware_lp_infeasible += problem.hardware_lp_infeasible - ended_before
         incumbent = plan.solver_info.get("incumbent")

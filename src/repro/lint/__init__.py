@@ -23,22 +23,17 @@ Usage::
     python -m repro.lint src tests            # analyze, exit 1 on findings
     python -m repro.lint --list-rules         # rule catalog with history
     python -m repro.lint --format json src    # machine-readable report
-    python -m repro.lint --write-baseline src # regenerate the baseline
 
-Deliberate violations are either suppressed inline with a justification
-(``# reprolint: disable=R002 -- reporting only``) or grandfathered in
-``.reprolint-baseline.json``; see :mod:`repro.lint.suppressions` and
-:mod:`repro.lint.baseline`.
+A deliberate violation is accepted only by an inline suppression with a
+justification (``# reprolint: disable=R002 -- why``); see
+:mod:`repro.lint.suppressions`.
 """
 
-from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.engine import LintEngine, LintResult, discover_files
 from repro.lint.registry import Finding, ParsedFile, Rule, all_rules, get_rule
 from repro.lint.reporters import render
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "LintEngine",
     "LintResult",

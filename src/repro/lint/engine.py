@@ -2,7 +2,7 @@
 
 One :class:`LintEngine` run parses each target file once, hands the shared
 :class:`~repro.lint.registry.ParsedFile` to every in-scope rule, then folds
-suppression comments and the committed baseline over the raw findings.  The
+suppression comments over the raw findings.  The
 result is a :class:`LintResult` whose ``active`` findings are what a CI run
 fails on.
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from repro.lint.baseline import Baseline, BaselineEntry, apply_baseline
 from repro.lint.registry import (
     PARSE_ERROR_ID,
     Finding,
@@ -61,14 +60,10 @@ def discover_files(paths: Sequence[Path]) -> List[Path]:
 class LintResult:
     """Everything one engine run produced."""
 
-    #: findings still standing after suppressions and the baseline
+    #: findings still standing after suppressions
     active: List[Finding] = field(default_factory=list)
     #: findings silenced by inline ``# reprolint: disable`` comments
     suppressed: List[Finding] = field(default_factory=list)
-    #: findings matched (and absorbed) by the committed baseline
-    grandfathered: List[Finding] = field(default_factory=list)
-    #: baseline entries that no longer match anything in the tree
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
     files_checked: int = 0
 
     @property
@@ -77,7 +72,7 @@ class LintResult:
 
 
 class LintEngine:
-    """Configured analyzer: rule selection, scoping, baseline.
+    """Configured analyzer: rule selection and scoping.
 
     ``respect_scopes=False`` disables per-rule path scoping — used by the
     fixture tests, which exercise ``src/repro``-scoped rules on files living
@@ -90,7 +85,6 @@ class LintEngine:
         rules: Optional[Sequence[Rule]] = None,
         select: Optional[Sequence[str]] = None,
         ignore: Sequence[str] = (),
-        baseline: Optional[Baseline] = None,
         respect_scopes: bool = True,
     ):
         self.root = (root or Path.cwd()).resolve()
@@ -105,7 +99,6 @@ class LintEngine:
             dropped = set(ignore)
             chosen = [rule for rule in chosen if rule.id not in dropped]
         self.rules = sorted(chosen, key=lambda rule: rule.id)
-        self.baseline = baseline
         self.respect_scopes = respect_scopes
 
     # -- single file -----------------------------------------------------------
@@ -159,20 +152,11 @@ class LintEngine:
     # -- whole run -------------------------------------------------------------
     def run(self, paths: Sequence[Path]) -> LintResult:
         result = LintResult()
-        raw: List[Finding] = []
         for path in discover_files(paths):
             kept, suppressed = self.check_file(path)
-            raw.extend(kept)
+            result.active.extend(kept)
             result.suppressed.extend(suppressed)
             result.files_checked += 1
-
-        raw.sort(key=Finding.sort_key)
-        if self.baseline is not None:
-            active, grandfathered, stale = apply_baseline(raw, self.baseline)
-            result.active = active
-            result.grandfathered = grandfathered
-            result.stale_baseline = stale
-        else:
-            result.active = raw
+        result.active.sort(key=Finding.sort_key)
         result.suppressed.sort(key=Finding.sort_key)
         return result

@@ -4,12 +4,12 @@ A rule is a small object with an id (``R001``...), a path scope (glob
 patterns over repo-relative paths) and a :meth:`Rule.check` method that
 yields :class:`Finding` objects for one parsed file.  Rules self-register
 via :func:`register_rule` at import time; :func:`all_rules` returns them in
-id order so reports and baselines are deterministic.
+id order so reports are deterministic.
 
 New invariants get new rules: subclass :class:`Rule`, give the docstring the
 historical bug (or test) the rule pins, decorate with ``@register_rule``,
-and import the module from :mod:`repro.lint.rules`.  The engine, CLI,
-baseline and suppression machinery pick it up with no further wiring.
+and import the module from :mod:`repro.lint.rules`.  The engine, CLI and
+suppression machinery pick it up with no further wiring.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ __all__ = [
 ]
 
 #: id of the synthetic finding emitted for files that fail to parse; it is
-#: not a registered rule (it cannot be selected away, suppressed or
-#: baselined — a file the analyzer cannot read is never clean).
+#: not a registered rule (it cannot be selected away or suppressed — a file
+#: the analyzer cannot read is never clean).
 PARSE_ERROR_ID = "E000"
 
 _RULE_ID_RE = re.compile(r"^[A-Z]\d{3}$")
@@ -46,8 +46,7 @@ class Finding:
     line: int
     col: int
     message: str
-    #: stripped source text of the flagged line — the content-based key the
-    #: baseline matches on, so grandfathered findings survive line drift
+    #: stripped source text of the flagged line, as the JSON report shows it
     code: str = ""
 
     def sort_key(self) -> Tuple[str, int, int, str]:

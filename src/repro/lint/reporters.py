@@ -26,18 +26,10 @@ def _text(result: LintResult) -> str:
             f"{finding.path}:{finding.line}:{finding.col + 1}: "
             f"{finding.rule} {finding.message}"
         )
-    if result.stale_baseline:
-        for entry in result.stale_baseline:
-            lines.append(
-                f"warning: stale baseline entry {entry.rule} for {entry.path} "
-                f"({entry.code!r}) no longer matches anything — remove it"
-            )
-    summary = (
+    lines.append(
         f"{len(result.active)} finding(s) in {result.files_checked} file(s)"
-        f" ({len(result.suppressed)} suppressed inline,"
-        f" {len(result.grandfathered)} grandfathered by baseline)"
+        f" ({len(result.suppressed)} suppressed inline)"
     )
-    lines.append(summary)
     return "\n".join(lines)
 
 
@@ -59,11 +51,6 @@ def _json(result: LintResult) -> str:
             "clean": result.clean,
             "findings": [_finding_dict(f) for f in result.active],
             "suppressed": [_finding_dict(f) for f in result.suppressed],
-            "grandfathered": [_finding_dict(f) for f in result.grandfathered],
-            "stale_baseline": [
-                {"rule": e.rule, "path": e.path, "code": e.code, "note": e.note}
-                for e in result.stale_baseline
-            ],
         },
         indent=2,
     )
@@ -74,9 +61,7 @@ def _markdown(result: LintResult) -> str:
     status = "clean ✅" if result.clean else f"**{len(result.active)} finding(s)** ❌"
     lines.append(
         f"- {status} over {result.files_checked} files "
-        f"({len(result.suppressed)} suppressed, "
-        f"{len(result.grandfathered)} baselined, "
-        f"{len(result.stale_baseline)} stale baseline entries)"
+        f"({len(result.suppressed)} suppressed)"
     )
     if result.active:
         lines.append("")

@@ -164,8 +164,8 @@ class WallClockRule(Rule):
     Any ``time.time`` / ``perf_counter`` / ``datetime.now`` inside
     ``src/repro`` risks adding another host-clock dependence: the
     simulation's only clock is ``engine.now_s``.
-    Measurement-only uses (reporting ``runtime_s``, never branching on it)
-    are grandfathered in the baseline or suppressed inline with a
+    A measurement-only use that never feeds back into a decision (the
+    sweep runner timing whole runs) is suppressed inline with a
     justification; ``experiments/runtime_overhead.py`` is allow-listed
     wholesale because measuring wall overhead is its entire purpose.
     """

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import time
 import types
 import warnings
 from typing import Optional, Union
@@ -131,7 +130,6 @@ def _solve_highs(
     if not feasibility_jump:
         options[FEASIBILITY_JUMP_OPTION] = False
 
-    start = time.perf_counter()
     try:
         with _verbatim_options():
             result = optimize.milp(
@@ -144,7 +142,6 @@ def _solve_highs(
     except Exception as exc:  # pragma: no cover - defensive
         raise SolverError(f"scipy.optimize.milp failed: {exc}") from exc
     info = {
-        "runtime_s": time.perf_counter() - start,
         "status_code": int(getattr(result, "status", -1)),
         "message": getattr(result, "message", ""),
         "mip_gap": getattr(result, "mip_gap", math.nan),

@@ -73,7 +73,7 @@ class Solution:
     objective: float = math.nan
     #: column vector in the form's column order (empty when infeasible)
     x: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    #: solver diagnostics (runtime, status code, MIP gap, cache, ...)
+    #: solver diagnostics (status code, message, MIP gap, proof, cache, ...)
     info: Dict[str, object] = field(default_factory=dict)
 
     @property

@@ -154,3 +154,34 @@ def test_the_capacity_check_ends_exactly_the_calls_with_an_infeasible_hardware_l
             ended_by["milp" if milps else "lp" if solved else "bound"] += 1
     # Both ways of ending a call and the MILP are all exercised.
     assert all(ended_by.values()), ended_by
+
+
+@pytest.mark.parametrize("name", list(PIPELINES))
+def test_a_call_at_the_kept_capacitys_factors_solves_no_capacity_lp(name, monkeypatch):
+    """At exactly the factors of the kept ``D*``, that ``D*`` is the LP capacity: no call solves the LP again."""
+    factory, _, _ = PIPELINES[name]
+    pipeline = factory()
+    problem = AllocationProblem(pipeline, num_workers=20)
+    capacity = problem.max_supported_demand(restrict_to_best=True).max_demand_qps
+    solved = []
+    real = allocation.solve
+
+    def spy(form, **options):
+        solved.append(form)
+        return real(form, **options)
+
+    monkeypatch.setattr(allocation, "solve", spy)
+    for factors in drifted_factors(pipeline, 4, seed=2):
+        problem.multiplicative_factors = factors
+        del solved[:]
+        problem.solve_hardware_scaling(1.0)
+        # New factors and a demand no bound rules out: one capacity LP.
+        assert sum(not form.integrality.any() for form in solved) == 1
+        for multiple in (0.5, 0.9, 1.1, 1.5, 2.5):
+            demand = multiple * capacity
+            ended_before = problem.hardware_lp_infeasible
+            del solved[:]
+            problem.solve_hardware_scaling(demand)
+            assert all(form.integrality.any() for form in solved), (factors, multiple)
+            ended = problem.hardware_lp_infeasible - ended_before
+            assert hardware_lp_is_feasible(problem, demand) == (not ended), (factors, multiple)

@@ -146,7 +146,7 @@ class TestDemandEstimatorProperties:
         estimator = DemandEstimator(alpha=alpha, headroom=1.0)
         for sample in samples:
             estimator.observe(sample)
-        assert min(samples) - 1e-6 <= estimator.raw_estimate <= max(samples) + 1e-6
+        assert min(samples) - 1e-6 <= estimator.estimate() <= max(samples) + 1e-6
 
     @settings(max_examples=50, deadline=None)
     @given(value=st.floats(min_value=0.0, max_value=1e4), headroom=st.floats(min_value=1.0, max_value=2.0))

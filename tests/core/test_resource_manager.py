@@ -1,10 +1,14 @@
 """Tests for the Resource Manager: demand estimation, two-step scaling, plan stability."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.allocation import ACCURACY_SCALING, HARDWARE_SCALING
 from repro.core.metadata import MetadataStore
 from repro.core.resource_manager import DemandEstimator, ResourceManager
+from repro.scenarios import get_scenario
+from repro.solver import default_cache
 
 
 def max_capacity_qps(manager, restrict_to_best=False):
@@ -22,7 +26,7 @@ class TestDemandEstimator:
         estimator = DemandEstimator(alpha=0.5, headroom=1.0)
         estimator.observe(100.0)
         estimator.observe(200.0)
-        assert estimator.raw_estimate == pytest.approx(150.0)
+        assert estimator.estimate() == pytest.approx(150.0)
 
     def test_headroom_applied_to_estimate(self):
         estimator = DemandEstimator(alpha=1.0, headroom=1.2)
@@ -45,7 +49,7 @@ class TestDemandEstimator:
         estimator.observe(50.0)
         estimator.reset()
         assert estimator.num_observations == 0
-        assert estimator.raw_estimate == 0.0
+        assert estimator.estimate() == 0.0
 
     def test_converges_to_constant_demand(self):
         estimator = DemandEstimator(alpha=0.5, headroom=1.0)
@@ -217,3 +221,19 @@ class TestPlanStability:
             metadata.report_multiplier("detect_big", 4.0)
         problem = manager._problem()
         assert problem.multiplicative_factor(small_pipeline.registry.variant("detect_big")) > 2.0
+
+
+def test_a_seeded_run_ends_with_the_same_stats_and_solver_info():
+    """The Resource Manager's bookkeeping is a function of the run, not of the host's speed."""
+
+    def run():
+        default_cache.clear()  # a solver-cache hit is recorded in ``solver_info["cache"]``
+        spec = get_scenario("traffic_azure")
+        sim = spec.with_overrides(trace_params={**spec.trace_params, "duration_s": 15}).build(seed=0)
+        sim.run()
+        manager = sim.control_plane.resource_manager
+        return dataclasses.asdict(manager.stats), manager.current_plan.solver_info
+
+    first = run()
+    assert first[0]["milp_solves"] > 0
+    assert run() == first

@@ -260,8 +260,19 @@ def test_an_infeasible_hardware_relaxation_triggers_no_milp(monkeypatch):
     assert problem.solve_hardware_scaling(1.5 * capacity) is None
     assert len(forms) == 1
     assert problem.hardware_lp_infeasible == 2
-    # Below capacity the bound cannot decide: a capacity LP, then the same MILP as before.
+    # Below capacity at the same factors the kept capacity is the LP's: the MILP alone.
     plan = problem.solve_hardware_scaling(0.5 * capacity)
     assert plan is not None and plan.feasible
-    assert [form.integrality.any() for form in forms[1:]] == [False, True]
+    assert [form.integrality.any() for form in forms[1:]] == [True]
+    assert problem.hardware_lp_infeasible == 2
+    # At drifted factors the bound cannot decide: a capacity LP, then the same MILP as before.
+    pipeline = problem.pipeline
+    problem.multiplicative_factors = {
+        variant.name: 1.1 * variant.multiplicative_factor
+        for task in pipeline.tasks for variant in pipeline.registry.variants(task)
+    }
+    del forms[:]
+    drifted = problem.solve_hardware_scaling(0.5 * capacity)
+    assert drifted is not None and drifted.feasible
+    assert [form.integrality.any() for form in forms] == [False, True]
     assert problem.hardware_lp_infeasible == 2

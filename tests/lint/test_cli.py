@@ -8,9 +8,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint import LintEngine, all_rules, render
-from repro.lint.baseline import Baseline
-from repro.lint.cli import DEFAULT_BASELINE, main
+from repro.lint.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -56,6 +57,7 @@ def test_json_report_parses(tmp_path, capsys):
     write_dirty_module(tmp_path)
     main([str(tmp_path), "--root", str(tmp_path), "--no-scopes", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == ["clean", "files_checked", "findings", "suppressed"]
     assert payload["files_checked"] == 1
     assert [f["rule"] for f in payload["findings"]] == ["R002"]
 
@@ -67,6 +69,13 @@ def test_markdown_report_mentions_rule_counts(tmp_path, capsys):
     assert "repro.lint" in out and "R002" in out
 
 
+@pytest.mark.parametrize("flag", ["--baseline=x.json", "--no-baseline", "--strict-baseline", "--write-baseline"])
+def test_there_is_no_baseline_flag(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([str(tmp_path), "--root", str(tmp_path), flag])
+    assert exit_info.value.code == 2
+
+
 def test_list_rules_prints_the_catalog(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
@@ -74,36 +83,26 @@ def test_list_rules_prints_the_catalog(capsys):
         assert rule.id in out
 
 
-def test_write_then_pass_roundtrip(tmp_path, capsys):
-    """--write-baseline grandfathers today's findings; the next run is clean."""
-    write_dirty_module(tmp_path)
+def test_only_an_inline_suppression_accepts_a_finding(tmp_path, capsys):
+    """A baseline file next to the code excuses nothing; a justified inline comment does."""
+    path = write_dirty_module(tmp_path)
+    (tmp_path / ".reprolint-baseline.json").write_text(json.dumps({
+        "version": 1,
+        "entries": [{"rule": "R002", "path": "mod.py", "code": "return time.perf_counter()", "note": "x"}],
+    }))
     args = [str(tmp_path), "--root", str(tmp_path), "--no-scopes"]
     assert main(args) == 1
-    assert main(args + ["--write-baseline"]) == 0
-    assert (tmp_path / DEFAULT_BASELINE).exists()
+    path.write_text(path.read_text().replace(
+        "time.perf_counter()", "time.perf_counter()  # reprolint: disable=R002 -- test"))
     assert main(args) == 0
-    # --no-baseline brings the findings back
-    assert main(args + ["--no-baseline"]) == 1
-
-
-def test_strict_baseline_fails_on_stale_entries(tmp_path, capsys):
-    write_dirty_module(tmp_path)
-    args = [str(tmp_path), "--root", str(tmp_path), "--no-scopes"]
-    assert main(args + ["--write-baseline"]) == 0
-    (tmp_path / "mod.py").write_text("X = 1\n")  # the grandfathered code is gone
-    assert main(args) == 0  # stale entries warn by default
-    assert "stale baseline" in capsys.readouterr().out
-    assert main(args + ["--strict-baseline"]) == 1
+    assert "1 suppressed inline" in capsys.readouterr().out
 
 
 def test_lint_self_clean():
-    """The repo lints itself: zero non-baselined findings over src and tests."""
-    baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE)
-    engine = LintEngine(root=REPO_ROOT, baseline=baseline)
-    result = engine.run([REPO_ROOT / "src", REPO_ROOT / "tests"])
+    """The repo lints itself: zero findings over src and tests, inline suppressions aside."""
+    result = LintEngine(root=REPO_ROOT).run([REPO_ROOT / "src", REPO_ROOT / "tests"])
     rendered = render(result, "text")
     assert result.active == [], f"repo does not pass its own analyzer:\n{rendered}"
-    assert result.stale_baseline == [], f"stale baseline entries:\n{rendered}"
     assert result.files_checked > 100
 
 
